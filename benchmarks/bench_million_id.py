@@ -6,7 +6,9 @@ Three measurements behind the `million-id-city` scenario:
   the sharded :class:`~repro.crypto.merkle_forest.CanonicalShardedTree`
   (bottom-up sub-tree folds, ~1 hash/leaf, no per-event journal) vs
   the flat canonical tree's one-by-one journaled path (O(depth)
-  hashes/leaf). Root equivalence is asserted at matched scale;
+  hashes/leaf). Root equivalence is asserted at matched scale; plus
+  the traced bytes per identity a whole genesis deployment (contract
+  list, seed event, tree, both lookup indexes) holds once in use;
 * proof + verify cost — two-level membership proofs out of the sharded
   registry vs flat proofs at matched capacity: identical depth,
   identical verify cost, byte-identical flattened path;
@@ -22,13 +24,18 @@ it tiny via ``--bench-quick``.
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 import tracemalloc
 from dataclasses import replace
 
 from repro.core.protocol import genesis_commitments
-from repro.crypto.hashing import hash_call_count
+from repro.crypto.field import Fr
+from repro.crypto.hashing import hash1, hash_call_count
+from repro.crypto.keys import IdentityCommitment
+from repro.eth.chain import Blockchain
+from repro.eth.contracts import MembershipRegistry
 from repro.rln.membership import MembershipStore
 from repro.scenarios import TrafficModel, run_scenario, scenario
 
@@ -50,6 +57,43 @@ def _registration_run(depth, sub_depth, values):
     return store, group, wall, hashes
 
 
+def genesis_deployment_footprint(n, depth, sub_depth):
+    """Traced bytes per identity of an ``n``-member genesis deployment
+    in use: the member ints, the contract's list and pk index, the seed
+    event, the sharded tree's leaf chunks and its lookup index — after
+    the first ``find_leaf`` (which builds that index) and one genesis
+    slash (a journaled overwrite). tracemalloc, so the figure is
+    deterministic; ``tests/benchmarks/test_genesis_footprint.py`` pins
+    it at 50k identities. Returns ``(bytes per identity, wall s)``.
+    """
+    secret = 424242  # the one genesis member whose key "leaks"
+    leaked = int(hash1(Fr(secret)))
+    gc.collect()
+    tracemalloc.start()
+    start = time.perf_counter()
+    pks = (leaked, *genesis_commitments(n - 1, seed=9))
+    contract = MembershipRegistry("m", stake_wei=1)
+    chain = Blockchain()
+    chain.deploy(contract)
+    chain.create_account("reporter", balance=1)
+    contract.genesis_register(pks)
+    event = chain.seed_event("m", "MembersRegistered", pks=pks)
+    del pks
+    store = MembershipStore(depth=depth, sub_depth=sub_depth)
+    group = store.local_group()
+    group.apply_registration_batch(event.args["pks"], event_index=0)
+    index = group.index_of(IdentityCommitment(Fr(leaked)))
+    assert chain.call_now("reporter", "m", "slash", secret).success
+    group.apply_removal(index, event_index=1)
+    assert not group.contains(IdentityCommitment(Fr(leaked)))
+    assert store.stats()["index_bytes"] > 0
+    wall = time.perf_counter() - start
+    gc.collect()
+    held, _ = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return held / n, wall
+
+
 def test_registration_throughput(record_table, bench_scale):
     total = bench_scale.n(1_000_000, 600)
     depth = bench_scale.n(20, 10)
@@ -61,7 +105,7 @@ def test_registration_throughput(record_table, bench_scale):
     store, group, wall_sharded, hashes_sharded = _registration_run(
         depth, sub_depth, values
     )
-    _, peak = tracemalloc.get_traced_memory()
+    held, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
     _, flat_group, wall_flat, hashes_flat = _registration_run(
@@ -73,6 +117,12 @@ def test_registration_throughput(record_table, bench_scale):
     assert sharded_ref.root == flat_group.root
     assert sharded_ref.recent_roots() == flat_group.recent_roots()
 
+    hashes_deployed = hash_call_count()
+    deployed_bytes, wall_deployed = genesis_deployment_footprint(
+        total, depth, sub_depth
+    )
+    hashes_deployed = hash_call_count() - hashes_deployed
+
     rows = [
         (
             "sharded genesis",
@@ -81,6 +131,7 @@ def test_registration_throughput(record_table, bench_scale):
             hashes_sharded,
             round(hashes_sharded / total, 2),
             int(total / wall_sharded),
+            round(held / total, 1),
         ),
         (
             "flat one-by-one",
@@ -89,18 +140,37 @@ def test_registration_throughput(record_table, bench_scale):
             hashes_flat,
             round(hashes_flat / flat_n, 2),
             int(flat_n / wall_flat),
+            "-",
+        ),
+        (
+            "genesis deployment",
+            total,
+            round(wall_deployed, 3),
+            hashes_deployed,
+            round(hashes_deployed / total, 2),
+            int(total / wall_deployed),
+            round(deployed_bytes, 1),
         ),
     ]
     record_table(
         "bench_million_id_registration",
         f"Million-id registry: genesis batch at depth {depth} "
         f"(sub-trees of 2^{sub_depth})",
-        ("mode", "leaves", "wall s", "hashes", "hashes/leaf", "leaves/s"),
+        (
+            "mode", "leaves", "wall s", "hashes", "hashes/leaf",
+            "leaves/s", "traced B/leaf",
+        ),
         rows,
         note="sharded genesis folds each sub-tree bottom-up (~1 hash "
         "per leaf, journal-free); the flat path re-hashes an O(depth) "
         "branch per registration. Roots are asserted equal at matched "
-        "scale.",
+        "scale. traced B/leaf is tracemalloc bytes held per identity: "
+        "for sharded genesis the tree alone (the member ints exist "
+        "before tracing starts, the lookup index is not built yet); "
+        "for genesis deployment everything a deployment in use holds "
+        "- member ints, contract list + pk index, seed event, tree, "
+        "lookup index - after the first find_leaf and one slash. The "
+        "flat run is not traced (tracing would distort its wall s).",
         meta={
             "identities": total,
             "depth": depth,
@@ -109,6 +179,7 @@ def test_registration_throughput(record_table, bench_scale):
             "hashes_per_leaf_flat": hashes_flat / flat_n,
             "materialized_subtrees": store.stats()["materialized_subtrees"],
             "peak_memory_bytes": int(peak),
+            "deployment_bytes_per_identity": deployed_bytes,
         },
     )
     assert group.member_count == total

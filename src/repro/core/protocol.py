@@ -54,13 +54,13 @@ def genesis_commitments(count: int, seed: int = 0) -> tuple:
     from ..crypto.field import Fr
 
     prefix = b"genesis-member:%d:" % seed
-    out = []
-    for i in range(count):
-        digest = blake2b(
-            prefix + str(i).encode(), digest_size=32
-        ).digest()
-        out.append(Fr(int.from_bytes(digest, "big"))._value or 1)
-    return tuple(out)
+    digests = (
+        blake2b(prefix + str(i).encode(), digest_size=32).digest()
+        for i in range(count)
+    )
+    return tuple(
+        int.from_bytes(digest, "big") % Fr.MODULUS or 1 for digest in digests
+    )
 
 
 class WakuRlnRelayNetwork:

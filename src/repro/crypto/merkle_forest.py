@@ -55,6 +55,7 @@ from ..errors import MerkleError
 from .field import Fr
 from .hashing import hash2_int
 from .merkle import MerkleProof, zero_hashes_int
+from .slot_index import SortedSlotIndex
 
 Event = Tuple
 
@@ -172,9 +173,9 @@ class CanonicalShardedTree:
         self._roots: List[int] = [self._zeros[depth]]
         self._leaf_counts: List[int] = [0]
         self._leaf_history: Dict[int, List[Tuple[int, int]]] = {}
-        #: Lazy value -> ascending genesis indices (as of the genesis
+        #: Lazy value -> genesis slots lookup (as of the genesis
         #: version); built on first find_leaf over a compacted prefix.
-        self._genesis_slots: Optional[Dict[int, List[int]]] = None
+        self._genesis_index: Optional[SortedSlotIndex] = None
         self.events_deduped = 0
         self.forks = 0
 
@@ -429,17 +430,17 @@ class CanonicalShardedTree:
                     return entries[lo][1]
         return self._node_head(height, index)
 
-    def _genesis_slot_map(self) -> Dict[int, List[int]]:
-        """value -> ascending genesis indices, as of the genesis version
-        (reads through the journal, so later overwrites don't hide the
-        original values). Built lazily, once — O(genesis size)."""
-        slots = self._genesis_slots
-        if slots is None:
-            slots = self._genesis_slots = {}
-            for index in range(self._genesis_version):
-                value = self.node_at(0, index, self._genesis_version)
-                slots.setdefault(value, []).append(index)
-        return slots
+    def _genesis_lookup(self) -> SortedSlotIndex:
+        """value -> genesis slots, as of the genesis version (reads
+        through the journal, so later overwrites don't hide the
+        original values). Built lazily, once — one sort of the prefix."""
+        index = self._genesis_index
+        if index is None:
+            gv = self._genesis_version
+            index = self._genesis_index = SortedSlotIndex(
+                gv, lambda slot: self.node_at(0, slot, gv)
+            )
+        return index
 
     def find_leaf_at(self, value: int, version: int) -> Optional[int]:
         """Lowest index holding ``value`` as of ``version`` (or None)."""
@@ -449,7 +450,7 @@ class CanonicalShardedTree:
             )
         best: Optional[int] = None
         if self._genesis_version and version:
-            for index in self._genesis_slot_map().get(value, ()):
+            for index in self._genesis_lookup().slots(value):
                 if self.node_at(0, index, version) == value:
                     best = index
                     break
@@ -473,7 +474,8 @@ class CanonicalShardedTree:
         return slots
 
     def storage_bytes(self) -> int:
-        """Bytes of live head node storage (32 B per node)."""
+        """Bytes of live head node storage in the paper's storage model
+        (32 B per node) — not host memory; see :attr:`index_bytes`."""
         nodes = (
             sum(len(leaves) for leaves in self._sub_leaves)
             + len(self._sub_roots)
@@ -481,6 +483,13 @@ class CanonicalShardedTree:
             + len(self._top_nodes)
         )
         return 32 * nodes
+
+    @property
+    def index_bytes(self) -> int:
+        """Host bytes of the genesis lookup index's buffer (0 until the
+        first lookup builds it); outside :meth:`storage_bytes`' model."""
+        index = self._genesis_index
+        return 0 if index is None else index.nbytes
 
     @property
     def materialized_subtrees(self) -> int:

@@ -380,7 +380,15 @@ class SharedMerkleView:
         oldest first)`` — exactly the roots a replica must remember for
         its window to match a one-by-one replay.
         """
-        values = [Fr(leaf)._value for leaf in leaves]
+        # An int already in the field passes through as the same
+        # object: a genesis batch reaches the leaf store without a
+        # second copy of every identity.
+        modulus = Fr.MODULUS
+        values = [
+            leaf if type(leaf) is int and 0 <= leaf < modulus
+            else Fr(leaf)._value
+            for leaf in leaves
+        ]
         n = len(values)
         if n == 0:
             return self.leaf_count, []

@@ -109,8 +109,9 @@ class LocalGroup:
         pins this.
         """
         self._check_sequence(event_index)
+        # Unwrapped only: the tree canonicalises.
         values = [
-            c.element if isinstance(c, IdentityCommitment) else Fr(c)
+            c.element if isinstance(c, IdentityCommitment) else c
             for c in commitments
         ]
         first_index, tail_roots = self.tree.synced_insert_batch(
@@ -278,7 +279,12 @@ class MembershipStore:
         }
 
     def stats(self) -> Dict[str, int]:
-        """Aggregate sharing counters across all domains."""
+        """Aggregate sharing counters across all domains.
+
+        ``shared_bytes`` is the paper's storage model (32 B per live
+        tree node); ``index_bytes`` is host memory, the genesis lookup
+        indexes' real buffer size, which that model does not see.
+        """
         canonicals = self._canonicals.values()
         return {
             "domains": len(self._canonicals),
@@ -291,5 +297,8 @@ class MembershipStore:
             # tracks the active slice, not the full capacity).
             "materialized_subtrees": sum(
                 getattr(c, "materialized_subtrees", 0) for c in canonicals
+            ),
+            "index_bytes": sum(
+                getattr(c, "index_bytes", 0) for c in canonicals
             ),
         }

@@ -220,6 +220,81 @@ class TestGenesisBatch:
         assert not sharded.contains(victim)
 
 
+class TestGenesisLookupIndex:
+    """The compacted prefix's sorted slot index against the flat
+    tree's versioned ``find_leaf_at`` as the oracle."""
+
+    POOL = list(range(1, 7))  # few values: repeats inside the prefix
+    ABSENT = 99
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        genesis=st.lists(st.sampled_from(POOL), min_size=2, max_size=40),
+        roots_tail=st.integers(min_value=1, max_value=6),
+        sub_depth=st.integers(min_value=1, max_value=DEPTH - 1),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("slash"), st.integers(0, 10**6)),
+                st.tuples(st.just("insert"), st.sampled_from(POOL)),
+            ),
+            max_size=10,
+        ),
+        probe_first=st.booleans(),
+    )
+    def test_matches_flat_oracle(
+        self, genesis, roots_tail, sub_depth, ops, probe_first
+    ):
+        sharded = CanonicalShardedTree(DEPTH, sub_depth)
+        flat = CanonicalMerkleTree(DEPTH)
+        sharded.apply_batch(genesis, roots_tail)
+        flat.apply_batch(genesis, roots_tail)
+        gv = sharded.genesis_version
+        if probe_first:
+            # Index built before any overwrite; otherwise it is built
+            # after them and must read the prefix through the journal.
+            sharded.find_leaf_at(genesis[0], sharded.version)
+        for kind, arg in ops:
+            if kind == "slash":
+                # Any assigned slot: genesis slots get a journaled
+                # overwrite, re-slashes and post-genesis slots too.
+                event = ("set", arg % flat.leaf_count_at(flat.version), 0)
+            else:
+                event = ("insert", arg)  # same value, post-genesis
+            sharded.apply(event)
+            flat.apply(event)
+        assert sharded.version == flat.version
+        probes = self.POOL + [0, self.ABSENT]
+        for version in [0, *range(gv, flat.version + 1)]:
+            for value in probes:
+                assert sharded.find_leaf_at(value, version) == (
+                    flat.find_leaf_at(value, version)
+                ), (value, version)
+        for version in range(1, gv):
+            with pytest.raises(MerkleError):
+                sharded.find_leaf_at(genesis[0], version)
+        if gv:
+            assert sharded.index_bytes == 4 * gv
+
+    def test_slashed_genesis_slot_before_and_after(self):
+        tree = CanonicalShardedTree(DEPTH, 2)
+        tree.apply_batch([7, 8, 7, 9, 7, 5, 6], roots_tail=2)
+        gv = tree.genesis_version
+        assert gv == 5 and tree.index_bytes == 0  # lazy
+        tree.apply(("set", 0, 0))  # slash the lowest holder of 7
+        slashed = tree.version
+        tree.apply(("insert", 7))
+        # Built only now, after the overwrite: still sees slot 0's 7.
+        assert tree.find_leaf_at(7, slashed - 1) == 0
+        assert tree.find_leaf_at(7, slashed) == 2
+        assert tree.find_leaf_at(7, tree.version) == 2
+        assert tree.index_bytes == 4 * gv
+        tree.apply(("set", 2, 0))
+        tree.apply(("set", 4, 0))
+        assert tree.find_leaf_at(7, tree.version) == 7  # the re-insert
+        assert tree.find_leaf_at(7, slashed) == 2
+        assert tree.find_leaf_at(0, tree.version) == 0
+
+
 class TestTwoLevelProof:
     def test_split_and_flatten_roundtrip(self):
         group = MembershipStore(depth=DEPTH, sub_depth=4).local_group()

@@ -8,6 +8,7 @@ from repro.crypto.field import Fr
 from repro.crypto.hashing import hash1
 from repro.crypto.keys import MembershipKeyPair
 from repro.crypto.merkle import MerkleTree
+from repro.errors import ContractError
 from repro.eth.chain import Blockchain
 from repro.eth.contracts import MembershipRegistry, OnChainTreeContract
 
@@ -123,6 +124,74 @@ class TestMembershipRegistry:
         # is identical forever — constant complexity.
         assert len(set(costs[1:])) == 1
         assert costs[0] > costs[1]
+
+
+class TestGenesisRegister:
+    """Deploy-time member list: rejection paths of genesis_register and
+    of transactions that collide with it (all through the sorted
+    pk -> slot index)."""
+
+    def setup_method(self):
+        self.contract = MembershipRegistry("m", stake_wei=STAKE)
+        self.chain = fresh_chain(self.contract)
+        self.pks = [int(keypair(s).commitment.element) for s in range(40, 48)]
+
+    def test_zero_pk_rejected(self):
+        self.pks[3] = 0
+        with pytest.raises(ContractError, match="non-zero"):
+            self.contract.genesis_register(self.pks)
+        assert self.contract.member_count() == 0
+        assert self.contract.balance == 0
+
+    def test_duplicate_pk_names_the_later_slot(self):
+        # Two repeated values; the error names the first slot, in slot
+        # order, whose pk already sits in an earlier one.
+        self.pks[6] = self.pks[0]
+        self.pks[4] = self.pks[5] = self.pks[2]
+        with pytest.raises(
+            ContractError, match=r"duplicate genesis pk at slot 4$"
+        ):
+            self.contract.genesis_register(self.pks)
+        assert self.contract.member_count() == 0
+        assert not self.contract.is_member(self.pks[0])
+
+    def test_second_genesis_call_refused(self):
+        assert self.contract.genesis_register(self.pks[:4]) == 4
+        with pytest.raises(ContractError, match="empty registry"):
+            self.contract.genesis_register(self.pks[4:])
+        assert self.contract.member_count() == 4
+
+    def test_genesis_after_a_registration_refused(self):
+        assert self.chain.call_now(
+            "alice", "m", "register", self.pks[0], value=STAKE
+        ).success
+        with pytest.raises(ContractError, match="empty registry"):
+            self.contract.genesis_register(self.pks[1:])
+
+    def test_register_of_a_genesis_pk_reverts(self):
+        self.contract.genesis_register(self.pks)
+        for pk in (self.pks[0], self.pks[5], self.pks[-1]):
+            receipt = self.chain.call_now(
+                "alice", "m", "register", pk, value=STAKE
+            )
+            assert not receipt.success
+            assert "pk already registered" in receipt.error
+        # A pk outside the list still registers, after the genesis block.
+        receipt = self.chain.call_now(
+            "bob", "m", "register",
+            int(keypair(99).commitment.element), value=STAKE,
+        )
+        assert receipt.success
+        assert receipt.return_value == len(self.pks)
+        assert self.contract.balance == STAKE * (len(self.pks) + 1)
+
+    def test_lookup_agrees_with_the_member_list(self):
+        self.contract.genesis_register(self.pks)
+        for slot, pk in enumerate(self.pks):
+            assert self.contract.is_member(pk)
+            assert self.contract.member_at(slot) == pk
+        assert not self.contract.is_member(max(self.pks) + 1)
+        assert not self.contract.is_member(min(self.pks) - 1)
 
 
 class TestOnChainTreeContract:

@@ -11,8 +11,13 @@ import random
 
 import pytest
 
-from repro.crypto.keys import MembershipKeyPair
-from repro.rln.membership import DEFAULT_ROOT_WINDOW, LocalGroup
+from repro.crypto.field import Fr
+from repro.crypto.keys import IdentityCommitment, MembershipKeyPair
+from repro.rln.membership import (
+    DEFAULT_ROOT_WINDOW,
+    LocalGroup,
+    MembershipStore,
+)
 from repro.rln.prover import RlnProver, rln_keys
 from repro.rln.verifier import RlnVerifier, SignalCheck
 
@@ -99,3 +104,59 @@ def test_replicated_group_accepts_identical_roots():
     # The clone is independent: growing one does not move the other.
     grow(replica, rng, 1)
     assert replica.root != source.root
+
+
+@pytest.mark.parametrize("sub_depth", [None, 2])
+def test_genesis_batch_canonicalises_like_one_by_one_replay(sub_depth):
+    """A genesis batch hands already-canonical ints to the tree as they
+    are; everything else is still reduced into the field. Mixed input
+    must leave the same root window, leaves and lookups as replaying
+    the canonical commitments one by one."""
+    p = Fr.MODULUS
+    rng = random.Random(17)
+    pairs = [MembershipKeyPair.generate(rng) for _ in range(3)]
+    batch = [
+        5,
+        p + 7,
+        -3,
+        Fr(11),
+        pairs[0].commitment,
+        int(pairs[1].commitment.element),
+        p - 1,
+        2 * p + 5,  # canonically a repeat of slot 0
+        pairs[2].commitment.element,
+        -p - 2,
+        True,
+        12,
+        13,
+    ]
+    commitments = [
+        item if isinstance(item, IdentityCommitment)
+        else IdentityCommitment(Fr(item))
+        for item in batch
+    ]
+    window = 4
+    batched = MembershipStore(
+        depth=6, root_window=window, sub_depth=sub_depth
+    ).local_group()
+    independent = LocalGroup(depth=6, root_window=window)
+    replayed = LocalGroup(depth=6, root_window=window)
+    assert batched.apply_registration_batch(batch, 0) == 0
+    assert independent.apply_registration_batch(batch, 0) == 0
+    for event, commitment in enumerate(commitments):
+        replayed.apply_registration(commitment, event)
+
+    for group in (batched, independent):
+        assert group.root == replayed.root
+        assert group.recent_roots() == replayed.recent_roots()
+        assert group.member_count == len(batch)
+        assert group.tree.leaves() == replayed.tree.leaves()
+        for commitment in commitments:
+            assert group.index_of(commitment) == replayed.index_of(
+                commitment
+            )
+        assert not group.contains(IdentityCommitment(Fr(6)))
+    # Reduced into the field; the repeat resolves to the lower slot.
+    leaves = [int(leaf) for leaf in batched.tree.leaves()]
+    assert leaves[1] == 7 and leaves[2] == p - 3 and leaves[10] == 1
+    assert batched.index_of(IdentityCommitment(Fr(5))) == 0

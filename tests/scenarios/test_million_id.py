@@ -49,6 +49,17 @@ class TestPreRegisteredGenesis:
         assert net.contract.member_at(0) == pks[0]
         assert net.contract.is_member(pks[50])
 
+    def test_identity_ints_exist_once(self):
+        # Contract list, seed event and the tree's leaf chunks all
+        # reference the same int objects (no per-layer copies).
+        net = _network(pre=100)
+        net.register_all()
+        announced = net.chain.event_log[0].args["pks"]
+        canon = net.membership_store.canonical()
+        for slot in (0, 17, 99):
+            assert net.contract.member_at(slot) is announced[slot]
+            assert canon.node_at(0, slot, canon.version) is announced[slot]
+
     def test_live_peers_get_slots_after_the_dormant_block(self):
         net = _network(pre=40, peers=4)
         net.register_all()
