@@ -1,12 +1,15 @@
 """Scenario-harness throughput: batched vs naive proof verification.
 
-Two measurements:
+Three measurements:
 
 * a hot-path microbenchmark — one signal stream validated by many
   independent routers, with and without the shared verification cache
   (the per-router work the cache collapses into a dict lookup);
 * an end-to-end 1k-peer ``burst-spammer`` scenario run both ways,
-  asserting the batched path is faster and behaviourally identical.
+  asserting the batched path is faster and behaviourally identical;
+* the traced heap a relay's publish phase leaves behind at two peer
+  counts — per peer, and the decoded-envelope part of it, which must
+  not depend on the peer count (one envelope memo per process).
 
 Run with ``pytest benchmarks/bench_scenarios.py -s`` (the end-to-end
 comparison simulates a 1000-peer network and takes a few minutes).
@@ -14,9 +17,12 @@ comparison simulates a 1000-peer network and takes a few minutes).
 
 from __future__ import annotations
 
+import gc
 import time
+import tracemalloc
 from dataclasses import replace
 
+from repro.core import WakuRlnRelayNetwork
 from repro.core.config import ProtocolConfig
 from repro.core.epoch import EpochTracker
 from repro.core.nullifier_map import NullifierMap
@@ -27,8 +33,64 @@ from repro.rln.prover import RlnProver, rln_keys
 from repro.rln.verifier import RlnVerifier, VerificationCache
 from repro.scenarios import run_scenario, scenario
 from repro.sim.simulator import Simulator
+from repro.waku.message import WakuMessage, decode_envelope
 
 import random
+
+#: Allocation sites of a decoded envelope: the codec (field slices, the
+#: dataclass instance) and the relay's decode call (memo / cache slots).
+_ENVELOPE_SITES = [
+    tracemalloc.Filter(True, "*/repro/waku/message.py"),
+    tracemalloc.Filter(True, "*/repro/waku/relay.py"),
+]
+
+
+def _live_envelopes():
+    return sum(1 for obj in gc.get_objects() if type(obj) is WakuMessage)
+
+
+def relay_envelope_footprint(peers, messages=60, publishers=20, seed=11):
+    """What ``messages`` distinct RLN messages leave on the heap of a
+    ``peers``-peer relay once all of them have propagated: a dict with
+    ``live_envelopes`` (``WakuMessage`` instances gained),
+    ``envelope_bytes`` (traced bytes allocated at the codec and at the
+    relay's decode call) and ``traced_bytes`` (everything the publish
+    phase allocated and still holds — seen-caches, message caches,
+    nullifier maps, delivery logs). tracemalloc and object counts, so
+    the figures are deterministic;
+    ``tests/benchmarks/test_relay_footprint.py`` pins the first two.
+    """
+    net = WakuRlnRelayNetwork(peer_count=peers, seed=seed)
+    net.register_all()
+    net.start()
+    net.run(5.0)
+    # From an empty memo, so its dict resizes land the same every run.
+    decode_envelope.cache_clear()
+    gc.collect()
+    live_before = _live_envelopes()
+    tracemalloc.start()
+    for i in range(messages):
+        if i and i % publishers == 0:
+            net.run(net.config.epoch_length)  # one message per epoch each
+        net.peer(i % publishers).publish(b"footprint message %d" % i)
+    net.run(net.config.epoch_length)
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    return {
+        "peers": peers,
+        "messages": messages,
+        "live_envelopes": _live_envelopes() - live_before,
+        "envelope_bytes": sum(
+            stat.size
+            for stat in snapshot.filter_traces(_ENVELOPE_SITES).statistics(
+                "filename"
+            )
+        ),
+        "traced_bytes": sum(
+            stat.size for stat in snapshot.statistics("filename")
+        ),
+    }
 
 
 def _make_validators(vk, tree_root, simulator, routers, cache):
@@ -167,3 +229,43 @@ def test_1k_peer_scenario_batched_beats_naive(record_table, bench_scale):
     if not bench_scale.quick:
         assert batched.proof_verifications < naive.proof_verifications / 100
         assert batched.wall_clock_seconds < naive.wall_clock_seconds
+
+
+def test_relay_footprint_per_peer(record_table, bench_scale):
+    """Publish-phase heap at two peer counts, same messages."""
+    counts = bench_scale.n((200, 400), (20, 40))
+    runs = [relay_envelope_footprint(peers) for peers in counts]
+    small, large = runs
+    record_table(
+        "bench_scenarios_relay_footprint",
+        f"Relay heap after {small['messages']} RLN messages have "
+        "propagated (tracemalloc, publish phase only)",
+        (
+            "peers",
+            "live WakuMessage",
+            "envelope KB",
+            "traced KB",
+            "traced KB / peer",
+        ),
+        [
+            (
+                run["peers"],
+                run["live_envelopes"],
+                round(run["envelope_bytes"] / 1024, 1),
+                round(run["traced_bytes"] / 1024),
+                round(run["traced_bytes"] / 1024 / run["peers"], 1),
+            )
+            for run in runs
+        ],
+        note="Decoded envelopes live once per process (the envelope memo "
+        "in waku/message.py), so their bytes do not follow the peer "
+        "count; what does is per-peer state: seen-caches, message "
+        "caches, nullifier maps, delivery logs.",
+        meta={
+            "messages": small["messages"],
+            "envelope_bytes_small": small["envelope_bytes"],
+            "envelope_bytes_large": large["envelope_bytes"],
+        },
+    )
+    assert large["live_envelopes"] <= large["messages"] + 8
+    assert large["envelope_bytes"] <= 1.2 * small["envelope_bytes"]

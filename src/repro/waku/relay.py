@@ -15,15 +15,14 @@ validators and message handlers can be scoped per topic.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Callable, List, Optional, Set, Tuple
 
-from ..errors import GossipError, SerializationError
+from ..errors import GossipError
 from ..gossipsub.params import GossipSubParams
 from ..gossipsub.router import GossipSubRouter, ValidationResult
 from ..gossipsub.score import PeerScoreParams
 from ..net.network import Network, NodeId
-from .message import DEFAULT_PUBSUB_TOPIC, WakuMessage
+from .message import DEFAULT_PUBSUB_TOPIC, WakuMessage, decode_envelope
 
 #: Application handler: (message, msg_id) — note: no sender argument;
 #: receivers genuinely cannot know the origin.
@@ -35,11 +34,6 @@ TopicMessageHandler = Callable[[str, WakuMessage, str], None]
 
 #: Waku validator: message -> ValidationResult.
 WakuValidator = Callable[[WakuMessage], ValidationResult]
-
-#: How many decoded envelopes a relay node memoises. Every inbound
-#: message is decoded at least twice (validation, then delivery), so
-#: even a small memo halves the envelope-parsing work on the hot path.
-DECODE_CACHE_SIZE = 512
 
 
 class WakuRelayNode:
@@ -68,10 +62,6 @@ class WakuRelayNode:
         self._handlers: List[Tuple[Optional[str], MessageHandler]] = []
         self._topic_handlers: List[TopicMessageHandler] = []
         self._validators: List[Tuple[Optional[str], WakuValidator]] = []
-        #: bytes -> decoded envelope (None = known-malformed bytes).
-        self._decode_cache: "OrderedDict[bytes, Optional[WakuMessage]]" = (
-            OrderedDict()
-        )
         self._started = False
         self.router.on_delivery(self._on_delivery)
         self.join_topic(pubsub_topic)
@@ -149,24 +139,13 @@ class WakuRelayNode:
 
     # -- plumbing ------------------------------------------------------------------
 
-    def _decode(self, payload: Any) -> Optional[WakuMessage]:
-        if isinstance(payload, WakuMessage):
-            return payload
+    @staticmethod
+    def _decode(payload: Any) -> Optional[WakuMessage]:
+        # Called for validation and again for delivery, on every peer the
+        # payload reaches: all of them share the process-wide memo.
         if isinstance(payload, bytes):
-            if payload in self._decode_cache:
-                self._decode_cache.move_to_end(payload)
-                return self._decode_cache[payload]
-            try:
-                message: Optional[WakuMessage] = WakuMessage.from_bytes(
-                    payload
-                )
-            except SerializationError:
-                message = None
-            self._decode_cache[payload] = message
-            while len(self._decode_cache) > DECODE_CACHE_SIZE:
-                self._decode_cache.popitem(last=False)
-            return message
-        return None
+            return decode_envelope(payload)
+        return payload if isinstance(payload, WakuMessage) else None
 
     def _validate(self, topic: str, payload: Any) -> ValidationResult:
         message = self._decode(payload)

@@ -24,8 +24,6 @@ topics = st.text(
 class TestWakuMessageProperties:
     @given(payloads, topics, st.one_of(st.none(), st.binary(max_size=64)))
     def test_roundtrip(self, payload, topic, proof):
-        if proof == b"":
-            proof = None
         message = WakuMessage(
             payload=payload, content_topic=topic, rate_limit_proof=proof
         )

@@ -8,7 +8,11 @@ from repro.net.network import Network
 from repro.net.topology import connect_full_mesh
 from repro.sim.latency import LatencyModel
 from repro.sim.simulator import Simulator
-from repro.waku.message import DEFAULT_PUBSUB_TOPIC, WakuMessage
+from repro.waku.message import (
+    DEFAULT_PUBSUB_TOPIC,
+    WakuMessage,
+    decode_envelope,
+)
 from repro.waku.relay import WakuRelayNode
 
 
@@ -26,15 +30,62 @@ class TestWakuMessage:
         message = WakuMessage(payload=b"x")
         assert WakuMessage.from_bytes(message.to_bytes()).rate_limit_proof is None
 
+    def test_empty_proof_is_no_proof(self):
+        message = WakuMessage(payload=b"x", rate_limit_proof=b"")
+        assert message.rate_limit_proof is None
+        assert message == WakuMessage(payload=b"x")
+        assert WakuMessage.from_bytes(message.to_bytes()) == message
+
     def test_trailing_bytes_rejected(self):
         data = WakuMessage(payload=b"x").to_bytes() + b"!"
-        with pytest.raises(SerializationError):
+        with pytest.raises(SerializationError, match="trailing bytes"):
             WakuMessage.from_bytes(data)
 
     def test_truncated_rejected(self):
         data = WakuMessage(payload=b"abcdef").to_bytes()[:-3]
-        with pytest.raises(SerializationError):
+        with pytest.raises(SerializationError, match="truncated"):
             WakuMessage.from_bytes(data)
+
+    @pytest.mark.parametrize(
+        "keep, field",
+        [(0, "content_topic"), (2, "content_topic"), (12, "content_topic"),
+         (13, "payload"), (20, "payload"), (-3, "proof"), (-1, "proof")],
+    )
+    def test_truncation_names_the_cut_field(self, keep, field):
+        data = WakuMessage(
+            payload=b"abcdef", content_topic="/a/1/b/c\u00e9"
+        ).to_bytes()[:keep]
+        with pytest.raises(SerializationError, match=f"truncated.*{field}"):
+            WakuMessage.from_bytes(data)
+
+    def test_invalid_utf8_topic_rejected(self):
+        data = bytearray(WakuMessage(payload=b"x").to_bytes())
+        data[3] = 0xFF
+        with pytest.raises(SerializationError, match="malformed"):
+            WakuMessage.from_bytes(bytes(data))
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"version": 256}, "version 256"),
+            ({"version": -1}, "version -1"),
+            ({"content_topic": "t" * 65536}, "content_topic length 65536"),
+        ],
+    )
+    def test_unencodable_field_is_a_typed_error(self, fields, named):
+        message = WakuMessage(payload=b"x", **fields)
+        with pytest.raises(SerializationError, match=named):
+            message.to_bytes()
+
+    @pytest.mark.parametrize("field", ["payload", "rate_limit_proof"])
+    def test_four_gib_field_is_a_typed_error(self, field):
+        class FourGiB(bytes):
+            def __len__(self):
+                return 1 << 32
+
+        message = WakuMessage(**{"payload": b"x", field: FourGiB(b"y")})
+        with pytest.raises(SerializationError, match=f"{field} length"):
+            message.to_bytes()
 
     def test_contains_no_sender_fields(self):
         """Anonymity by omission: the dataclass has no sender slot."""
@@ -103,6 +154,65 @@ class TestWakuRelay:
         nodes[0].router.publish(DEFAULT_PUBSUB_TOPIC, b"\xff\xfe")
         sim.run_for(3.0)
         assert got == []
+
+    def test_malformed_payload_parsed_once_rejected_by_every_receiver(
+        self, monkeypatch
+    ):
+        sim, network, nodes = build_relay_network(6)
+        garbage = b"\x01\x00\x05never a whole envelope"
+        parsed = []
+        original = WakuMessage.from_bytes.__func__
+
+        def counting(cls, data):
+            parsed.append(data)
+            return original(cls, data)
+
+        monkeypatch.setattr(WakuMessage, "from_bytes", classmethod(counting))
+        decode_envelope.cache_clear()
+        delivered = []
+        for node in nodes:
+            node.on_message(lambda msg, mid: delivered.append(msg))
+        nodes[0].router.publish(DEFAULT_PUBSUB_TOPIC, garbage)
+        sim.run_for(3.0)
+        # One REJECT per receiver (the counters are network-wide), each
+        # charged to the publisher's score.
+        assert network.metrics.counters["gossipsub.rejected"] == 5
+        for node in nodes[1:]:
+            assert node.router.scores.score(nodes[0].node_id, sim.now) < 0
+        for node in nodes:
+            assert (
+                node._validate(DEFAULT_PUBSUB_TOPIC, garbage)
+                is ValidationResult.REJECT
+            )
+        assert parsed == [garbage]
+        assert delivered == []
+
+    def test_peers_share_one_envelope_per_message(self):
+        sim, network, nodes = build_relay_network(4)
+        got = []
+        for node in nodes[1:]:
+            node.on_message(lambda msg, mid: got.append(msg))
+        sent = WakuMessage(payload=b"one copy", rate_limit_proof=b"\x02" * 64)
+        nodes[0].publish(sent)
+        sim.run_for(3.0)
+        assert len(got) == 3
+        assert got[0] == sent
+        assert all(message is got[0] for message in got)
+
+    def test_standalone_node_decodes_without_a_deployment(self):
+        node = WakuRelayNode("solo", Network(simulator=Simulator(seed=3)))
+        seen = []
+        node.add_validator(
+            lambda msg: seen.append(msg) or ValidationResult.ACCEPT
+        )
+        node.on_topic_message(lambda topic, msg, mid: seen.append(msg))
+        topic = DEFAULT_PUBSUB_TOPIC
+        raw = WakuMessage(payload=b"solo").to_bytes()
+        assert node._validate(topic, raw) is ValidationResult.ACCEPT
+        node._on_delivery(topic, raw, "id", "prev-hop")
+        assert seen == [WakuMessage(payload=b"solo")] * 2
+        assert seen[0] is seen[1]
+        assert node._validate(topic, raw[:-1]) is ValidationResult.REJECT
 
     def test_default_pubsub_topic(self):
         sim, network, nodes = build_relay_network(2)
