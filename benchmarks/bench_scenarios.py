@@ -93,6 +93,23 @@ def relay_envelope_footprint(peers, messages=60, publishers=20, seed=11):
     }
 
 
+def relay_marginal_bytes(peers, low=100, high=160):
+    """Traced bytes one more message leaves on one more peer: the slope
+    of :func:`relay_envelope_footprint`'s ``traced_bytes`` between two
+    message counts, so fixed per-peer state cancels and what remains is
+    router state per (peer, message) — seen-cache and nullifier-map
+    slots, message-cache and delivery-log entries. The default counts
+    sit inside one dict size class (86-170 entries), so no per-peer
+    table resize lands between them;
+    ``tests/benchmarks/test_relay_footprint.py`` pins the result.
+    """
+    small, large = (
+        relay_envelope_footprint(peers, messages=count)["traced_bytes"]
+        for count in (low, high)
+    )
+    return (large - small) / (peers * (high - low))
+
+
 def _make_validators(vk, tree_root, simulator, routers, cache):
     validators = []
     for _ in range(routers):
@@ -234,7 +251,10 @@ def test_1k_peer_scenario_batched_beats_naive(record_table, bench_scale):
 def test_relay_footprint_per_peer(record_table, bench_scale):
     """Publish-phase heap at two peer counts, same messages."""
     counts = bench_scale.n((200, 400), (20, 40))
+    low, high = bench_scale.n((100, 160), (20, 40))
     runs = [relay_envelope_footprint(peers) for peers in counts]
+    for run in runs:
+        run["marginal_bytes"] = relay_marginal_bytes(run["peers"], low, high)
     small, large = runs
     record_table(
         "bench_scenarios_relay_footprint",
@@ -246,6 +266,7 @@ def test_relay_footprint_per_peer(record_table, bench_scale):
             "envelope KB",
             "traced KB",
             "traced KB / peer",
+            "marginal B / (peer, message)",
         ),
         [
             (
@@ -254,15 +275,21 @@ def test_relay_footprint_per_peer(record_table, bench_scale):
                 round(run["envelope_bytes"] / 1024, 1),
                 round(run["traced_bytes"] / 1024),
                 round(run["traced_bytes"] / 1024 / run["peers"], 1),
+                round(run["marginal_bytes"], 1),
             )
             for run in runs
         ],
         note="Decoded envelopes live once per process (the envelope memo "
         "in waku/message.py), so their bytes do not follow the peer "
         "count; what does is per-peer state: seen-caches, message "
-        "caches, nullifier maps, delivery logs.",
+        "caches, nullifier maps, delivery logs. The last column is the "
+        f"slope of traced bytes between {low} and {high} messages: what "
+        "one more message costs on one more peer, fixed per-peer state "
+        "cancelled.",
         meta={
             "messages": small["messages"],
+            "marginal_messages_low": low,
+            "marginal_messages_high": high,
             "envelope_bytes_small": small["envelope_bytes"],
             "envelope_bytes_large": large["envelope_bytes"],
         },

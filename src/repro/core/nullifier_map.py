@@ -26,17 +26,27 @@ class NullifierCheck(Enum):
     DOUBLE_SIGNAL = "double_signal"  # same nullifier, different share: spam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NullifierRecord:
-    """What a router remembers per (epoch, internal nullifier)."""
+    """What a router remembers per (epoch, internal nullifier): a view
+    over the first-recorded signal. The map stores that signal itself
+    (one object network-wide through the verification cache) and builds
+    a record only when it has a prior observation to report.
+    """
 
-    share_x: Fr
-    share_y: Fr
     signal: RlnSignal
+
+    @property
+    def share_x(self) -> Fr:
+        return self.signal.share.x
+
+    @property
+    def share_y(self) -> Fr:
+        return self.signal.share.y
 
 
 class NullifierMap:
-    """Sliding-window map ``epoch -> internal nullifier -> record``.
+    """Sliding-window map ``epoch -> internal nullifier -> first signal``.
 
     With ``auto_prune`` on, garbage collection rides the epoch grid
     itself: the moment a bucket for a *new latest* epoch is created,
@@ -53,7 +63,7 @@ class NullifierMap:
             raise ValueError("thr must be at least 1")
         self.thr = thr
         self.auto_prune = auto_prune
-        self._epochs: Dict[int, Dict[Fr, NullifierRecord]] = {}
+        self._epochs: Dict[int, Dict[Fr, RlnSignal]] = {}
         self._max_epoch: Optional[int] = None
         #: Entries dropped by epoch-grid GC (stat; explicit prune() not
         #: included).
@@ -81,11 +91,7 @@ class NullifierMap:
                 ):
                     self._max_epoch = epoch
                     self.auto_pruned_entries += self.prune(epoch)
-            bucket[signal.internal_nullifier] = NullifierRecord(
-                share_x=signal.share.x,
-                share_y=signal.share.y,
-                signal=signal,
-            )
+            bucket[signal.internal_nullifier] = signal
         return check, prior
 
     def peek(
@@ -106,9 +112,9 @@ class NullifierMap:
         )
         if prior is None:
             return NullifierCheck.NEW, None
-        if prior.share_x == signal.share.x:
-            return NullifierCheck.DUPLICATE, prior
-        return NullifierCheck.DOUBLE_SIGNAL, prior
+        if prior.share.x == signal.share.x:
+            return NullifierCheck.DUPLICATE, NullifierRecord(prior)
+        return NullifierCheck.DOUBLE_SIGNAL, NullifierRecord(prior)
 
     # -- garbage collection --------------------------------------------------------
 

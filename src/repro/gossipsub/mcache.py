@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict, deque
+from typing import Dict, List, Optional
 
 from .rpc import GossipMessage
 
@@ -70,49 +69,40 @@ class SeenCache:
 
     Gossip floods produce many duplicate deliveries; each message ID is
     remembered for ``ttl`` simulated seconds (re-witnessing extends the
-    window). Expiry is amortised: every :meth:`witness` pops the few
-    entries whose time has come off a min-heap, so the cache never does
-    an O(n) sweep and its memory tracks the live working set.
+    window). ``ttl`` is constant and callers pass a ``now`` that never
+    decreases (the simulated clock), so keeping the IDs in last-witness
+    order *is* keeping them in expiry order: every :meth:`witness`
+    drops the few leading entries whose time has come, O(1) amortised
+    with no second index, and memory tracks the live working set. A
+    ``now`` earlier than a previous call's is outside the contract.
+
+    Expiry happens only inside :meth:`witness`, so ``in`` keeps
+    answering for a stale ID until this peer's next witness.
     """
 
     def __init__(self, ttl: float = 120.0) -> None:
         self.ttl = ttl
-        self._expiry: Dict[str, float] = {}
-        #: (expiry, msg_id) min-heap with exactly ONE entry per live ID.
-        #: A re-witness only updates the dict; when the entry's queued
-        #: time surfaces, the sweep re-queues it at the true expiry.
-        #: The alternative — push per witness — grows the heap with
-        #: every duplicate delivery, which on a gossip flood means the
-        #: heap tracks total traffic instead of the live working set.
-        self._heap: List[Tuple[float, str]] = []
+        #: msg_id -> expiry, oldest witness first. An ``OrderedDict``
+        #: because it pops its first entry in O(1); a plain dict scans
+        #: past every slot deleted since its last resize to find it.
+        self._expiry: "OrderedDict[str, float]" = OrderedDict()
 
     def witness(self, msg_id: str, now: float) -> bool:
         """Record ``msg_id``; returns True when it was seen already."""
-        self._sweep(now)
-        seen = msg_id in self._expiry
-        self._expiry[msg_id] = now + self.ttl
-        if not seen:
-            heapq.heappush(self._heap, (now + self.ttl, msg_id))
+        expiry = self._expiry
+        while expiry:
+            oldest = next(iter(expiry))
+            if expiry[oldest] > now:
+                break
+            del expiry[oldest]
+        seen = msg_id in expiry
+        expiry[msg_id] = now + self.ttl
+        if seen:
+            expiry.move_to_end(msg_id)
         return seen
 
     def __contains__(self, msg_id: str) -> bool:
         return msg_id in self._expiry
-
-    def _sweep(self, now: float) -> None:
-        heap = self._heap
-        expiry_map = self._expiry
-        while heap and heap[0][0] <= now:
-            queued, msg_id = heap[0]
-            actual = expiry_map.get(msg_id)
-            if actual is None:
-                heapq.heappop(heap)
-            elif actual <= now:
-                heapq.heappop(heap)
-                del expiry_map[msg_id]
-            else:
-                # Re-witnessed since it was queued: push the entry back
-                # down the heap at its real expiry.
-                heapq.heapreplace(heap, (actual, msg_id))
 
     def __len__(self) -> int:
         return len(self._expiry)

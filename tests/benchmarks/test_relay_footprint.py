@@ -1,4 +1,4 @@
-"""Tier-1 footprint guard for decoded envelopes.
+"""Tier-1 footprint guards for the relay path.
 
 The simulator hands every peer the same immutable wire payload, so a
 decoded ``WakuMessage`` is per-message data and must exist once per
@@ -9,6 +9,10 @@ which also records it at 200 / 400 peers); this pins it at 40 and 80
 peers under the same 60 messages, so that a reintroduced per-peer
 decode cache fails here in seconds instead of showing up as RSS on
 ``relay-steady``.
+
+The second guard is on what *does* follow peers x messages: router
+state per (peer, message), measured as a slope between two message
+counts (``relay_marginal_bytes``) so fixed per-peer state cancels.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ BENCH = (
 BUDGET_ENVELOPE_BYTES = 82_000
 #: Live instances beyond the distinct messages (none measured).
 SLACK_INSTANCES = 8
+#: Measured 143.0 B at 20 peers (143.1 at 40, 140.1 at 80) between 100
+#: and 160 messages; ~15 % headroom. With a ``(expiry, id)`` heap entry
+#: next to every seen-cache slot it measured 198.0 (201.7, 198.6).
+BUDGET_MARGINAL_BYTES = 165
 
 
 @pytest.fixture(scope="module")
@@ -45,3 +53,7 @@ def test_envelopes_do_not_follow_the_peer_count(bench, peers):
     run = bench.relay_envelope_footprint(peers, messages=60)
     assert run["live_envelopes"] <= 60 + SLACK_INSTANCES, run
     assert run["envelope_bytes"] < BUDGET_ENVELOPE_BYTES, run
+
+
+def test_router_state_per_peer_and_message(bench):
+    assert bench.relay_marginal_bytes(20) < BUDGET_MARGINAL_BYTES
