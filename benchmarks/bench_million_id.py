@@ -7,8 +7,9 @@ Three measurements behind the `million-id-city` scenario:
   (bottom-up sub-tree folds, ~1 hash/leaf, no per-event journal) vs
   the flat canonical tree's one-by-one journaled path (O(depth)
   hashes/leaf). Root equivalence is asserted at matched scale; plus
-  the traced bytes per identity a whole genesis deployment (contract
-  list, seed event, tree, both lookup indexes) holds once in use;
+  the traced bytes per identity a whole genesis deployment (the one
+  packed member list the contract, the seed event and the tree share,
+  and its lookup index) holds once in use, and at its set-up peak;
 * proof + verify cost — two-level membership proofs out of the sharded
   registry vs flat proofs at matched capacity: identical depth,
   identical verify cost, byte-identical flattened path;
@@ -34,6 +35,7 @@ from repro.core.protocol import genesis_commitments
 from repro.crypto.field import Fr
 from repro.crypto.hashing import hash1, hash_call_count
 from repro.crypto.keys import IdentityCommitment
+from repro.crypto.slot_index import PackedFieldList
 from repro.eth.chain import Blockchain
 from repro.eth.contracts import MembershipRegistry
 from repro.rln.membership import MembershipStore
@@ -59,19 +61,26 @@ def _registration_run(depth, sub_depth, values):
 
 def genesis_deployment_footprint(n, depth, sub_depth):
     """Traced bytes per identity of an ``n``-member genesis deployment
-    in use: the member ints, the contract's list and pk index, the seed
-    event, the sharded tree's leaf chunks and its lookup index — after
-    the first ``find_leaf`` (which builds that index) and one genesis
-    slash (a journaled overwrite). tracemalloc, so the figure is
-    deterministic; ``tests/benchmarks/test_genesis_footprint.py`` pins
-    it at 50k identities. Returns ``(bytes per identity, wall s)``.
+    in use: the packed member list (contract, seed event and the
+    sharded tree's leaf chunks all reference it) and its lookup index —
+    after the first ``find_leaf`` and one genesis slash (a journaled
+    overwrite that takes one sub-tree's leaves private). Also the
+    tracemalloc *peak* from deployment on (the index sort's transient
+    records are what sets a process's RSS high-water mark).
+    tracemalloc, so both figures are deterministic;
+    ``tests/benchmarks/test_genesis_footprint.py`` pins them at 50k
+    identities. Returns ``(held bytes per identity, peak bytes per
+    identity, wall s)``.
     """
     secret = 424242  # the one genesis member whose key "leaks"
-    leaked = int(hash1(Fr(secret)))
+    leaked = hash1(Fr(secret))
     gc.collect()
     tracemalloc.start()
     start = time.perf_counter()
-    pks = (leaked, *genesis_commitments(n - 1, seed=9))
+    pks = PackedFieldList(
+        leaked.to_bytes() + bytes(genesis_commitments(n - 1, seed=9))
+    )
+    tracemalloc.reset_peak()  # assembling the list is not the deployment
     contract = MembershipRegistry("m", stake_wei=1)
     chain = Blockchain()
     chain.deploy(contract)
@@ -82,16 +91,16 @@ def genesis_deployment_footprint(n, depth, sub_depth):
     store = MembershipStore(depth=depth, sub_depth=sub_depth)
     group = store.local_group()
     group.apply_registration_batch(event.args["pks"], event_index=0)
-    index = group.index_of(IdentityCommitment(Fr(leaked)))
+    index = group.index_of(IdentityCommitment(leaked))
     assert chain.call_now("reporter", "m", "slash", secret).success
     group.apply_removal(index, event_index=1)
-    assert not group.contains(IdentityCommitment(Fr(leaked)))
+    assert not group.contains(IdentityCommitment(leaked))
     assert store.stats()["index_bytes"] > 0
     wall = time.perf_counter() - start
     gc.collect()
-    held, _ = tracemalloc.get_traced_memory()
+    held, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return held / n, wall
+    return held / n, peak / n, wall
 
 
 def test_registration_throughput(record_table, bench_scale):
@@ -118,8 +127,8 @@ def test_registration_throughput(record_table, bench_scale):
     assert sharded_ref.recent_roots() == flat_group.recent_roots()
 
     hashes_deployed = hash_call_count()
-    deployed_bytes, wall_deployed = genesis_deployment_footprint(
-        total, depth, sub_depth
+    deployed_bytes, deployed_peak, wall_deployed = (
+        genesis_deployment_footprint(total, depth, sub_depth)
     )
     hashes_deployed = hash_call_count() - hashes_deployed
 
@@ -132,6 +141,7 @@ def test_registration_throughput(record_table, bench_scale):
             round(hashes_sharded / total, 2),
             int(total / wall_sharded),
             round(held / total, 1),
+            round(peak / total, 1),
         ),
         (
             "flat one-by-one",
@@ -140,6 +150,7 @@ def test_registration_throughput(record_table, bench_scale):
             hashes_flat,
             round(hashes_flat / flat_n, 2),
             int(flat_n / wall_flat),
+            "-",
             "-",
         ),
         (
@@ -150,6 +161,7 @@ def test_registration_throughput(record_table, bench_scale):
             round(hashes_deployed / total, 2),
             int(total / wall_deployed),
             round(deployed_bytes, 1),
+            round(deployed_peak, 1),
         ),
     ]
     record_table(
@@ -158,19 +170,24 @@ def test_registration_throughput(record_table, bench_scale):
         f"(sub-trees of 2^{sub_depth})",
         (
             "mode", "leaves", "wall s", "hashes", "hashes/leaf",
-            "leaves/s", "traced B/leaf",
+            "leaves/s", "traced B/leaf", "peak B/leaf",
         ),
         rows,
         note="sharded genesis folds each sub-tree bottom-up (~1 hash "
         "per leaf, journal-free); the flat path re-hashes an O(depth) "
         "branch per registration. Roots are asserted equal at matched "
-        "scale. traced B/leaf is tracemalloc bytes held per identity: "
-        "for sharded genesis the tree alone (the member ints exist "
-        "before tracing starts, the lookup index is not built yet); "
-        "for genesis deployment everything a deployment in use holds "
-        "- member ints, contract list + pk index, seed event, tree, "
-        "lookup index - after the first find_leaf and one slash. The "
-        "flat run is not traced (tracing would distort its wall s).",
+        "scale. traced B/leaf is tracemalloc bytes held per identity, "
+        "peak B/leaf the traced high-water mark: for sharded genesis "
+        "the tree alone plus the list's 4 B lookup index (the packed "
+        "member list exists before tracing starts; with no contract "
+        "to have sorted it, the tree boundary's zero-leaf probe sorts "
+        "the index, traced, which sets this row's peak and about "
+        "doubles its wall s); for genesis deployment "
+        "everything a deployment in use holds - the one packed list "
+        "behind contract, seed event and tree (32 B) and its lookup "
+        "index (4 B) - after the first find_leaf and one slash, and "
+        "the peak is the index sort's transient records. The flat run "
+        "is not traced (tracing would distort its wall s).",
         meta={
             "identities": total,
             "depth": depth,
@@ -180,6 +197,7 @@ def test_registration_throughput(record_table, bench_scale):
             "materialized_subtrees": store.stats()["materialized_subtrees"],
             "peak_memory_bytes": int(peak),
             "deployment_bytes_per_identity": deployed_bytes,
+            "deployment_peak_bytes_per_identity": deployed_peak,
         },
     )
     assert group.member_count == total

@@ -19,7 +19,9 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, List, Optional
 
 from ..constants import ETH_BLOCK_INTERVAL_SECONDS
+from ..crypto.field import Fr
 from ..crypto.keys import IdentityCommitment, MembershipKeyPair
+from ..crypto.slot_index import PackedFieldList
 from ..errors import NetworkError, RegistrationError
 from ..eth.chain import Blockchain
 from ..eth.contracts import MembershipRegistry, OnChainTreeContract
@@ -39,7 +41,7 @@ from .peer import WakuRlnRelayPeer
 CONTRACT_ADDRESS = "contract:membership"
 
 
-def genesis_commitments(count: int, seed: int = 0) -> tuple:
+def genesis_commitments(count: int, seed: int = 0) -> PackedFieldList:
     """Deterministic identity commitments for a genesis member list.
 
     Dormant identities never publish, so they need no key material —
@@ -47,20 +49,18 @@ def genesis_commitments(count: int, seed: int = 0) -> tuple:
     Derived with blake2b directly (not the configured circuit hash):
     the genesis list is deployment *data*, and a million-entry list
     must not cost a million poseidon permutations under the slow
-    backend nor perturb ``hash_call_count`` accounting.
+    backend nor perturb ``hash_call_count`` accounting. Packed as it
+    is derived: the list never exists as a million ``int`` objects.
     """
     from hashlib import blake2b
 
-    from ..crypto.field import Fr
-
     prefix = b"genesis-member:%d:" % seed
-    digests = (
-        blake2b(prefix + str(i).encode(), digest_size=32).digest()
-        for i in range(count)
-    )
-    return tuple(
-        int.from_bytes(digest, "big") % Fr.MODULUS or 1 for digest in digests
-    )
+    packed = bytearray()
+    for i in range(count):
+        digest = blake2b(prefix + b"%d" % i, digest_size=32).digest()
+        value = int.from_bytes(digest, "big") % Fr.MODULUS or 1
+        packed += value.to_bytes(32, "big")
+    return PackedFieldList(packed)
 
 
 class WakuRlnRelayNetwork:

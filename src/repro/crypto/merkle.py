@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import MerkleError
 from .field import Fr
 from .hashing import get_hash_backend, hash2_int
+from .slot_index import PackedFieldList
 
 #: (backend name, depth) -> immutable zero-subtree digest table. Keyed
 #: by backend so :func:`repro.crypto.hashing.set_hash_backend` needs no
@@ -62,6 +63,17 @@ def zero_hashes(depth: int) -> List[Fr]:
     ``z[i]`` is the root of an empty subtree of height ``i``.
     """
     return [Fr(z) for z in zero_hashes_int(depth)]
+
+
+def pack_batch(leaves) -> PackedFieldList:
+    """One batch membership event's leaves as a packed list. A zero
+    leaf is refused: it moves no root, so the batch's root window
+    would differ from a one-by-one replay's."""
+    leaves = PackedFieldList.of(leaves)
+    zero = leaves.index.first(0)
+    if zero is not None:
+        raise MerkleError(f"zero leaf at slot {zero} of a batch")
+    return leaves
 
 
 @dataclass(frozen=True)
@@ -200,7 +212,7 @@ class MerkleTree:
     synced_update = update
 
     def synced_insert_batch(
-        self, leaves: Sequence[Fr], roots_tail: int
+        self, leaves, roots_tail: int
     ) -> Tuple[int, List[Fr]]:
         """Apply one batch membership event to an independent replica.
 
@@ -212,6 +224,7 @@ class MerkleTree:
         tree type.
         """
         first = self._next_index
+        leaves = pack_batch(leaves)
         n = len(leaves)
         if self._next_index + n > self.capacity:
             raise MerkleError(f"tree is full ({self.capacity} leaves)")

@@ -55,7 +55,7 @@ from ..errors import MerkleError
 from .field import Fr
 from .hashing import hash2_int
 from .merkle import MerkleProof, zero_hashes_int
-from .slot_index import SortedSlotIndex
+from .slot_index import PackedFieldList
 
 Event = Tuple
 
@@ -149,8 +149,9 @@ class CanonicalShardedTree:
         self._sub_mask = self.sub_capacity - 1
         self._zeros = zero_hashes_int(depth)
         #: Leaf values per sub-tree, densely packed (sub k holds global
-        #: leaves [k << sub_depth, (k+1) << sub_depth)).
-        self._sub_leaves: List[List[int]] = []
+        #: leaves [k << sub_depth, (k+1) << sub_depth)): a view of the
+        #: genesis list until the sub-tree is materialised, then a list.
+        self._sub_leaves: List[Sequence[int]] = []
         #: Root of sub-tree k (parallel to _sub_leaves).
         self._sub_roots: List[int] = []
         #: Materialised sub-tree interior nodes, *global* (height, index)
@@ -173,9 +174,10 @@ class CanonicalShardedTree:
         self._roots: List[int] = [self._zeros[depth]]
         self._leaf_counts: List[int] = [0]
         self._leaf_history: Dict[int, List[Tuple[int, int]]] = {}
-        #: Lazy value -> genesis slots lookup (as of the genesis
-        #: version); built on first find_leaf over a compacted prefix.
-        self._genesis_index: Optional[SortedSlotIndex] = None
+        #: The genesis batch as applied (its first _genesis_version
+        #: slots are the compacted prefix): the leaf chunks' buffer and
+        #: the value -> genesis slots lookup as of the genesis version.
+        self._genesis_members = PackedFieldList()
         self.events_deduped = 0
         self.forks = 0
 
@@ -249,6 +251,7 @@ class CanonicalShardedTree:
         The tail holds the roots of the last ``min(roots_tail, n)``
         versions, oldest first.
         """
+        values = PackedFieldList.of(values)
         n = len(values)
         first = self._leaf_counts[-1]
         if n == 0:
@@ -258,23 +261,23 @@ class CanonicalShardedTree:
         tail_len = min(max(roots_tail, 1), n)
         compact = n - tail_len if self.version == 0 else 0
         for start in range(0, compact, self.sub_capacity):
-            stop = min(start + self.sub_capacity, compact)
-            chunk = [int(v) for v in values[start:stop]]
+            chunk = values[start : min(start + self.sub_capacity, compact)]
             self._sub_leaves.append(chunk)
             self._sub_roots.append(self._fold_sub_root(chunk))
         if compact:
+            self._genesis_members = values
             self._genesis_version = compact
             self._roots = [self._rebuild_top()]
             self._leaf_counts = [compact]
         tail_roots = []
         for value in values[compact:]:
-            self.apply(("insert", int(value)))
+            self.apply(("insert", value))
             tail_roots.append(self._roots[-1])
         return first, tail_roots[-tail_len:]
 
-    def _fold_sub_root(self, leaves: List[int]) -> int:
+    def _fold_sub_root(self, leaves: Sequence[int]) -> int:
         """Root of one sub-tree, bottom-up, storing no interior nodes."""
-        level = leaves
+        level = list(leaves)
         zeros = self._zeros
         for height in range(1, self.sub_depth + 1):
             zero = zeros[height - 1]
@@ -309,7 +312,9 @@ class CanonicalShardedTree:
         """Build sub-tree ``k``'s interior nodes from its leaves (once)."""
         if k in self._materialized:
             return
-        leaves = self._sub_leaves[k]
+        # The sub-tree's own copy of its slice of the genesis list:
+        # from here on its leaves are written in place.
+        leaves = self._sub_leaves[k] = list(self._sub_leaves[k])
         zeros = self._zeros
         interior = self._interior
         level = leaves
@@ -430,18 +435,6 @@ class CanonicalShardedTree:
                     return entries[lo][1]
         return self._node_head(height, index)
 
-    def _genesis_lookup(self) -> SortedSlotIndex:
-        """value -> genesis slots, as of the genesis version (reads
-        through the journal, so later overwrites don't hide the
-        original values). Built lazily, once — one sort of the prefix."""
-        index = self._genesis_index
-        if index is None:
-            gv = self._genesis_version
-            index = self._genesis_index = SortedSlotIndex(
-                gv, lambda slot: self.node_at(0, slot, gv)
-            )
-        return index
-
     def find_leaf_at(self, value: int, version: int) -> Optional[int]:
         """Lowest index holding ``value`` as of ``version`` (or None)."""
         if 0 < version < self._genesis_version:
@@ -450,7 +443,12 @@ class CanonicalShardedTree:
             )
         best: Optional[int] = None
         if self._genesis_version and version:
-            for index in self._genesis_lookup().slots(value):
+            # Candidates are the slots that held ``value`` at genesis;
+            # the read through the journal drops the ones overwritten
+            # by ``version``. Past the prefix, _leaf_history answers.
+            for index in self._genesis_members.index.slots(value):
+                if index >= self._genesis_version:
+                    break
                 if self.node_at(0, index, version) == value:
                     best = index
                     break
@@ -486,10 +484,10 @@ class CanonicalShardedTree:
 
     @property
     def index_bytes(self) -> int:
-        """Host bytes of the genesis lookup index's buffer (0 until the
-        first lookup builds it); outside :meth:`storage_bytes`' model."""
-        index = self._genesis_index
-        return 0 if index is None else index.nbytes
+        """Host bytes of the genesis list's lookup index (0 until its
+        first use, here or by the contract that shares the list);
+        outside :meth:`storage_bytes`' model."""
+        return self._genesis_members.index_bytes
 
     @property
     def materialized_subtrees(self) -> int:

@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import MerkleError
 from .field import Fr
 from .hashing import hash2_int
-from .merkle import MerkleProof, zero_hashes_int
+from .merkle import MerkleProof, pack_batch, zero_hashes_int
 
 #: Event records: ("insert", leaf) appends, ("set", index, leaf)
 #: overwrites (slashing writes leaf = 0).
@@ -380,15 +380,9 @@ class SharedMerkleView:
         oldest first)`` — exactly the roots a replica must remember for
         its window to match a one-by-one replay.
         """
-        # An int already in the field passes through as the same
-        # object: a genesis batch reaches the leaf store without a
-        # second copy of every identity.
-        modulus = Fr.MODULUS
-        values = [
-            leaf if type(leaf) is int and 0 <= leaf < modulus
-            else Fr(leaf)._value
-            for leaf in leaves
-        ]
+        # A packed genesis list goes through as the same object, down
+        # to the sharded tree's leaf chunks.
+        values = pack_batch(leaves)
         n = len(values)
         if n == 0:
             return self.leaf_count, []

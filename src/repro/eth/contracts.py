@@ -27,7 +27,7 @@ from ..constants import (
 from ..crypto.field import Fr
 from ..crypto.hashing import hash1, hash2_int
 from ..crypto.merkle import zero_hashes_int
-from ..crypto.slot_index import SortedSlotIndex
+from ..crypto.slot_index import PackedFieldList
 from ..errors import ContractError
 from .chain import Contract, TxContext
 
@@ -84,8 +84,9 @@ class MembershipRegistry(MembershipContractBase):
     put a million entries into the storage dict every transaction
     snapshots for revert. Genesis members occupy leaf slots
     ``0 .. n-1``; transactional registrations continue after them.
-    The pk -> slot lookup over the list is a 4-byte-per-member
-    :class:`~repro.crypto.slot_index.SortedSlotIndex`.
+    The list is one :class:`~repro.crypto.slot_index.PackedFieldList`
+    (32 B per member, plus its 4 B per member pk -> slot index), the
+    same object the seed event announces and the replicas' tree reads.
     """
 
     def __init__(
@@ -97,8 +98,7 @@ class MembershipRegistry(MembershipContractBase):
         super().__init__(address, stake_wei, burn_fraction)
         #: Deploy-time member list (immutable; slashes are recorded in
         #: ("genesis_removed", index) storage slots instead).
-        self._genesis_pks: tuple = ()
-        self._genesis_index = SortedSlotIndex(0, self._genesis_pks.__getitem__)
+        self._genesis_pks = PackedFieldList()
 
     def genesis_register(self, pks) -> int:
         """Bake ``pks`` into the deployment as pre-registered members.
@@ -114,17 +114,13 @@ class MembershipRegistry(MembershipContractBase):
             raise ContractError(
                 "genesis registration requires an empty registry"
             )
-        pks = tuple(pks)  # an all-int tuple is kept as is, not copied
-        if not all(type(pk) is int for pk in pks):
-            pks = tuple(map(int, pks))
-        if 0 in pks:
+        pks = PackedFieldList.of(pks)
+        if pks.index.first(0) is not None:
             raise ContractError("pk must be non-zero")
-        index = SortedSlotIndex(len(pks), pks.__getitem__)
-        repeat = index.first_repeat()
+        repeat = pks.index.first_repeat
         if repeat is not None:
             raise ContractError(f"duplicate genesis pk at slot {repeat}")
         self._genesis_pks = pks
-        self._genesis_index = index
         if pks:
             self.storage["count"] = len(pks)
         self.balance += self.stake_wei * len(pks)
@@ -132,7 +128,7 @@ class MembershipRegistry(MembershipContractBase):
 
     def _genesis_slot(self, pk: int):
         """Live genesis slot of ``pk``, or None (absent or slashed)."""
-        index = next(self._genesis_index.slots(pk), None)
+        index = self._genesis_pks.index.first(pk)
         if index is None or self.storage.get(("genesis_removed", index), 0):
             return None
         return index

@@ -66,7 +66,6 @@ class Network:
         # Pre-bound metric sinks: every packet touches these, and the
         # registry indirection is measurable at millions of sends.
         self._counters = self.metrics.counters
-        self._latency_hist = self.metrics.histograms["net.latency"]
         # Window-isolated kernels deliver through a registered port —
         # a picklable (sender, receiver, packet) payload — so a
         # delivery crossing a worker boundary needs no closure.
@@ -295,7 +294,6 @@ class Network:
             return False
         delay = self.latency.sample_latency(rng)
         self._counters["net.packets_sent"] += 1
-        self._latency_hist.observe(delay)
 
         label = self._deliver_labels.get(receiver)
         if label is None:

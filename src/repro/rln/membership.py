@@ -109,13 +109,8 @@ class LocalGroup:
         pins this.
         """
         self._check_sequence(event_index)
-        # Unwrapped only: the tree canonicalises.
-        values = [
-            c.element if isinstance(c, IdentityCommitment) else c
-            for c in commitments
-        ]
         first_index, tail_roots = self.tree.synced_insert_batch(
-            values, self.root_window
+            commitments, self.root_window
         )
         self.applied_events += 1
         for root in tail_roots:

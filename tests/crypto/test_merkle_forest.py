@@ -22,6 +22,7 @@ from repro.crypto.keys import MembershipKeyPair
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.merkle_forest import CanonicalShardedTree, TwoLevelProof
 from repro.crypto.merkle_shared import CanonicalMerkleTree
+from repro.crypto.slot_index import PackedFieldList
 from repro.errors import MerkleError
 from repro.rln.membership import LocalGroup, MembershipStore
 
@@ -273,7 +274,9 @@ class TestGenesisLookupIndex:
             with pytest.raises(MerkleError):
                 sharded.find_leaf_at(genesis[0], version)
         if gv:
-            assert sharded.index_bytes == 4 * gv
+            # One index over the whole batch (the list's own, which a
+            # contract holding the same list shares): 4 B per member.
+            assert sharded.index_bytes == 4 * len(genesis)
 
     def test_slashed_genesis_slot_before_and_after(self):
         tree = CanonicalShardedTree(DEPTH, 2)
@@ -287,7 +290,7 @@ class TestGenesisLookupIndex:
         assert tree.find_leaf_at(7, slashed - 1) == 0
         assert tree.find_leaf_at(7, slashed) == 2
         assert tree.find_leaf_at(7, tree.version) == 2
-        assert tree.index_bytes == 4 * gv
+        assert tree.index_bytes == 4 * 7  # the whole batch's index
         tree.apply(("set", 2, 0))
         tree.apply(("set", 4, 0))
         assert tree.find_leaf_at(7, tree.version) == 7  # the re-insert
@@ -372,3 +375,32 @@ class TestForkBehavior:
         tree.apply(("insert", 100))
         assert tree.materialized_subtrees == 2
         assert tree.storage_bytes() > 0
+
+    def test_genesis_slash_copies_only_its_own_sub_tree(self):
+        # The compacted leaf chunks are views of the genesis list; a
+        # write takes its sub-tree's 16 leaves private and leaves the
+        # list, and every other chunk, as they were.
+        members = PackedFieldList.of(range(1, 101))
+        tree = CanonicalShardedTree(8, 4)
+        flat = CanonicalMerkleTree(8)
+        tree.apply_batch(members, roots_tail=1)
+        flat.apply_batch(members, roots_tail=1)
+        assert tree.materialized_subtree_indices() == {6}  # the tail
+        for event in (("set", 20, 0), ("insert", 777)):
+            tree.apply(event)
+            flat.apply(event)
+        assert tree.materialized_subtree_indices() == {1, 6}
+        for k, leaves in enumerate(tree._sub_leaves):
+            if k in (1, 6):
+                assert type(leaves) is list
+            else:
+                assert leaves._packed.obj is members._packed.obj
+        assert members[20] == 21 and tuple(members) == tuple(range(1, 101))
+        assert tree.node_at(0, 20, tree.version) == 0
+        assert tree.node_at(0, 20, tree.version - 2) == 21
+        assert tree.find_leaf_at(21, tree.version) is None
+        assert tree.find_leaf_at(21, tree.version - 2) == 20
+        assert tree.root_at(tree.version) == flat.root_at(flat.version)
+        assert tree.storage_bytes() == 32 * (
+            101 + 7 + len(tree._interior) + len(tree._top_nodes)
+        )

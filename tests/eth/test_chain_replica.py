@@ -55,6 +55,28 @@ def enter(chain):
     return ks
 
 
+class TestSeededGenesisFingerprint:
+    def test_replicas_built_apart_agree_on_a_seeded_member_list(self):
+        # Each worker derives its own genesis list; the fingerprint
+        # hashes repr(event.args), so the list's repr must be its
+        # content (an object repr "diverges" every pair of replicas),
+        # and short (a million ints print as ~77 MB per call).
+        from repro.core.protocol import genesis_commitments
+
+        def seeded(seed):
+            chain = make_chain()
+            pks = genesis_commitments(300, seed=seed)
+            chain.contracts["registry"].genesis_register(pks)
+            event = chain.seed_event("registry", "MembersRegistered", pks=pks)
+            return chain, event
+
+        (one, event), (two, twin), (other, _) = seeded(7), seeded(7), seeded(8)
+        assert event.args["pks"] is not twin.args["pks"]
+        assert event == twin and len(repr(event.args)) < 100
+        assert chain_fingerprint(one) == chain_fingerprint(two)
+        assert chain_fingerprint(one) != chain_fingerprint(other)
+
+
 class TestReplicaProtocol:
     def test_transact_queues_op_instead_of_mutating(self):
         chain = make_chain()

@@ -143,6 +143,25 @@ class TestGenesisRegister:
         assert self.contract.member_count() == 0
         assert self.contract.balance == 0
 
+    def test_pks_canonicalise_as_field_elements(self):
+        # What reaches the packed list is what Fr makes of the input:
+        # the modulus is a zero pk, pk + modulus is a repeat of pk.
+        p = Fr.MODULUS
+        with pytest.raises(ContractError, match="non-zero"):
+            self.contract.genesis_register([*self.pks, p])
+        with pytest.raises(
+            ContractError, match=r"duplicate genesis pk at slot 8$"
+        ):
+            self.contract.genesis_register([*self.pks, self.pks[1] + p])
+        mixed = [Fr(self.pks[0]), keypair(41).commitment, self.pks[2] - p]
+        assert self.contract.genesis_register(mixed) == 3
+        for slot in range(3):
+            assert self.contract.member_at(slot) == self.pks[slot]
+            assert self.contract.is_member(self.pks[slot])
+        # Lookups of ints no 32-byte word can hold answer "absent".
+        assert not self.contract.is_member(1 << 256)
+        assert not self.contract.is_member(-1)
+
     def test_duplicate_pk_names_the_later_slot(self):
         # Two repeated values; the error names the first slot, in slot
         # order, whose pk already sits in an earlier one.

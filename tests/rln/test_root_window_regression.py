@@ -13,6 +13,7 @@ import pytest
 
 from repro.crypto.field import Fr
 from repro.crypto.keys import IdentityCommitment, MembershipKeyPair
+from repro.errors import MerkleError
 from repro.rln.membership import (
     DEFAULT_ROOT_WINDOW,
     LocalGroup,
@@ -160,3 +161,20 @@ def test_genesis_batch_canonicalises_like_one_by_one_replay(sub_depth):
     leaves = [int(leaf) for leaf in batched.tree.leaves()]
     assert leaves[1] == 7 and leaves[2] == p - 3 and leaves[10] == 1
     assert batched.index_of(IdentityCommitment(Fr(5))) == 0
+
+
+@pytest.mark.parametrize("sub_depth", [None, 2])
+def test_zero_leaf_in_a_batch_is_refused(sub_depth):
+    """A zero leaf moves no root, so inside a batch it would leave a
+    root window a one-by-one replay does not produce; every tree type
+    refuses it, whatever spelling of zero arrives, and applies nothing."""
+    store = MembershipStore(depth=6, root_window=4, sub_depth=sub_depth)
+    for group in (store.local_group(), LocalGroup(depth=6, root_window=4)):
+        zeros = (0, Fr(0), Fr.MODULUS, False, IdentityCommitment(Fr(0)))
+        for zero in zeros:
+            with pytest.raises(MerkleError, match="zero leaf at slot 2 "):
+                group.apply_registration_batch([5, 6, zero, 7, 0], 0)
+        assert group.member_count == 0 and group.applied_events == 0
+        assert group.apply_registration_batch([5, 6, 7], 0) == 0
+        assert group.member_count == 3
+    assert store.canonical().version == 3

@@ -49,16 +49,39 @@ class TestPreRegisteredGenesis:
         assert net.contract.member_at(0) == pks[0]
         assert net.contract.is_member(pks[50])
 
-    def test_identity_ints_exist_once(self):
-        # Contract list, seed event and the tree's leaf chunks all
-        # reference the same int objects (no per-layer copies).
+    def test_genesis_members_exist_once(self, monkeypatch):
+        # The contract's list, the seed event's payload and the tree's
+        # compacted prefix are one object — one buffer, sorted once per
+        # deployment, however many layers look values up in it.
+        from repro.crypto.slot_index import PackedFieldList, SortedSlotIndex
+
+        sorted_runs = []
+        build = SortedSlotIndex.__init__
+
+        def counting(index, packed):
+            sorted_runs.append(len(packed) // 32)
+            build(index, packed)
+
+        monkeypatch.setattr(SortedSlotIndex, "__init__", counting)
         net = _network(pre=100)
         net.register_all()
         announced = net.chain.event_log[0].args["pks"]
         canon = net.membership_store.canonical()
+        assert isinstance(announced, PackedFieldList)
+        assert net.contract._genesis_pks is announced
+        assert canon._genesis_members is announced
+        buffer = announced._packed.obj
+        chunks = canon._sub_leaves[: canon.genesis_version >> canon.sub_depth]
+        assert chunks and all(c._packed.obj is buffer for c in chunks)
         for slot in (0, 17, 99):
-            assert net.contract.member_at(slot) is announced[slot]
-            assert canon.node_at(0, slot, canon.version) is announced[slot]
+            pk = announced[slot]
+            assert net.contract.member_at(slot) == pk
+            assert net.contract.is_member(pk)
+            assert canon.node_at(0, slot, canon.version) == pk
+            assert canon.find_leaf_at(pk, canon.version) == slot
+        assert not net.contract.is_member(12345)
+        assert net.membership_store.stats()["index_bytes"] == 4 * 100
+        assert sorted_runs == [100]
 
     def test_live_peers_get_slots_after_the_dormant_block(self):
         net = _network(pre=40, peers=4)
