@@ -18,6 +18,7 @@ comparison simulates a 1000-peer network and takes a few minutes).
 from __future__ import annotations
 
 import gc
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -49,6 +50,34 @@ def _live_envelopes():
     return sum(1 for obj in gc.get_objects() if type(obj) is WakuMessage)
 
 
+def _warm_relay(peers, seed):
+    """A registered, started relay a few heartbeats in. One shared
+    verification cache, as every reference scenario has — without it
+    each peer parses its own ``RlnSignal`` per message and those copies
+    (52 of 63 KB per peer at 60 messages) drown the router state."""
+    net = WakuRlnRelayNetwork(
+        peer_count=peers,
+        seed=seed,
+        config=ProtocolConfig(verification_cache_size=65536),
+    )
+    net.register_all()
+    net.start()
+    net.run(5.0)
+    # From an empty memo, so the first decode of each message (and the
+    # memo's dict resizes) land the same every run.
+    decode_envelope.cache_clear()
+    return net
+
+
+def _publish_rounds(net, messages, publishers):
+    """``messages`` distinct RLN messages, each fully propagated."""
+    for i in range(messages):
+        if i and i % publishers == 0:
+            net.run(net.config.epoch_length)  # one message per epoch each
+        net.peer(i % publishers).publish(b"footprint message %d" % i)
+    net.run(net.config.epoch_length)
+
+
 def relay_envelope_footprint(peers, messages=60, publishers=20, seed=11):
     """What ``messages`` distinct RLN messages leave on the heap of a
     ``peers``-peer relay once all of them have propagated: a dict with
@@ -56,24 +85,16 @@ def relay_envelope_footprint(peers, messages=60, publishers=20, seed=11):
     ``envelope_bytes`` (traced bytes allocated at the codec and at the
     relay's decode call) and ``traced_bytes`` (everything the publish
     phase allocated and still holds — seen-caches, message caches,
-    nullifier maps, delivery logs). tracemalloc and object counts, so
-    the figures are deterministic;
-    ``tests/benchmarks/test_relay_footprint.py`` pins the first two.
+    nullifier maps, delivery logs, and once per process the verified
+    signals). tracemalloc and object counts, so the figures are
+    deterministic; ``tests/benchmarks/test_relay_footprint.py`` pins
+    the first two.
     """
-    net = WakuRlnRelayNetwork(peer_count=peers, seed=seed)
-    net.register_all()
-    net.start()
-    net.run(5.0)
-    # From an empty memo, so its dict resizes land the same every run.
-    decode_envelope.cache_clear()
+    net = _warm_relay(peers, seed)
     gc.collect()
     live_before = _live_envelopes()
     tracemalloc.start()
-    for i in range(messages):
-        if i and i % publishers == 0:
-            net.run(net.config.epoch_length)  # one message per epoch each
-        net.peer(i % publishers).publish(b"footprint message %d" % i)
-    net.run(net.config.epoch_length)
+    _publish_rounds(net, messages, publishers)
     gc.collect()
     snapshot = tracemalloc.take_snapshot()
     tracemalloc.stop()
@@ -108,6 +129,35 @@ def relay_marginal_bytes(peers, low=100, high=160):
         for count in (low, high)
     )
     return (large - small) / (peers * (high - low))
+
+
+def relay_calls_per_event(peers=30, messages=40, publishers=20, seed=11):
+    """Python-level calls per kernel event while ``messages`` RLN
+    messages propagate through a ``peers``-peer relay: every function
+    entry the interpreter reports to ``sys.setprofile`` (C builtins
+    are not frames and do not count), divided by the events the kernel
+    processed meanwhile. Three of four events are duplicate
+    deliveries, so this is the length of the delivery path — schedule,
+    dispatch, ``Network.send``, the router's inbound handling — as a
+    count that repeats exactly, where a wall-clock difference of the
+    same size drowns in host noise;
+    ``tests/benchmarks/test_delivery_path_calls.py`` pins it.
+    """
+    net = _warm_relay(peers, seed)
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    events_before = net.simulator.events_processed
+    sys.setprofile(count)
+    try:
+        _publish_rounds(net, messages, publishers)
+    finally:
+        sys.setprofile(None)
+    return calls / (net.simulator.events_processed - events_before)
 
 
 def _make_validators(vk, tree_root, simulator, routers, cache):
@@ -256,6 +306,7 @@ def test_relay_footprint_per_peer(record_table, bench_scale):
     for run in runs:
         run["marginal_bytes"] = relay_marginal_bytes(run["peers"], low, high)
     small, large = runs
+    calls = relay_calls_per_event()
     record_table(
         "bench_scenarios_relay_footprint",
         f"Relay heap after {small['messages']} RLN messages have "
@@ -285,8 +336,12 @@ def test_relay_footprint_per_peer(record_table, bench_scale):
         "caches, nullifier maps, delivery logs. The last column is the "
         f"slope of traced bytes between {low} and {high} messages: what "
         "one more message costs on one more peer, fixed per-peer state "
-        "cancelled.",
+        "cancelled (what the shared verification cache holds once per "
+        "message is spread over the peers). Delivery path length at 30 "
+        f"peers / 40 messages: {calls:.2f} Python-level calls per kernel "
+        "event.",
         meta={
+            "calls_per_event": round(calls, 2),
             "messages": small["messages"],
             "marginal_messages_low": low,
             "marginal_messages_high": high,

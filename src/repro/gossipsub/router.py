@@ -102,6 +102,10 @@ class GossipSubRouter:
             score_params or PeerScoreParams(),
             lazy=self.params.batched_bookkeeping,
         )
+        #: Read per inbound packet: the tracker's live suspect set and
+        #: the kernel whose clock stamps the packet.
+        self._suspects = self.scores.suspects()
+        self._simulator = network.simulator
 
         self.subscriptions: Set[str] = set()
         self.mesh: Dict[str, Set[NodeId]] = {}
@@ -271,15 +275,17 @@ class GossipSubRouter:
         self._process(from_peer, packet)
 
     def _process(self, from_peer: NodeId, packet: RpcPacket) -> None:
-        self.scores.add_peer(from_peer)
+        scores = self.scores
+        counters = self._counters
+        now = self._simulator.now
+        scores.add_peer(from_peer)
         # Graylisting compares against a negative threshold, and a
         # non-suspect provably scores >= 0 — only suspects need the
         # real score computed on this per-RPC path.
-        if self.scores.maybe_negative(from_peer) and (
-            self.scores.score(from_peer, self.now)
-            < self.scores.params.graylist_threshold
+        if from_peer in self._suspects and (
+            scores.score(from_peer, now) < scores.params.graylist_threshold
         ):
-            self._counters["gossipsub.graylisted_rpc"] += 1
+            counters["gossipsub.graylisted_rpc"] += 1
             return
         for topic in packet.subscribe:
             self.topic_peers.setdefault(topic, set()).add(from_peer)
@@ -289,8 +295,15 @@ class GossipSubRouter:
             if mesh is not None and from_peer in mesh:
                 mesh.discard(from_peer)
                 self._dirty_topics.add(topic)
+        # Three of four deliveries are duplicates: they end here, on
+        # the seen-cache probe, without another router frame.
         for message in packet.publish:
-            self._handle_publish(message, from_peer)
+            counters["gossipsub.received"] += 1
+            if self.seen.witness(message.msg_id, now):
+                scores.duplicate_message(from_peer, message.topic)
+                counters["gossipsub.duplicates"] += 1
+            else:
+                self._handle_first(message, from_peer)
         if packet.ihave:
             self._handle_ihave(packet.ihave, from_peer)
         if packet.iwant:
@@ -302,14 +315,10 @@ class GossipSubRouter:
                 topic, from_peer, backoff, packet.px.get(topic, [])
             )
 
-    def _handle_publish(self, message: GossipMessage, from_peer: NodeId) -> None:
+    def _handle_first(self, message: GossipMessage, from_peer: NodeId) -> None:
+        """A message this node had not seen: validate, deliver, forward."""
         topic = message.topic
         counters = self._counters
-        counters["gossipsub.received"] += 1
-        if self.seen.witness(message.msg_id, self.now):
-            self.scores.duplicate_message(from_peer, topic)
-            counters["gossipsub.duplicates"] += 1
-            return
         result = self._validate(message, from_peer)
         if result is ValidationResult.REJECT:
             self.scores.reject_message(from_peer, topic)
@@ -344,11 +353,15 @@ class GossipSubRouter:
         if not targets:
             return
         packet = RpcPacket(publish=[message])
-        # One packet fans out to the whole mesh; size it once. Sorted
+        # One packet fans out to the whole mesh: size and count it once
+        # (``_send`` too counts before the network can refuse). Sorted
         # so the forward order never depends on the set hash order.
-        size = packet.size_bytes
+        counters = self._counters
+        counters["gossipsub.rpc_sent"] += len(targets)
+        counters["gossipsub.bytes_sent"] += len(targets) * packet.size_bytes
+        send = self.network.send
         for peer in sorted(targets):
-            self._send(peer, packet, size)
+            send(self.node_id, peer, packet)
 
     def _handle_ihave(
         self, ihave: Dict[str, List[str]], from_peer: NodeId
@@ -681,16 +694,12 @@ class GossipSubRouter:
 
     # -- transport ------------------------------------------------------------------------
 
-    def _send(
-        self, peer: NodeId, packet: RpcPacket, size: Optional[int] = None
-    ) -> None:
+    def _send(self, peer: NodeId, packet: RpcPacket) -> None:
         if packet.is_empty():
             return
-        counters = self.metrics.counters
+        counters = self._counters
         counters["gossipsub.rpc_sent"] += 1
-        counters["gossipsub.bytes_sent"] += (
-            packet.size_bytes if size is None else size
-        )
+        counters["gossipsub.bytes_sent"] += packet.size_bytes
         self.network.send(self.node_id, peer, packet)
 
     def _broadcast_control(self, packet: RpcPacket) -> None:

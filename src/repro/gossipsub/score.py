@@ -223,9 +223,11 @@ class PeerScoreTracker:
     # -- peer lifecycle -------------------------------------------------------
 
     def add_peer(self, peer: NodeId, ip: Optional[str] = None) -> None:
-        stats = self._stats(peer)
+        # Called per inbound RPC: a known peer costs one dict probe.
         if ip is not None:
-            self._assign_ip(peer, stats, ip)
+            self._assign_ip(peer, self._stats(peer), ip)
+        elif peer not in self._peers:
+            self._stats(peer)
 
     def remove_peer(self, peer: NodeId) -> None:
         self._version += 1
@@ -374,12 +376,16 @@ class PeerScoreTracker:
             # memos for state that did not change.
             return
         self._version += 1
-        params = self.params.for_topic(topic)
-        self._materialize_topic(tstats, params)
-        tstats.mesh_message_deliveries = min(
-            tstats.mesh_message_deliveries + 1,
-            params.mesh_message_deliveries_cap,
+        # The hottest score event (every in-mesh duplicate): for_topic,
+        # the same-tick materialize no-op and min() without their frames.
+        params = self.params.topic_params.get(
+            topic, self.params.default_topic_params
         )
+        if tstats.tick != self._tick:
+            self._materialize_topic(tstats, params)
+        count = tstats.mesh_message_deliveries + 1
+        cap = params.mesh_message_deliveries_cap
+        tstats.mesh_message_deliveries = count if count <= cap else cap
 
     def reject_message(self, peer: NodeId, topic: str) -> None:
         self._version += 1

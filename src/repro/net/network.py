@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Protocol, Set
 
-from ..errors import NetworkError
+from ..errors import NetworkError, SimulationError
 from ..sim.latency import LatencyModel, UniformLatency
 from ..sim.metrics import MetricsRegistry
 from ..sim.simulator import Simulator
@@ -50,6 +50,17 @@ class Network:
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     def __post_init__(self) -> None:
+        # Every delivery is a port event — a (sender, receiver, packet)
+        # payload, picklable across a worker boundary — on all kernels.
+        try:
+            self.simulator.register_port("net.deliver", self._deliver_port)
+        except SimulationError as exc:
+            raise NetworkError(
+                "this simulator already carries a network; build one "
+                "simulator per Network"
+            ) from exc
+        self.simulator.register_port("net.link_up", self._link_up_port)
+        self.simulator.register_port("net.link_down", self._link_down_port)
         self._nodes: Dict[NodeId, NetworkNode] = {}
         self._adjacency: Dict[NodeId, Set[NodeId]] = {}
         #: Remote endpoint -> ``(active_from, active_until)`` presence
@@ -66,19 +77,13 @@ class Network:
         # Pre-bound metric sinks: every packet touches these, and the
         # registry indirection is measurable at millions of sends.
         self._counters = self.metrics.counters
-        # Window-isolated kernels deliver through a registered port —
-        # a picklable (sender, receiver, packet) payload — so a
-        # delivery crossing a worker boundary needs no closure.
+        #: Window-isolated kernel: a runtime connect/detach commits
+        #: only the acting node's half synchronously.
         self._isolated = self.simulator.entity_isolated
-        if self._isolated:
-            self.simulator.register_port("net.deliver", self._deliver_port)
-            self.simulator.register_port("net.link_up", self._link_up_port)
-            self.simulator.register_port(
-                "net.link_down", self._link_down_port
-            )
 
     def _deliver_port(self, payload: Any) -> None:
         sender, receiver, packet = payload
+        # The receiver may have churned out while in flight.
         target = self._nodes.get(receiver)
         if target is None:
             self.metrics.increment("net.packets_dead_lettered")
@@ -299,29 +304,12 @@ class Network:
         if label is None:
             label = self._deliver_labels[receiver] = f"deliver:{receiver}"
 
-        if self._isolated:
-            # Port form: same key, same order, but exportable across
-            # a worker boundary when the receiver lives elsewhere.
-            self.simulator.schedule_port(
-                delay,
-                "net.deliver",
-                (sender, receiver, packet),
-                label=label,
-                shard=receiver,
-            )
-            return True
-
-        def deliver(sim: Simulator) -> None:
-            # The receiver may have churned out while in flight.
-            target = self._nodes.get(receiver)
-            if target is None:
-                self.metrics.increment("net.packets_dead_lettered")
-                return
-            target.deliver(sender, packet)
-
         # The receiver is the delivery's shard affinity: a sharded
-        # kernel queues the event where the receiving node lives.
-        self.simulator.schedule(delay, deliver, label=label, shard=receiver)
+        # kernel queues the event where the receiving node lives (or
+        # exports it to the worker that owns it).
+        self.simulator.schedule_port(
+            delay, "net.deliver", (sender, receiver, packet), label, receiver
+        )
         return True
 
     def broadcast(

@@ -64,18 +64,21 @@ PortPacket = Tuple[int, Optional[str], float, str, int, str, object, str]
 
 
 class _WRecord:
-    """One scheduled event of the windowed kernel."""
+    """One scheduled event of the windowed kernel: ``handler(payload)``,
+    where a closure event's payload is the simulator itself."""
 
-    __slots__ = ("handler", "label", "shard", "ckey", "cancelled")
+    __slots__ = ("handler", "payload", "label", "shard", "ckey", "cancelled")
 
     def __init__(
         self,
-        handler: Optional[Handler],
+        handler: Optional[Callable[[object], None]],
+        payload: object,
         label: str,
         shard: int,
         ckey: str,
     ) -> None:
         self.handler = handler
+        self.payload = payload
         self.label = label
         self.shard = shard
         #: Context key: the entity this event is *about* (its shard
@@ -134,7 +137,6 @@ class WindowedStackSimulator(Simulator):
         self._context = BUILD_ORIGIN
         self._exec_shard = 0
         self._origin_seq: Dict[str, int] = {}
-        self._ports: Dict[str, Callable[[object], None]] = {}
         self._exports: List[PortPacket] = []
         self._running = False
         self._window_end = 0.0
@@ -225,17 +227,6 @@ class WindowedStackSimulator(Simulator):
 
     # -- ports ---------------------------------------------------------------------
 
-    def register_port(
-        self, name: str, handler: Callable[[object], None]
-    ) -> None:
-        """Register a named handler cross-worker events dispatch to.
-
-        Ports must be registered identically on every worker (they are
-        registered at build time, before the fork)."""
-        if name in self._ports:
-            raise SimulationError(f"port {name!r} already registered")
-        self._ports[name] = handler
-
     def schedule_port(
         self,
         delay: float,
@@ -264,7 +255,8 @@ class WindowedStackSimulator(Simulator):
         self._check_causality(dst, time, label)
         if dst in self.owned:
             record = _WRecord(
-                lambda _sim, _h=handler, _p=payload: _h(_p),
+                handler,
+                payload,
                 label,
                 dst,
                 shard if shard is not None else origin,
@@ -284,7 +276,8 @@ class WindowedStackSimulator(Simulator):
                 )
             handler = self._ports[port]
             record = _WRecord(
-                lambda _sim, _h=handler, _p=payload: _h(_p),
+                handler,
+                payload,
                 label,
                 dst,
                 dst_key if dst_key is not None else origin,
@@ -334,7 +327,7 @@ class WindowedStackSimulator(Simulator):
                 "cross-worker events must go through schedule_port"
             )
         record = _WRecord(
-            handler, label, dst, shard if shard is not None else origin
+            handler, self, label, dst, shard if shard is not None else origin
         )
         heappush(self._heap, (time, origin, seq, record))
         return _WHandle(record, time)
@@ -387,7 +380,7 @@ class WindowedStackSimulator(Simulator):
                 self._context = record.ckey
                 handler = record.handler
                 record.handler = None
-                handler(self)
+                handler(record.payload)
                 self.events_processed += 1
                 events_by_shard[record.shard] += 1
         finally:

@@ -218,7 +218,7 @@ class ShardedSimulator(Simulator):
     ) -> EventHandle:
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s in the past")
-        event = self._checkout(self.now + delay, handler, label)
+        event = self._checkout(self.now + delay, handler)
         dst = self.plan.shard_of(shard)
         heappush(self._queues[dst], (event.time, event.sequence, event))
         src = self._current_shard
@@ -227,6 +227,21 @@ class ShardedSimulator(Simulator):
             if event.time < self._window_end:
                 self._cross_intra_window += 1
         return EventHandle(self, event)
+
+    def schedule_port(
+        self,
+        delay: float,
+        port: str,
+        payload: object,
+        label: str = "",
+        shard: Optional[str] = None,
+    ) -> None:
+        """Generic form: a closure event on the owning shard's queue
+        (this kernel's queues hold record entries only)."""
+        handler = self._ports.get(port)
+        if handler is None:
+            raise SimulationError(f"unknown port {port!r}")
+        self.schedule(delay, lambda _sim: handler(payload), label, shard)
 
     def _note_cancelled(self) -> None:
         self._cancelled_pending += 1

@@ -8,11 +8,14 @@ deterministic given a seed, and simulated seconds are free, so a 13 s
 block interval or a 0.5 s proving delay costs nothing in wall-clock.
 
 The queue stores ``(time, sequence, event)`` tuples so heap comparisons
-stay in C, event records are slotted and recycled through a free list
-(the per-message hot path allocates nothing once warm), and cancelled
-events are compacted out of the heap once they outnumber live ones —
-workloads that cancel/reschedule timers constantly (gossip backoffs,
-churn) keep a bounded queue instead of a monotonically growing one.
+stay in C, event records are slotted and recycled through a free list,
+and cancelled events are compacted out of the heap once they outnumber
+live ones — workloads that cancel/reschedule timers constantly (gossip
+backoffs, churn) keep a bounded queue instead of a monotonically
+growing one. A *port event* (:meth:`Simulator.schedule_port`; network
+delivery, the bulk of all events) is the heap tuple alone —
+``(time, sequence, None, handler, payload)`` — with no record, closure
+or handle behind it, so there is nothing to cancel it through.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import itertools
 import random
 from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from ..errors import SimulationError
 
@@ -93,13 +96,12 @@ class _ScheduledEvent:
     from touching a reused record.
     """
 
-    __slots__ = ("time", "sequence", "handler", "label", "cancelled")
+    __slots__ = ("time", "sequence", "handler", "cancelled")
 
     def __init__(self) -> None:
         self.time = 0.0
         self.sequence = -1
         self.handler: Optional[Handler] = None
-        self.label = ""
         self.cancelled = False
 
 
@@ -148,8 +150,10 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.now = 0.0
         self.rng = random.Random(seed)
-        #: Heap of ``(time, sequence, _ScheduledEvent)``.
+        #: Heap of ``(time, sequence, _ScheduledEvent)`` and, for port
+        #: events, ``(time, sequence, None, handler, payload)``.
         self._queue: list = []
+        self._ports: Dict[str, Callable[[object], None]] = {}
         self._sequence = itertools.count()
         self._pool: list = []
         self._cancelled_pending = 0
@@ -186,8 +190,8 @@ class Simulator:
     def entity_isolated(self) -> bool:
         """True when this kernel gives each entity a private RNG
         stream and enforces window isolation (the parallel full-stack
-        kernel); protocol code uses it to pick port-based delivery
-        over closure scheduling."""
+        kernel); the network then commits only the acting entity's
+        half of a runtime link change synchronously."""
         return False
 
     @property
@@ -211,15 +215,12 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------------
 
-    def _checkout(
-        self, time: float, handler: Handler, label: str
-    ) -> _ScheduledEvent:
+    def _checkout(self, time: float, handler: Handler) -> _ScheduledEvent:
         pool = self._pool
         event = pool.pop() if pool else _ScheduledEvent()
         event.time = time
         event.sequence = next(self._sequence)
         event.handler = handler
-        event.label = label
         event.cancelled = False
         return event
 
@@ -237,9 +238,9 @@ class Simulator:
             self._cancelled_pending >= self.COMPACT_MIN_CANCELLED
             and self._cancelled_pending * 2 >= len(queue)
         ):
-            live = [entry for entry in queue if not entry[2].cancelled]
+            live = [e for e in queue if e[2] is None or not e[2].cancelled]
             for entry in queue:
-                if entry[2].cancelled:
+                if entry[2] is not None and entry[2].cancelled:
                     self._recycle(entry[2])
             # In place, so aliases held by a running step()/run() frame
             # keep seeing the compacted heap.
@@ -269,10 +270,39 @@ class Simulator:
         event.time = time = self.now + delay
         event.sequence = sequence = next(self._sequence)
         event.handler = handler
-        event.label = label
         event.cancelled = False
         heappush(self._queue, (time, sequence, event))
         return EventHandle(self, event)
+
+    def register_port(
+        self, name: str, handler: Callable[[object], None]
+    ) -> None:
+        """Name a handler for :meth:`schedule_port` (at build time: on
+        the windowed kernel identically on every worker, pre-fork)."""
+        if name in self._ports:
+            raise SimulationError(f"port {name!r} already registered")
+        self._ports[name] = handler
+
+    def schedule_port(
+        self,
+        delay: float,
+        port: str,
+        payload: object,
+        label: str = "",
+        shard: Optional[str] = None,
+    ) -> None:
+        """Run ``port``'s handler on ``payload`` after ``delay``
+        seconds: ordered like a :meth:`schedule` call made at the same
+        point, but not cancellable (the heap entry is the whole event)."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay}s in the past")
+        handler = self._ports.get(port)
+        if handler is None:
+            raise SimulationError(f"unknown port {port!r}")
+        heappush(
+            self._queue,
+            (self.now + delay, next(self._sequence), None, handler, payload),
+        )
 
     def schedule_at(
         self,
@@ -340,17 +370,21 @@ class Simulator:
         """Process one event; returns False when the queue is empty."""
         queue = self._queue
         while queue:
-            time, _seq, event = heappop(queue)
-            if event.cancelled:
+            entry = heappop(queue)
+            event = entry[2]
+            if event is not None and event.cancelled:
                 self._cancelled_pending -= 1
                 self._recycle(event)
                 continue
-            if time < self.now:
+            if entry[0] < self.now:
                 raise SimulationError("event queue went backwards in time")
-            self.now = time
-            handler = event.handler
-            self._recycle(event)
-            handler(self)
+            self.now = entry[0]
+            if event is None:
+                entry[3](entry[4])
+            else:
+                handler = event.handler
+                self._recycle(event)
+                handler(self)
             self.events_processed += 1
             return True
         return False
@@ -375,12 +409,14 @@ class Simulator:
             # step() inlined: the peek-then-step split would touch the
             # heap head twice per event.
             while queue and processed < max_events:
-                time, _seq, event = queue[0]
-                if event.cancelled:
+                entry = queue[0]
+                event = entry[2]
+                if event is not None and event.cancelled:
                     heappop(queue)
                     self._cancelled_pending -= 1
                     self._recycle(event)
                     continue
+                time = entry[0]
                 if until is not None and time > until:
                     break
                 heappop(queue)
@@ -389,9 +425,12 @@ class Simulator:
                         "event queue went backwards in time"
                     )
                 self.now = time
-                handler = event.handler
-                self._recycle(event)
-                handler(self)
+                if event is None:
+                    entry[3](entry[4])
+                else:
+                    handler = event.handler
+                    self._recycle(event)
+                    handler(self)
                 self.events_processed += 1
                 processed += 1
         finally:
@@ -400,10 +439,9 @@ class Simulator:
             # Drop cancelled entries so the truncation check sees the
             # first *live* pending event (a cancelled timer at the head
             # must not mask real unprocessed work).
-            while queue and queue[0][2].cancelled:
-                entry = heappop(queue)
+            while queue and queue[0][2] is not None and queue[0][2].cancelled:
                 self._cancelled_pending -= 1
-                self._recycle(entry[2])
+                self._recycle(heappop(queue)[2])
             if queue and (until is None or queue[0][0] <= until):
                 raise SimulationError(
                     f"event budget exhausted ({max_events} events) with "

@@ -1,0 +1,33 @@
+"""Tier-1 guard on the length of the delivery path.
+
+Three of four kernel events on a relay are duplicate deliveries, so
+what one delivery costs — a heap tuple, one ``Network.send``, the
+router's ``_process`` down to the seen-cache probe — is what a run
+costs. Wall clock on a shared host does not resolve a 10 % change;
+the number of Python-level calls per processed event does, exactly
+(``relay_calls_per_event`` in ``benchmarks/bench_scenarios.py``): a
+closure, record or handle per delivery, or a frame or two more per
+duplicate, fails here in seconds.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+BENCH = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "bench_scenarios.py"
+)
+
+#: Measured 25.63 at 30 peers / 40 messages / seed 11, the same under
+#: every ``PYTHONHASHSEED`` tried and on a second call in one process;
+#: ~8 % headroom. With a closure + record + handle per delivery and
+#: the duplicate dropped three frames deeper it measured 33.75.
+BUDGET_CALLS_PER_EVENT = 27.7
+
+
+def test_python_calls_per_processed_event():
+    spec = importlib.util.spec_from_file_location("bench_scenarios", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.relay_calls_per_event() < BUDGET_CALLS_PER_EVENT

@@ -13,6 +13,8 @@ from repro.net.topology import (
     diameter,
 )
 from repro.sim.latency import LatencyModel
+from repro.sim.parallel_stack import WindowedStackSimulator
+from repro.sim.shards import ShardedSimulator
 from repro.sim.simulator import Simulator
 
 
@@ -129,6 +131,26 @@ class TestDelivery:
         network.connect("n0", "n2")
         sent = network.broadcast("n0", ["n1", "n2", "n3"], "y")
         assert sent == 2
+
+
+class TestOneNetworkPerSimulator:
+    """Deliveries go through ports the network registers on its
+    kernel, so a kernel carries exactly one network."""
+
+    @pytest.mark.parametrize(
+        "make_sim",
+        [Simulator, lambda: ShardedSimulator(shards=2), WindowedStackSimulator],
+        ids=["serial", "sharded", "windowed"],
+    )
+    def test_second_network_is_a_typed_error_naming_the_cause(self, make_sim):
+        sim = make_sim()
+        first = Network(simulator=sim)
+        ports = dict(sim._ports)
+        with pytest.raises(NetworkError, match="already carries a network"):
+            Network(simulator=sim)
+        # Refused before anything was registered or replaced.
+        assert sim._ports == ports
+        assert sim._ports["net.deliver"] == first._deliver_port
 
 
 class TestTopologies:
