@@ -30,6 +30,9 @@ from repro.core.nullifier_map import NullifierMap
 from repro.core.validator import RlnMessageValidator
 from repro.crypto.keys import MembershipKeyPair
 from repro.crypto.merkle import MerkleTree
+from repro.gossipsub.router import GossipSubRouter
+from repro.net.network import Network
+from repro.net.topology import connect_random_regular
 from repro.rln.prover import RlnProver, rln_keys
 from repro.rln.verifier import RlnVerifier, VerificationCache
 from repro.scenarios import run_scenario, scenario
@@ -158,6 +161,59 @@ def relay_calls_per_event(peers=30, messages=40, publishers=20, seed=11):
     finally:
         sys.setprofile(None)
     return calls / (net.simulator.events_processed - events_before)
+
+
+def heartbeat_calls_per_heartbeat(
+    routers=40, topics=3, degree=10, seed=5, seconds=20.0
+):
+    """Python-level calls per ``GossipSubRouter.heartbeat`` on a
+    ``routers``-router, ``topics``-topic random-regular overlay where
+    every router subscribes to every topic: ``sys.setprofile`` "call"
+    events counted only inside heartbeats, divided by the heartbeats
+    run. One publish per quarter second keeps every router's gossip
+    window non-empty, so each heartbeat pays for mesh upkeep *and*
+    gossip emission — the multi-topic heartbeat's cost as a count that
+    repeats exactly; ``tests/benchmarks/test_heartbeat_calls.py`` pins
+    it.
+    """
+    sim = Simulator(seed=seed)
+    network = Network(simulator=sim)
+    names = [f"r{i:02d}" for i in range(routers)]
+    nodes = [GossipSubRouter(name, network) for name in names]
+    connect_random_regular(network, names, degree, seed=seed)
+    topic_names = [f"topic-{t}" for t in range(topics)]
+    for node in nodes:
+        for topic in topic_names:
+            node.subscribe(topic)
+        node.start()
+    sim.run_for(5.0)  # meshes form
+    calls = beats = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    def profiled(heartbeat):
+        def run():
+            nonlocal beats
+            beats += 1
+            sys.setprofile(count)
+            try:
+                heartbeat()
+            finally:
+                sys.setprofile(None)
+
+        return run
+
+    for node in nodes:
+        node.heartbeat = profiled(node.heartbeat)
+    for step in range(int(seconds * 4)):
+        nodes[step % routers].publish(
+            topic_names[step % topics], b"heartbeat probe %d" % step
+        )
+        sim.run_for(0.25)
+    return calls / beats
 
 
 def _make_validators(vk, tree_root, simulator, routers, cache):

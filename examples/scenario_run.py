@@ -6,11 +6,10 @@ Usage::
 
 Demonstrates (1) running a registered scenario at reduced scale,
 (2) declaring and registering a custom multi-topic scenario with a
-topic-targeted adversary, (3) comparing the two performance
-switches (shared verification cache, batched gossip bookkeeping)
-on identical workloads, and (4) a tiny cut of ``million-id-city``:
-a dormant genesis population on a sharded registry with epoch-grid
-nullifier GC and streaming metrics.
+topic-targeted adversary, (3) comparing runs with and without the
+shared verification cache on identical workloads, and (4) a tiny cut
+of ``million-id-city``: a dormant genesis population on a sharded
+registry with epoch-grid nullifier GC and streaming metrics.
 
 Equivalent CLI commands (same engine, same deterministic results)::
 
@@ -29,7 +28,6 @@ per-topic breakdown for multi-topic runs, and the deterministic
 
 from dataclasses import replace
 
-from repro.gossipsub.params import GossipSubParams
 from repro.scenarios import (
     AdversaryGroup,
     AdversaryMix,
@@ -93,19 +91,15 @@ def main() -> None:
     )
     print()
 
-    # 3. The performance switches on the same workload: outcomes are
-    # bit-identical, only the work (and wall clock) changes.
+    # 3. The verification-cache switch on the same workload: outcomes
+    # are bit-identical, only the work (and wall clock) changes.
     base = scenario("burst-spammer").scaled(peers=60, duration=60)
-    for label, cache, batched in (
-        ("naive everything", 0, False),
-        ("cache + batched bookkeeping", 65536, True),
+    for label, cache in (
+        ("no verification cache", 0),
+        ("shared verification cache", 65536),
     ):
         spec = replace(
-            base,
-            config_overrides={
-                "verification_cache_size": cache,
-                "gossip": GossipSubParams(batched_bookkeeping=batched),
-            },
+            base, config_overrides={"verification_cache_size": cache}
         )
         r = run_scenario(spec)
         print(

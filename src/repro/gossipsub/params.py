@@ -41,15 +41,8 @@ class GossipSubParams:
     opportunistic_graft_peers: int = 2
     #: Max peers offered/accepted via Peer Exchange on PRUNE.
     px_peers: int = 16
-    #: Batched heartbeat bookkeeping (the default): lazy score decay on
-    #: a global clock, mesh maintenance only for topics marked dirty by
-    #: an actual change, and link-down-driven eviction. ``False`` runs
-    #: the reference per-heartbeat full sweeps instead. Outcomes are
-    #: bit-identical either way — only the work differs (see
-    #: ``benchmarks/bench_gossip_bookkeeping.py``).
-    batched_bookkeeping: bool = True
     #: Every how many heartbeats the router runs the full-sweep round:
     #: opportunistic grafting plus a self-healing maintenance pass over
-    #: *every* subscribed topic (both bookkeeping modes run this on the
-    #: same heartbeats, which is what keeps them equivalent).
+    #: *every* subscribed topic (other heartbeats maintain only topics
+    #: marked dirty by an actual change).
     full_sweep_interval: int = 30

@@ -19,26 +19,25 @@ decay ticks, fanout expiry, IHAVE emission, the mcache window shift and
 backoff expiry. Everything else (mesh joins/leaves, score events) is
 edge-triggered by RPC handling.
 
-With ``GossipSubParams.batched_bookkeeping`` (the default) the
-heartbeat does O(changed) work: score decay is a global-clock tick
+The heartbeat does O(changed) work: score decay is a global-clock tick
 (counters materialise lazily on access), mesh maintenance only visits
 topics marked *dirty* by an actual change (a GRAFT/PRUNE, a link-down
 notification from the network, a mesh out of its degree bounds, or a
-mesh member entering the score tracker's suspect set), and backoffs
-expire through a heap instead of an unbounded dict. Every
-``full_sweep_interval`` heartbeats a self-healing full pass over all
-subscribed topics runs, which is also when opportunistic grafting
-happens. With ``batched_bookkeeping=False`` the router performs the
-reference per-heartbeat sweep over every (topic, peer) pair; protocol
-outcomes are bit-identical in both modes — the batched path only skips
-work it can prove is a no-op.
+mesh member entering the score tracker's suspect set), backoffs expire
+through a heap instead of an unbounded dict, and gossip emission scores
+only the non-mesh peers it may gossip to. Every ``full_sweep_interval``
+heartbeats a self-healing full pass over all subscribed topics runs,
+which is also when opportunistic grafting happens. Outcomes are
+bit-identical to a per-heartbeat sweep over every (topic, peer) pair —
+this path only skips work it can prove is a no-op (the sweep survives
+as a test oracle).
 """
 
 from __future__ import annotations
 
 import heapq
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Set, Tuple
 
 from ..errors import GossipError
 from ..net.network import Network, NodeId
@@ -98,10 +97,7 @@ class GossipSubRouter:
         # Pre-bound counter dict: the registry method costs a call frame
         # per bump, and the delivery path bumps several per packet.
         self._counters = self.metrics.counters
-        self.scores = PeerScoreTracker(
-            score_params or PeerScoreParams(),
-            lazy=self.params.batched_bookkeeping,
-        )
+        self.scores = PeerScoreTracker(score_params or PeerScoreParams())
         #: Read per inbound packet: the tracker's live suspect set and
         #: the kernel whose clock stamps the packet.
         self._suspects = self.scores.suspects()
@@ -510,27 +506,31 @@ class GossipSubRouter:
             packet.px = {topic: suggestions}
         self._send(peer, packet)
 
-    def _gossip_eligible_peers(self, topic: str) -> List[NodeId]:
-        """Known topic peers that are direct neighbours, best score first."""
+    def _gossip_eligible_peers(
+        self, topic: str, exclude: Collection[NodeId] = ()
+    ) -> List[NodeId]:
+        """Known topic peers that are direct neighbours, not in
+        ``exclude`` and at or above the gossip threshold, best score
+        first."""
         neighbors = self.network.neighbor_set(self.node_id)
-        # The threshold is negative; non-suspects pass without scoring
-        # (the sort below computes their real score exactly once).
+        score = self.scores.score
+        now = self._simulator.now
+        threshold = self.scores.params.gossip_threshold
         # Sorted base order: score ties must break on the peer id, not
         # on the hash-seed-dependent set order (the stable sort below
-        # preserves the input order within equal scores).
-        candidates = [
-            peer
-            for peer in sorted(self.topic_peers.get(topic, ()))
-            if peer in neighbors
-            and (
-                not self.scores.maybe_negative(peer)
-                or self.scores.score(peer, self.now)
-                >= self.scores.params.gossip_threshold
-            )
-        ]
-        candidates.sort(
-            key=lambda p: self.scores.score(p, self.now), reverse=True
-        )
+        # preserves the input order within equal scores). Dropping
+        # ``exclude`` first ranks only what the caller keeps, in the
+        # same order: a stable sort of a subset is that subset of the
+        # stable sort.
+        ranks: Dict[NodeId, float] = {}
+        for peer in sorted(self.topic_peers.get(topic, ())):
+            if peer in neighbors and peer not in exclude:
+                value = score(peer, now)
+                if value >= threshold:
+                    ranks[peer] = value
+        candidates = list(ranks)
+        if len(candidates) > 1:
+            candidates.sort(key=ranks.__getitem__, reverse=True)
         return candidates
 
     def heartbeat(self) -> None:
@@ -538,17 +538,16 @@ class GossipSubRouter:
 
         Every ``full_sweep_interval``-th heartbeat (including the very
         first) is a *sweep* heartbeat: all subscribed topics are
-        maintained and opportunistic grafting runs. In between, batched
-        mode maintains only topics that need it; the reference mode
-        maintains all of them every time. Both modes run the same code
-        per maintained topic, in sorted topic order, so the RNG stream
-        — and therefore every downstream outcome — is identical.
+        maintained and opportunistic grafting runs. In between, only
+        topics that need it are maintained, in sorted topic order, so
+        the RNG stream — and therefore every downstream outcome — is
+        that of maintaining every topic every time.
         """
         self.scores.decay()
         sweep_interval = max(1, self.params.full_sweep_interval)
         sweep = self._heartbeat_count % sweep_interval == 0
         self._heartbeat_count += 1
-        if sweep or not self.params.batched_bookkeeping:
+        if sweep:
             topics = sorted(self.subscriptions)
         else:
             topics = self._topics_needing_maintenance()
@@ -564,10 +563,10 @@ class GossipSubRouter:
         self.metrics.increment("gossipsub.heartbeats")
 
     def _topics_needing_maintenance(self) -> List[str]:
-        """Subscribed topics the batched path must visit this heartbeat:
-        explicitly dirtied ones, plus any whose mesh intersects the
-        score tracker's suspect set (a member *might* have gone
-        negative without touching this topic's mesh)."""
+        """Subscribed topics a non-sweep heartbeat must visit: explicitly
+        dirtied ones, plus any whose mesh intersects the score tracker's
+        suspect set (a member *might* have gone negative without
+        touching this topic's mesh)."""
         suspects = self.scores.suspects()
         needy = set()
         for topic in self.subscriptions:
@@ -580,8 +579,7 @@ class GossipSubRouter:
         return sorted(needy)
 
     def _maintain_topic(self, topic: str) -> None:
-        """One topic's mesh repair (identical in both bookkeeping modes;
-        the modes only differ in *which* topics get here)."""
+        """One topic's mesh repair."""
         rng = self.network.simulator.entity_rng(self.node_id)
         mesh = self.mesh.setdefault(topic, set())
         self._dirty_topics.discard(topic)
@@ -595,28 +593,22 @@ class GossipSubRouter:
             mesh.discard(peer)
             self.scores.prune(peer, topic, self.now)
             self._set_backoff(peer, topic, self.params.prune_backoff)
-        # Drop negatively scored mesh members outright. Batched mode
-        # pre-filters through the suspect set — a non-suspect provably
-        # scores >= 0, so skipping its score() changes nothing.
-        if self.params.batched_bookkeeping:
-            negative = [
-                p
-                for p in sorted(mesh)
-                if self.scores.maybe_negative(p)
-                and self.scores.score(p, self.now) < 0
-            ]
-        else:
-            negative = [
-                p for p in sorted(mesh) if self.scores.score(p, self.now) < 0
-            ]
+        # Drop negatively scored mesh members outright, pre-filtered
+        # through the suspect set — a non-suspect provably scores >= 0,
+        # so skipping its score() changes nothing.
+        negative = [
+            p
+            for p in sorted(mesh)
+            if self.scores.maybe_negative(p)
+            and self.scores.score(p, self.now) < 0
+        ]
         for peer in negative:
             self._prune_peer(peer, topic)
         if len(mesh) < self.params.d_lo:
             candidates = [
                 peer
-                for peer in self._gossip_eligible_peers(topic)
-                if peer not in mesh
-                and not self._in_backoff(peer, topic)
+                for peer in self._gossip_eligible_peers(topic, mesh)
+                if not self._in_backoff(peer, topic)
                 and (
                     not self.scores.maybe_negative(peer)
                     or self.scores.score(peer, self.now) >= 0
@@ -658,9 +650,8 @@ class GossipSubRouter:
             return
         candidates = [
             peer
-            for peer in self._gossip_eligible_peers(topic)
-            if peer not in mesh
-            and not self._in_backoff(peer, topic)
+            for peer in self._gossip_eligible_peers(topic, mesh)
+            if not self._in_backoff(peer, topic)
             and self.scores.score(peer, self.now) > median
         ]
         for peer in candidates[: self.params.opportunistic_graft_peers]:
@@ -675,22 +666,29 @@ class GossipSubRouter:
 
     def _emit_gossip(self) -> None:
         """Advertise recent message IDs (IHAVE) to ``d_lazy`` non-mesh
-        peers per topic with gossip-window traffic."""
+        peers per topic with gossip-window traffic: one packet per
+        topic, counted once per fan-out like ``_forward``."""
         rng = self.network.simulator.entity_rng(self.node_id)
+        counters = self._counters
         for topic in sorted(set(self.subscriptions) | set(self.fanout)):
             msg_ids = self.mcache.gossip_ids(topic)
             if not msg_ids:
                 continue
-            mesh = self.mesh.get(topic, set())
-            candidates = [
-                peer
-                for peer in self._gossip_eligible_peers(topic)
-                if peer not in mesh
-            ]
+            candidates = self._gossip_eligible_peers(
+                topic, self.mesh.get(topic, ())
+            )
             rng.shuffle(candidates)
-            for peer in candidates[: self.params.d_lazy]:
-                self.metrics.increment("gossipsub.ihave_sent")
-                self._send(peer, RpcPacket(ihave={topic: list(msg_ids)}))
+            targets = candidates[: self.params.d_lazy]
+            if not targets:
+                continue
+            packet = RpcPacket(ihave={topic: msg_ids})
+            fan_out = len(targets)
+            counters["gossipsub.ihave_sent"] += fan_out
+            counters["gossipsub.rpc_sent"] += fan_out
+            counters["gossipsub.bytes_sent"] += fan_out * packet.size_bytes
+            send = self.network.send
+            for peer in targets:
+                send(self.node_id, peer, packet)
 
     # -- transport ------------------------------------------------------------------------
 

@@ -16,17 +16,12 @@ decay tick, as in the reference implementation.
 Decay bookkeeping
 -----------------
 
-Two execution modes produce **bit-identical scores**:
-
-* *lazy* (the default): :meth:`PeerScoreTracker.decay` only advances a
-  global tick counter; a peer's counters are materialised on first
-  access by replaying the missed ticks (repeated multiplication with
-  the same zero-floor check the sweep applies, so the floating-point
-  trajectory is exactly the sweep's). Heartbeat cost becomes O(1)
-  instead of O(peers x topics).
-* *eager* (``lazy=False``): every ``decay()`` call sweeps all counters
-  immediately — the reference behaviour the equivalence tests compare
-  against.
+:meth:`PeerScoreTracker.decay` only advances a global tick counter; a
+peer's counters are materialised on first access by replaying the
+missed ticks (repeated multiplication with the same zero-floor check a
+per-tick sweep applies, so the floating-point trajectory is exactly the
+sweep's). Heartbeat cost is O(1) instead of O(peers x topics); the
+eager sweep survives as a test oracle.
 
 The tracker also maintains a conservative *suspect set*: peers whose
 score **could** be negative (they carry a penalty counter, a negative
@@ -176,13 +171,6 @@ class _TopicStats:
     invalid_message_deliveries: float = 0.0
     tick: int = 0
 
-    @property
-    def has_penalty(self) -> bool:
-        return (
-            self.mesh_failure_penalty > 0.0
-            or self.invalid_message_deliveries > 0.0
-        )
-
 
 @dataclass
 class _PeerStats:
@@ -194,16 +182,11 @@ class _PeerStats:
 
 
 class PeerScoreTracker:
-    """Maintains live score state for every known peer.
+    """Maintains live score state for every known peer, with the
+    global-clock decay described in the module docstring."""
 
-    ``lazy=True`` (default) uses the global-clock decay described in the
-    module docstring; ``lazy=False`` reproduces the reference eager
-    sweep. Scores are identical either way.
-    """
-
-    def __init__(self, params: PeerScoreParams, lazy: bool = True) -> None:
+    def __init__(self, params: PeerScoreParams) -> None:
         self.params = params
-        self.lazy = lazy
         self._peers: Dict[NodeId, _PeerStats] = {}
         #: Global decay clock; one tick per :meth:`decay` call.
         self._tick = 0
@@ -211,13 +194,16 @@ class PeerScoreTracker:
         self._ip_peers: Dict[str, Set[NodeId]] = {}
         #: Conservative superset of peers whose score may be negative.
         self._suspects: Set[NodeId] = set()
-        #: Bumped by every score-affecting event; keys the score memo.
-        self._version = 0
-        #: peer -> (now, tick, version, score). A score is a pure
-        #: function of (peer state, now, decay tick); between events the
-        #: router reads it repeatedly (graylist gates, sort keys in
-        #: gossip emission and mesh maintenance), so memoising the last
-        #: value per peer collapses those bursts to one computation.
+        #: peer -> (now, tick, score, now_dependent, decaying). A score
+        #: is a pure function of (peer state, IP group size, now, decay
+        #: tick); between events the router reads it repeatedly
+        #: (graylist gates, sort keys in gossip emission and mesh
+        #: maintenance), so memoising the last value per peer collapses
+        #: those bursts to one computation. An event drops only the
+        #: entries whose inputs it changed: its own peer's, plus an IP
+        #: group's on a colocation change. An entry with no in-mesh
+        #: topic holds for any ``now``, and one with no non-zero
+        #: decaying counter for any tick.
         self._score_cache: Dict[NodeId, tuple] = {}
 
     # -- peer lifecycle -------------------------------------------------------
@@ -230,13 +216,15 @@ class PeerScoreTracker:
             self._stats(peer)
 
     def remove_peer(self, peer: NodeId) -> None:
-        self._version += 1
-        self._score_cache.pop(peer, None)
+        cache = self._score_cache
+        cache.pop(peer, None)
         stats = self._peers.pop(peer, None)
         if stats is not None and stats.ip is not None:
             group = self._ip_peers.get(stats.ip)
             if group is not None:
                 group.discard(peer)
+                for member in group:
+                    cache.pop(member, None)
                 if not group:
                     del self._ip_peers[stats.ip]
         self._suspects.discard(peer)
@@ -309,24 +297,14 @@ class PeerScoreTracker:
             stats.behaviour_tick = self._tick
 
     def decay(self) -> None:
-        """Advance the decay clock by one tick.
-
-        Lazy mode stops here (O(1)); eager mode immediately sweeps
-        every counter of every peer, exactly like the reference
-        implementation.
-        """
+        """Advance the decay clock by one tick (O(1): counters catch up
+        when next read)."""
         self._tick += 1
-        if self.lazy:
-            return
-        for stats in self._peers.values():
-            for topic, tstats in stats.topics.items():
-                self._materialize_topic(tstats, self.params.for_topic(topic))
-            self._materialize_behaviour(stats)
 
     # -- mesh events --------------------------------------------------------------
 
     def graft(self, peer: NodeId, topic: str, now: float) -> None:
-        self._version += 1
+        self._score_cache.pop(peer, None)
         stats = self._topic_stats(peer, topic)
         stats.in_mesh = True
         stats.graft_time = now
@@ -338,7 +316,7 @@ class PeerScoreTracker:
 
     def prune(self, peer: NodeId, topic: str, now: float) -> None:
         """Peer leaves the mesh; a delivery deficit becomes P3b."""
-        self._version += 1
+        self._score_cache.pop(peer, None)
         params = self.params.for_topic(topic)
         stats = self._topic_stats(peer, topic)
         if stats.in_mesh:
@@ -352,7 +330,7 @@ class PeerScoreTracker:
     # -- delivery events ------------------------------------------------------------
 
     def first_message(self, peer: NodeId, topic: str) -> None:
-        self._version += 1
+        self._score_cache.pop(peer, None)
         params = self.params.for_topic(topic)
         stats = self._topic_stats(peer, topic)
         stats.first_message_deliveries = min(
@@ -371,11 +349,10 @@ class PeerScoreTracker:
         if tstats is None or not tstats.in_mesh:
             # A duplicate from outside the mesh changes nothing: the
             # counters stay untouched, and lazily creating the topic
-            # entry later replays decay over zeros (still zeros). Skip
-            # the version bump too — it would only evict warm score
-            # memos for state that did not change.
+            # entry later replays decay over zeros (still zeros). Keep
+            # the memo entry too — the score did not move.
             return
-        self._version += 1
+        self._score_cache.pop(peer, None)
         # The hottest score event (every in-mesh duplicate): for_topic,
         # the same-tick materialize no-op and min() without their frames.
         params = self.params.topic_params.get(
@@ -388,20 +365,20 @@ class PeerScoreTracker:
         tstats.mesh_message_deliveries = count if count <= cap else cap
 
     def reject_message(self, peer: NodeId, topic: str) -> None:
-        self._version += 1
+        self._score_cache.pop(peer, None)
         stats = self._topic_stats(peer, topic)
         stats.invalid_message_deliveries += 1
         self._suspects.add(peer)
 
     def behaviour_penalty(self, peer: NodeId, amount: float = 1.0) -> None:
-        self._version += 1
+        self._score_cache.pop(peer, None)
         stats = self._stats(peer)
         self._materialize_behaviour(stats)
         stats.behaviour_penalty += amount
         self._suspects.add(peer)
 
     def set_app_score(self, peer: NodeId, score: float) -> None:
-        self._version += 1
+        self._score_cache.pop(peer, None)
         self._stats(peer).app_score = score
         if score < 0:
             self._suspects.add(peer)
@@ -412,16 +389,23 @@ class PeerScoreTracker:
     def _assign_ip(self, peer: NodeId, stats: _PeerStats, ip: str) -> None:
         if stats.ip == ip:
             return
-        self._version += 1
+        # P6 reads the group size: every member of the group left and
+        # of the group joined changes score, not only this peer.
+        cache = self._score_cache
+        cache.pop(peer, None)
         if stats.ip is not None:
             old = self._ip_peers.get(stats.ip)
             if old is not None:
                 old.discard(peer)
+                for member in old:
+                    cache.pop(member, None)
                 if not old:
                     del self._ip_peers[stats.ip]
         stats.ip = ip
         group = self._ip_peers.setdefault(ip, set())
         group.add(peer)
+        for member in group:
+            cache.pop(member, None)
         if len(group) > self.params.ip_colocation_factor_threshold:
             self._suspects.update(group)
 
@@ -459,63 +443,76 @@ class PeerScoreTracker:
         )
 
     def score(self, peer: NodeId, now: float = 0.0) -> float:
+        tick = self._tick
         cached = self._score_cache.get(peer)
         if (
             cached is not None
-            and cached[1] == self._tick
-            and cached[2] == self._version
-            # A peer in none of our meshes has no time-dependent score
-            # component (P1/P3 only tick while in-mesh), so its cached
-            # value holds for any ``now`` within the same tick/version.
-            and (cached[0] == now or not cached[4])
+            and (cached[0] == now or not cached[3])
+            and (cached[1] == tick or not cached[4])
         ):
-            return cached[3]
+            return cached[2]
         stats = self._peers.get(peer)
         if stats is None:
             return 0.0
+        topic_params = self.params.topic_params
+        default_params = self.params.default_topic_params
+        # A term whose counter or weight is zero is skipped: adding
+        # +-0.0 leaves every partial sum unchanged (none can be -0.0,
+        # each starts at +0.0), so the total is bit-identical.
         total = 0.0
         #: Does any negative-capable component remain live?
         suspect = stats.app_score < 0
         #: Does the score depend on ``now`` (any in-mesh topic)?
         now_dependent = False
+        #: Can a decay tick move it (any non-zero decaying counter)?
+        decaying = False
         for topic, tstats in stats.topics.items():
-            params = self.params.for_topic(topic)
-            self._materialize_topic(tstats, params)
+            params = topic_params.get(topic, default_params)
+            if tstats.tick != tick:
+                self._materialize_topic(tstats, params)
             topic_score = 0.0
             # P1
-            if tstats.in_mesh:
+            in_mesh = tstats.in_mesh
+            if in_mesh:
                 now_dependent = True
                 tstats.mesh_time = now - tstats.graft_time
-            p1 = min(
-                tstats.mesh_time / params.time_in_mesh_quantum,
-                params.time_in_mesh_cap,
-            )
-            topic_score += p1 * params.time_in_mesh_weight
+            weight = params.time_in_mesh_weight
+            if weight and tstats.mesh_time:
+                p1 = tstats.mesh_time / params.time_in_mesh_quantum
+                cap = params.time_in_mesh_cap
+                topic_score += (cap if cap < p1 else p1) * weight
             # P2
-            topic_score += (
-                tstats.first_message_deliveries
-                * params.first_message_deliveries_weight
-            )
+            p2 = tstats.first_message_deliveries
+            if p2:
+                decaying = True
+                topic_score += p2 * params.first_message_deliveries_weight
             # P3 (only while in mesh)
-            if tstats.in_mesh:
+            if tstats.mesh_message_deliveries:
+                decaying = True
+            weight = params.mesh_message_deliveries_weight
+            if in_mesh and weight:
                 deficit = self._delivery_deficit(tstats, params)
-                topic_score += (
-                    deficit * deficit * params.mesh_message_deliveries_weight
-                )
+                if deficit:
+                    topic_score += deficit * deficit * weight
                 if params.strict:
                     suspect = True
             # P3b
-            topic_score += (
-                tstats.mesh_failure_penalty * params.mesh_failure_penalty_weight
-            )
+            p3b = tstats.mesh_failure_penalty
+            if p3b:
+                decaying = suspect = True
+                topic_score += p3b * params.mesh_failure_penalty_weight
             # P4
             p4 = tstats.invalid_message_deliveries
-            topic_score += p4 * p4 * params.invalid_message_deliveries_weight
-            total += topic_score * params.topic_weight
-            if tstats.has_penalty:
-                suspect = True
+            if p4:
+                decaying = suspect = True
+                topic_score += (
+                    p4 * p4 * params.invalid_message_deliveries_weight
+                )
+            if topic_score:
+                total += topic_score * params.topic_weight
         # P5
-        total += stats.app_score * self.params.app_specific_weight
+        if stats.app_score:
+            total += stats.app_score * self.params.app_specific_weight
         # P6 — IP colocation
         if stats.ip is not None:
             colocated = len(self._ip_peers.get(stats.ip, ()))
@@ -524,8 +521,11 @@ class PeerScoreTracker:
                 total += excess * excess * self.params.ip_colocation_factor_weight
                 suspect = True
         # P7
-        self._materialize_behaviour(stats)
+        if stats.behaviour_tick != tick:
+            self._materialize_behaviour(stats)
         p7 = stats.behaviour_penalty
+        if p7:
+            decaying = True
         if p7 > self.params.behaviour_penalty_threshold:
             excess = p7 - self.params.behaviour_penalty_threshold
             total += excess * excess * self.params.behaviour_penalty_weight
@@ -534,10 +534,6 @@ class PeerScoreTracker:
         if not suspect:
             self._suspects.discard(peer)
         self._score_cache[peer] = (
-            now,
-            self._tick,
-            self._version,
-            total,
-            now_dependent,
+            now, tick, total, now_dependent, decaying
         )
         return total

@@ -200,9 +200,8 @@ class MembershipStore:
     replica that diverges forks into private storage without ever
     touching its siblings (counted in ``forks``).
 
-    Toggled per deployment by ``ProtocolConfig.shared_membership_store``
-    in the same spirit as PR 3's ``batched_bookkeeping`` flag; with the
-    flag off, peers fall back to fully independent replicas.
+    Toggled per deployment by ``ProtocolConfig.shared_membership_store``;
+    with the flag off, peers fall back to fully independent replicas.
     """
 
     def __init__(

@@ -250,9 +250,15 @@ class WindowedStackSimulator(Simulator):
             raise SimulationError(f"unknown port {port!r}")
         time = self.now + delay
         origin = self._context
-        seq = self._next_seq(origin)
-        dst = self.plan.shard_of(shard)
-        self._check_causality(dst, time, label)
+        # One per delivery: the per-origin counter and the plan's
+        # assignment read inline, causality checked only off-shard.
+        seq = self._origin_seq.get(origin, 0)
+        self._origin_seq[origin] = seq + 1
+        dst = self.plan._assignment.get(shard)
+        if dst is None:
+            dst = self.plan.shard_of(shard)
+        if dst != self._exec_shard:
+            self._check_causality(dst, time, label)
         if dst in self.owned:
             record = _WRecord(
                 handler,

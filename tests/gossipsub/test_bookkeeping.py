@@ -1,12 +1,12 @@
-"""Batched-bookkeeping edge cases and equivalence guarantees.
+"""Heartbeat bookkeeping edge cases and equivalence guarantees.
 
-The batched heartbeat (PR 3) must be *indistinguishable* from the
-reference per-heartbeat sweeps: lazy score decay replays the exact
-floating-point trajectory of the eager sweep, and dirty-topic mesh
-maintenance only skips work it can prove is a no-op. These tests pin
-the edges the refactor touches: unsubscribe-while-meshed, backoff
-expiry ordering, fanout expiry/reuse, and eager-vs-lazy decay under
-random event interleavings.
+The O(changed) heartbeat must be *indistinguishable* from the
+reference per-heartbeat sweeps (``sweep_oracle.py``): lazy score decay
+replays the exact floating-point trajectory of the eager sweep, and
+dirty-topic mesh maintenance only skips work it can prove is a no-op.
+These tests pin the edges that touches: unsubscribe-while-meshed,
+backoff expiry ordering, fanout expiry/reuse, and eager-vs-lazy decay
+under random event interleavings.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.gossipsub.score import (
 from repro.net.network import Network
 from repro.net.topology import connect_full_mesh
 from repro.sim.simulator import Simulator
+from sweep_oracle import EagerTracker, SweepRouter
 
 TOPIC = "bk-topic"
 
@@ -249,8 +250,8 @@ class TestDecayEquivalence:
         topics = ["t0", "t1"]
         events = _random_events(rng, peers, topics, 300)
         params = PeerScoreParams()
-        eager = _apply(PeerScoreTracker(params, lazy=False), events)
-        lazy = _apply(PeerScoreTracker(params, lazy=True), events)
+        eager = _apply(EagerTracker(params), events)
+        lazy = _apply(PeerScoreTracker(params), events)
         assert eager == lazy  # exact float equality, not approx
 
     @pytest.mark.parametrize("seed", range(6))
@@ -263,14 +264,14 @@ class TestDecayEquivalence:
         params = PeerScoreParams(
             topic_params={"strict": strict_topic_params(3.0)}
         )
-        eager = _apply(PeerScoreTracker(params, lazy=False), events)
-        lazy = _apply(PeerScoreTracker(params, lazy=True), events)
+        eager = _apply(EagerTracker(params), events)
+        lazy = _apply(PeerScoreTracker(params), events)
         assert eager == lazy
 
     def test_idle_peer_decays_to_zero_identically(self):
         params = PeerScoreParams()
-        eager = PeerScoreTracker(params, lazy=False)
-        lazy = PeerScoreTracker(params, lazy=True)
+        eager = EagerTracker(params)
+        lazy = PeerScoreTracker(params)
         for tracker in (eager, lazy):
             tracker.first_message("p", "t")
             tracker.behaviour_penalty("p", 3.0)
@@ -279,7 +280,7 @@ class TestDecayEquivalence:
         assert eager.score("p") == lazy.score("p") == 0.0
 
     def test_suspect_set_clears_after_penalties_decay(self):
-        tracker = PeerScoreTracker(PeerScoreParams(), lazy=True)
+        tracker = PeerScoreTracker(PeerScoreParams())
         tracker.reject_message("p", "t")
         assert tracker.maybe_negative("p")
         for _ in range(200):
@@ -291,7 +292,7 @@ class TestDecayEquivalence:
         """The invariant the router's fast path relies on."""
         rng = random.Random(99)
         peers = [f"p{i}" for i in range(6)]
-        tracker = PeerScoreTracker(PeerScoreParams(), lazy=True)
+        tracker = PeerScoreTracker(PeerScoreParams())
         events = _random_events(rng, peers, ["t"], 400)
         for kind, peer, topic, now in events:
             getattr_map = {
@@ -311,16 +312,14 @@ class TestDecayEquivalence:
 
 
 class TestModeEquivalenceEndToEnd:
-    """Whole-overlay check: batched and reference heartbeats produce
-    identical meshes, deliveries and scores on the same seed."""
+    """Whole-overlay check: the O(changed) and the reference sweep
+    heartbeats produce identical meshes, deliveries and scores on the
+    same seed."""
 
-    def _run(self, batched: bool):
+    def _run(self, router_cls):
         sim = Simulator(seed=5)
         network = Network(simulator=sim)
-        params = GossipSubParams(batched_bookkeeping=batched)
-        routers = [
-            GossipSubRouter(f"r{i}", network, params) for i in range(12)
-        ]
+        routers = [router_cls(f"r{i}", network) for i in range(12)]
         connect_full_mesh(network, [r.node_id for r in routers])
         topics = ["t0", "t1", "t2"]
         delivered = []
@@ -356,4 +355,4 @@ class TestModeEquivalenceEndToEnd:
         return sorted(delivered), meshes, scores
 
     def test_batched_equals_reference(self):
-        assert self._run(True) == self._run(False)
+        assert self._run(GossipSubRouter) == self._run(SweepRouter)

@@ -28,6 +28,7 @@ from repro.gossipsub.score import (
 from repro.net.network import Network
 from repro.sim.latency import LatencyModel
 from repro.sim.simulator import Simulator
+from sweep_oracle import EagerTracker, fresh_scores, memo_scores
 
 
 class OracleTracker(PeerScoreTracker):
@@ -41,7 +42,7 @@ class OracleTracker(PeerScoreTracker):
         tstats = stats.topics.get(topic) if stats is not None else None
         if tstats is None or not tstats.in_mesh:
             return
-        self._version += 1
+        self._score_cache.pop(peer, None)
         params = self.params.for_topic(topic)
         self._materialize_topic(tstats, params)
         tstats.mesh_message_deliveries = min(
@@ -50,10 +51,14 @@ class OracleTracker(PeerScoreTracker):
         )
 
 
+class EagerOracleTracker(OracleTracker, EagerTracker):
+    pass
+
+
 class OracleRouter(GossipSubRouter):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.scores = OracleTracker(self.scores.params, lazy=self.scores.lazy)
+        self.scores = OracleTracker(self.scores.params)
 
     def _process(self, from_peer, packet):
         self.scores.add_peer(from_peer)
@@ -228,10 +233,12 @@ class World:
 
     def state(self):
         scores = self.router.scores
+        now_scores = fresh_scores(scores, PEERS, self.sim.now)
+        assert memo_scores(scores, PEERS, self.sim.now) == now_scores
         return {
             "counters": dict(self.network.metrics.counters),
             "stats": {p: asdict(s) for p, s in scores._peers.items()},
-            "version": scores._version,
+            "scores": now_scores,
             "suspects": set(scores.suspects()),
             "mesh": {t: set(m) for t, m in self.router.mesh.items()},
             "seen": list(self.router.seen._expiry.items()),
@@ -297,12 +304,12 @@ TRACKER_OPS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(ops=st.lists(TRACKER_OPS, max_size=60), lazy=st.booleans())
-def test_tracker_events_match_the_parent_tracker(ops, lazy):
+@given(ops=st.lists(TRACKER_OPS, max_size=60), eager=st.booleans())
+def test_tracker_events_match_the_parent_tracker(ops, eager):
     """The tracker alone, where nothing scores (and so materialises) a
     peer between a decay tick and its next duplicate."""
-    fast = PeerScoreTracker(SCORE_PARAMS, lazy=lazy)
-    oracle = OracleTracker(SCORE_PARAMS, lazy=lazy)
+    fast = (EagerTracker if eager else PeerScoreTracker)(SCORE_PARAMS)
+    oracle = (EagerOracleTracker if eager else OracleTracker)(SCORE_PARAMS)
     now = 0.0
     for name, peer, topic in ops:
         now += 0.25
@@ -322,7 +329,9 @@ def test_tracker_events_match_the_parent_tracker(ops, lazy):
         assert {p: asdict(s) for p, s in fast._peers.items()} == {
             p: asdict(s) for p, s in oracle._peers.items()
         }, (name, peer, topic)
-        assert fast._version == oracle._version
+        fresh = fresh_scores(fast, PEERS, now)
+        assert fresh == fresh_scores(oracle, PEERS, now)
+        assert memo_scores(fast, PEERS, now) == fresh
         assert fast.suspects() == oracle.suspects()
     assert [fast.score(p, now) for p in PEERS] == [
         oracle.score(p, now) for p in PEERS
