@@ -3,21 +3,18 @@
 The paper's "every peer maintains the Merkle tree locally" means a
 mid-run membership event (registration or slash) re-hashes an O(depth)
 path in every replica — O(peers x topics x depth) hashes network-wide
-per event. The shared store (``ProtocolConfig.shared_membership_store``)
-records each event once on the canonical tree; every other replica's
-application is a pointer advance.
+per event. The shared store every deployment builds
+(:class:`~repro.rln.membership.MembershipStore`) records each event
+once on the canonical tree; every other replica's application is a
+pointer advance.
 
-Two measurements:
-
-* a replica-grid microbenchmark — 1k peers x 8 topic domains, a burst
-  of mid-run registrations and slashes applied to every replica, with
-  sharing on and off: network-wide hash count (the process-global
-  :func:`repro.crypto.hashing.hash_call_count` probe) and wall clock.
-  Sharing must cut hashes by >=10x (in practice it is ~peers x);
-* an end-to-end equivalence check — the ``multi-topic-churn`` scenario
-  (mid-run joins = mid-run registrations) with the store on and off,
-  asserting **bit-identical** behaviour: the toggle only changes the
-  work done, never a protocol decision.
+The measurement is a replica-grid microbenchmark — 1k peers x 8 topic
+domains, a burst of mid-run registrations and slashes applied to every
+replica, with shared and independent ``LocalGroup`` replicas:
+network-wide hash count (the process-global
+:func:`repro.crypto.hashing.hash_call_count` probe) and wall clock.
+Sharing must cut hashes by >=10x (in practice it is ~peers x), and
+every replica must end on the same roots and root window either way.
 
 Run with ``pytest benchmarks/bench_membership_sync.py -s``.
 """
@@ -25,14 +22,11 @@ Run with ``pytest benchmarks/bench_membership_sync.py -s``.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import List
 
-from repro.crypto.field import Fr
 from repro.crypto.hashing import hash_call_count
 from repro.crypto.keys import MembershipKeyPair
 from repro.rln.membership import LocalGroup, MembershipStore
-from repro.scenarios import run_scenario, scenario
 
 DEPTH = 20
 
@@ -181,82 +175,3 @@ def test_midrun_membership_events_shared_vs_independent(
             f"shared store must cut wall clock >=3x, "
             f"got {wall_reduction:.1f}x"
         )
-
-
-def _behaviour_fingerprint(result) -> dict:
-    """Every protocol outcome of a run (not the work counters)."""
-    return {
-        "honest_published": result.honest_published,
-        "honest_delivered": result.honest_delivered,
-        "delivery_rate": round(result.delivery_rate, 9),
-        "spam_published": result.spam_published,
-        "spam_delivered": result.spam_delivered,
-        "slashes_submitted": result.slashes_submitted,
-        "members_slashed": result.members_slashed,
-        "stake_burnt": result.stake_burnt,
-        "reporter_rewards": result.reporter_rewards,
-        "attacker_spend": result.attacker_spend,
-        "identity_rotations": result.identity_rotations,
-        "joined": result.joined,
-        "left": result.left,
-        "topics": result.topics,
-    }
-
-
-def test_scenario_outcomes_identical_with_store_on_and_off(
-    record_table, bench_scale
-):
-    """multi-topic-churn (mid-run joins, slashing, rotation) must be
-    bit-identical with the shared store on and off."""
-    peers = bench_scale.n(200, 20)
-    duration = bench_scale.n(90.0, 40.0)
-    base = scenario("multi-topic-churn").scaled(
-        peers=peers, duration=duration
-    )
-
-    rows = []
-    behaviours = {}
-    dedup = {}
-    for label, shared in (("shared", True), ("independent", False)):
-        spec = replace(
-            base,
-            config_overrides={
-                **dict(base.config_overrides),
-                "shared_membership_store": shared,
-            },
-        )
-        result = run_scenario(spec)
-        behaviours[label] = _behaviour_fingerprint(result)
-        dedup[label] = result.extras.get("membership_events_deduped", 0.0)
-        rows.append(
-            (
-                label,
-                round(result.wall_clock_seconds, 2),
-                result.joined,
-                result.members_slashed,
-                round(result.delivery_rate, 4),
-                int(dedup[label]),
-            )
-        )
-
-    record_table(
-        "bench_membership_sync_equivalence",
-        f"multi-topic-churn at {peers} peers: store on vs off",
-        (
-            "mode",
-            "wall clock (s)",
-            "joined",
-            "slashed",
-            "delivery rate",
-            "events deduped",
-        ),
-        rows,
-        note="Behaviour fingerprints must be identical; only the "
-        "membership hashing differs.",
-        meta={
-            "scale_peers": peers,
-            "events_deduped_shared": int(dedup["shared"]),
-        },
-    )
-    assert behaviours["shared"] == behaviours["independent"]
-    assert dedup["shared"] > 0

@@ -57,21 +57,15 @@ class ProtocolConfig:
     #: network-global). 0 disables the cache — every router verifies
     #: every signal itself, the paper's naive per-message cost model.
     verification_cache_size: int = 0
-    #: Share one canonical copy-on-write membership tree per deployment
-    #: domain across all replicas (each peer holds a ``SharedMerkleView``
-    #: instead of an independent ``MerkleTree``): a membership event then
-    #: costs O(depth) hashes once network-wide instead of once per
-    #: replica. False reverts to fully independent replicas — the
-    #: paper's literal reading — which the equivalence property tests
-    #: prove bit-identical (same roots, root windows, decisions).
-    shared_membership_store: bool = True
-    #: Shard the shared canonical membership tree into fixed-capacity
-    #: sub-trees of this depth under a top-level root-of-roots (the
-    #: tree-of-trees registry, :mod:`repro.crypto.merkle_forest`).
-    #: Root-equivalent to the flat tree at matched capacity; enables
-    #: bulk genesis registration and lazy sub-tree interiors. None
-    #: keeps the flat canonical tree. Requires
-    #: ``shared_membership_store`` and ``0 < sub_depth < merkle_depth``.
+    #: Shard the deployment's shared canonical membership tree (one
+    #: copy-on-write tree per domain that every replica views, see
+    #: :class:`~repro.rln.membership.MembershipStore`) into
+    #: fixed-capacity sub-trees of this depth under a top-level
+    #: root-of-roots (the tree-of-trees registry,
+    #: :mod:`repro.crypto.merkle_forest`). Root-equivalent to the flat
+    #: tree at matched capacity; enables bulk genesis registration and
+    #: lazy sub-tree interiors. None keeps the flat canonical tree.
+    #: Requires ``0 < sub_depth < merkle_depth``.
     membership_sub_depth: Optional[int] = None
     #: Garbage-collect nullifier buckets on the epoch grid itself
     #: (drop buckets > thr epochs behind the newest *seen* epoch the

@@ -51,14 +51,17 @@ def genesis_commitments(count: int, seed: int = 0) -> PackedFieldList:
     must not cost a million poseidon permutations under the slow
     backend nor perturb ``hash_call_count`` accounting. Packed as it
     is derived: the list never exists as a million ``int`` objects.
+    Member ``i`` is ``blake2b(b"genesis-member:<seed>:<i>")``, hashed
+    from a copy of one state that has already absorbed the prefix.
     """
     from hashlib import blake2b
 
-    prefix = b"genesis-member:%d:" % seed
+    keyed = blake2b(b"genesis-member:%d:" % seed, digest_size=32)
     packed = bytearray()
     for i in range(count):
-        digest = blake2b(prefix + b"%d" % i, digest_size=32).digest()
-        value = int.from_bytes(digest, "big") % Fr.MODULUS or 1
+        hasher = keyed.copy()
+        hasher.update(b"%d" % i)
+        value = int.from_bytes(hasher.digest(), "big") % Fr.MODULUS or 1
         packed += value.to_bytes(32, "big")
     return PackedFieldList(packed)
 
@@ -201,16 +204,12 @@ class WakuRlnRelayNetwork:
                 self.verification_cache = VerificationCache(
                     self.config.verification_cache_size
                 )
-        #: Deployment-wide shared membership-tree store (None = every
-        #: replica keeps its own independent MerkleTree).
-        self.membership_store: Optional[MembershipStore] = (
-            MembershipStore(
-                self.config.merkle_depth,
-                self.config.root_window,
-                sub_depth=self.config.membership_sub_depth,
-            )
-            if self.config.shared_membership_store
-            else None
+        #: Deployment-wide shared membership-tree store: every replica
+        #: is a copy-on-write view of one canonical tree per domain.
+        self.membership_store = MembershipStore(
+            self.config.merkle_depth,
+            self.config.root_window,
+            sub_depth=self.config.membership_sub_depth,
         )
 
         self._degree = degree

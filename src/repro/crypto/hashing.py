@@ -20,13 +20,13 @@ Int-native fast path
 The hot loops (Merkle path rehashing, signal verification) spend most of
 their time hashing, and most of *that* used to be :class:`Fr` object
 churn: wrap, re-reduce, ``to_bytes``, unwrap. Each backend therefore
-also registers an int-native pair — :func:`hash1_int` / :func:`hash2_int`
+registers int-native kernels — :func:`hash1_int` / :func:`hash2_int`
 take and return canonical integers in ``[0, MODULUS)`` with no ``Fr``
-allocation anywhere inside. The ``Fr``-typed :func:`hash1` / :func:`hash2`
-are thin wrappers over the int path and bit-identical to the historical
-implementations.
+allocation anywhere inside, and :func:`hash_level_int` hashes a whole
+tree level (bulk builds) in one call. The ``Fr``-typed :func:`hash1` /
+:func:`hash2` are thin wrappers over the int path.
 
-Every call through the int entry points bumps a process-wide counter
+Every digest through the int entry points bumps a process-wide counter
 (:func:`hash_call_count`), which benchmarks use to report network-wide
 hash work.
 """
@@ -34,58 +34,76 @@ hash work.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Sequence, Tuple
+from struct import iter_unpack
+from typing import List, Sequence, Union
 
 from ..errors import FieldError
 from .field import Fr
-from .poseidon import poseidon_hash, poseidon_hash1_int, poseidon_hash2_int
-
-#: Signature shared by all field-hash backends.
-FieldHash = Callable[[Sequence[Fr]], Fr]
+from .poseidon import poseidon_hash1_int, poseidon_hash2_int
+from .slot_index import PackedFieldList
 
 _MODULUS = Fr.MODULUS
 
+#: One personalised BLAKE2b state per arity. A digest hashes a copy:
+#: the same state as a freshly built one, at a fraction of the cost.
+_BLAKE2B_1 = hashlib.blake2b(digest_size=32, person=b"repro-fr\x01")
+_BLAKE2B_2 = hashlib.blake2b(digest_size=32, person=b"repro-fr\x02")
 
-def blake2b_field_hash(inputs: Sequence[Fr]) -> Fr:
-    """Hash 1 or 2 field elements via BLAKE2b with arity domain separation."""
-    n = len(inputs)
-    if n not in (1, 2):
-        raise FieldError(f"blake2b_field_hash takes 1 or 2 inputs, got {n}")
-    hasher = hashlib.blake2b(digest_size=32, person=b"repro-fr" + bytes([n]))
-    for element in inputs:
-        hasher.update(Fr(element).to_bytes())
-    return Fr.reduce_bytes(hasher.digest())
+#: One level of tree nodes: ints, or a packed (genesis) leaf chunk.
+Level = Union[Sequence[int], PackedFieldList]
 
 
 def blake2b_hash1_int(x: int) -> int:
-    """Int-native arity-1 BLAKE2b field hash (same digest as the Fr API)."""
-    hasher = hashlib.blake2b(digest_size=32, person=b"repro-fr\x01")
+    """Int-native arity-1 BLAKE2b field hash."""
+    hasher = _BLAKE2B_1.copy()
     hasher.update(x.to_bytes(32, "big"))
     return int.from_bytes(hasher.digest(), "big") % _MODULUS
 
 
 def blake2b_hash2_int(x: int, y: int) -> int:
-    """Int-native arity-2 BLAKE2b field hash (same digest as the Fr API)."""
-    hasher = hashlib.blake2b(digest_size=32, person=b"repro-fr\x02")
+    """Int-native arity-2 BLAKE2b field hash."""
+    hasher = _BLAKE2B_2.copy()
     hasher.update(x.to_bytes(32, "big"))
     hasher.update(y.to_bytes(32, "big"))
     return int.from_bytes(hasher.digest(), "big") % _MODULUS
 
 
-_BACKENDS: Dict[str, FieldHash] = {
-    "poseidon": poseidon_hash,
-    "blake2b": blake2b_field_hash,
-}
+def blake2b_level_int(level: Level, zero: int) -> List[int]:
+    """:func:`blake2b_hash2_int` over each pair of ``level``. A packed
+    list already holds the 64-byte pairs those calls would encode, so
+    it is hashed from its packed bytes with no int decode or re-encode."""
+    if isinstance(level, PackedFieldList):
+        data = bytes(level)
+    else:
+        data = b"".join([node.to_bytes(32, "big") for node in level])
+    if len(data) % 64:
+        data += zero.to_bytes(32, "big")
+    copy = _BLAKE2B_2.copy
+    parents = []
+    for (pair,) in iter_unpack("64s", data):
+        hasher = copy()
+        hasher.update(pair)
+        parents.append(int.from_bytes(hasher.digest(), "big") % _MODULUS)
+    return parents
 
-#: backend name -> (arity-1, arity-2) int-native implementations.
-_INT_BACKENDS: Dict[str, Tuple[Callable[[int], int], Callable[[int, int], int]]] = {
-    "poseidon": (poseidon_hash1_int, poseidon_hash2_int),
-    "blake2b": (blake2b_hash1_int, blake2b_hash2_int),
+
+def poseidon_level_int(level: Level, zero: int) -> List[int]:
+    """:func:`poseidon_hash2_int` over each pair of ``level``."""
+    nodes = list(level)
+    if len(nodes) % 2:
+        nodes.append(zero)
+    pairs = iter(nodes)
+    return [poseidon_hash2_int(x, y) for x, y in zip(pairs, pairs)]
+
+
+#: backend name -> its int-native (arity-1, arity-2, level) kernels.
+_KERNELS = {
+    "poseidon": (poseidon_hash1_int, poseidon_hash2_int, poseidon_level_int),
+    "blake2b": (blake2b_hash1_int, blake2b_hash2_int, blake2b_level_int),
 }
 
 _active_backend_name = "blake2b"
-_active_hash1_int = blake2b_hash1_int
-_active_hash2_int = blake2b_hash2_int
+_active_hash1_int, _active_hash2_int, _active_level_int = _KERNELS["blake2b"]
 
 #: Process-wide count of field-hash invocations (benchmark probe).
 _hash_calls = 0
@@ -93,7 +111,7 @@ _hash_calls = 0
 
 def available_backends() -> tuple:
     """Names of the registered field-hash backends."""
-    return tuple(sorted(_BACKENDS))
+    return tuple(sorted(_KERNELS))
 
 
 def set_hash_backend(name: str) -> None:
@@ -105,13 +123,14 @@ def set_hash_backend(name: str) -> None:
     nullifier memo) need no flush — their entries are per-backend.
     """
     global _active_backend_name, _active_hash1_int, _active_hash2_int
-    if name not in _BACKENDS or name not in _INT_BACKENDS:
+    global _active_level_int
+    if name not in _KERNELS:
         raise FieldError(
-            f"unknown hash backend {name!r} (backends register in both "
-            f"_BACKENDS and _INT_BACKENDS); available: {available_backends()}"
+            f"unknown hash backend {name!r}; available: "
+            f"{available_backends()}"
         )
     _active_backend_name = name
-    _active_hash1_int, _active_hash2_int = _INT_BACKENDS[name]
+    _active_hash1_int, _active_hash2_int, _active_level_int = _KERNELS[name]
 
 
 def get_hash_backend() -> str:
@@ -147,6 +166,18 @@ def hash2_int(x: int, y: int) -> int:
     global _hash_calls
     _hash_calls += 1
     return _active_hash2_int(x, y)
+
+
+def hash_level_int(level: Level, zero: int) -> List[int]:
+    """Parent level of ``level`` under the active backend.
+
+    Parent ``j`` is ``hash2_int(level[2j], level[2j + 1])``; an odd
+    tail is paired with ``zero``. Counts one hash per parent.
+    """
+    global _hash_calls
+    parents = _active_level_int(level, zero)
+    _hash_calls += len(parents)
+    return parents
 
 
 def hash1(x: Fr) -> Fr:

@@ -53,7 +53,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..errors import MerkleError
 from .field import Fr
-from .hashing import hash2_int
+from .hashing import hash2_int, hash_level_int
 from .merkle import MerkleProof, zero_hashes_int
 from .slot_index import PackedFieldList
 
@@ -277,59 +277,33 @@ class CanonicalShardedTree:
 
     def _fold_sub_root(self, leaves: Sequence[int]) -> int:
         """Root of one sub-tree, bottom-up, storing no interior nodes."""
-        level = list(leaves)
-        zeros = self._zeros
-        for height in range(1, self.sub_depth + 1):
-            zero = zeros[height - 1]
-            level = [
-                hash2_int(
-                    level[2 * j],
-                    level[2 * j + 1] if 2 * j + 1 < len(level) else zero,
-                )
-                for j in range((len(level) + 1) // 2)
-            ]
-        return level[0] if level else zeros[self.sub_depth]
+        level = leaves  # a packed chunk is hashed undecoded
+        for height in range(self.sub_depth):
+            level = hash_level_int(level, self._zeros[height])
+        return level[0]
 
     def _rebuild_top(self) -> int:
         """(Re)build the whole top tree from the sub-roots; returns root."""
-        level = list(self._sub_roots)
-        zeros = self._zeros
-        top = self._top_nodes
+        level = self._sub_roots
         for height in range(self.sub_depth + 1, self.depth + 1):
-            zero = zeros[height - 1]
-            nxt = []
-            for j in range((len(level) + 1) // 2):
-                node = hash2_int(
-                    level[2 * j],
-                    level[2 * j + 1] if 2 * j + 1 < len(level) else zero,
-                )
-                nxt.append(node)
-                top[(height, j)] = node
-            level = nxt or [zeros[height]]
+            level = hash_level_int(level, self._zeros[height - 1])
+            for j, node in enumerate(level):
+                self._top_nodes[(height, j)] = node
         return level[0]
 
     def _materialize(self, k: int) -> None:
         """Build sub-tree ``k``'s interior nodes from its leaves (once)."""
         if k in self._materialized:
             return
+        level = self._sub_leaves[k]
         # The sub-tree's own copy of its slice of the genesis list:
         # from here on its leaves are written in place.
-        leaves = self._sub_leaves[k] = list(self._sub_leaves[k])
-        zeros = self._zeros
-        interior = self._interior
-        level = leaves
+        self._sub_leaves[k] = list(level)
         for height in range(1, self.sub_depth):
-            zero = zeros[height - 1]
+            level = hash_level_int(level, self._zeros[height - 1])
             base = k << (self.sub_depth - height)
-            nxt = []
-            for j in range((len(level) + 1) // 2):
-                node = hash2_int(
-                    level[2 * j],
-                    level[2 * j + 1] if 2 * j + 1 < len(level) else zero,
-                )
-                nxt.append(node)
-                interior[(height, base + j)] = node
-            level = nxt
+            for j, node in enumerate(level):
+                self._interior[(height, base + j)] = node
         self._materialized.add(k)
 
     def _node_head(self, height: int, index: int) -> int:

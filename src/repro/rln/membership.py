@@ -200,8 +200,8 @@ class MembershipStore:
     replica that diverges forks into private storage without ever
     touching its siblings (counted in ``forks``).
 
-    Toggled per deployment by ``ProtocolConfig.shared_membership_store``;
-    with the flag off, peers fall back to fully independent replicas.
+    Every deployment builds one; a peer constructed outside a
+    deployment's store keeps a fully independent replica.
     """
 
     def __init__(

@@ -215,8 +215,7 @@ def _child_bundle(runner: "ScenarioRunner", engine, group: range):
         ),
         "subtrees": (
             net.membership_store.materialized_indices()
-            if net.membership_store is not None
-            and config.membership_sub_depth is not None
+            if config.membership_sub_depth is not None
             else None
         ),
         "nullifier": None,

@@ -1188,47 +1188,44 @@ class ScenarioRunner:
                 extras["verification_cache_hit_rate"] = (
                     net.verification_cache.hit_rate
                 )
-        if net.membership_store is not None:
-            if not spec.parallel_workers:
-                # How much replica hashing the shared store absorbed:
-                # each deduped event would have cost O(depth) hashes
-                # in an independent replica. (Parallel runs skip
-                # these: each worker holds a private store, so the
-                # sharing counters are per-partition artifacts, not
-                # run facts.)
-                store_stats = net.membership_store.stats()
-                extras["membership_events"] = float(store_stats["events"])
-                extras["membership_events_deduped"] = float(
-                    store_stats["events_deduped"]
+        if not spec.parallel_workers:
+            # How much replica hashing the shared store absorbed: each
+            # deduped event would have cost O(depth) hashes in an
+            # independent replica. (Parallel runs skip these: each
+            # worker holds a private store, so the sharing counters
+            # are per-partition artifacts, not run facts.)
+            store_stats = net.membership_store.stats()
+            extras["membership_events"] = float(store_stats["events"])
+            extras["membership_events_deduped"] = float(
+                store_stats["events_deduped"]
+            )
+            extras["membership_forks"] = float(store_stats["forks"])
+            if net.config.membership_sub_depth is not None:
+                # Sharded registry only: how much of the tree-of-trees
+                # was actually built. Gated on the opt-in flag so flat
+                # runs keep their extras keys (and fingerprints) as-is.
+                extras["membership_subtrees_materialized"] = float(
+                    store_stats["materialized_subtrees"]
                 )
-                extras["membership_forks"] = float(store_stats["forks"])
-                if net.config.membership_sub_depth is not None:
-                    # Sharded registry only: how much of the
-                    # tree-of-trees was actually built. Gated on the
-                    # opt-in flag so flat runs keep their extras keys
-                    # (and fingerprints) as-is.
-                    extras["membership_subtrees_materialized"] = float(
-                        store_stats["materialized_subtrees"]
+        elif net.config.membership_sub_depth is not None:
+            # Parallel: WHICH subtrees get built is a run fact (the
+            # union of every worker's materialized index sets equals
+            # the single-store set); HOW MANY events each store
+            # deduped is not — so only this extra survives the mode
+            # switch.
+            if self._subtree_override is not None:
+                extras["membership_subtrees_materialized"] = float(
+                    self._subtree_override
+                )
+            else:
+                extras["membership_subtrees_materialized"] = float(
+                    sum(
+                        len(indices)
+                        for indices in (
+                            net.membership_store.materialized_indices()
+                        ).values()
                     )
-            elif net.config.membership_sub_depth is not None:
-                # Parallel: WHICH subtrees get built is a run fact
-                # (the union of every worker's materialized index
-                # sets equals the single-store set); HOW MANY events
-                # each store deduped is not — so only this extra
-                # survives the mode switch.
-                if self._subtree_override is not None:
-                    extras["membership_subtrees_materialized"] = float(
-                        self._subtree_override
-                    )
-                else:
-                    extras["membership_subtrees_materialized"] = float(
-                        sum(
-                            len(indices)
-                            for indices in (
-                                net.membership_store.materialized_indices()
-                            ).values()
-                        )
-                    )
+                )
         if net.config.eager_nullifier_gc:
             # Epoch-grid GC is opt-in; when on, report how much
             # nullifier state it reclaimed and what stayed live across

@@ -136,11 +136,7 @@ class WatchtowerService:
         a restarted process owns nothing but its store."""
         config = self.config
         net = self.net
-        self.group = (
-            net.membership_store.local_group(config.domain or "")
-            if net.membership_store is not None
-            else LocalGroup(config.merkle_depth, config.root_window)
-        )
+        self.group = net.membership_store.local_group(config.domain or "")
         self._membership_events_applied = 0
         self._cursor = EventCursor(self.chain, self.contract_address)
         self.epoch_tracker = EpochTracker(

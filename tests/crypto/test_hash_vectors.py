@@ -1,0 +1,216 @@
+"""Known-answer vectors for the hash kernel, and its slow references.
+
+Every Merkle root, nullifier and commitment in the system is a chain of
+``hash1_int`` / ``hash2_int`` digests, so a fast path that drifts by one
+byte moves every fingerprint at once. This file pins digests, the
+zero-subtree table and a sharded genesis root per backend, and checks
+the bulk kernels against the plainest implementation of the same thing:
+the object-form BLAKE2b field hash (``blake2b_field_hash`` below), a
+pairwise ``hash2_int`` loop for ``hash_level_int``, and the one-digest-
+per-identity formula for ``genesis_commitments``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from typing import List, Sequence
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.protocol import genesis_commitments
+from repro.crypto.field import Fr
+from repro.crypto.hashing import (
+    hash1_int,
+    hash2_int,
+    hash_call_count,
+    hash_level_int,
+    set_hash_backend,
+)
+from repro.crypto.merkle import zero_hashes_int
+from repro.crypto.slot_index import PackedFieldList
+from repro.errors import FieldError
+from repro.rln.membership import MembershipStore
+
+P = Fr.MODULUS
+A = 0x1234567890ABCDEF1234567890ABCDEF1234567890ABCDEF1234567890ABCDEF % P
+B = 0x0FEDCBA987654321
+
+HASH1_INPUTS = (0, 1, P - 1, A, B)
+HASH2_INPUTS = ((0, 0), (1, 0), (0, 1), (P - 1, 1), (A, B))
+
+#: backend -> digests of HASH1_INPUTS, of HASH2_INPUTS, zero_hashes_int(20)
+#: at heights (1, 2, 19, 20), and (n, depth, sub_depth, root) of a
+#: ``genesis_commitments(n, seed=27)`` batch in a sharded store. With
+#: the default root window of 8, the compacted prefix of both batches
+#: ends in a one-leaf chunk, so the fold pads an odd tail.
+VECTORS = {
+    "blake2b": (
+        (
+            0x170CE535FACCBEEC922AFC7890FB5CAB6DA5CC462F298AED79588C63F389EDF4,
+            0x301C3B0E1903B0BA97AF9628E42F5C7666242553635749B637C34E87039356DC,
+            0x096F1988C6A133CF0ACF5FB49E46A2D756377211436140CC789F2D0E67F9D570,
+            0x22D3A6F4822DC6084E7EB4F1147108122DE0C8D731D0433796ED612F3C1DF4D8,
+            0x07511F473C9C7FBC9F64B8C97E6B3B28194F9AEED961E16816B80D5EA60D65F0,
+        ),
+        (
+            0x01C3BC3B4787001E6A9E4F7E08CD48B41C258D5FDAA704C93B8E0FFB62F75526,
+            0x29ED0376552C3258776DDAEC43C7868073DD98F244B40CFE32D14B7D7FE67943,
+            0x1851560C9736173B84B7FC035BEAFDA329CD733FB9F8224EFF83C713A2E8C0B3,
+            0x03FBC3AA07E57FAB22AA3AB45A42CAF954A4B20F3DA1C16BD77F08D3711ADCBB,
+            0x290131B76D731CF4B11D0060FBFF8F7B9C7AC8900ECC7F1C6E323FEDC36E0EE9,
+        ),
+        (
+            0x01C3BC3B4787001E6A9E4F7E08CD48B41C258D5FDAA704C93B8E0FFB62F75526,
+            0x26F0138DA4D7EF5ED1A63F7600D3DC33C1917E335D663A291875A8FF1584147E,
+            0x013D2FBAFC38D0FB9F63E025F3999EC0944821F305559CC108D96816C8A5B881,
+            0x1FF894D41CB0CB73280DBCAE16C1FA45259F0921E81715DF98421B40BAD966F8,
+        ),
+        (
+            3001,
+            12,
+            4,
+            0x0C8F4F34C0B6EE6A4083FE7EF206C53EA308B337B8C254135943F3BF4302FC91,
+        ),
+    ),
+    "poseidon": (
+        (
+            0x0B534C4D3062D018011106A684E288EB2CF35D36ABC89EAB27EE1F8A10B12575,
+            0x080BB1C119F8EEFA9C94D72CE24B156A2905F9B13CDB82D9614B1D76FF48521E,
+            0x013421B8986C28FD7F734A0508ED94AC6FE7B820C0BB37BCA4E4F14D849395B4,
+            0x2CB99A59F3FDA7A2F613564B3A810FC516E7E28C1703DBC3357437A718672CAF,
+            0x21754D576084D08F42FB29CF9B8DE0C7E63E87985014D394A6397D4B603A6F85,
+        ),
+        (
+            0x29FA7F2F7463617A66F01E25435E0973E7B1926C2F76ED30621139130C4B108E,
+            0x283E61DF49AB986D35E7CBDB5F30CF87E6D36147F71F4EA45FAF87B6E45DD232,
+            0x254C02366B16DB4666B9266E874A2502622C56116B4E8494FE862E3128139343,
+            0x1EC0204F485447E58F5BCD7CC13769A260348382CAE9651CA29DC4EAA6C003FA,
+            0x24D4C14E1CD101C96AE33DD001DE55B3F55906E9E139FF8E44FDBB0CC043A00B,
+        ),
+        (
+            0x29FA7F2F7463617A66F01E25435E0973E7B1926C2F76ED30621139130C4B108E,
+            0x2444DE4221D0AEA4C1D8FF0A8B4D7BB69CD1DEE4EF87B8A6A6F1432ECE23DD1C,
+            0x0D5C215C58080705236AD96768285D52CBB94FBF98D6AE86D656E2C04282FC9C,
+            0x0D5C139418878F86D54438D0145C94BFC400BA039154E8ED92B8855C6EB54EE3,
+        ),
+        (
+            21,
+            6,
+            2,
+            0x2D3090D09026ED5CB00608A6FB0667F5643A65D5672BE80BC21128D5DACE4861,
+        ),
+    ),
+}
+
+#: Longest level the kernel differential draws, per backend (Poseidon
+#: is ~500x slower per digest in pure Python).
+MAX_LEVEL = {"blake2b": 65, "poseidon": 9}
+
+
+def blake2b_field_hash(inputs: Sequence[Fr]) -> Fr:
+    """Object-form BLAKE2b field hash: 1 or 2 elements, arity-tagged."""
+    n = len(inputs)
+    if n not in (1, 2):
+        raise FieldError(f"blake2b_field_hash takes 1 or 2 inputs, got {n}")
+    hasher = hashlib.blake2b(digest_size=32, person=b"repro-fr" + bytes([n]))
+    for element in inputs:
+        hasher.update(Fr(element).to_bytes())
+    return Fr.reduce_bytes(hasher.digest())
+
+
+def pairwise_level(level: Sequence[int], zero: int) -> List[int]:
+    """One ``hash2_int`` per pair, an odd tail paired with ``zero``."""
+    return [
+        hash2_int(level[i], level[i + 1] if i + 1 < len(level) else zero)
+        for i in range(0, len(level), 2)
+    ]
+
+
+def genesis_oracle(count: int, seed: int) -> List[int]:
+    """One fresh BLAKE2b per identity over ``genesis-member:<seed>:<i>``."""
+    values = []
+    for i in range(count):
+        data = b"genesis-member:%d:%d" % (seed, i)
+        digest = hashlib.blake2b(data, digest_size=32).digest()
+        values.append(int.from_bytes(digest, "big") % P or 1)
+    return values
+
+
+@pytest.fixture(params=sorted(VECTORS))
+def backend(request):
+    set_hash_backend(request.param)
+    return request.param
+
+
+def test_hash1_and_hash2_digests_are_pinned(backend):
+    hash1_pins, hash2_pins, _, _ = VECTORS[backend]
+    assert [hash1_int(x) for x in HASH1_INPUTS] == list(hash1_pins)
+    assert [hash2_int(x, y) for x, y in HASH2_INPUTS] == list(hash2_pins)
+
+
+def test_zero_hash_table_is_pinned(backend):
+    _, _, zero_pins, _ = VECTORS[backend]
+    zeros = zero_hashes_int(20)
+    assert zeros[0] == 0
+    assert tuple(zeros[h] for h in (1, 2, 19, 20)) == zero_pins
+
+
+def test_sharded_genesis_root_is_pinned(backend):
+    _, _, _, (n, depth, sub_depth, root) = VECTORS[backend]
+    store = MembershipStore(depth=depth, sub_depth=sub_depth)
+    group = store.local_group()
+    group.apply_registration_batch(genesis_commitments(n, seed=27), 0)
+    assert store.canonical().genesis_version % (1 << sub_depth) == 1
+    assert int(group.root) == root
+
+
+def test_fast_blake2b_equals_the_object_form_on_pins():
+    for x in HASH1_INPUTS:
+        assert Fr(hash1_int(x)) == blake2b_field_hash([Fr(x)])
+    for x, y in HASH2_INPUTS:
+        assert Fr(hash2_int(x, y)) == blake2b_field_hash([Fr(x), Fr(y)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=P - 1),
+    st.integers(min_value=0, max_value=P - 1),
+)
+def test_fast_blake2b_equals_the_object_form(x, y):
+    assert Fr(hash1_int(x)) == blake2b_field_hash([Fr(x)])
+    assert Fr(hash2_int(x, y)) == blake2b_field_hash([Fr(x), Fr(y)])
+
+
+@pytest.mark.parametrize("name", sorted(MAX_LEVEL))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_level_kernel_equals_the_pairwise_loop(name, data):
+    level = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=P - 1),
+            max_size=MAX_LEVEL[name],
+        )
+    )
+    zero = data.draw(st.integers(min_value=1, max_value=P - 1))
+    packed = data.draw(st.booleans())
+    set_hash_backend(name)  # the autouse fixture restores the default
+    expected = pairwise_level(level, zero)
+    before = hash_call_count()
+    parents = hash_level_int(
+        PackedFieldList.of(level) if packed else level, zero
+    )
+    assert hash_call_count() - before == (len(level) + 1) // 2
+    assert parents == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=0, max_value=1 << 40),
+)
+def test_genesis_commitments_equal_the_per_identity_formula(count, seed):
+    assert list(genesis_commitments(count, seed)) == genesis_oracle(
+        count, seed
+    )

@@ -1,11 +1,11 @@
 """Tests for hash-backend selection and byte hashing."""
 
 import pytest
+from test_hash_vectors import blake2b_field_hash
 
 from repro.crypto.field import Fr
 from repro.crypto.hashing import (
     available_backends,
-    blake2b_field_hash,
     get_hash_backend,
     hash1,
     hash2,

@@ -23,7 +23,6 @@ CONFIG = ProtocolConfig(
     merkle_depth=8,
     membership_sub_depth=4,
     eager_nullifier_gc=True,
-    shared_membership_store=True,
 )
 
 

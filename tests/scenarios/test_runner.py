@@ -127,44 +127,6 @@ def test_churn_bookkeeping():
     assert result.peers_final == 12 + 3 - 2
 
 
-def test_shared_membership_store_is_outcome_invisible():
-    """Sharing on vs off: same fingerprint, different work accounting."""
-    spec = ScenarioSpec(
-        name="store-toggle",
-        description="d",
-        peers=10,
-        duration=30.0,
-        traffic=TrafficModel(active_fraction=0.5),
-        churn=ChurnModel(join_interval=6.0, max_joins=2),
-    )
-    shared = run_scenario(spec)
-    independent = run_scenario(
-        ScenarioSpec(
-            name="store-toggle-off",
-            description="d",
-            peers=10,
-            duration=30.0,
-            traffic=TrafficModel(active_fraction=0.5),
-            churn=ChurnModel(join_interval=6.0, max_joins=2),
-            config_overrides={"shared_membership_store": False},
-        )
-    )
-    shared_dict = shared.to_dict(include_wall_clock=False)
-    independent_dict = independent.to_dict(include_wall_clock=False)
-    for key in (
-        "membership_events",
-        "membership_events_deduped",
-        "membership_forks",
-    ):
-        assert key in shared_dict["extras"]
-        assert key not in independent_dict["extras"]
-        del shared_dict["extras"][key]
-    shared_dict["scenario"] = independent_dict["scenario"] = "x"
-    assert shared_dict == independent_dict
-    assert shared.extras["membership_events_deduped"] > 0
-    assert shared.extras["membership_forks"] == 0
-
-
 def test_result_dict_and_fingerprint_exclude_wall_clock():
     result = run_scenario(scenario("honest-steady"), peers=8, duration=20.0)
     with_wall = result.to_dict()
