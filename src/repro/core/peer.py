@@ -56,9 +56,6 @@ OUTCOME_TO_GOSSIP = {
     ValidationOutcome.REJECT_MALFORMED: ValidationResult.REJECT,
 }
 
-#: Backwards-compatible alias (pre-watchtower name).
-_OUTCOME_TO_GOSSIP = OUTCOME_TO_GOSSIP
-
 
 class WakuRlnRelayPeer:
     """A full Waku-RLN-Relay participant."""

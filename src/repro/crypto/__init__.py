@@ -19,9 +19,6 @@ from .merkle_shared import CanonicalMerkleTree, SharedMerkleView
 from .poseidon import poseidon_hash, poseidon_hash1, poseidon_hash2
 from .shamir import (
     Share,
-    evaluate_polynomial,
-    make_shares,
-    reconstruct_secret,
     recover_secret_from_double_signal,
     rln_line_coefficient,
     rln_share,
@@ -54,9 +51,6 @@ __all__ = [
     "poseidon_hash1",
     "poseidon_hash2",
     "Share",
-    "make_shares",
-    "evaluate_polynomial",
-    "reconstruct_secret",
     "rln_line_coefficient",
     "rln_share",
     "recover_secret_from_double_signal",

@@ -12,19 +12,20 @@ Each published message ``m`` reveals the single evaluation
 *different* messages in the same epoch — determine the line and hence
 ``sk = A(0)``, enabling anyone to slash the spammer.
 
-This module provides the general k-of-n machinery (Lagrange interpolation
-at zero) plus RLN-specific helpers, so tests can exercise both the
-protocol path and the general algebra.
+Only the threshold-2 line the protocol runs lives here; the general
+k-of-n Lagrange survives as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from functools import lru_cache
 
 from ..errors import ShamirError
 from .field import Fr
 from .hashing import hash2
+
+P = Fr.MODULUS
 
 
 @dataclass(frozen=True)
@@ -35,67 +36,33 @@ class Share:
     y: Fr
 
 
-def evaluate_polynomial(coefficients: Sequence[Fr], x: Fr) -> Fr:
-    """Horner evaluation; ``coefficients[0]`` is the constant term."""
-    result = Fr.zero()
-    for coefficient in reversed(coefficients):
-        result = result * x + coefficient
-    return result
-
-
-def make_shares(
-    secret: Fr, coefficients: Sequence[Fr], xs: Iterable[Fr]
-) -> List[Share]:
-    """Share ``secret`` with the given higher-order coefficients.
-
-    The polynomial is ``secret + coefficients[0]*x + coefficients[1]*x^2 ...``.
-    """
-    poly = [Fr(secret), *[Fr(c) for c in coefficients]]
-    shares = []
-    for x in xs:
-        x = Fr(x)
-        if x.is_zero():
-            raise ShamirError("share abscissa x = 0 would leak the secret")
-        shares.append(Share(x=x, y=evaluate_polynomial(poly, x)))
-    return shares
-
-
-def reconstruct_secret(shares: Sequence[Share]) -> Fr:
-    """Lagrange-interpolate the polynomial at zero from ``k`` shares.
-
-    The caller must supply exactly as many shares as the polynomial has
-    coefficients (k = degree + 1); for RLN that is two.
-    """
-    if len(shares) < 2:
-        raise ShamirError("need at least two shares to reconstruct")
-    xs = [int(s.x) for s in shares]
-    if len(set(xs)) != len(xs):
-        raise ShamirError("shares must have pairwise distinct x coordinates")
-    secret = Fr.zero()
-    for i, share_i in enumerate(shares):
-        numerator = Fr.one()
-        denominator = Fr.one()
-        for j, share_j in enumerate(shares):
-            if i == j:
-                continue
-            numerator = numerator * share_j.x
-            denominator = denominator * (share_j.x - share_i.x)
-        secret = secret + share_i.y * (numerator / denominator)
-    return secret
-
-
-# -- RLN-specific helpers -------------------------------------------------------
-
-
 def rln_line_coefficient(secret: Fr, external_nullifier: Fr) -> Fr:
     """The epoch-bound slope ``a1 = H(sk, e)`` of the RLN line."""
     return hash2(Fr(secret), Fr(external_nullifier))
 
 
 def rln_share(secret: Fr, external_nullifier: Fr, x: Fr) -> Share:
-    """Evaluate the member's RLN line at ``x = H(m)``."""
+    """Evaluate the member's RLN line ``sk + a1 * x`` at ``x = H(m)``."""
+    x = Fr(x)
+    if x.is_zero():
+        raise ShamirError("share abscissa x = 0 would leak the secret")
     a1 = rln_line_coefficient(secret, external_nullifier)
-    return make_shares(secret, [a1], [x])[0]
+    return Share(x=x, y=Fr(secret) + a1 * x)
+
+
+@lru_cache(maxsize=1024)
+def line_intercept(xa: int, ya: int, xb: int, yb: int) -> int:
+    """``A(0)`` of the line through two points given as canonical ints:
+    two-point Lagrange at zero, ``(ya*xb - yb*xa) / (xb - xa)``.
+
+    Every router that sees a double-signal recovers the same secret from
+    the same pair of points, so the result is memoised once per process.
+    """
+    if xa == xb:
+        raise ShamirError(
+            "shares have the same x coordinate; not a double-signal"
+        )
+    return (ya * xb - yb * xa) * pow(xb - xa, -1, P) % P
 
 
 def recover_secret_from_double_signal(
@@ -107,8 +74,6 @@ def recover_secret_from_double_signal(
     message hashes do not constitute a rate violation — it is the same
     signal seen twice).
     """
-    if share_a.x == share_b.x:
-        raise ShamirError(
-            "shares have the same x coordinate; not a double-signal"
-        )
-    return reconstruct_secret([share_a, share_b])
+    xa, ya = share_a.x._value, share_a.y._value
+    xb, yb = share_b.x._value, share_b.y._value
+    return Fr(line_intercept(xa, ya, xb, yb))

