@@ -89,33 +89,28 @@ EXPERIMENTS = {
 def _explain_parallel(spec, workers) -> int:
     """Dry-run: print the shard/worker plan a parallel run would use,
     without building or running anything. Everything shown is derived
-    from the spec alone — the same pins, block plan and contiguous
-    worker groups the runner computes."""
-    from ..scenarios.parallel import contiguous_groups
+    from the spec alone — the same pins, block plan, contiguous worker
+    groups and barrier windows the runner uses."""
+    from ..scenarios.parallel import barrier_times, contiguous_groups
+    from ..scenarios.runner import ScenarioRunner
     from ..sim.latency import UniformLatency
-    from ..sim.shards import ShardPlan
+    from ..sim.parallel_stack import ShardPlan
 
     workers = min(workers, spec.shards)
     roster = [f"peer-{i}" for i in range(spec.peers)]
-    pins = {}
-    tail = spec.adversaries.total_count
-    for index in range(spec.peers - tail, spec.peers):
-        pins[f"peer-{index}"] = 0
-    service_ids = ()
-    if spec.watchtowers is not None:
-        service_ids = spec.watchtowers.service_ids()
-        for service_id in service_ids:
-            pins[service_id] = 0
+    pins = ScenarioRunner.shard_pins(spec)
     plan = ShardPlan.blocked(roster, spec.shards, pins=pins)
     window = spec.parallel_window
     if window is None:
         window = UniformLatency(base_seconds=0.03).min_latency()
-    barriers = max(1, -(-spec.duration // window))
+    barriers = sum(1 for _ in barrier_times(spec.duration, window))
+    tail = spec.adversaries.total_count
+    services = len(spec.watchtowers.service_ids()) if spec.watchtowers else 0
     print(f"scenario          {spec.name}")
     print(f"peers             {spec.peers}")
     print(f"shards            {spec.shards}")
     print(f"workers           {workers}" + (" (in-process)" if workers <= 1 else " (forked)"))
-    print(f"barrier window    {window}s  ({int(barriers)} barriers over {spec.duration}s)")
+    print(f"barrier window    {window}s  ({barriers} barriers over {spec.duration}s)")
     if spec.pre_registered:
         print(f"pre-registered    {spec.pre_registered} genesis identities")
     by_shard = {s: 0 for s in range(spec.shards)}
@@ -132,22 +127,13 @@ def _explain_parallel(spec, workers) -> int:
         if 0 in group:
             if tail:
                 extras.append(f"{tail} adversaries (pinned)")
-            if service_ids:
-                extras.append(
-                    f"{len(service_ids)} watchtowers (pinned)"
-                )
+            if services:
+                extras.append(f"{services} watchtowers (pinned)")
         suffix = f"  + {', '.join(extras)}" if extras else ""
         print(
             f"  worker {index}        {shards_text}: "
             f"{peers_owned} peers{suffix}"
         )
-    problems = spec.parallel_rejections()
-    if problems:
-        print("parallel-incompatible features:")
-        for problem in problems:
-            print(f"  - {problem}")
-        return 1
-    print("all features parallel-capable")
     return 0
 
 
@@ -196,8 +182,6 @@ def _run_scenario_command(argv) -> int:
         i += 2
     workers = overrides.pop("workers")
     if explain:
-        # The plan is computed from the spec without entering parallel
-        # mode, so incompatible features are listed rather than raised.
         spec = scenario(name).scaled(
             peers=overrides["peers"],
             duration=overrides["duration"],

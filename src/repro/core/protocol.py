@@ -32,8 +32,7 @@ from ..rln.prover import rln_keys
 from ..rln.verifier import BarrierMemoCache, VerificationCache
 from ..sim.latency import LatencyModel, UniformLatency
 from ..sim.metrics import MetricsRegistry
-from ..sim.parallel_stack import WindowedStackSimulator
-from ..sim.shards import ShardedSimulator, ShardPlan
+from ..sim.parallel_stack import ShardPlan, WindowedStackSimulator
 from ..sim.simulator import Simulator
 from .config import ProtocolConfig
 from .peer import WakuRlnRelayPeer
@@ -96,8 +95,8 @@ class WakuRlnRelayNetwork:
             # streams, barrier windows bounded by the minimum latency,
             # ports for cross-worker delivery. Results are invariant
             # in shards *and* workers (the test matrix pins this) but
-            # intentionally a distinct mode from the lockstep-merge
-            # kernels: per-entity streams change individual draws.
+            # intentionally a distinct mode from the serial kernel:
+            # per-entity streams change individual draws.
             window = parallel_window
             if window is None:
                 window = latency.min_latency()
@@ -123,17 +122,9 @@ class WakuRlnRelayNetwork:
                 # schedules for) the shards it owns; every other
                 # roster entry becomes a ghost below.
                 self.simulator.restrict_to(frozenset(owned_shards))
-        elif shards > 1:
-            # Contiguous id blocks as the "region" partition (matches
-            # construction order); churn joiners hash-fall-back. The
-            # sharded kernel merges on the global (time, seq) order, so
-            # results are bit-identical to the unsharded kernel at any
-            # shard count — shard_stats() reports the partition quality.
-            plan = ShardPlan.blocked(peer_ids, shards)
-            self.simulator = ShardedSimulator(
-                seed=seed, shards=shards, plan=plan
-            )
         else:
+            # ``shards`` partitions only the windowed kernel: one
+            # serial heap runs every shard in the same global order.
             self.simulator = Simulator(seed=seed)
         self.metrics: MetricsRegistry
         self.network = Network(

@@ -290,7 +290,7 @@ class Network:
             self._counters["net.send_no_link"] += 1
             return False
         # Loss and latency draw from the *sender's* stream: on the
-        # default kernels entity_rng is the shared stream (the
+        # serial kernel entity_rng is the shared stream (the
         # historical behaviour, bit for bit), on the windowed kernel
         # it makes the draw independent of shard/worker interleaving.
         rng = self.simulator.entity_rng(sender)
@@ -304,7 +304,7 @@ class Network:
         if label is None:
             label = self._deliver_labels[receiver] = f"deliver:{receiver}"
 
-        # The receiver is the delivery's shard affinity: a sharded
+        # The receiver is the delivery's shard affinity: the windowed
         # kernel queues the event where the receiving node lives (or
         # exports it to the worker that owns it).
         self.simulator.schedule_port(

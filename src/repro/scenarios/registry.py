@@ -322,12 +322,11 @@ register_scenario(
     ScenarioSpec(
         name="city-scale-50k",
         description=(
-            "City-scale deployment on the sharded kernel: 50000 peers "
-            "partitioned into 8 event-queue shards, three busy topics, "
-            "very light per-peer traffic and a pair of adaptive "
-            "attackers. Fingerprints are shard-count invariant; "
-            "shard_stats() reports the cross-shard traffic fraction. "
-            "Tier-1 smokes it tiny; the full scale runs behind -m slow."
+            "City-scale deployment: 50000 peers, 8 shards for the "
+            "windowed kernel (--workers), three busy topics, very "
+            "light per-peer traffic and a pair of adaptive attackers. "
+            "Serial runs use one heap. Tier-1 smokes it tiny; the full "
+            "scale runs behind -m slow."
         ),
         peers=50000,
         duration=30.0,

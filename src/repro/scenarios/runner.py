@@ -134,19 +134,9 @@ class ScenarioRunner:
 
     def __init__(self, spec: ScenarioSpec) -> None:
         self.spec = spec
-        self._pins: Optional[Dict[str, int]] = None
-        if spec.parallel_workers:
-            # Globals that execute as shard-0 events (the adversary
-            # engine, watchtower delegation) mutate their subjects
-            # directly, so those subjects must be co-resident with
-            # shard 0 — pin the adversary tail and the services there.
-            self._pins = {}
-            tail = spec.adversaries.total_count
-            for index in range(spec.peers - tail, spec.peers):
-                self._pins[f"peer-{index}"] = 0
-            if spec.watchtowers is not None:
-                for service_id in spec.watchtowers.service_ids():
-                    self._pins[service_id] = 0
+        self._pins: Optional[Dict[str, int]] = (
+            self.shard_pins(spec) if spec.parallel_workers else None
+        )
         #: Effective worker count (0 = serial mode).
         self.workers = (
             min(spec.parallel_workers, spec.shards)
@@ -232,6 +222,24 @@ class ScenarioRunner:
             # parallel defers — each worker (and the coordinator)
             # materializes its own ownership slice after the fork.
             self._materialize(None)
+
+    @staticmethod
+    def shard_pins(spec: ScenarioSpec) -> Dict[str, int]:
+        """Entities a parallel run pins to shard 0.
+
+        Globals that execute as shard-0 events (the adversary engine,
+        watchtower delegation) mutate their subjects directly, so those
+        subjects must be co-resident with shard 0: the adversary tail
+        and the watchtower services."""
+        tail = spec.adversaries.total_count
+        pins = {
+            f"peer-{index}": 0
+            for index in range(spec.peers - tail, spec.peers)
+        }
+        if spec.watchtowers is not None:
+            for service_id in spec.watchtowers.service_ids():
+                pins[service_id] = 0
+        return pins
 
     # -- construction -----------------------------------------------------------
 
@@ -483,7 +491,7 @@ class ScenarioRunner:
                 topic = topics[0]
             else:
                 # The publisher's own stream: the shared rng on
-                # the lockstep kernels (identical draws to the
+                # the serial kernel (identical draws to the
                 # historical behaviour), a private per-entity
                 # stream on the windowed kernel.
                 topic = _sim.entity_rng(target.node_id).choices(
@@ -563,8 +571,8 @@ class ScenarioRunner:
             net,
             start=mix.start,
             # Parallel runs feed the probe at barriers (a worker only
-            # sees its own peers' deliveries live); the lockstep
-            # kernels read the recorders directly.
+            # sees its own peers' deliveries live); the serial
+            # kernel reads the recorders directly.
             spam_delivered_probe=(
                 (lambda: self._spam_feed)
                 if self.spec.parallel_workers

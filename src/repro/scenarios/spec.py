@@ -294,10 +294,10 @@ class ScenarioSpec:
     #: Extra pubsub topics multiplexed over the same mesh (the primary
     #: topic is always present); see :class:`TopicSpec`.
     topics: Tuple[TopicSpec, ...] = ()
-    #: Event-queue shards the simulation kernel partitions the network
-    #: into (1 = the plain single-queue kernel). Fingerprints are
-    #: invariant in this value — it selects execution machinery, not
-    #: workload semantics.
+    #: Shards the windowed kernel partitions the network into; no
+    #: effect without ``parallel_workers`` (the serial kernel runs one
+    #: heap). Fingerprints are invariant in this value — it selects
+    #: execution machinery, not workload semantics.
     shards: int = 1
     #: Delegated enforcement: watchtower services watching the
     #: protected topics on behalf of delegating peers (None = none).
@@ -310,12 +310,12 @@ class ScenarioSpec:
     #: and record the comparison in ``ScenarioResult.extras``.
     compare_baseline: bool = False
     #: Opt-in window-isolated parallel mode: 0 = off (the default
-    #: lockstep kernels), >= 1 = run the full stack on the windowed
+    #: serial kernel), >= 1 = run the full stack on the windowed
     #: kernel with barrier-synced chain replicas. Workers beyond
     #: ``shards`` are clamped; 1 worker drives the same barrier
     #: protocol in-process. Results are invariant in *both* shards
     #: and workers, but the mode draws from per-entity RNG streams,
-    #: so they intentionally differ from the lockstep kernels'.
+    #: so they intentionally differ from the serial kernel's.
     parallel_workers: int = 0
     #: Barrier window length in simulated seconds (None = the latency
     #: model's minimum latency, the widest sound window).
@@ -433,29 +433,6 @@ class ScenarioSpec:
                 f"{ProtocolConfig().max_network_delay}s)",
                 problems=("parallel_window",),
             )
-        if self.parallel_workers:
-            problems = self.parallel_rejections()
-            if problems:
-                raise ScenarioSpecError(
-                    "scenario cannot run in parallel mode: "
-                    + "; ".join(problems),
-                    problems=problems,
-                )
-
-    def parallel_rejections(self) -> Tuple[str, ...]:
-        """Every feature of this spec that parallel mode cannot run.
-
-        Churn, fault injection and baseline comparison all have
-        barrier-safe forms now (churn plans precomputed on the
-        partition-invariant event grid, faults pinned to shard 0,
-        baselines run on the coordinator's own replica), so this is
-        empty for every built-in scenario — the ``--bench-quick`` smoke
-        pins that. The method stays as the single aggregation point:
-        a future incompatible feature gets reported here alongside any
-        others in one :class:`~repro.errors.ScenarioSpecError` instead
-        of first-failure-wins.
-        """
-        return ()
 
     @property
     def topic_names(self) -> Tuple[str, ...]:

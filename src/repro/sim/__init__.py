@@ -2,23 +2,13 @@
 
 from .latency import LatencyModel, LogNormalLatency, UniformLatency
 from .metrics import Histogram, MetricsRegistry
-from .shards import (
-    CrossShardPacket,
-    ParallelShardRunner,
-    ShardedSimulator,
-    ShardPlan,
-    UniformRelayWorkload,
-)
+from .parallel_stack import ShardPlan
 from .simulator import EventHandle, Simulator, quiescent_gc
 
 __all__ = [
     "Simulator",
     "EventHandle",
-    "ShardedSimulator",
     "ShardPlan",
-    "ParallelShardRunner",
-    "CrossShardPacket",
-    "UniformRelayWorkload",
     "LatencyModel",
     "UniformLatency",
     "LogNormalLatency",

@@ -1,11 +1,11 @@
 """Window-isolated simulation kernel for full-stack parallel sharding.
 
-The lockstep-merge :class:`~repro.sim.shards.ShardedSimulator` keeps a
-single global event order, so it can never execute two shards
-concurrently. This module provides the kernel that can:
-:class:`WindowedStackSimulator` executes each barrier window's events
-*per shard independently*, which is only sound because of three
-invariants it enforces:
+The serial :class:`~repro.sim.simulator.Simulator` keeps a single
+global event order, so it can never execute two shards concurrently.
+This module provides the kernel that can: a :class:`ShardPlan` maps
+node ids to shards, and :class:`WindowedStackSimulator` executes each
+barrier window's events *per shard independently*, which is only sound
+because of three invariants it enforces:
 
 1. **Partition-invariant event order.** Every event is keyed
    ``(time, origin, seq)`` where ``origin`` is the *entity* (node id)
@@ -14,9 +14,8 @@ invariants it enforces:
    execute only in events destined to it, which run on exactly one
    shard in key order; by induction its counter values are identical
    at any shard/worker count, so the key is a total order every
-   partition agrees on. (The sharded kernel's global sequence counter,
-   by contrast, depends on the interleaving and is only usable because
-   that kernel replays the exact global merge.)
+   partition agrees on. (The serial kernel's global sequence counter,
+   by contrast, depends on the interleaving of every entity's events.)
 
 2. **Window isolation.** Execution advances in barrier windows
    ``[t0, t1)`` with ``t1 - t0 <=`` the minimum network latency: any
@@ -43,12 +42,99 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
+from hashlib import blake2b
 from heapq import heappop, heappush
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
-from .shards import ShardPlan, _stable_hash
 from .simulator import Handler, Simulator, _gc_quiesce, _gc_restore
+
+
+def _stable_hash(key: str, salt: bytes = b"") -> int:
+    """Process-independent 64-bit hash (built-in ``hash`` is salted)."""
+    return int.from_bytes(
+        blake2b(key.encode(), key=salt, digest_size=8).digest(), "big"
+    )
+
+
+class ShardPlan:
+    """Maps entity keys (node ids) to shard indices.
+
+    Two strategies:
+
+    - ``hash``: stable blake2 of the key, modulo the shard count.
+      Stateless, churn-proof, but ignores topology.
+    - ``block``: contiguous blocks over an explicit ordered key list —
+      the "region" partition when node ids are laid out by topology
+      region or topic cluster. Keys outside the list (churn joiners)
+      fall back to the hash assignment, so the plan never rejects a
+      node.
+
+    ``None`` keys (events that concern no particular node: the miner,
+    scenario drivers) map to shard 0.
+
+    ``pins`` forces specific keys onto specific shards regardless of
+    strategy — the full-stack parallel mode pins entities that must be
+    co-resident with the shard-0 globals (adversary agents driven by
+    the engine, watchtower services) so a worker owning shard 0 owns
+    everything those globals touch synchronously.
+    """
+
+    def __init__(
+        self,
+        shard_count: int,
+        strategy: str = "hash",
+        keys: Optional[Sequence[str]] = None,
+        pins: Optional[Dict[str, int]] = None,
+    ) -> None:
+        if shard_count < 1:
+            raise SimulationError("shard_count must be >= 1")
+        if strategy not in ("hash", "block"):
+            raise SimulationError(
+                f"unknown shard strategy {strategy!r}; use 'hash' or 'block'"
+            )
+        self.shard_count = shard_count
+        self.strategy = strategy
+        self._assignment: Dict[str, int] = {}
+        if strategy == "block":
+            if not keys:
+                raise SimulationError(
+                    "block strategy needs the ordered key list"
+                )
+            block = -(-len(keys) // shard_count)  # ceil division
+            for i, key in enumerate(keys):
+                self._assignment[key] = min(i // block, shard_count - 1)
+        if pins:
+            for key, shard in pins.items():
+                if not 0 <= shard < shard_count:
+                    raise SimulationError(
+                        f"pin {key!r} -> {shard} outside [0, {shard_count})"
+                    )
+                self._assignment[key] = shard
+
+    @classmethod
+    def hashed(cls, shard_count: int) -> "ShardPlan":
+        return cls(shard_count, strategy="hash")
+
+    @classmethod
+    def blocked(
+        cls,
+        keys: Sequence[str],
+        shard_count: int,
+        pins: Optional[Dict[str, int]] = None,
+    ) -> "ShardPlan":
+        return cls(shard_count, strategy="block", keys=keys, pins=pins)
+
+    def shard_of(self, key: Optional[str]) -> int:
+        if key is None:
+            return 0
+        if self.shard_count == 1:
+            return 0
+        assigned = self._assignment.get(key)
+        if assigned is not None:
+            return assigned
+        return _stable_hash(key) % self.shard_count
+
 
 #: Origin key of everything scheduled outside any entity's handler:
 #: build-phase wiring, global drivers (adversary engine, scenario
@@ -177,9 +263,6 @@ class WindowedStackSimulator(Simulator):
         if stream is not None:
             return stream
         return random.Random(_stable_hash(skey, self._salt))
-
-    def stream(self, key: object) -> random.Random:
-        return self.entity_rng(key)
 
     @property
     def entity_isolated(self) -> bool:
@@ -405,13 +488,9 @@ class WindowedStackSimulator(Simulator):
     # -- accounting ---------------------------------------------------------------------
 
     def shard_stats(self) -> Dict[str, object]:
-        """Coupling accounting, same shape as the sharded kernel's.
-
-        ``cross_shard_intra_window`` is 0 *by construction* here — an
-        intra-window cross-shard event raises instead of executing —
-        which is exactly the coupling drop the parallel mode claims
-        over the lockstep-merge kernel.
-        """
+        """Coupling accounting: barriers run, events per shard, and
+        events scheduled onto another shard (an intra-window one
+        raises instead, so every counted one crossed a barrier)."""
         total = max(1, self.events_processed)
         return {
             "shards": self.plan.shard_count,
@@ -419,6 +498,5 @@ class WindowedStackSimulator(Simulator):
             "barriers": self.barriers,
             "events_by_shard": list(self.events_by_shard),
             "cross_shard_scheduled": self.cross_shard_scheduled,
-            "cross_shard_intra_window": 0,
             "cross_shard_fraction": self.cross_shard_scheduled / total,
         }

@@ -43,7 +43,7 @@ Handler = Callable[["Simulator"], None]
 # and widening the thresholds while the loop runs removes that rescan
 # without changing what is ever collected. ``freeze``/``unfreeze`` move
 # generation lists around (no scan), so entering is cheap enough for
-# per-window calls from sharded workers.
+# per-window calls from parallel workers.
 
 _GC_DEPTH = 0
 _GC_SAVED: Optional[tuple] = None
@@ -161,28 +161,16 @@ class Simulator:
 
     # -- rng streams -----------------------------------------------------------
 
-    def stream(self, key: object) -> random.Random:
-        """The random stream owned by entity ``key``.
-
-        The base kernel runs everything off one shared stream, so this
-        returns :attr:`rng` regardless of key — callers that sample
-        through ``stream(...)`` are bit-identical to callers that use
-        ``rng`` directly. The sharded kernel overrides this with
-        per-entity streams derived from the root seed, which is what
-        makes an entity's draws independent of which shard it runs on.
-        """
-        return self.rng
-
     def entity_rng(self, key: object) -> random.Random:
         """The stream an *entity's hot path* should draw from.
 
-        Distinct from :meth:`stream`: protocol code (routers, peers,
-        the network's loss/latency draws) calls this on every send and
-        every maintenance tick, and the contract is that the default
-        kernels keep it on the shared stream — bit-identical to the
-        historical behaviour — while the window-isolated parallel
-        kernel returns a private per-entity stream so an entity's
-        draws do not depend on which shard or worker executes it.
+        Protocol code (routers, peers, the network's loss/latency
+        draws) calls this on every send and every maintenance tick.
+        The serial kernel keeps it on the shared :attr:`rng` —
+        bit-identical to the historical behaviour — while the
+        window-isolated parallel kernel returns a private per-entity
+        stream so an entity's draws do not depend on which shard or
+        worker executes it.
         """
         return self.rng
 
@@ -209,20 +197,11 @@ class Simulator:
         build-time scheduling to per-entity origins (so a worker that
         builds a subset of the entities reproduces their exact event
         keys). Builders wrap each entity's construction in this
-        unconditionally and the default kernels ignore it.
+        unconditionally and the serial kernel ignores it.
         """
         yield
 
     # -- scheduling ------------------------------------------------------------
-
-    def _checkout(self, time: float, handler: Handler) -> _ScheduledEvent:
-        pool = self._pool
-        event = pool.pop() if pool else _ScheduledEvent()
-        event.time = time
-        event.sequence = next(self._sequence)
-        event.handler = handler
-        event.cancelled = False
-        return event
 
     def _recycle(self, event: _ScheduledEvent) -> None:
         event.handler = None  # don't pin closures in the free list
@@ -258,13 +237,13 @@ class Simulator:
         """Run ``handler`` after ``delay`` simulated seconds.
 
         ``shard`` is an optional affinity hint (typically the node id
-        the event concerns); the base kernel ignores it, the sharded
-        kernel uses it to route the event onto the owning shard's queue.
+        the event concerns); the base kernel ignores it, the windowed
+        kernel uses it to route the event onto the owning shard.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s in the past")
-        # _checkout inlined: one call frame per scheduled event matters
-        # at tens of millions of events.
+        # The record checkout is inline: one call frame per scheduled
+        # event matters at tens of millions of events.
         pool = self._pool
         event = pool.pop() if pool else _ScheduledEvent()
         event.time = time = self.now + delay

@@ -1,11 +1,56 @@
 """Tests for the `python -m repro.analysis` experiment runner."""
 
+import re
+
 import pytest
 
 from repro.analysis.__main__ import EXPERIMENTS, main
+from repro.scenarios import scenario, scenario_names
+from repro.scenarios.parallel import barrier_times
+from repro.sim.latency import UniformLatency
+
+
+def _parallel_window(spec):
+    if spec.parallel_window is not None:
+        return spec.parallel_window
+    return UniformLatency(base_seconds=0.03).min_latency()
 
 
 class TestCli:
+    def test_explain_parallel_prints_the_barriers_the_drivers_run(
+        self, capsys
+    ):
+        argv = [
+            "run-scenario", "rotating-sybil-economics",
+            "--duration", "6", "--workers", "2", "--explain-parallel",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        window = _parallel_window(scenario("rotating-sybil-economics"))
+        barriers = len(list(barrier_times(6.0, window)))
+        assert f"({barriers} barriers over 6.0s)" in out
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_explain_parallel_plan_of_every_builtin(self, name, capsys):
+        """At its own size and duration, each built-in's dry-run plan
+        names the drivers' barrier count and hands every peer to
+        exactly one worker."""
+        spec = scenario(name)
+        argv = [
+            "run-scenario", name, "--workers", "2", "--explain-parallel",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        window = _parallel_window(spec)
+        barriers = len(list(barrier_times(spec.duration, window)))
+        assert f"({barriers} barriers over {spec.duration}s)" in out
+        owned = [
+            int(count)
+            for count in re.findall(r"worker \d+\s+.*?: (\d+) peers", out)
+        ]
+        assert len(owned) == min(2, spec.shards)
+        assert sum(owned) == spec.peers
+
     def test_every_paper_experiment_registered(self):
         for key in ("e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"):
             assert key in EXPERIMENTS

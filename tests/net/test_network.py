@@ -14,7 +14,6 @@ from repro.net.topology import (
 )
 from repro.sim.latency import LatencyModel
 from repro.sim.parallel_stack import WindowedStackSimulator
-from repro.sim.shards import ShardedSimulator
 from repro.sim.simulator import Simulator
 
 
@@ -139,8 +138,8 @@ class TestOneNetworkPerSimulator:
 
     @pytest.mark.parametrize(
         "make_sim",
-        [Simulator, lambda: ShardedSimulator(shards=2), WindowedStackSimulator],
-        ids=["serial", "sharded", "windowed"],
+        [Simulator, WindowedStackSimulator],
+        ids=["serial", "windowed"],
     )
     def test_second_network_is_a_typed_error_naming_the_cause(self, make_sim):
         sim = make_sim()

@@ -10,7 +10,7 @@ chain state peers observe was reassembled from pickled op streams and
 the measurements were merged across real OS processes.
 
 The reference is the parallel mode's own (1, 1) cell, *not* the
-lockstep kernels: per-entity RNG streams intentionally change
+serial kernel: per-entity RNG streams intentionally change
 individual draws, so the two modes are distinct seeded universes.
 """
 
@@ -140,16 +140,6 @@ def test_parallel_spec_accepts_churn_faults_and_baseline():
     with pytest.raises(ScenarioSpecError) as excinfo:
         ScenarioSpec(**base, parallel_window=0.0)
     assert "parallel_window" in excinfo.value.problems
-
-
-def test_every_builtin_scenario_accepted_in_parallel_mode():
-    """The rejection list is empty for all built-ins — the feature-
-    parity bar of this tentpole. ``parallel_rejections`` stays the
-    single aggregation point for future incompatibilities."""
-    from repro.scenarios.registry import all_scenarios
-
-    for spec in all_scenarios():
-        assert spec.parallel_rejections() == (), spec.name
 
 
 def test_window_wider_than_minimum_latency_rejected():

@@ -1,9 +1,10 @@
-"""Shard-count invariance of full scenario runs.
+"""``shards`` outside parallel mode.
 
-The sharded kernel merges per-shard queues on the global ``(time,
-sequence)`` order, so a seeded scenario must fingerprint identically
-whether it ran on 1, 2 or 4 shards — the property that makes ``shards``
-a pure execution knob, safe to flip on any workload.
+Only the windowed kernel reads a shard plan; a serial run with
+``shards > 1`` builds the plain single-heap kernel, so its events,
+their order and its fingerprint are the unsharded run's by
+construction — ``shards`` is a pure execution knob, safe to flip on
+any workload.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import pytest
 
 from repro.core.protocol import WakuRlnRelayNetwork
 from repro.scenarios import run_scenario, scenario
-from repro.sim.shards import ShardedSimulator
+from repro.sim.simulator import Simulator
 
 PEERS = 20
 DURATION = 30.0
@@ -33,34 +34,9 @@ def test_fingerprints_invariant_across_shard_counts(name):
     assert results[0].events_processed == results[2].events_processed
 
 
-def test_city_scale_spec_smokes_tiny_at_one_and_eight_shards():
-    """The 50k built-in, shrunk to CI size: runs to completion on the
-    sharded kernel and fingerprints identically unsharded."""
-    spec = scenario("city-scale-50k")
-    assert spec.shards == 8
-    # 40 s: the scenario's per-peer rate is so light that the single
-    # tiny-scale publisher's first message lands only after ~38 s.
-    sharded = run_scenario(spec, peers=PEERS, duration=40.0)
-    unsharded = run_scenario(spec, peers=PEERS, duration=40.0, shards=1)
-    assert sharded.fingerprint() == unsharded.fingerprint()
-    assert sharded.delivery_rate > 0
-    assert sharded.sim_time == pytest.approx(40.0)
-
-
-def test_scenario_shard_stats_exposed_and_out_of_fingerprint():
-    """The kernel accounts cross-shard traffic, but the accounting
-    stays out of the result (it legitimately varies with the shard
-    count, fingerprints must not)."""
+def test_serial_run_with_shards_builds_the_plain_kernel():
     net = WakuRlnRelayNetwork(peer_count=12, seed=3, shards=3)
-    assert isinstance(net.simulator, ShardedSimulator)
-    net.register_all()
-    net.start()
-    net.run(10.0)
-    net.stop()
-    stats = net.simulator.shard_stats()
-    assert stats["shards"] == 3
-    assert sum(stats["events_by_shard"]) == net.simulator.events_processed
-    assert stats["cross_shard_scheduled"] > 0
+    assert type(net.simulator) is Simulator
     result = run_scenario(
         scenario("honest-steady"), peers=PEERS, duration=10.0, shards=3
     )
@@ -68,9 +44,20 @@ def test_scenario_shard_stats_exposed_and_out_of_fingerprint():
     assert "shards" not in result.to_dict()
 
 
+def test_city_scale_spec_smokes_tiny():
+    """The 50k built-in, shrunk to CI size, runs to completion."""
+    spec = scenario("city-scale-50k")
+    assert spec.shards == 8
+    # 40 s: the scenario's per-peer rate is so light that the single
+    # tiny-scale publisher's first message lands only after ~38 s.
+    result = run_scenario(spec, peers=PEERS, duration=40.0)
+    assert result.delivery_rate > 0
+    assert result.sim_time == pytest.approx(40.0)
+
+
 @pytest.mark.slow
 def test_city_scale_50k_full_scale_completes():
-    """The real thing: 50000 peers on 8 shards (``pytest -m slow``)."""
+    """The real thing: 50000 peers (``pytest -m slow``)."""
     result = run_scenario(scenario("city-scale-50k"))
     assert result.peers_started == 50000
     assert result.delivery_rate > 0.5

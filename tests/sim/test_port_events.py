@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.net.network import Network
 from repro.sim.latency import LatencyModel
-from repro.sim.parallel_stack import WindowedStackSimulator
-from repro.sim.shards import ShardedSimulator, ShardPlan
+from repro.sim.parallel_stack import ShardPlan, WindowedStackSimulator
 from repro.sim.simulator import Simulator
 
 
@@ -189,7 +188,6 @@ def test_compaction_at_the_real_threshold_keeps_port_entries():
 def _kernels():
     return [
         Simulator(seed=3),
-        ShardedSimulator(seed=3, shards=2),
         WindowedStackSimulator(
             seed=3, plan=ShardPlan.hashed(2), window=0.25
         ),
@@ -210,8 +208,7 @@ def test_port_misuse_is_a_simulation_error_on_every_kernel(sim):
 
 def _mixed_trace(sim):
     """Port and closure events whose order decides the shared-rng
-    draws they log (the sharded kernel's invariance workload, with
-    half the deliveries moved onto a port)."""
+    draws they log (half the deliveries go through a port)."""
     nodes = [f"peer-{i}" for i in range(8)]
     trace = []
 
@@ -244,14 +241,10 @@ def _mixed_trace(sim):
     return trace, sim.now, sim.events_processed
 
 
-def test_sharded_fallback_reproduces_the_serial_order_at_any_shard_count():
+def test_mixed_trace_matches_the_closure_oracle():
     serial = _mixed_trace(Simulator(seed=42))
     assert len(serial[0]) > 40
     assert _mixed_trace(ClosurePortSimulator(seed=42)) == serial
-    for shards in (1, 2, 4):
-        sim = ShardedSimulator(seed=42, shards=shards)
-        assert _mixed_trace(sim) == serial
-        assert sum(sim.shard_stats()["events_by_shard"]) == serial[2]
 
 
 class _Recorder:

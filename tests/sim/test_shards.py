@@ -1,18 +1,16 @@
-"""Sharded kernel: plans, merge-order invariance, barriers, parallel runner."""
-
-import random
+"""Shard plans, and the windowed kernel's invariance under them: the
+same seed gives the same execution at any shard count and any split of
+the shards across barrier-synchronised workers."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.shards import (
-    CrossShardPacket,
-    ParallelShardRunner,
-    ShardedSimulator,
-    ShardPlan,
-    UniformRelayWorkload,
-)
-from repro.sim.simulator import Simulator
+from repro.scenarios.parallel import barrier_times, contiguous_groups
+from repro.sim.parallel_stack import ShardPlan, WindowedStackSimulator
+
+NODES = [f"peer-{i}" for i in range(12)]
+WINDOW = 0.25
+DURATION = 8.0
 
 
 class TestShardPlan:
@@ -54,89 +52,145 @@ class TestShardPlan:
             ShardPlan(2, strategy="block")  # no keys
 
 
-def _mixed_workload(sim, events):
-    """A workload exercising timers, cancels and cross-entity sends,
-    all through the shared rng so execution order matters."""
-    rng = sim.rng
-    nodes = [f"peer-{i}" for i in range(12)]
-    cancels = []
+def _relay_workload(sim, log):
+    """Jittered heartbeats that send to random peers through a port,
+    with every third node's timer cancelled mid-run. Each node draws
+    from its own stream, so execution order is the only thing the
+    shard layout could change."""
 
-    def beat(node):
+    def deliver(payload):
+        sender, target = payload
+        log.append((round(sim.now, 9), "recv", sender, target))
+
+    sim.register_port("deliver", deliver)
+
+    def beat(node, rng):
         def handler(s):
-            events.append((round(s.now, 9), "beat", node))
-            target = rng.choice(nodes)
-            s.schedule(
-                rng.uniform(0.01, 0.3),
-                lambda s2, t=target: events.append(
-                    (round(s2.now, 9), "recv", t)
-                ),
+            target = rng.choice(NODES)
+            delay = rng.uniform(WINDOW, WINDOW + 0.3)
+            log.append((round(s.now, 9), "beat", node, target))
+            s.schedule_port(
+                delay,
+                "deliver",
+                (node, target),
                 label=f"deliver:{target}",
                 shard=target,
             )
 
         return handler
 
-    for node in nodes:
-        cancels.append(
-            sim.schedule_periodic(
+    for i, node in enumerate(NODES):
+        with sim.build_context(node):
+            rng = sim.entity_rng(node)
+            cancel = sim.schedule_periodic(
                 0.7,
-                beat(node),
+                beat(node, rng),
                 label=f"heartbeat:{node}",
                 jitter=0.2,
                 stagger=True,
+                rng=rng,
                 shard=node,
             )
+            if i % 3 == 0:
+                sim.schedule(3.0, lambda s, c=cancel: c(), shard=node)
+
+
+def _run(plan, workers=1, seed=11):
+    """Run the workload with the plan's shards split over ``workers``
+    kernels, routing exported port packets to their owner at every
+    barrier. Returns the workers and their merged trace and log."""
+    groups = contiguous_groups(plan.shard_count, workers)
+    sims, logs = [], []
+    for group in groups:
+        sim = WindowedStackSimulator(seed=seed, plan=plan, window=WINDOW)
+        log = []
+        _relay_workload(sim, log)
+        sim.trace = []
+        if len(groups) > 1:
+            sim.restrict_to(frozenset(group))
+        sims.append(sim)
+        logs.append(log)
+    for _t_prev, t_end, final in barrier_times(DURATION, WINDOW):
+        for sim in sims:
+            sim.run_window(t_end, final=final)
+        packets = [p for sim in sims for p in sim.drain_exports()]
+        for sim in sims:
+            sim.inject([p for p in packets if p[0] in sim.owned])
+    if len(sims) == 1:
+        return sims, sims[0].trace, logs[0]
+    trace = sorted(entry for sim in sims for entry in sim.trace)
+    log = sorted(entry for worker_log in logs for entry in worker_log)
+    return sims, trace, log
+
+
+class TestWindowedPartitionInvariance:
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_trace_invariant_across_shard_counts(self, shards):
+        """The heap orders on ``(time, origin, seq)``, none of which
+        depends on the plan: the trace and every logged draw match the
+        single-shard run, in execution order."""
+        (base,), base_trace, base_log = _run(ShardPlan.hashed(1))
+        (sim,), trace, log = _run(ShardPlan.hashed(shards))
+        assert len(base_log) > 100
+        assert [e[:4] for e in trace] == [e[:4] for e in base_trace]
+        assert log == base_log
+        assert sim.events_processed == base.events_processed
+
+    @pytest.mark.parametrize("shards, workers", [(2, 2), (4, 2)])
+    def test_forked_workers_match_one_worker(self, shards, workers):
+        """Splitting the shards across workers that meet only at the
+        barriers executes the same events under the same keys."""
+        plan = ShardPlan.hashed(shards)
+        (whole,), whole_trace, whole_log = _run(plan)
+        sims, trace, log = _run(plan, workers=workers)
+        assert len(sims) == workers
+        assert trace == sorted(whole_trace)
+        assert log == sorted(whole_log)
+        processed = sum(s.events_processed for s in sims)
+        assert processed == whole.events_processed
+        assert (
+            sum(s.cross_shard_scheduled for s in sims)
+            == whole.cross_shard_scheduled
+            > 0
         )
-    # churn: cancel some timers mid-run
-    sim.schedule(3.0, lambda s: [c() for c in cancels[:4]], shard=nodes[0])
-    return cancels
-
-
-class TestShardedMergeInvariance:
-    def test_fingerprint_invariant_across_shard_counts(self):
-        """The tentpole property: the merged execution order equals the
-        single-queue order, so the same seed gives the same trace at
-        shards=1, 2 and 4 — and on the unsharded base kernel."""
-        traces = {}
-        for shards, make in {
-            "base": lambda: Simulator(seed=42),
-            1: lambda: ShardedSimulator(seed=42, shards=1),
-            2: lambda: ShardedSimulator(seed=42, shards=2),
-            4: lambda: ShardedSimulator(seed=42, shards=4),
-        }.items():
-            sim = make()
-            events = []
-            _mixed_workload(sim, events)
-            sim.run(until=10.0)
-            traces[shards] = (events, sim.events_processed)
-        assert traces["base"] == traces[1] == traces[2] == traces[4]
 
     def test_cross_shard_accounting(self):
-        sim = ShardedSimulator(seed=1, shards=4, window=0.5)
-        events = []
-        _mixed_workload(sim, events)
-        sim.run(until=10.0)
+        (sim,), _trace, _log = _run(ShardPlan.hashed(4))
         stats = sim.shard_stats()
         assert stats["shards"] == 4
-        assert stats["barriers"] >= 19  # ~10s / 0.5s windows
+        assert stats["window"] == WINDOW
+        assert stats["barriers"] == len(list(barrier_times(DURATION, WINDOW)))
         assert stats["cross_shard_scheduled"] > 0
-        assert (
-            stats["cross_shard_intra_window"]
-            <= stats["cross_shard_scheduled"]
-        )
         assert sum(stats["events_by_shard"]) == sim.events_processed
+        assert all(count > 0 for count in stats["events_by_shard"])
         assert 0.0 < stats["cross_shard_fraction"] < 1.0
 
     def test_single_shard_has_no_cross_traffic(self):
-        sim = ShardedSimulator(seed=1, shards=1)
-        events = []
-        _mixed_workload(sim, events)
-        sim.run(until=5.0)
-        assert sim.shard_stats()["cross_shard_scheduled"] == 0
+        (sim,), _trace, _log = _run(ShardPlan.hashed(1))
+        stats = sim.shard_stats()
+        assert stats["cross_shard_scheduled"] == 0
+        assert stats["events_by_shard"] == [sim.events_processed]
 
-    def test_cancel_and_compaction_across_shards(self):
-        sim = ShardedSimulator(seed=0, shards=4)
+    def test_cancelled_timers_stop_on_every_worker(self):
+        _sims, _trace, log = _run(ShardPlan.hashed(4), workers=2)
+        for i, node in enumerate(NODES):
+            beats = [
+                t for t, kind, who, _ in log if kind == "beat" and who == node
+            ]
+            assert beats, node
+            if i % 3 == 0:
+                assert max(beats) < 3.0, node
+            else:
+                assert max(beats) > DURATION - 1.0, node
+
+    def test_cancel_across_shards(self):
+        """Handles cancel events queued for other shards; a cancelled
+        event never fires and leaves the live depth."""
+        sim = WindowedStackSimulator(
+            seed=0, plan=ShardPlan.hashed(4), window=WINDOW
+        )
         pending = []
+        fired = []
 
         def churn(s):
             for handle in pending:
@@ -144,173 +198,17 @@ class TestShardedMergeInvariance:
             pending.clear()
             for i in range(40):
                 pending.append(
-                    s.schedule(50.0, lambda s2: None, shard=f"peer-{i}")
+                    s.schedule(
+                        50.0,
+                        lambda s2: fired.append(s2.now),
+                        shard=f"peer-{i}",
+                    )
                 )
 
         sim.schedule_periodic(1.0, churn, shard="peer-0")
-        sim.run(until=200.0)
-        total = sum(len(q) for q in sim._queues)
-        assert total < 4 * 40 + sim.COMPACT_MIN_CANCELLED
+        for _t_prev, t_end, final in barrier_times(120.0, WINDOW):
+            sim.run_window(t_end, final=final)
+        assert fired == []
         assert sim.queue_depth() == 40 + 1
-
-    def test_event_budget_guard_still_raises(self):
-        sim = ShardedSimulator(seed=0, shards=2)
-        for i in range(5):
-            sim.schedule(1.0, lambda s: None, shard=f"peer-{i}")
-        with pytest.raises(SimulationError):
-            sim.run(until=5.0, max_events=2)
-
-    def test_stream_is_per_entity_and_stable(self):
-        sim = ShardedSimulator(seed=9, shards=2)
-        a = [sim.stream("peer-1").random() for _ in range(3)]
-        assert sim.stream("peer-1") is sim.stream("peer-1")
-        other = ShardedSimulator(seed=9, shards=4)
-        b = [other.stream("peer-1").random() for _ in range(3)]
-        assert a == b  # same seed + key => same draws at any shard count
-        assert ShardedSimulator(seed=10).stream("peer-1").random() != a[0]
-
-    def test_plan_shard_count_mismatch_rejected(self):
-        with pytest.raises(SimulationError):
-            ShardedSimulator(shards=4, plan=ShardPlan.hashed(2))
-
-
-class TestBarrierRouting:
-    def _packet(self, time, origin, seq, dst=0):
-        return CrossShardPacket(
-            time=time,
-            origin_shard=origin,
-            origin_seq=seq,
-            dst_shard=dst,
-            dst_key="0",
-            payload=None,
-        )
-
-    def test_route_orders_packets_deterministically(self):
-        """Property test: whatever interleaving the workers returned
-        packets in, routing sorts them on (time, origin_shard,
-        origin_seq) — delivery order never depends on scheduling."""
-        runner = ParallelShardRunner(
-            build=lambda i, n, s: None, shard_count=2, window=0.5
-        )
-        rng = random.Random(1234)
-        for _ in range(25):
-            packets = [
-                self._packet(
-                    time=1.0 + rng.random(),
-                    origin=rng.randrange(2),
-                    seq=rng.randrange(1000),
-                    dst=rng.randrange(2),
-                )
-                for _ in range(30)
-            ]
-            reference = None
-            for _ in range(4):
-                shuffled = packets[:]
-                rng.shuffle(shuffled)
-                inboxes = runner._route(shuffled, t_end=1.0)
-                ordered = [p.sort_key for box in inboxes for p in box]
-                if reference is None:
-                    reference = ordered
-                assert ordered == reference
-            for box in inboxes:
-                assert box == sorted(box, key=lambda p: p.sort_key)
-
-    def test_causality_violation_raises(self):
-        runner = ParallelShardRunner(
-            build=lambda i, n, s: None, shard_count=2, window=0.5
-        )
-        late = self._packet(time=0.4, origin=0, seq=1)
-        with pytest.raises(SimulationError, match="causality"):
-            runner._route([late], t_end=0.5)
-
-    def test_unknown_destination_shard_raises(self):
-        runner = ParallelShardRunner(
-            build=lambda i, n, s: None, shard_count=2, window=0.5
-        )
-        lost = self._packet(time=1.0, origin=0, seq=1, dst=7)
-        with pytest.raises(SimulationError, match="routed"):
-            runner._route([lost], t_end=0.5)
-
-
-def _relay_totals(snapshots):
-    published = sum(s["published"] for s in snapshots)
-    delivered = {}
-    for snap in snapshots:
-        delivered.update(snap["delivered"])
-    return published, tuple(sorted(delivered.items()))
-
-
-class TestParallelShardRunner:
-    def test_relay_workload_invariant_across_shard_counts(self):
-        """Window-isolated execution: per-node streams make the relay
-        workload's results identical at 1, 2 and 4 shards."""
-        workload = UniformRelayWorkload(
-            node_count=24, interval=0.8, fanout=3, latency=0.3
-        )
-        results = []
-        for shards in (1, 2, 4):
-            runner = ParallelShardRunner(
-                workload.build, shard_count=shards, seed=7, window=0.25
-            )
-            results.append(_relay_totals(runner.run(until=6.0)))
-        assert results[0] == results[1] == results[2]
-        published, delivered = results[0]
-        assert published > 0
-        assert sum(count for _, count in delivered) > 0
-
-    def test_forked_matches_serial(self):
-        workload = UniformRelayWorkload(
-            node_count=16, interval=0.8, fanout=3, latency=0.3
-        )
-        serial = ParallelShardRunner(
-            workload.build, shard_count=2, seed=3, window=0.25
-        )
-        forked = ParallelShardRunner(
-            workload.build, shard_count=2, seed=3, window=0.25
-        )
-        serial_result = _relay_totals(serial.run(until=4.0))
-        forked_result = _relay_totals(
-            forked.run(until=4.0, processes=True)
-        )
-        assert serial_result == forked_result
-        assert forked.barriers == serial.barriers
-
-    def test_worker_failure_surfaces(self):
-        class Exploding:
-            def __init__(self, *a):
-                pass
-
-            def run_window(self, t_end, inbox):
-                raise RuntimeError("boom")
-
-            def snapshot(self):
-                return {}
-
-        runner = ParallelShardRunner(
-            build=lambda i, n, s: Exploding(),
-            shard_count=2,
-            window=0.5,
-        )
-        with pytest.raises((SimulationError, RuntimeError)):
-            runner.run(until=1.0, processes=True)
-
-    def test_latency_below_window_is_rejected_not_reordered(self):
-        workload = UniformRelayWorkload(
-            node_count=16, interval=0.5, fanout=3, latency=0.1
-        )
-        runner = ParallelShardRunner(
-            workload.build, shard_count=2, seed=0, window=0.25
-        )
-        with pytest.raises(SimulationError, match="causality"):
-            runner.run(until=4.0)
-
-    def test_runner_parameter_validation(self):
-        with pytest.raises(SimulationError):
-            ParallelShardRunner(lambda i, n, s: None, shard_count=0)
-        with pytest.raises(SimulationError):
-            ParallelShardRunner(
-                lambda i, n, s: None, shard_count=1, window=0.0
-            )
-        runner = ParallelShardRunner(lambda i, n, s: None, shard_count=1)
-        with pytest.raises(SimulationError):
-            runner.run(until=0.0)
+        assert not any(handle.cancelled for handle in pending)
+        assert sim.shard_stats()["cross_shard_scheduled"] > 0
