@@ -62,10 +62,10 @@ class ProtocolConfig:
     #: :class:`~repro.rln.membership.MembershipStore`) into
     #: fixed-capacity sub-trees of this depth under a top-level
     #: root-of-roots (the tree-of-trees registry,
-    #: :mod:`repro.crypto.merkle_forest`). Root-equivalent to the flat
+    #: :mod:`repro.crypto.merkle_forest`). Root-equivalent to a plain
     #: tree at matched capacity; enables bulk genesis registration and
-    #: lazy sub-tree interiors. None keeps the flat canonical tree.
-    #: Requires ``0 < sub_depth < merkle_depth``.
+    #: lazy sub-tree interiors. None: one sub-tree spanning
+    #: ``merkle_depth``. Requires ``0 < sub_depth < merkle_depth``.
     membership_sub_depth: Optional[int] = None
     #: Garbage-collect nullifier buckets on the epoch grid itself
     #: (drop buckets > thr epochs behind the newest *seen* epoch the

@@ -15,7 +15,7 @@ from .hashing import (
 from .keys import IdentityCommitment, IdentitySecret, MembershipKeyPair
 from .merkle import MerkleProof, MerkleTree, zero_hashes, zero_hashes_int
 from .merkle_optimized import FrontierMerkleTree
-from .merkle_shared import CanonicalMerkleTree, SharedMerkleView
+from .merkle_shared import SharedMerkleView
 from .poseidon import poseidon_hash, poseidon_hash1, poseidon_hash2
 from .shamir import (
     Share,
@@ -43,7 +43,6 @@ __all__ = [
     "MerkleTree",
     "MerkleProof",
     "FrontierMerkleTree",
-    "CanonicalMerkleTree",
     "SharedMerkleView",
     "zero_hashes",
     "zero_hashes_int",

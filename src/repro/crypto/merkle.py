@@ -16,10 +16,10 @@ update allocates no :class:`Fr` objects. The public API still speaks
 ``Fr``.
 
 The storage-optimized variant from reference [9] of the paper lives in
-:mod:`repro.crypto.merkle_optimized`, and the shared copy-on-write
-store (one canonical tree per deployment domain) in
-:mod:`repro.crypto.merkle_shared`; all produce identical roots, which
-property tests assert.
+:mod:`repro.crypto.merkle_optimized`, the one canonical tree per
+deployment domain in :mod:`repro.crypto.merkle_forest`, and each
+replica's copy-on-write view of it in :mod:`repro.crypto.merkle_shared`;
+all produce identical roots, which property tests assert.
 """
 
 from __future__ import annotations

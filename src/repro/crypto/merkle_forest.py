@@ -1,14 +1,16 @@
-"""Tree-of-trees membership registry (sharded canonical tree).
+"""The canonical membership tree: a tree of sub-trees.
 
 A depth-``d`` membership tree splits exactly into ``2^t`` fixed-capacity
 sub-trees of depth ``s`` (``d = s + t``) under a top-level root-of-roots
 of depth ``t``: leaf ``i`` lives at slot ``i & (2^s - 1)`` of sub-tree
 ``i >> s``, and the top tree's leaf ``k`` is sub-tree ``k``'s root. This
-is a *decomposition* of the flat tree, not an approximation — every node
-of the sharded form equals the corresponding node of the flat tree, so
-the root is bit-identical at matched capacity (the property suite in
-``tests/crypto/test_merkle_forest.py`` pins this under random
-registration/slash interleavings).
+is a *decomposition* of the plain tree, not an approximation — every
+node equals the corresponding node of a :class:`~repro.crypto.merkle.
+MerkleTree` holding the same leaves, so the root is bit-identical (the
+property suite in ``tests/crypto/test_merkle_forest.py`` pins this
+under random registration/slash interleavings). ``s == d`` is one
+sub-tree spanning the whole depth, with no top tree; it is what a
+store without a sub-tree depth builds.
 
 What the decomposition buys:
 
@@ -28,14 +30,12 @@ What the decomposition buys:
 
 * **O(depth_sub + depth_top) incremental registration.** An insert
   hashes ``s`` levels inside one sub-tree plus ``t`` levels of the top
-  tree — which for the equivalent flat tree is exactly ``d`` hashes;
-  the sharding never makes the incremental path worse, while keeping
-  the two wins above.
+  tree — exactly ``d`` hashes, as in a plain tree; the sharding never
+  makes the incremental path worse, while keeping the two wins above.
 
-:class:`CanonicalShardedTree` is a drop-in for
-:class:`~repro.crypto.merkle_shared.CanonicalMerkleTree` behind
-:class:`~repro.crypto.merkle_shared.SharedMerkleView` — same versioned
-reads, undo journal, fork and dedup surface. Versions inside a
+:class:`CanonicalShardedTree` sits behind every
+:class:`~repro.crypto.merkle_shared.SharedMerkleView`: versioned reads
+through an undo journal, fork and dedup counters. Versions inside a
 compacted genesis range are the one exception: their roots and node
 snapshots were never stored, so reading them raises
 :class:`~repro.errors.MerkleError` instead of silently recomputing.
@@ -126,20 +126,29 @@ class TwoLevelProof:
 
 
 class CanonicalShardedTree:
-    """Sharded drop-in for :class:`CanonicalMerkleTree`.
+    """The one copy of a membership tree a whole deployment shares.
 
-    Same contract — single-writer :meth:`apply`, versioned reads, undo
-    journal, ``events_deduped``/``forks`` counters — with leaves held in
-    per-sub-tree lists, interiors materialised lazily, and a batch path
-    that compacts the genesis prefix (see the module docstring).
+    Mutation happens only through :meth:`apply` (or :meth:`apply_batch`),
+    called by the single attached view that is first to reach a new
+    membership event; every state the tree has been in since the genesis
+    batch stays addressable by version (``version`` = number of events
+    applied). Leaves are held in per-sub-tree lists, interiors are
+    materialised lazily, and the batch path compacts the genesis prefix
+    (see the module docstring).
+
+    History (events, roots, undo journal, leaf history) is retained for
+    the process lifetime — O(depth) small tuples per event. Views never
+    deregister, so there is no safe prune point; if that ever binds, cap
+    retention to the laggiest attached version (verification only ever
+    consults the root window).
     """
 
     def __init__(self, depth: int, sub_depth: int) -> None:
-        if depth < 2:
-            raise MerkleError("sharded tree depth must be at least 2")
-        if not 0 < sub_depth < depth:
+        if depth < 1:
+            raise MerkleError("tree depth must be at least 1")
+        if not 0 < sub_depth <= depth:
             raise MerkleError(
-                f"sub-tree depth must satisfy 0 < {sub_depth} < {depth}"
+                f"sub-tree depth must satisfy 0 < {sub_depth} <= {depth}"
             )
         self.depth = depth
         self.sub_depth = sub_depth
@@ -160,8 +169,9 @@ class CanonicalShardedTree:
         self._materialized: Set[int] = set()
         #: Top-tree nodes, global coordinates, heights sub_depth+1 .. depth.
         self._top_nodes: Dict[Tuple[int, int], int] = {}
-        #: Post-genesis undo journal, same semantics as the flat
-        #: canonical tree: (height, index) -> [(version, value before)].
+        #: Post-genesis undo journal: (height, index) -> [(version,
+        #: value *before* that version)], ascending; node_at()
+        #: binary-searches it for old versions.
         self._journal: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         #: Versions 1 .. _genesis_version were compacted by a genesis
         #: batch: no per-version events, roots or journal entries exist
@@ -173,12 +183,16 @@ class CanonicalShardedTree:
         #: _roots[i] / _leaf_counts[i] = state at _genesis_version + i.
         self._roots: List[int] = [self._zeros[depth]]
         self._leaf_counts: List[int] = [0]
+        #: leaf value -> [(index, version at which it was written)];
+        #: the versioned commitment->index map behind find_leaf_at().
         self._leaf_history: Dict[int, List[Tuple[int, int]]] = {}
         #: The genesis batch as applied (its first _genesis_version
         #: slots are the compacted prefix): the leaf chunks' buffer and
         #: the value -> genesis slots lookup as of the genesis version.
         self._genesis_members = PackedFieldList()
+        #: Events replayed by later replicas without hashing (stat).
         self.events_deduped = 0
+        #: Views that diverged and went private (stat).
         self.forks = 0
 
     # -- head bookkeeping ---------------------------------------------------
@@ -214,12 +228,21 @@ class CanonicalShardedTree:
         return version  # every genesis event is an insert
 
     def state_digest(self) -> Tuple[int, int, int]:
+        """``(version, head root, head leaf count)`` — a compact,
+        comparable summary of the whole event history (each version's
+        root commits to every event before it)."""
         return (self.version, self._roots[-1], self._leaf_counts[-1])
 
     # -- mutation -----------------------------------------------------------
 
     def apply(self, event: Event) -> Optional[int]:
-        """Apply one event at the head; same contract as the flat tree."""
+        """Apply one event at the head; returns the index for inserts.
+
+        Bounds (capacity, assigned slot) are validated by the calling
+        view before the event is built, and a non-contiguous write is
+        refused before anything changes, so a rejected event never
+        leaves the head half-mutated.
+        """
         new_version = self.version + 1
         count = self._leaf_counts[-1]
         if event[0] == "insert":
@@ -339,12 +362,19 @@ class CanonicalShardedTree:
             self._top_nodes[(height, index)] = value
 
     def _write_path(self, index: int, value: int, new_version: int) -> int:
-        """Journaled path rehash — the flat tree's fold, routed through
-        the sub-tree / top-tree stores. Identical hash order, so the
-        resulting nodes equal the flat tree's bit for bit."""
+        """Journaled path rehash — ``MerkleTree._set_leaf``'s fold,
+        routed through the sub-tree / top-tree stores. Identical hash
+        order, so the resulting nodes equal a plain tree's bit for bit.
+        """
         journal = self._journal
         k = index >> self.sub_depth
         local = index & self._sub_mask
+        held = len(self._sub_leaves[k]) if k < len(self._sub_leaves) else 0
+        if local > held:
+            raise MerkleError(
+                f"non-contiguous write at leaf {index} (sub-tree {k} "
+                f"holds {held} leaves)"
+            )
         while len(self._sub_leaves) <= k:
             self._sub_leaves.append([])
             self._sub_roots.append(self._zeros[self.sub_depth])
@@ -356,13 +386,8 @@ class CanonicalShardedTree:
         journal.setdefault(key, []).append((new_version, prev))
         if local < len(leaves):
             leaves[local] = value
-        elif local == len(leaves):
-            leaves.append(value)
         else:
-            raise MerkleError(
-                f"non-contiguous write at leaf {index} (sub-tree {k} "
-                f"holds {len(leaves)} leaves)"
-            )
+            leaves.append(value)
         node = value
         node_index = index
         for height in range(1, self.depth + 1):

@@ -1,33 +1,26 @@
-"""Shared copy-on-write membership tree.
+"""One replica's copy-on-write view of the shared membership tree.
 
 The paper has every peer maintain the Merkle tree locally ("Group
 Synchronization", Section III). Read literally, a network of N replicas
 pays N x O(depth) hashes for every membership event, even though group
 sync is deterministic: every honest replica that applied the same event
 prefix holds byte-identical state. This module exploits that determinism
-without giving up per-replica isolation:
+without giving up per-replica isolation. Each (deployment, domain) has
+one :class:`~repro.crypto.merkle_forest.CanonicalShardedTree`, whose
+undo journal keeps every historical version readable, and each replica
+holds a :class:`SharedMerkleView` of it: a
+:class:`~repro.crypto.merkle.MerkleTree`-compatible facade. A membership
+event applied through a view either
 
-:class:`CanonicalMerkleTree`
-    One per (deployment, domain). Holds the *head* state as an
-    int-native node dict plus, per applied event, the event itself, the
-    resulting root and leaf count, and a per-node undo journal
-    ``(version, previous value)``. Any historical version therefore
-    stays readable — lagging replicas read through the journal — and a
-    replica can fork off the exact version it sits at.
-
-:class:`SharedMerkleView`
-    A :class:`~repro.crypto.merkle.MerkleTree`-compatible facade held by
-    one replica. A membership event applied through a view either
-
-    * advances the canonical head — the **first** replica to apply it
-      pays the O(depth) hashes, once network-wide;
-    * matches the event already recorded at the view's version — every
-      later replica advances a pointer, **zero** hashing;
-    * diverges from the recorded event — the view *forks*: from then on
-      it materialises private nodes in an overlay on top of the frozen
-      canonical snapshot at its fork version. The canonical tree and
-      sibling views never observe a fork's writes, and the fork never
-      observes canonical events applied after its fork point.
+* advances the canonical head — the **first** replica to apply it pays
+  the O(depth) hashes, once network-wide;
+* matches the event already recorded at the view's version — every
+  later replica advances a pointer, **zero** hashing;
+* diverges from the recorded event — the view *forks*: from then on it
+  materialises private nodes in an overlay on top of the frozen
+  canonical snapshot at its fork version. The canonical tree and
+  sibling views never observe a fork's writes, and the fork never
+  observes canonical events applied after its fork point.
 
 Matching events by value is sound because a view is only attached while
 its state equals the canonical state at its version; identical
@@ -47,206 +40,12 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import MerkleError
 from .field import Fr
 from .hashing import hash2_int
-from .merkle import MerkleProof, pack_batch, zero_hashes_int
-
-#: Event records: ("insert", leaf) appends, ("set", index, leaf)
-#: overwrites (slashing writes leaf = 0).
-Event = Tuple
-
-
-class CanonicalMerkleTree:
-    """The one copy of a membership tree a whole deployment shares.
-
-    Mutation happens only through :meth:`apply`, called by the single
-    attached view that is first to reach a new membership event; every
-    state the tree has ever been in remains addressable by version
-    (``version`` = number of events applied).
-
-    History (events, roots, undo journal, leaf history) is retained for
-    the process lifetime — O(depth) small tuples per event, a few MB
-    per domain even at 5k-peer scale. Views never deregister, so there
-    is no safe prune point; if that ever binds, cap retention to the
-    laggiest attached version (verification only ever consults the
-    root window).
-    """
-
-    def __init__(self, depth: int) -> None:
-        if depth < 1:
-            raise MerkleError("tree depth must be at least 1")
-        self.depth = depth
-        self.capacity = 1 << depth
-        self._zeros = zero_hashes_int(depth)
-        #: Head state; (height, index) -> digest.
-        self._nodes: Dict[Tuple[int, int], int] = {}
-        #: (height, index) -> [(version, value *before* that version)],
-        #: ascending. node_at() binary-searches this for old versions.
-        self._journal: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        self._events: List[Event] = []
-        #: _roots[v] / _leaf_counts[v] = state after the first v events.
-        self._roots: List[int] = [self._zeros[depth]]
-        self._leaf_counts: List[int] = [0]
-        #: leaf value -> [(index, version at which it was written)];
-        #: the versioned commitment->index map behind find_leaf_at().
-        self._leaf_history: Dict[int, List[Tuple[int, int]]] = {}
-        #: Events replayed by later replicas without hashing (stat).
-        self.events_deduped = 0
-        #: Views that diverged and went private (stat).
-        self.forks = 0
-
-    # -- head bookkeeping ---------------------------------------------------
-
-    @property
-    def version(self) -> int:
-        """Number of membership events applied to the head."""
-        return len(self._events)
-
-    def event_at(self, version: int) -> Event:
-        """The event that moved the head from ``version`` to ``version+1``."""
-        return self._events[version]
-
-    def root_at(self, version: int) -> int:
-        return self._roots[version]
-
-    def leaf_count_at(self, version: int) -> int:
-        return self._leaf_counts[version]
-
-    def state_digest(self) -> Tuple[int, int, int]:
-        """``(version, head root, head leaf count)`` — a compact,
-        comparable summary of the whole event history (each version's
-        root commits to every event before it)."""
-        return (self.version, self._roots[-1], self._leaf_counts[-1])
-
-    def apply(self, event: Event) -> Optional[int]:
-        """Apply one event at the head; returns the index for inserts.
-
-        Bounds (capacity, assigned-slot) are validated by the calling
-        view before the event is built, so the head state is never
-        half-mutated by a rejected event.
-        """
-        new_version = len(self._events) + 1
-        count = self._leaf_counts[-1]
-        if event[0] == "insert":
-            index, value = count, event[1]
-            count += 1
-        else:
-            _, index, value = event
-        root = self._write_path(index, value, new_version)
-        self._events.append(event)
-        self._roots.append(root)
-        self._leaf_counts.append(count)
-        self._leaf_history.setdefault(value, []).append(
-            (index, new_version)
-        )
-        return index if event[0] == "insert" else None
-
-    def apply_batch(
-        self, values, roots_tail: int
-    ) -> Tuple[int, List[int]]:
-        """Insert ``values`` in order; returns (first index, tail roots).
-
-        The flat canonical tree journals every insert, so a batch is a
-        plain loop; the sharded variant
-        (:class:`~repro.crypto.merkle_forest.CanonicalShardedTree`)
-        overrides this with genesis compaction. The tail holds the
-        roots of the last ``min(roots_tail, n)`` versions, oldest
-        first — what a replica needs to reproduce the one-by-one root
-        window exactly.
-        """
-        first = self._leaf_counts[-1]
-        tail_roots: List[int] = []
-        n = len(values)
-        if n == 0:
-            return first, tail_roots
-        if first + n > self.capacity:
-            raise MerkleError(f"tree is full ({self.capacity} leaves)")
-        for value in values:
-            self.apply(("insert", int(value)))
-        tail_len = min(max(roots_tail, 1), n)
-        return first, self._roots[-tail_len:]
-
-    def _write_path(self, index: int, value: int, new_version: int) -> int:
-        """Rehash the path above leaf ``index``; returns the new root.
-
-        The fold (sibling order, zero defaults) must stay in lockstep
-        with ``MerkleTree._set_leaf`` and ``SharedMerkleView.
-        _write_private`` — the loop is deliberately inlined in each
-        (it is the hottest path in the process), and the shared-vs-
-        independent property suite pins their equivalence.
-        """
-        nodes, zeros, journal = self._nodes, self._zeros, self._journal
-        key = (0, index)
-        journal.setdefault(key, []).append(
-            (new_version, nodes.get(key, 0))
-        )
-        nodes[key] = value
-        node = value
-        node_index = index
-        for height in range(1, self.depth + 1):
-            sibling = nodes.get(
-                (height - 1, node_index ^ 1), zeros[height - 1]
-            )
-            if node_index & 1:
-                node = hash2_int(sibling, node)
-            else:
-                node = hash2_int(node, sibling)
-            node_index >>= 1
-            key = (height, node_index)
-            journal.setdefault(key, []).append(
-                (new_version, nodes.get(key, zeros[height]))
-            )
-            nodes[key] = node
-        return node
-
-    # -- versioned reads -----------------------------------------------------
-
-    def node_at(self, height: int, index: int, version: int) -> int:
-        """Digest of node ``(height, index)`` as of ``version``."""
-        key = (height, index)
-        if version < len(self._events):
-            entries = self._journal.get(key)
-            if entries:
-                # First journal entry strictly after `version` recorded
-                # the value this snapshot still sees.
-                lo, hi = 0, len(entries)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if entries[mid][0] <= version:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                if lo < len(entries):
-                    return entries[lo][1]
-        return self._nodes.get(key, self._zeros[height])
-
-    def find_leaf_at(self, value: int, version: int) -> Optional[int]:
-        """Lowest index holding ``value`` as of ``version`` (or None)."""
-        best: Optional[int] = None
-        for index, written in self._leaf_history.get(value, ()):
-            if written <= version and (best is None or index < best):
-                if self.node_at(0, index, version) == value:
-                    best = index
-        return best
-
-    def leaf_slots_at(self, version: int) -> Dict[int, List[int]]:
-        """value -> ascending indices snapshot (fork bootstrap).
-
-        O(members) — paid only when a view diverges, which is the rare
-        case the copy-on-write design optimises for.
-        """
-        slots: Dict[int, List[int]] = {}
-        for index in range(self._leaf_counts[version]):
-            slots.setdefault(self.node_at(0, index, version), []).append(
-                index
-            )
-        return slots
-
-    def storage_bytes(self) -> int:
-        """Bytes of the shared head node store (32 B per node)."""
-        return 32 * len(self._nodes)
+from .merkle import MerkleProof, pack_batch
+from .merkle_forest import CanonicalShardedTree, TwoLevelProof
 
 
 class SharedMerkleView:
-    """One replica's view of a :class:`CanonicalMerkleTree`.
+    """One replica's view of a :class:`CanonicalShardedTree`.
 
     Drop-in for :class:`~repro.crypto.merkle.MerkleTree` wherever a
     :class:`~repro.rln.membership.LocalGroup` needs a tree: the same
@@ -255,16 +54,12 @@ class SharedMerkleView:
     """
 
     def __init__(
-        self, canonical: CanonicalMerkleTree, version: int = 0
+        self, canonical: CanonicalShardedTree, version: int = 0
     ) -> None:
         self._canon = canonical
         self.depth = canonical.depth
         self.capacity = canonical.capacity
-        #: Sub-tree depth when the canonical tree is sharded (a
-        #: :class:`~repro.crypto.merkle_forest.CanonicalShardedTree`);
-        #: None for a flat canonical tree.
-        self.sub_depth = getattr(canonical, "sub_depth", None)
-        self._zeros = canonical._zeros
+        self.sub_depth = canonical.sub_depth
         self._version = version
         self._forked = False
         # Populated on fork:
@@ -374,14 +169,14 @@ class SharedMerkleView:
 
         Same head/dedup/fork contract as :meth:`synced_insert`, applied
         value by value; the head case hands the whole remainder to the
-        canonical tree's :meth:`~CanonicalMerkleTree.apply_batch` so a
-        sharded canonical tree can compact the genesis prefix. Returns
+        canonical tree's :meth:`~CanonicalShardedTree.apply_batch` so it
+        can compact the genesis prefix. Returns
         ``(first index, roots of the last min(roots_tail, n) states,
         oldest first)`` — exactly the roots a replica must remember for
         its window to match a one-by-one replay.
         """
         # A packed genesis list goes through as the same object, down
-        # to the sharded tree's leaf chunks.
+        # to the canonical tree's leaf chunks.
         values = pack_batch(leaves)
         n = len(values)
         if n == 0:
@@ -539,17 +334,13 @@ class SharedMerkleView:
         )
 
     def two_level_proof(self, index: int):
-        """Sharded proof shape (sub path + top path); sharded trees only.
+        """Sharded proof shape (sub path + top path).
 
         ``flatten()`` of the result equals :meth:`proof` of the same
         index, so this is a presentation change, not a soundness one.
+        A tree of one sub-tree has no top path: ``from_flat`` raises
+        :class:`~repro.errors.MerkleError`.
         """
-        if self.sub_depth is None:
-            raise MerkleError(
-                "two-level proofs require a sharded canonical tree"
-            )
-        from .merkle_forest import TwoLevelProof
-
         return TwoLevelProof.from_flat(self.proof(index), self.sub_depth)
 
     def leaves(self) -> List[Fr]:
@@ -580,7 +371,7 @@ class SharedMerkleView:
         """Bytes *this view* stores privately.
 
         Attached views share all structure with the canonical tree (see
-        :meth:`CanonicalMerkleTree.storage_bytes` for the shared cost);
+        :meth:`CanonicalShardedTree.storage_bytes` for the shared cost);
         forked views pay for their overlay.
         """
         if self._forked:

@@ -21,7 +21,7 @@ from ..crypto.field import Fr
 from ..crypto.keys import IdentityCommitment
 from ..crypto.merkle import MerkleProof, MerkleTree
 from ..crypto.merkle_forest import CanonicalShardedTree
-from ..crypto.merkle_shared import CanonicalMerkleTree, SharedMerkleView
+from ..crypto.merkle_shared import SharedMerkleView
 from ..errors import MemberNotFoundError, SyncError
 
 #: How many historical roots a router accepts by default.
@@ -191,7 +191,7 @@ class LocalGroup:
 class MembershipStore:
     """Deployment-wide shared membership-tree store.
 
-    One :class:`~repro.crypto.merkle_shared.CanonicalMerkleTree` per
+    One :class:`~repro.crypto.merkle_forest.CanonicalShardedTree` per
     (deployment, domain); every replica created through
     :meth:`local_group` holds a copy-on-write view of its domain's
     canonical tree. The first replica to apply a membership event pays
@@ -210,29 +210,25 @@ class MembershipStore:
         root_window: int = DEFAULT_ROOT_WINDOW,
         sub_depth: Optional[int] = None,
     ) -> None:
-        if sub_depth is not None and not 0 < sub_depth < depth:
+        if sub_depth is not None and not 0 < sub_depth <= depth:
             raise ValueError(
                 f"membership sub-tree depth must satisfy "
-                f"0 < {sub_depth} < {depth}"
+                f"0 < {sub_depth} <= {depth}"
             )
         self.depth = depth
         self.root_window = root_window
-        #: When set, canonical trees are sharded into 2^(depth -
-        #: sub_depth) sub-trees of depth ``sub_depth`` under a
-        #: root-of-roots (see :mod:`repro.crypto.merkle_forest`) —
-        #: root-equivalent to the flat tree, with bulk genesis builds
-        #: and lazy sub-tree interiors.
-        self.sub_depth = sub_depth
-        self._canonicals: Dict[str, CanonicalMerkleTree] = {}
+        #: Canonical trees are sharded into 2^(depth - sub_depth)
+        #: sub-trees of depth ``sub_depth`` under a root-of-roots (see
+        #: :mod:`repro.crypto.merkle_forest`); None is one sub-tree
+        #: spanning ``depth``.
+        self.sub_depth = sub_depth or depth
+        self._canonicals: Dict[str, CanonicalShardedTree] = {}
 
-    def canonical(self, domain: str = "") -> CanonicalMerkleTree:
+    def canonical(self, domain: str = "") -> CanonicalShardedTree:
         """The canonical tree for ``domain`` (created on first use)."""
         tree = self._canonicals.get(domain)
         if tree is None:
-            if self.sub_depth is not None:
-                tree = CanonicalShardedTree(self.depth, self.sub_depth)
-            else:
-                tree = CanonicalMerkleTree(self.depth)
+            tree = CanonicalShardedTree(self.depth, self.sub_depth)
             self._canonicals[domain] = tree
         return tree
 
@@ -262,14 +258,13 @@ class MembershipStore:
     def materialized_indices(self) -> Dict[str, FrozenSet[int]]:
         """Per-domain indices of the materialized sub-tree interiors.
 
-        Empty for flat canonical trees. Unlike the ``stats()`` counts
-        (per-store artifacts under parallel partitioning), the union of
-        these sets across workers equals the single-store set — the
-        partition-invariant form of the laziness measurement."""
+        Unlike the ``stats()`` counts (per-store artifacts under
+        parallel partitioning), the union of these sets across workers
+        equals the single-store set — the partition-invariant form of
+        the laziness measurement."""
         return {
             domain: tree.materialized_subtree_indices()
             for domain, tree in sorted(self._canonicals.items())
-            if hasattr(tree, "materialized_subtree_indices")
         }
 
     def stats(self) -> Dict[str, int]:
@@ -286,13 +281,10 @@ class MembershipStore:
             "events_deduped": sum(c.events_deduped for c in canonicals),
             "forks": sum(c.forks for c in canonicals),
             "shared_bytes": sum(c.storage_bytes() for c in canonicals),
-            # Zero for flat canonical trees; sharded trees report how
-            # many sub-tree interiors were actually built (memory
+            # How many sub-tree interiors were actually built (memory
             # tracks the active slice, not the full capacity).
             "materialized_subtrees": sum(
-                getattr(c, "materialized_subtrees", 0) for c in canonicals
+                c.materialized_subtrees for c in canonicals
             ),
-            "index_bytes": sum(
-                getattr(c, "index_bytes", 0) for c in canonicals
-            ),
+            "index_bytes": sum(c.index_bytes for c in canonicals),
         }

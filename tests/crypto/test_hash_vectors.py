@@ -3,8 +3,9 @@
 Every Merkle root, nullifier and commitment in the system is a chain of
 ``hash1_int`` / ``hash2_int`` digests, so a fast path that drifts by one
 byte moves every fingerprint at once. This file pins digests, the
-zero-subtree table and a sharded genesis root per backend, and checks
-the bulk kernels against the plainest implementation of the same thing:
+zero-subtree table, a sharded genesis root and a flat-store root per
+backend, and checks the bulk kernels against the plainest
+implementation of the same thing:
 the object-form BLAKE2b field hash (``blake2b_field_hash`` below), a
 pairwise ``hash2_int`` loop for ``hash_level_int``, and the one-digest-
 per-identity formula for ``genesis_commitments``.
@@ -28,7 +29,7 @@ from repro.crypto.hashing import (
     hash_level_int,
     set_hash_backend,
 )
-from repro.crypto.merkle import zero_hashes_int
+from repro.crypto.merkle import MerkleTree, zero_hashes_int
 from repro.crypto.slot_index import PackedFieldList
 from repro.errors import FieldError
 from repro.rln.membership import MembershipStore
@@ -40,11 +41,16 @@ B = 0x0FEDCBA987654321
 HASH1_INPUTS = (0, 1, P - 1, A, B)
 HASH2_INPUTS = ((0, 0), (1, 0), (0, 1), (P - 1, 1), (A, B))
 
+#: Leaves of the flat-store vector, inserted one by one in this order.
+FLAT_LEAVES = (1, 2, P - 1, A, B, 7, 8, 9, 10, 11, 12)
+
 #: backend -> digests of HASH1_INPUTS, of HASH2_INPUTS, zero_hashes_int(20)
-#: at heights (1, 2, 19, 20), and (n, depth, sub_depth, root) of a
-#: ``genesis_commitments(n, seed=27)`` batch in a sharded store. With
+#: at heights (1, 2, 19, 20), (n, depth, sub_depth, root) of a
+#: ``genesis_commitments(n, seed=27)`` batch in a sharded store (with
 #: the default root window of 8, the compacted prefix of both batches
-#: ends in a one-leaf chunk, so the fold pads an odd tail.
+#: ends in a one-leaf chunk, so the fold pads an odd tail), and (depth,
+#: leaves, slash index, root) of a store with no sub-tree depth after
+#: inserting the leaves one by one and slashing one.
 VECTORS = {
     "blake2b": (
         (
@@ -73,6 +79,12 @@ VECTORS = {
             4,
             0x0C8F4F34C0B6EE6A4083FE7EF206C53EA308B337B8C254135943F3BF4302FC91,
         ),
+        (
+            20,
+            FLAT_LEAVES,
+            3,
+            0x159C538AF7B454E852A0597417665AE7001B72006A2369A1013773C9882BCC97,
+        ),
     ),
     "poseidon": (
         (
@@ -100,6 +112,12 @@ VECTORS = {
             6,
             2,
             0x2D3090D09026ED5CB00608A6FB0667F5643A65D5672BE80BC21128D5DACE4861,
+        ),
+        (
+            8,
+            FLAT_LEAVES,
+            9,
+            0x12CD962BF97FC77751DC49B3AFFEB1273E2BAA75621E22C63655285288B11CE0,
         ),
     ),
 }
@@ -145,25 +163,37 @@ def backend(request):
 
 
 def test_hash1_and_hash2_digests_are_pinned(backend):
-    hash1_pins, hash2_pins, _, _ = VECTORS[backend]
+    hash1_pins, hash2_pins, _, _, _ = VECTORS[backend]
     assert [hash1_int(x) for x in HASH1_INPUTS] == list(hash1_pins)
     assert [hash2_int(x, y) for x, y in HASH2_INPUTS] == list(hash2_pins)
 
 
 def test_zero_hash_table_is_pinned(backend):
-    _, _, zero_pins, _ = VECTORS[backend]
+    _, _, zero_pins, _, _ = VECTORS[backend]
     zeros = zero_hashes_int(20)
     assert zeros[0] == 0
     assert tuple(zeros[h] for h in (1, 2, 19, 20)) == zero_pins
 
 
 def test_sharded_genesis_root_is_pinned(backend):
-    _, _, _, (n, depth, sub_depth, root) = VECTORS[backend]
+    _, _, _, (n, depth, sub_depth, root), _ = VECTORS[backend]
     store = MembershipStore(depth=depth, sub_depth=sub_depth)
     group = store.local_group()
     group.apply_registration_batch(genesis_commitments(n, seed=27), 0)
     assert store.canonical().genesis_version % (1 << sub_depth) == 1
     assert int(group.root) == root
+
+
+def test_flat_store_root_is_pinned(backend):
+    *_, (depth, leaves, slash, root) = VECTORS[backend]
+    view = MembershipStore(depth=depth).view()
+    reference = MerkleTree(depth)
+    for leaf in leaves:
+        view.synced_insert(Fr(leaf))
+        reference.insert(Fr(leaf))
+    view.synced_update(slash, Fr.zero())
+    reference.delete(slash)
+    assert int(view.root) == int(reference.root) == root
 
 
 def test_fast_blake2b_equals_the_object_form_on_pins():

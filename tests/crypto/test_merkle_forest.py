@@ -1,11 +1,14 @@
-"""Tree-of-trees registry: root-equivalence with the flat tree.
+"""Tree-of-trees registry: root-equivalence with a plain tree.
 
 The sharded canonical tree exists only because it is *provably the
-same tree* as a flat canonical tree at matched capacity: every root,
+same tree* as a plain Merkle tree at matched capacity: every root,
 every historical root, every proof and every leaf lookup must agree
 under any interleaving of registrations and slashes — including the
-compacted genesis-batch path. These tests drive flat and sharded
-registries through identical event scripts and compare everything.
+compacted genesis-batch path and the one-sub-tree shape
+(``sub_depth == depth``) a store without a sub-tree depth builds. These
+tests drive sharded registries, independent replicas and the
+per-version oracle (``flat_tree_oracle.py``) through identical event
+scripts and compare everything.
 """
 
 from __future__ import annotations
@@ -13,15 +16,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from flat_tree_oracle import FlatTreeOracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.field import Fr
 from repro.crypto.hashing import hash_call_count
 from repro.crypto.keys import MembershipKeyPair
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.merkle import MerkleProof
 from repro.crypto.merkle_forest import CanonicalShardedTree, TwoLevelProof
-from repro.crypto.merkle_shared import CanonicalMerkleTree
 from repro.crypto.slot_index import PackedFieldList
 from repro.errors import MerkleError
 from repro.rln.membership import LocalGroup, MembershipStore
@@ -35,7 +38,7 @@ def _commitments(n: int, seed: int = 3):
 
 
 def _triple(sub_depth: int, depth: int = DEPTH):
-    """(sharded replica, flat replica, independent replica)."""
+    """(sharded replica, one-sub-tree replica, independent replica)."""
     sharded = MembershipStore(depth=depth, sub_depth=sub_depth)
     flat = MembershipStore(depth=depth)
     return (
@@ -57,7 +60,7 @@ class TestShardedFlatEquivalence:
         actions=st.lists(
             st.sampled_from(["register", "slash"]), min_size=1, max_size=40
         ),
-        sub_depth=st.integers(min_value=1, max_value=DEPTH - 1),
+        sub_depth=st.integers(min_value=1, max_value=DEPTH),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_random_interleavings(self, actions, sub_depth, seed):
@@ -91,33 +94,62 @@ class TestShardedFlatEquivalence:
             proof = sharded.merkle_proof(index)
             assert proof.verify(flat.root)
             assert proof.siblings == flat.merkle_proof(index).siblings
+            if sub_depth == DEPTH:
+                with pytest.raises(MerkleError):
+                    sharded.two_level_proof(index)
+                continue
             two_level = sharded.two_level_proof(index)
             assert two_level.verify(sharded.root)
             assert two_level.flatten().siblings == proof.siblings
 
     def test_node_level_equality_with_flat_tree(self):
-        """Not just the root: every interior node matches the flat tree."""
-        sharded = CanonicalShardedTree(5, 2)
-        flat = CanonicalMerkleTree(5)
-        for value in range(1, 23):
-            sharded.apply(("insert", value))
-            flat.apply(("insert", value))
-        version = sharded.version
-        for height in range(0, 6):
-            for index in range(2 ** (5 - height)):
-                assert sharded.node_at(height, index, version) == (
-                    flat.node_at(height, index, version)
-                ), (height, index)
+        """Not just the root: every node matches at every version, with
+        a top tree (sub_depth 2) and as one sub-tree (sub_depth 5)."""
+        flat = FlatTreeOracle(5)
+        events = [("insert", value) for value in range(1, 23)]
+        events.append(("set", 6, 0))
+        for event in events:
+            flat.apply(event)
+        for sub_depth in (2, 5):
+            sharded = CanonicalShardedTree(5, sub_depth)
+            for event in events:
+                sharded.apply(event)
+            for version in range(sharded.version + 1):
+                for height in range(0, 6):
+                    for index in range(2 ** (5 - height)):
+                        assert sharded.node_at(height, index, version) == (
+                            flat.node_at(height, index, version)
+                        ), (sub_depth, version, height, index)
 
     def test_sub_depth_validation(self):
+        assert CanonicalShardedTree(4, 4).top_depth == 0
         with pytest.raises(MerkleError):
             CanonicalShardedTree(4, 0)
         with pytest.raises(MerkleError):
-            CanonicalShardedTree(4, 4)
+            CanonicalShardedTree(4, 5)
         with pytest.raises(ValueError):
             MembershipStore(depth=4, sub_depth=5)
         with pytest.raises(ValueError):
             MembershipStore(depth=4, sub_depth=0)
+
+    def test_refused_write_leaves_the_tree_unchanged(self):
+        tree = CanonicalShardedTree(4, 2)
+        tree.apply(("insert", 7))
+
+        def snapshot():
+            journal = sum(len(entries) for entries in tree._journal.values())
+            return (
+                tree.state_digest(),
+                tree.materialized_subtrees,
+                tree.storage_bytes(),
+                journal,
+            )
+
+        before = snapshot()
+        with pytest.raises(MerkleError):
+            tree.apply(("set", 9, 5))  # sub-tree 2 holds no leaf 8
+        assert snapshot() == before
+        assert tree.apply(("insert", 8)) == 1
 
 
 class TestGenesisBatch:
@@ -125,7 +157,7 @@ class TestGenesisBatch:
     @given(
         n=st.integers(min_value=1, max_value=60),
         window=st.integers(min_value=1, max_value=12),
-        sub_depth=st.integers(min_value=1, max_value=DEPTH - 1),
+        sub_depth=st.integers(min_value=1, max_value=DEPTH),
     )
     def test_batch_matches_one_by_one(self, n, window, sub_depth):
         commitments = _commitments(n, seed=n)
@@ -222,8 +254,8 @@ class TestGenesisBatch:
 
 
 class TestGenesisLookupIndex:
-    """The compacted prefix's sorted slot index against the flat
-    tree's versioned ``find_leaf_at`` as the oracle."""
+    """The compacted prefix's sorted slot index against the per-version
+    oracle's ``find_leaf_at``."""
 
     POOL = list(range(1, 7))  # few values: repeats inside the prefix
     ABSENT = 99
@@ -232,7 +264,7 @@ class TestGenesisLookupIndex:
     @given(
         genesis=st.lists(st.sampled_from(POOL), min_size=2, max_size=40),
         roots_tail=st.integers(min_value=1, max_value=6),
-        sub_depth=st.integers(min_value=1, max_value=DEPTH - 1),
+        sub_depth=st.integers(min_value=1, max_value=DEPTH),
         ops=st.lists(
             st.one_of(
                 st.tuples(st.just("slash"), st.integers(0, 10**6)),
@@ -246,9 +278,10 @@ class TestGenesisLookupIndex:
         self, genesis, roots_tail, sub_depth, ops, probe_first
     ):
         sharded = CanonicalShardedTree(DEPTH, sub_depth)
-        flat = CanonicalMerkleTree(DEPTH)
-        sharded.apply_batch(genesis, roots_tail)
-        flat.apply_batch(genesis, roots_tail)
+        flat = FlatTreeOracle(DEPTH)
+        assert sharded.apply_batch(genesis, roots_tail) == (
+            flat.apply_batch(genesis, roots_tail)
+        )
         gv = sharded.genesis_version
         if probe_first:
             # Index built before any overwrite; otherwise it is built
@@ -263,7 +296,7 @@ class TestGenesisLookupIndex:
                 event = ("insert", arg)  # same value, post-genesis
             sharded.apply(event)
             flat.apply(event)
-        assert sharded.version == flat.version
+        assert sharded.state_digest() == flat.state_digest()
         probes = self.POOL + [0, self.ABSENT]
         for version in [0, *range(gv, flat.version + 1)]:
             for value in probes:
@@ -335,6 +368,29 @@ class TestTwoLevelProof:
         )
         assert not bad.verify(group.root)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), sub_depth=st.integers())
+    def test_from_flat_round_trips_or_raises_typed(self, data, sub_depth):
+        depth = data.draw(st.integers(min_value=1, max_value=8))
+        field = st.integers(min_value=0, max_value=Fr.MODULUS - 1)
+        proof = MerkleProof(
+            leaf=Fr(data.draw(field)),
+            leaf_index=data.draw(st.integers(0, (1 << depth) - 1)),
+            siblings=tuple(Fr(data.draw(field)) for _ in range(depth)),
+            path_bits=tuple(
+                data.draw(st.integers(0, 1)) for _ in range(depth)
+            ),
+        )
+        try:
+            split = TwoLevelProof.from_flat(proof, sub_depth)
+        except MerkleError:
+            assert not 0 < sub_depth < depth
+            return
+        assert split.flatten() == proof
+        root = proof.compute_root()
+        for probe in (root, Fr(int(root) + 1)):
+            assert split.verify(probe) == proof.verify(probe)
+
     def test_flat_view_refuses_two_level_proofs(self):
         group = MembershipStore(depth=DEPTH).local_group()
         group.apply_registration(_commitments(1)[0], 0)
@@ -382,7 +438,7 @@ class TestForkBehavior:
         # list, and every other chunk, as they were.
         members = PackedFieldList.of(range(1, 101))
         tree = CanonicalShardedTree(8, 4)
-        flat = CanonicalMerkleTree(8)
+        flat = FlatTreeOracle(8)
         tree.apply_batch(members, roots_tail=1)
         flat.apply_batch(members, roots_tail=1)
         assert tree.materialized_subtree_indices() == {6}  # the tail
@@ -400,7 +456,13 @@ class TestForkBehavior:
         assert tree.node_at(0, 20, tree.version - 2) == 21
         assert tree.find_leaf_at(21, tree.version) is None
         assert tree.find_leaf_at(21, tree.version - 2) == 20
-        assert tree.root_at(tree.version) == flat.root_at(flat.version)
+        assert tree.state_digest() == flat.state_digest()
         assert tree.storage_bytes() == 32 * (
             101 + 7 + len(tree._interior) + len(tree._top_nodes)
         )
+        # Every node, read at the head, matches the oracle's.
+        for height in range(9):
+            for index in range(2 ** (8 - height)):
+                assert tree.node_at(height, index, tree.version) == (
+                    flat.node_at(height, index, flat.version)
+                )

@@ -12,6 +12,8 @@ could see.
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,13 @@ from hypothesis import strategies as st
 from repro.crypto.field import Fr
 from repro.crypto.hashing import hash_call_count
 from repro.crypto.keys import MembershipKeyPair
-from repro.crypto.merkle import MerkleTree
-from repro.crypto.merkle_shared import CanonicalMerkleTree, SharedMerkleView
+from repro.crypto.merkle_forest import CanonicalShardedTree
+from repro.crypto.merkle_shared import SharedMerkleView
 from repro.errors import MerkleError
 from repro.rln.membership import LocalGroup, MembershipStore
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "crypto"))
+from flat_tree_oracle import FlatTreeOracle  # noqa: E402
 
 DEPTH = 8
 
@@ -121,24 +126,32 @@ class TestSharedVsIndependentEquivalence:
     @given(
         leaves=st.lists(
             st.integers(min_value=1, max_value=2**64), min_size=1, max_size=20
-        )
+        ),
+        sub_depth=st.integers(min_value=1, max_value=DEPTH),
     )
-    def test_view_matches_merkle_tree_op_for_op(self, leaves):
-        canonical = CanonicalMerkleTree(DEPTH)
+    def test_view_matches_merkle_tree_op_for_op(self, leaves, sub_depth):
+        canonical = CanonicalShardedTree(DEPTH, sub_depth)
         view = SharedMerkleView(canonical)
-        reference = MerkleTree(DEPTH)
+        oracle = FlatTreeOracle(DEPTH)
         for value in leaves:
-            assert view.synced_insert(Fr(value)) == reference.insert(
-                Fr(value)
+            assert view.synced_insert(Fr(value)) == oracle.apply(
+                ("insert", value)
             )
-            assert view.root == reference.root
-            assert view.find_leaf(Fr(value)) == reference.find_leaf(
-                Fr(value)
+            assert int(view.root) == oracle.root_at(oracle.version)
+            assert view.find_leaf(Fr(value)) == oracle.find_leaf_at(
+                value, oracle.version
             )
         view.synced_update(0, Fr.zero())
-        reference.delete(0)
-        assert view.root == reference.root
-        assert view.leaves() == list(reference.leaves())
+        oracle.apply(("set", 0, 0))
+        assert canonical.state_digest() == oracle.state_digest()
+        # A view left behind at any version still reads that version.
+        for version in range(oracle.version + 1):
+            lagging = SharedMerkleView(canonical, version)
+            assert int(lagging.root) == oracle.root_at(version)
+            assert [int(leaf) for leaf in lagging.leaves()] == [
+                oracle.node_at(0, index, version)
+                for index in range(oracle.leaf_count_at(version))
+            ]
 
 
 class TestDedupAccounting:
