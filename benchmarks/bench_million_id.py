@@ -312,8 +312,8 @@ def test_memory_flatness_over_epochs(record_table, bench_scale):
     ``NullifierMap.prune`` every epoch — so at scenario level the
     eager flag buys determinism (bounded at every instant, no timer
     reliance), not steady-state bytes; the truly-unbounded byte
-    contrast is measured in isolation in ``e9_nullifier_gc_memory``
-    (bench_nullifier_map). And whole-process peaks are dominated by
+    contrast is measured in isolation by the E9 rows of
+    ``paper_claims`` (bench_paper_claims). And whole-process peaks are dominated by
     transient caches identical across configurations, which is why the
     asserts target the growth *shape* and the directly-measured
     nullifier state rather than variant-vs-variant peak deltas.
@@ -368,8 +368,8 @@ def test_memory_flatness_over_epochs(record_table, bench_scale):
         "histograms/series. Live nullifier state is window-flat while "
         "cumulative pruned entries grow with the run; peaks converge "
         "as bounded per-peer caches (decode, mcache) finish warming — "
-        "the truly-unbounded nullifier byte curve is recorded in "
-        "e9_nullifier_gc_memory.",
+        "the truly-unbounded nullifier byte contrast is recorded in "
+        "the E9 rows of paper_claims.",
         meta={
             "peers": peers,
             "max_epochs": int(durations[-1]),

@@ -1,8 +1,11 @@
 """Shared helpers for the benchmark suite.
 
-Every ``bench_*`` module regenerates one experiment of DESIGN.md's
-index. Tables are printed (visible with ``pytest -s``) and written to
-``benchmarks/results/*.txt`` so EXPERIMENTS.md can cite them.
+The paper's claims E1-E10 are one table: ``bench_paper_claims.py``
+checks each against its stated bound and writes
+``results/paper_claims.txt`` (and its JSON twin). The other
+``bench_*`` modules measure this implementation's own scale and
+performance. Tables are printed (visible with ``pytest -s``) and
+written to ``benchmarks/results/*.txt``.
 
 Quick mode
 ----------
@@ -74,8 +77,7 @@ def record_table(results_dir, bench_scale):
 
     Under ``--bench-quick`` the table is printed and the payload is
     still schema-validated, but nothing is persisted: smoke-scale
-    numbers must never overwrite the recorded full-scale results that
-    EXPERIMENTS.md cites.
+    numbers must never overwrite the recorded full-scale results.
     """
 
     def write(

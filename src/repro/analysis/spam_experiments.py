@@ -238,8 +238,13 @@ def nullifier_map_experiment(
     epochs: int = 40,
     senders_per_epoch: int = 30,
     thr: int = 2,
+    auto_prune: bool = False,
 ) -> Tuple[Headers, Rows]:
-    """E9 — nullifier-map memory stays bounded by the Thr window."""
+    """E9 — nullifier-map memory stays bounded by the Thr window.
+
+    The pruned map is pruned once per epoch by the housekeeping call,
+    or, with ``auto_prune``, by its own epoch-grid GC.
+    """
     pk, _vk = rln_keys(seed=b"e9")
     rng = random.Random(9)
     tree = MerkleTree(12)
@@ -250,13 +255,14 @@ def nullifier_map_experiment(
         provers.append(
             (RlnProver(keypair=pair, proving_key=pk), index)
         )
-    nmap = NullifierMap(thr=thr)
+    nmap = NullifierMap(thr=thr, auto_prune=auto_prune)
     unbounded = NullifierMap(thr=thr)
     headers = (
         "epoch",
         "entries (pruned)",
         "bytes (pruned)",
         "entries (never pruned)",
+        "bytes (never pruned)",
     )
     rows: Rows = []
     report_at = {1, epochs // 4, epochs // 2, 3 * epochs // 4, epochs - 1}
@@ -267,7 +273,8 @@ def nullifier_map_experiment(
             )
             nmap.observe(signal)
             unbounded.observe(signal)
-        nmap.prune(current_epoch=epoch)
+        if not auto_prune:
+            nmap.prune(current_epoch=epoch)
         if epoch in report_at:
             rows.append(
                 (
@@ -275,6 +282,7 @@ def nullifier_map_experiment(
                     nmap.entry_count,
                     nmap.storage_bytes(),
                     unbounded.entry_count,
+                    unbounded.storage_bytes(),
                 )
             )
     return headers, rows

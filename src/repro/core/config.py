@@ -40,8 +40,6 @@ class ProtocolConfig:
     burn_fraction: float = DEFAULT_SLASH_BURN_FRACTION
     #: Optional RLN application domain bound into external nullifiers.
     domain: Optional[str] = None
-    #: "native" (fast relation check) or "r1cs" (full constraint system).
-    proving_mode: str = "native"
     #: How many recent membership roots routers accept.
     root_window: int = DEFAULT_ROOT_WINDOW
     #: How often peers poll the contract event log, in seconds.

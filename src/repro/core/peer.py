@@ -92,9 +92,7 @@ class WakuRlnRelayPeer:
             else LocalGroup(config.merkle_depth, config.root_window)
         )
         self.prover = RlnProver(
-            keypair=self.keypair,
-            proving_key=proving_key,
-            mode=config.proving_mode,
+            keypair=self.keypair, proving_key=proving_key
         )
         self._verifying_key = verifying_key
         self._verification_cache = verification_cache
@@ -322,9 +320,7 @@ class WakuRlnRelayPeer:
         """
         self.keypair = MembershipKeyPair.generate(self._rng)
         self.prover = RlnProver(
-            keypair=self.keypair,
-            proving_key=self.prover.proving_key,
-            mode=self.config.proving_mode,
+            keypair=self.keypair, proving_key=self.prover.proving_key
         )
         self.leaf_index = None
         self._last_published_epochs.clear()

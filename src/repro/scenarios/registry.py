@@ -82,7 +82,13 @@ register_scenario(
         peers=200,
         duration=90.0,
         traffic=TrafficModel(messages_per_epoch=0.5, active_fraction=0.3),
-        adversaries=AdversaryMix(spammer_count=1, burst=5, epochs=3),
+        adversaries=AdversaryMix(
+            groups=(
+                AdversaryGroup(
+                    "burst-flood", count=1, burst=5, params={"epochs": 3}
+                ),
+            ),
+        ),
         config_overrides=_CACHE,
     )
 )
@@ -98,7 +104,13 @@ register_scenario(
         peers=200,
         duration=90.0,
         traffic=TrafficModel(messages_per_epoch=0.5, active_fraction=0.3),
-        adversaries=AdversaryMix(spammer_count=5, burst=4, epochs=3),
+        adversaries=AdversaryMix(
+            groups=(
+                AdversaryGroup(
+                    "burst-flood", count=5, burst=4, params={"epochs": 3}
+                ),
+            ),
+        ),
         config_overrides=_CACHE,
     )
 )
@@ -511,7 +523,13 @@ register_scenario(
         peers=100,
         duration=90.0,
         traffic=TrafficModel(messages_per_epoch=0.5, active_fraction=0.3),
-        adversaries=AdversaryMix(spammer_count=2, burst=5, epochs=3),
+        adversaries=AdversaryMix(
+            groups=(
+                AdversaryGroup(
+                    "burst-flood", count=2, burst=5, params={"epochs": 3}
+                ),
+            ),
+        ),
         compare_baseline=True,
         config_overrides=_CACHE,
     )

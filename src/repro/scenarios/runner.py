@@ -59,6 +59,16 @@ from .spec import ScenarioSpec
 #: so the delivery classifier cannot drift from the emitters).
 HONEST_MARKER = b"MSG|"
 
+#: Cap on retained adversary-economics series samples under
+#: ``spec.streaming_metrics`` (deterministic stride-doubling
+#: decimation).
+SERIES_MAX_POINTS = 256
+
+#: The reference flooder ``compare_baseline`` runs when the spec has no
+#: adversaries: this burst per epoch, for this many epochs.
+BASELINE_BURST = 5
+BASELINE_EPOCHS = 3
+
 #: Metrics counters copied verbatim into ``ScenarioResult.counters``.
 _COUNTER_PREFIXES = ("validator.", "rln.")
 _COUNTER_NAMES = (
@@ -541,8 +551,7 @@ class ScenarioRunner:
         )
 
     def _schedule_adversaries(self) -> Optional[AdversaryEngine]:
-        """Enroll every adversary (strategy groups + legacy burst
-        spammers) into one engine and launch it.
+        """Enroll every adversary group into one engine and launch it.
 
         Parallel mode: the tail peers are pinned to shard 0, so only
         shard 0's owner holds them and builds the engine. Every other
@@ -551,7 +560,7 @@ class ScenarioRunner:
         agree on — and skips the engine (strategies consume no RNG, so
         there is no stream to keep aligned)."""
         mix = self.spec.adversaries
-        groups = mix.effective_groups()
+        groups = mix.groups
         if not groups:
             return None
         net = self.net
@@ -579,9 +588,7 @@ class ScenarioRunner:
                 else self._spam_delivered_total
             ),
             max_series_samples=(
-                self.spec.series_max_points
-                if self.spec.streaming_metrics
-                else None
+                SERIES_MAX_POINTS if self.spec.streaming_metrics else None
             ),
         )
         tail = net.peers[len(net.peers) - mix.total_count :]
@@ -1019,7 +1026,7 @@ class ScenarioRunner:
         baseline.run(2.0)
         epoch_length = spec.build_config().epoch_length
         flooders = []
-        for group in mix.effective_groups():
+        for group in mix.groups:
             params = dict(group.params)
             burst = params.pop("burst", group.burst)
             rate = max(burst, 1) / epoch_length
@@ -1037,14 +1044,14 @@ class ScenarioRunner:
                 flooder.run(window)
         if not flooders:
             # compare_baseline without adversaries: one reference
-            # flooder at the legacy mix parameters.
+            # flooder.
             flooder = FloodSpammer(
                 baseline,
                 "peer-0",
-                rate_per_second=max(mix.burst, 1) / epoch_length,
+                rate_per_second=BASELINE_BURST / epoch_length,
             )
             flooders.append(flooder)
-            flooder.run(max(mix.epochs, 1) * epoch_length)
+            flooder.run(BASELINE_EPOCHS * epoch_length)
         baseline.run(spec.duration)
         attacker_ids = {f.node_id for f in flooders}
         honest = {

@@ -126,51 +126,24 @@ class AdversaryGroup:
 class AdversaryMix:
     """Registered members that violate their rate limit.
 
-    Two layers: the legacy fields (``spammer_count``/``burst``/
-    ``epochs``) describe plain one-shot burst flooders, and ``groups``
-    names strategy-driven, budget-constrained agents from the adversary
-    engine. Both may be combined; all adversaries are taken from the
-    *tail* of the initial peer list and start acting at ``start``
-    simulated seconds.
+    ``groups`` names strategy-driven, budget-constrained agents from
+    the adversary engine (a plain one-shot burst flooder is a
+    ``burst-flood`` group). All adversaries are taken from the *tail*
+    of the initial peer list and start acting at ``start`` simulated
+    seconds.
     """
 
-    spammer_count: int = 0
-    burst: int = 5
-    epochs: int = 3
     start: float = 2.0
     groups: Tuple[AdversaryGroup, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.spammer_count < 0 or self.burst < 0 or self.epochs < 0:
-            raise ScenarioError("adversary parameters must be >= 0")
         if not isinstance(self.groups, tuple):
             object.__setattr__(self, "groups", tuple(self.groups))
 
     @property
-    def agent_count(self) -> int:
-        """Agents driven by the adversary engine (strategy groups)."""
-        return sum(g.count for g in self.groups)
-
-    @property
     def total_count(self) -> int:
-        """All adversaries: legacy burst spammers plus engine agents."""
-        return self.spammer_count + self.agent_count
-
-    def effective_groups(self) -> Tuple[AdversaryGroup, ...]:
-        """Spec groups plus the legacy fields folded into one
-        ``burst-flood`` group (listed last, so legacy spammers keep
-        their traditional spot at the very tail of the peer list)."""
-        groups = self.groups
-        if self.spammer_count:
-            groups = groups + (
-                AdversaryGroup(
-                    strategy="burst-flood",
-                    count=self.spammer_count,
-                    burst=self.burst,
-                    params={"epochs": self.epochs},
-                ),
-            )
-        return groups
+        """All adversaries, summed over the groups."""
+        return sum(g.count for g in self.groups)
 
 
 @dataclass(frozen=True)
@@ -329,23 +302,18 @@ class ScenarioSpec:
     pre_registered: int = 0
     #: Bounded measurement state: histograms become streaming
     #: accumulators (running moments + quantile sketch) and the
-    #: adversary economics series is capped at ``series_max_points``
-    #: by uniform decimation — O(1) memory per metric regardless of
-    #: run length. Percentiles become ~1%-approximate and the series
-    #: loses points, so results (and fingerprints) are only comparable
-    #: within the same setting.
+    #: adversary economics series is capped at 256 points by uniform
+    #: decimation — O(1) memory per metric regardless of run length.
+    #: Percentiles become ~1%-approximate and the series loses points,
+    #: so results (and fingerprints) are only comparable within the
+    #: same setting.
     streaming_metrics: bool = False
-    #: Cap on retained economics-series samples when
-    #: ``streaming_metrics`` is on (ignored otherwise).
-    series_max_points: int = 256
 
     def __post_init__(self) -> None:
         if self.peers < 2:
             raise ScenarioError("a scenario needs at least 2 peers")
         if self.pre_registered < 0:
             raise ScenarioError("pre_registered must be >= 0")
-        if self.series_max_points < 4:
-            raise ScenarioError("series_max_points must be >= 4")
         if self.adversaries.total_count >= self.peers:
             raise ScenarioError("spammers must leave at least one honest peer")
         if self.duration <= 0:
@@ -455,38 +423,24 @@ class ScenarioSpec:
         if peers is not None and peers != spec.peers:
             adversaries = spec.adversaries
             ratio = peers / spec.peers
-            if adversaries.spammer_count:
-                adversaries = replace(
-                    adversaries,
-                    spammer_count=max(
-                        1, round(adversaries.spammer_count * ratio)
-                    ),
-                )
-            if adversaries.groups:
-                adversaries = replace(
-                    adversaries,
-                    groups=tuple(
-                        replace(g, count=max(1, round(g.count * ratio)))
-                        for g in adversaries.groups
-                        if g.count
-                    ),
-                )
-            # Never scale adversaries up into the whole network: drop
-            # legacy spammers first, then trim groups, until at least
-            # one honest peer remains.
+            adversaries = replace(
+                adversaries,
+                groups=tuple(
+                    replace(g, count=max(1, round(g.count * ratio)))
+                    for g in adversaries.groups
+                    if g.count
+                ),
+            )
+            # Never scale adversaries up into the whole network: trim
+            # groups, first group first, until at least one honest
+            # peer remains.
             while adversaries.total_count >= peers:
-                if adversaries.spammer_count:
-                    adversaries = replace(
-                        adversaries,
-                        spammer_count=adversaries.spammer_count - 1,
-                    )
-                else:
-                    groups = list(adversaries.groups)
-                    for i, g in enumerate(groups):
-                        if g.count:
-                            groups[i] = replace(g, count=g.count - 1)
-                            break
-                    adversaries = replace(adversaries, groups=tuple(groups))
+                groups = list(adversaries.groups)
+                for i, g in enumerate(groups):
+                    if g.count:
+                        groups[i] = replace(g, count=g.count - 1)
+                        break
+                adversaries = replace(adversaries, groups=tuple(groups))
             pre_registered = spec.pre_registered
             if pre_registered:
                 pre_registered = round(pre_registered * ratio)

@@ -71,3 +71,23 @@ def test_committed_benchmark_json_matches_schema():
         payload = json.loads(path.read_text())
         validate_experiment_payload(payload)
         assert payload["name"] == path.stem
+
+
+def test_committed_paper_claims_cover_e1_to_e10_and_all_pass():
+    """The committed full-scale claims table has a row for every
+    E-number of the paper and every row meets its bound."""
+    import json
+    import re
+
+    path = REPO_ROOT / "benchmarks" / "results" / "paper_claims.json"
+    payload = json.loads(path.read_text())
+    assert payload["meta"]["scale"] == "full"
+    headers = payload["headers"]
+    eid, verdict = headers.index("E-id"), headers.index("pass")
+    numbers = {
+        int(re.fullmatch(r"E(\d+)[a-z]?", row[eid]).group(1))
+        for row in payload["rows"]
+    }
+    assert numbers == set(range(1, 11))
+    failing = [row for row in payload["rows"] if row[verdict] != "yes"]
+    assert not failing, f"claims not reproduced: {failing}"

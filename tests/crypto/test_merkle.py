@@ -187,6 +187,7 @@ class TestMerkleProof:
             tree.insert(Fr(i + 1))
         proof = tree.proof(5)
         assert proof.path_bits == (1, 0, 1, 0)  # 5 = 0b0101, LSB first
+        assert proof.depth == tree.depth == 4
 
     def test_proof_for_unset_leaf_verifies(self):
         tree = MerkleTree(4)

@@ -2,7 +2,9 @@
 
 Random secrets, epochs and messages; the wire codec must be lossless and
 ``detect_double_signal`` must recover the *exact* secret from any two
-distinct shares of one epoch — and never from one share alone.
+distinct shares of one epoch — and never from one share alone. Any byte
+string either parses into a signal that re-encodes to the same bytes or
+raises ``SerializationError``, never another exception.
 """
 
 from __future__ import annotations
@@ -10,7 +12,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.constants import KEY_SIZE_BYTES, PROOF_SIZE_BYTES
+from repro.crypto.field import Fr
 from repro.crypto.keys import MembershipKeyPair
 from repro.crypto.merkle import MerkleTree
 from repro.errors import SerializationError
@@ -110,3 +116,55 @@ def test_cross_epoch_and_cross_member_pairs_rejected(setup):
         # Different members, same epoch: different internal nullifier.
         c = prover_b.create_signal(b"z", e1, proof_b, rng=rng)
         assert detect_double_signal(a, c) is None
+
+
+#: Field-element slots of the wire format: e, phi, x, y, root.
+FIELD_SLOTS = 5
+#: Bytes after the length-prefixed message: epoch, field slots, proof.
+FIXED_TAIL = 8 + FIELD_SLOTS * KEY_SIZE_BYTES + PROOF_SIZE_BYTES
+
+#: A 32 B slot value: canonical, or at/above the modulus.
+slot_values = st.one_of(
+    st.integers(0, Fr.MODULUS - 1),
+    st.integers(Fr.MODULUS, 2 ** (8 * KEY_SIZE_BYTES) - 1),
+)
+
+
+def parse_or_reject(data: bytes):
+    """The parsed signal (checked to re-encode to ``data``), or None
+    when the parser raised its typed error."""
+    try:
+        signal = RlnSignal.from_bytes(data)
+    except SerializationError:
+        return None
+    assert signal.to_bytes() == data
+    assert len(data) == 4 + len(signal.message) + signal.overhead_bytes
+    return signal
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=2 * FIXED_TAIL))
+def test_arbitrary_bytes_parse_or_raise_typed_error(data):
+    parse_or_reject(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    message=st.binary(max_size=64),
+    epoch=st.binary(min_size=8, max_size=8),
+    slots=st.lists(slot_values, min_size=FIELD_SLOTS, max_size=FIELD_SLOTS),
+    proof=st.binary(min_size=PROOF_SIZE_BYTES, max_size=PROOF_SIZE_BYTES),
+)
+def test_valid_length_parses_iff_every_slot_is_canonical(
+    message, epoch, slots, proof
+):
+    data = (
+        len(message).to_bytes(4, "big")
+        + message
+        + epoch
+        + b"".join(v.to_bytes(KEY_SIZE_BYTES, "big") for v in slots)
+        + proof
+    )
+    assert len(data) == 4 + len(message) + FIXED_TAIL
+    signal = parse_or_reject(data)
+    assert (signal is not None) == all(v < Fr.MODULUS for v in slots)

@@ -186,7 +186,7 @@ class TestMemoryFlatness:
         peak and bounded per-peer caches are still warming at this
         scale, so the tolerance is generous; the full-scale growth
         curve (and the truly-unbounded nullifier contrast) lives in
-        ``benchmarks/bench_million_id.py`` / ``bench_nullifier_map``.
+        ``benchmarks/bench_million_id.py`` / ``bench_paper_claims`` (E9).
         """
         spec = scenario("million-id-city")
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ScenarioError
 from repro.scenarios import (
+    AdversaryGroup,
     AdversaryMix,
     ChurnModel,
     ScenarioSpec,
@@ -46,6 +47,10 @@ def test_duplicate_registration_refused():
     assert _REGISTRY[spec.name] is spec
 
 
+def _flooders(count: int) -> AdversaryMix:
+    return AdversaryMix(groups=(AdversaryGroup("burst-flood", count=count),))
+
+
 def test_spec_validation():
     with pytest.raises(ScenarioError):
         ScenarioSpec(name="x", description="d", peers=1)
@@ -54,7 +59,7 @@ def test_spec_validation():
             name="x",
             description="d",
             peers=3,
-            adversaries=AdversaryMix(spammer_count=3),
+            adversaries=_flooders(3),
         )
     with pytest.raises(ScenarioError):
         ScenarioSpec(
@@ -71,15 +76,15 @@ def test_scaled_rescales_adversary_mix():
         name="x",
         description="d",
         peers=200,
-        adversaries=AdversaryMix(spammer_count=10),
+        adversaries=_flooders(10),
     )
     small = spec.scaled(peers=20)
     assert small.peers == 20
-    assert small.adversaries.spammer_count == 1
-    assert spec.adversaries.spammer_count == 10  # original untouched
+    assert small.adversaries.total_count == 1
+    assert spec.adversaries.total_count == 10  # original untouched
     # Spammers can never swallow the whole (tiny) network.
     tiny = spec.scaled(peers=2)
-    assert tiny.adversaries.spammer_count == 1
+    assert tiny.adversaries.total_count == 1
 
 
 def test_config_overrides_applied():

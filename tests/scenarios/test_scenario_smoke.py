@@ -48,12 +48,12 @@ def test_every_registered_scenario_smokes(name):
             result.stake_burnt + result.reporter_rewards
             == result.members_slashed * config.stake_wei
         )
-    if spec.adversaries.spammer_count:
+    groups = spec.adversaries.groups
+    if groups and all(g.strategy == "burst-flood" for g in groups):
         # Spam containment: honest peers saw at most ~1 relayed spam
         # message per spammer-epoch, never the whole burst.
-        per_peer_bound = (
-            result.spam_published / max(spec.adversaries.burst, 1) + 1
-        )
+        burst = min(g.burst for g in groups)
+        per_peer_bound = result.spam_published / max(burst, 1) + 1
         assert result.spam_per_honest_peer <= per_peer_bound
     if spec.adversaries.groups:
         # Engine scenarios emit the attack-economics series; attacker
