@@ -76,8 +76,8 @@ def genesis_deployment_footprint(n, depth, sub_depth):
     sharded tree's leaf chunks all reference it) and its lookup index —
     after the first ``find_leaf`` and one genesis slash (a journaled
     overwrite that takes one sub-tree's leaves private). Also the
-    tracemalloc *peak* from deployment on (the index sort's transient
-    records are what sets a process's RSS high-water mark).
+    tracemalloc *peak* from deployment on (set while the lookup index
+    sorts its one packed key per identity).
     tracemalloc, so both figures are deterministic;
     ``tests/benchmarks/test_genesis_footprint.py`` pins them at 50k
     identities. Returns ``(held bytes per identity, peak bytes per
@@ -197,7 +197,8 @@ def test_registration_throughput(record_table, bench_scale):
         "everything a deployment in use holds - the one packed list "
         "behind contract, seed event and tree (32 B) and its lookup "
         "index (4 B) - after the first find_leaf and one slash, and "
-        "the peak is the index sort's transient records. The flat run "
+        "the peak is the index sort's transient keys (one int per "
+        "identity). The flat run "
         "is not traced (tracing would distort its wall s).",
         meta={
             "identities": total,

@@ -39,10 +39,6 @@ class EconomicsReport:
     contract_balance: int
     ledgers: List[PeerLedger]
 
-    @property
-    def slash_reward(self) -> int:
-        return self.stake_wei - int(self.stake_wei * self.burn_fraction)
-
     def ledger(self, node_id: str) -> PeerLedger:
         for entry in self.ledgers:
             if entry.node_id == node_id:

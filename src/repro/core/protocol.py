@@ -16,10 +16,11 @@ flow matches the paper's deployment story:
 
 from __future__ import annotations
 
+from hashlib import blake2b
 from typing import Callable, Dict, FrozenSet, List, Optional
 
 from ..constants import ETH_BLOCK_INTERVAL_SECONDS
-from ..crypto.field import Fr
+from ..crypto.hashing import BULK_CHUNK, blake2b_digests_int
 from ..crypto.keys import IdentityCommitment, MembershipKeyPair
 from ..crypto.slot_index import PackedFieldList
 from ..errors import NetworkError, RegistrationError
@@ -50,19 +51,18 @@ def genesis_commitments(count: int, seed: int = 0) -> PackedFieldList:
     must not cost a million poseidon permutations under the slow
     backend nor perturb ``hash_call_count`` accounting. Packed as it
     is derived: the list never exists as a million ``int`` objects.
-    Member ``i`` is ``blake2b(b"genesis-member:<seed>:<i>")``, hashed
-    from a copy of one state that has already absorbed the prefix.
+    Member ``i`` is ``blake2b(b"genesis-member:<seed>:<i>")`` reduced
+    into the field (0 becomes 1), hashed a chunk at a time from copies
+    of one state that has already absorbed the prefix.
     """
-    from hashlib import blake2b
-
     keyed = blake2b(b"genesis-member:%d:" % seed, digest_size=32)
-    packed = bytearray()
-    for i in range(count):
-        hasher = keyed.copy()
-        hasher.update(b"%d" % i)
-        value = int.from_bytes(hasher.digest(), "big") % Fr.MODULUS or 1
-        packed += value.to_bytes(32, "big")
-    return PackedFieldList(packed)
+    chunks = []
+    for start in range(0, count, BULK_CHUNK):
+        stop = min(start + BULK_CHUNK, count)
+        names = list(map(b"%d".__mod__, range(start, stop)))
+        values = blake2b_digests_int(keyed, names)
+        chunks.append(b"".join([(v or 1).to_bytes(32, "big") for v in values]))
+    return PackedFieldList(b"".join(chunks))
 
 
 class WakuRlnRelayNetwork:

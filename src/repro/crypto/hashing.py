@@ -34,8 +34,11 @@ hash work.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
+from itertools import repeat, starmap
+from operator import itemgetter, mod
 from struct import iter_unpack
-from typing import List, Sequence, Union
+from typing import Iterator, List, Sequence, Union
 
 from ..errors import FieldError
 from .field import Fr
@@ -51,6 +54,19 @@ _BLAKE2B_2 = hashlib.blake2b(digest_size=32, person=b"repro-fr\x02")
 
 #: One level of tree nodes: ints, or a packed (genesis) leaf chunk.
 Level = Union[Sequence[int], PackedFieldList]
+
+#: Most BLAKE2b states a bulk digest holds at once (456 B each).
+BULK_CHUNK = 4096
+
+
+def blake2b_digests_int(state, messages: Sequence[bytes]) -> Iterator[int]:
+    """``int(digest) % MODULUS`` of a copy of BLAKE2b ``state`` updated
+    with each message; copies up front, so pass at most :data:`BULK_CHUNK`."""
+    states = list(starmap(state.copy, repeat((), len(messages))))
+    deque(map(hashlib.blake2b.update, states, messages), 0)
+    digests = map(hashlib.blake2b.digest, states)
+    ints = map(int.from_bytes, digests, repeat("big"))
+    return map(mod, ints, repeat(_MODULUS))
 
 
 def blake2b_hash1_int(x: int) -> int:
@@ -69,21 +85,20 @@ def blake2b_hash2_int(x: int, y: int) -> int:
 
 
 def blake2b_level_int(level: Level, zero: int) -> List[int]:
-    """:func:`blake2b_hash2_int` over each pair of ``level``. A packed
-    list already holds the 64-byte pairs those calls would encode, so
-    it is hashed from its packed bytes with no int decode or re-encode."""
-    if isinstance(level, PackedFieldList):
-        data = bytes(level)
-    else:
-        data = b"".join([node.to_bytes(32, "big") for node in level])
-    if len(data) % 64:
-        data += zero.to_bytes(32, "big")
-    copy = _BLAKE2B_2.copy
-    parents = []
-    for (pair,) in iter_unpack("64s", data):
-        hasher = copy()
-        hasher.update(pair)
-        parents.append(int.from_bytes(hasher.digest(), "big") % _MODULUS)
+    """:func:`blake2b_hash2_int` over each pair of ``level``, by chunks.
+    A packed list already holds the 64-byte pairs those calls would
+    encode, so it is hashed from its bytes with no int decode."""
+    parents: List[int] = []
+    for start in range(0, len(level), 2 * BULK_CHUNK):
+        nodes = level[start : start + 2 * BULK_CHUNK]
+        if isinstance(nodes, PackedFieldList):
+            data = bytes(nodes)
+        else:
+            data = b"".join([node.to_bytes(32, "big") for node in nodes])
+        if len(data) % 64:
+            data += zero.to_bytes(32, "big")
+        pairs = list(map(itemgetter(0), iter_unpack("64s", data)))
+        parents.extend(blake2b_digests_int(_BLAKE2B_2, pairs))
     return parents
 
 

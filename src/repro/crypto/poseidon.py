@@ -131,10 +131,6 @@ def poseidon_parameters_int(
     return constants, mds
 
 
-def _sbox(x: Fr) -> Fr:
-    return x ** _SBOX_EXPONENT
-
-
 def poseidon_permutation_int(state: Sequence[int]) -> List[int]:
     """Int-native Poseidon permutation (length of ``state`` = t).
 

@@ -5,7 +5,9 @@ must cost neither a Python ``int`` nor a hash-table entry: the list is
 one buffer of 32-byte big-endian field elements that every layer
 (contract, seed event, tree leaf chunks) references, and looking a
 value up in it bisects a permutation of the slots sorted by
-``(value, slot)`` — 4 more bytes per slot.
+``(value, slot)`` — 4 more bytes per slot. It is sorted on one small
+``int`` per slot (the value's top 32 bits above the slot's bits); only
+runs of tied top words are re-sorted by the full encoding.
 """
 
 from __future__ import annotations
@@ -13,15 +15,12 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from hashlib import blake2b
-from itertools import compress, islice, repeat
-from operator import eq, itemgetter
-from struct import Struct, iter_unpack
+from itertools import compress, count, groupby, islice, repeat
+from operator import and_, eq, itemgetter, lshift, or_, rshift
+from struct import iter_unpack
 from typing import Iterable, Iterator, Optional
 
 from .field import Fr
-
-_VALUE = itemgetter(slice(0, 32))
-_SLOT = itemgetter(slice(32, 36))
 
 
 def _values(packed: memoryview) -> Iterator[bytes]:
@@ -34,22 +33,27 @@ class SortedSlotIndex:
 
     def __init__(self, packed: memoryview) -> None:
         self._packed = packed
-        # Fixed-width big-endian ``value || slot`` records sort bytewise
-        # in (value, slot) order: no key function, no decoded ints.
-        slots = map(Struct(">I").pack, range(len(packed) // 32))
-        records = list(map(b"".join, zip(_values(packed), slots)))
-        records.sort()
-        self._order = array(
-            "I", map(int.from_bytes, map(_SLOT, records), repeat("big"))
-        )
-        same_as_previous = map(
-            eq, map(_VALUE, islice(records, 1, None)), map(_VALUE, records)
-        )
+        n = len(packed) // 32
+        bits = max(n - 1, 0).bit_length()  # of a slot, under the top word
+        tops = map(itemgetter(0), iter_unpack(">I28x", packed))
+        keys = list(map(or_, map(lshift, tops, repeat(bits)), range(n)))
+        keys.sort()
+        self._order = array("I", map(and_, keys, repeat((1 << bits) - 1)))
+        # A run of tied top words holds ascending slots: a stable re-sort
+        # by encoding puts it in (value, slot) order.
+        tops = map(rshift, keys, repeat(bits))
+        later = map(rshift, islice(keys, 1, None), repeat(bits))
+        tied = compress(count(1), map(eq, later, tops))
+        repeats = []
+        for _, run in groupby(tied, key=lambda i: keys[i] >> bits):
+            run = list(run)
+            span = slice(run[0] - 1, run[-1] + 1)
+            slots = sorted(self._order[span], key=self._encoded_at)
+            self._order[span] = array("I", slots)
+            for _, same in groupby(slots, key=self._encoded_at):
+                repeats.extend(islice(same, 1, 2))
         #: Lowest slot whose value also sits in an earlier slot.
-        self.first_repeat: Optional[int] = min(
-            compress(islice(self._order, 1, None), same_as_previous),
-            default=None,
-        )
+        self.first_repeat: Optional[int] = min(repeats, default=None)
 
     def _encoded_at(self, slot: int) -> bytes:
         return self._packed[32 * slot : 32 * slot + 32].tobytes()

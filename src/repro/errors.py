@@ -44,27 +44,12 @@ class ContractError(ReproError):
     """Smart-contract call reverted."""
 
 
-class InsufficientStakeError(ContractError):
-    """Registration attempted with less than the required stake."""
-
-    def __init__(self, required: int, offered: int) -> None:
-        super().__init__(
-            f"membership requires a stake of {required} wei, got {offered}"
-        )
-        self.required = required
-        self.offered = offered
-
-
 class MemberNotFoundError(ContractError):
     """A slashing or lookup call referenced an unknown member."""
 
 
 class ChainError(ReproError):
     """Blockchain simulation failure (unknown account, bad nonce, ...)."""
-
-
-class OutOfGasError(ChainError):
-    """A transaction exceeded its gas limit."""
 
 
 class SimulationError(ReproError):

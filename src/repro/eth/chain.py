@@ -478,10 +478,6 @@ class Blockchain:
             else first_block_time
         )
 
-    @property
-    def is_replica(self) -> bool:
-        return self._replica
-
     def drain_outbox(self) -> List[ReplicaOp]:
         """Ops queued locally since the last barrier (cleared)."""
         ops, self._outbox = self._outbox, []

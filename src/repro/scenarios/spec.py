@@ -312,6 +312,11 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.peers < 2:
             raise ScenarioError("a scenario needs at least 2 peers")
+        if not (isinstance(self.seed, int) and 0 <= self.seed < 1 << 64):
+            raise ScenarioSpecError(  # proving keys derive from 8 bytes
+                f"seed must be an integer in [0, 2**64), got {self.seed!r}",
+                problems=("seed",),
+            )
         if self.pre_registered < 0:
             raise ScenarioError("pre_registered must be >= 0")
         if self.adversaries.total_count >= self.peers:

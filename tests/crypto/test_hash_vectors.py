@@ -8,7 +8,8 @@ backend, and checks the bulk kernels against the plainest
 implementation of the same thing:
 the object-form BLAKE2b field hash (``blake2b_field_hash`` below), a
 pairwise ``hash2_int`` loop for ``hash_level_int``, and the one-digest-
-per-identity formula for ``genesis_commitments``.
+per-identity formula for ``genesis_commitments`` — also at the edges
+of the 4096-state chunks both bulk paths hash in.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import hashlib
 from typing import List, Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.protocol import genesis_commitments
 from repro.crypto.field import Fr
 from repro.crypto.hashing import (
+    blake2b_level_int,
     hash1_int,
     hash2_int,
     hash_call_count,
@@ -235,11 +237,32 @@ def test_level_kernel_equals_the_pairwise_loop(name, data):
     assert parents == expected
 
 
+#: Level lengths (nodes) around the bulk kernel's chunks of 4096
+#: pairs: 0 pairs, 1, an odd number, 4096, 4097 and 8193, with and
+#: without an odd tail padded by the zero node.
+CHUNK_LEVELS = (0, 1, 2, 7, 14, 8191, 8192, 8193, 16385, 16386)
+
+
+@pytest.mark.parametrize("n", CHUNK_LEVELS)
+def test_level_kernel_equals_the_pairwise_loop_across_chunks(n):
+    set_hash_backend("blake2b")  # the autouse fixture restores the default
+    level = genesis_oracle(n, seed=n)
+    zero = hash1_int(n)
+    expected = pairwise_level(level, zero)
+    assert len(expected) == (n + 1) // 2
+    assert blake2b_level_int(level, zero) == expected
+    assert blake2b_level_int(PackedFieldList.of(level), zero) == expected
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=0, max_value=300),
     st.integers(min_value=0, max_value=1 << 40),
 )
+@example(4095, 11)  # around the 4096-member chunks
+@example(4096, 11)
+@example(4097, 11)
+@example(8193, 11)
 def test_genesis_commitments_equal_the_per_identity_formula(count, seed):
     assert list(genesis_commitments(count, seed)) == genesis_oracle(
         count, seed

@@ -4,6 +4,8 @@ The packed genesis list replaces a tuple of ``int``s in the contract,
 the seed event and the tree, so everything those layers do with it —
 indexing, slicing, iteration, value lookups, duplicate detection,
 content identity across processes — is checked against the tuple.
+The lookup index is also checked against the plain ``value || slot``
+record sort of ``slot_index_oracle`` on lists built to tie.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from hypothesis import strategies as st
 
 from repro.crypto.field import Fr
 from repro.crypto.keys import IdentityCommitment
-from repro.crypto.slot_index import PackedFieldList
+from repro.crypto.slot_index import PackedFieldList, SortedSlotIndex
 from repro.errors import FieldError
+from slot_index_oracle import sorted_slots
 
 P = Fr.MODULUS
 
@@ -33,6 +36,28 @@ ITEM = st.one_of(
     st.booleans(),
     ANY_INT.map(Fr),
     ANY_INT.map(lambda v: IdentityCommitment(Fr(v))),
+)
+
+
+#: Values the index's top-word sort cannot tell apart: a shared top 32
+#: bits (0, 1, the modulus's, the sign bit's, all ones) over low bits
+#: that differ or repeat; the edges of the field and of 256 bits.
+TIED = st.builds(
+    lambda top, low: top << 224 | low,
+    st.sampled_from([0, 1, P >> 224, 1 << 31, (1 << 32) - 1]),
+    st.one_of(
+        st.sampled_from([0, 1, 2, (1 << 224) - 1]),
+        st.integers(min_value=0, max_value=(1 << 224) - 1),
+    ),
+)
+RAW = st.one_of(
+    TIED,
+    st.sampled_from([0, 1, P - 1, 1 << 255, (1 << 256) - 1]),
+    st.integers(min_value=0, max_value=(1 << 256) - 1),
+)
+#: Lengths at the boundaries of the slot bits packed under the top word.
+LENGTHS = sorted(
+    {0, 1, 2, 3} | {(1 << k) + d for k in range(2, 9) for d in (-1, 0, 1)}
 )
 
 
@@ -85,6 +110,24 @@ def test_lookups_match_a_scan(items, probes):
         slot for slot, v in enumerate(model) if v in model[:slot]
     ]
     assert index.first_repeat == min(later_copies, default=None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_index_equals_the_record_sort_on_tied_values(data):
+    n = data.draw(st.sampled_from(LENGTHS))
+    pool = data.draw(st.lists(RAW, min_size=1, max_size=4))
+    value = st.one_of(RAW, st.sampled_from(pool))  # repeats are common
+    values = data.draw(st.lists(value, min_size=n, max_size=n))
+    packed = b"".join(v.to_bytes(32, "big") for v in values)
+    index = SortedSlotIndex(memoryview(packed))
+    order, first_repeat = sorted_slots(packed)
+    assert list(index._order) == order
+    assert index.first_repeat == first_repeat
+    probes = data.draw(st.lists(RAW, max_size=4))
+    for v in {*values, *probes, *(v + 1 for v in values)}:
+        held = [slot for slot, w in enumerate(values) if w == v]
+        assert list(index.slots(v)) == held
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ScenarioError
+from repro.errors import ScenarioError, ScenarioSpecError
 from repro.scenarios import (
     AdversaryGroup,
     AdversaryMix,
@@ -69,6 +69,18 @@ def test_spec_validation():
         TrafficModel(active_fraction=1.5)
     with pytest.raises(ScenarioError):
         ChurnModel(join_interval=-1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5, "7"])
+def test_out_of_range_seed_is_a_typed_spec_error(seed):
+    with pytest.raises(ScenarioSpecError) as excinfo:
+        ScenarioSpec(name="x", description="d", seed=seed)
+    assert excinfo.value.problems == ("seed",)
+    with pytest.raises(ScenarioSpecError) as excinfo:
+        scenario("honest-steady").scaled(seed=seed)
+    assert excinfo.value.problems == ("seed",)
+    for edge in (0, (1 << 64) - 1):
+        assert scenario("honest-steady").scaled(seed=edge).seed == edge
 
 
 def test_scaled_rescales_adversary_mix():
