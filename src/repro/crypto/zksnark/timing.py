@@ -65,15 +65,6 @@ class PerformanceModel:
         del depth  # verification cost does not depend on the group size
         return self.verify_seconds / self.device_speed
 
-    def with_device_speed(self, speed: float) -> "PerformanceModel":
-        """A copy of this model for a device ``speed``x the reference."""
-        return PerformanceModel(
-            reference_prove_seconds=self.reference_prove_seconds,
-            reference_depth=self.reference_depth,
-            verify_seconds=self.verify_seconds,
-            device_speed=speed,
-        )
-
 
 #: Shared default model (iPhone 8 calibration).
 DEFAULT_PERFORMANCE_MODEL = PerformanceModel()

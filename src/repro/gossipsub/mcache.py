@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .rpc import GossipMessage
 
@@ -18,47 +17,53 @@ class MessageCache:
     Windows are indexed **per topic**, so :meth:`gossip_ids` touches
     only the queried topic's IDs (in insertion order) and an idle topic
     costs a dict miss — on a multiplexed mesh the heartbeat's gossip
-    emission is O(own traffic), not O(all traffic x topics).
-    :meth:`shift` is amortised O(1) per cached message: each ID is
-    appended once and dropped once.
+    emission is O(own traffic), not O(all traffic x topics). Only
+    windows that received a message exist, tagged with the shift count
+    they were filled at, so an idle router holds an empty list.
+    :meth:`shift` is amortised O(1) per cached message.
     """
 
     def __init__(self, history_length: int = 5, gossip_length: int = 3) -> None:
-        if gossip_length > history_length:
-            raise ValueError("gossip window cannot exceed history window")
         self.history_length = history_length
         self.gossip_length = gossip_length
         self._messages: Dict[str, GossipMessage] = {}
-        #: Newest window first; each window maps topic -> message IDs
-        #: in insertion order.
-        self._windows: deque[Dict[str, List[str]]] = deque([{}])
+        #: Non-empty windows, oldest first: (shift count, topic -> IDs).
+        self._windows: List[Tuple[int, Dict[str, List[str]]]] = []
+        self._shifts = 0
 
     def put(self, message: GossipMessage) -> None:
         if message.msg_id in self._messages:
             return
         self._messages[message.msg_id] = message
-        self._windows[0].setdefault(message.topic, []).append(message.msg_id)
+        windows = self._windows
+        if not windows or windows[-1][0] != self._shifts:
+            windows.append((self._shifts, {}))
+        windows[-1][1].setdefault(message.topic, []).append(message.msg_id)
 
     def get(self, msg_id: str) -> Optional[GossipMessage]:
         return self._messages.get(msg_id)
 
     def gossip_ids(self, topic: str) -> List[str]:
-        """Message IDs for ``topic`` within the gossip window."""
+        """``topic``'s IDs in the gossip window, newest window first."""
         out: List[str] = []
-        for i in range(min(self.gossip_length, len(self._windows))):
-            ids = self._windows[i].get(topic)
+        oldest = self._shifts - self.gossip_length
+        for shift_no, window in reversed(self._windows):
+            if shift_no <= oldest:
+                break
+            ids = window.get(topic)
             if ids:
                 out.extend(ids)
         return out
 
     def shift(self) -> None:
         """Advance one heartbeat; drop messages older than the history."""
-        self._windows.appendleft({})
-        while len(self._windows) > self.history_length:
-            expired = self._windows.pop()
-            for ids in expired.values():
+        self._shifts += 1
+        horizon = self._shifts - self.history_length
+        windows = self._windows
+        while windows and windows[0][0] <= horizon:
+            for ids in windows.pop(0)[1].values():
                 for msg_id in ids:
-                    self._messages.pop(msg_id, None)
+                    del self._messages[msg_id]
 
     def __len__(self) -> int:
         return len(self._messages)
@@ -69,40 +74,43 @@ class SeenCache:
 
     Gossip floods produce many duplicate deliveries; each message ID is
     remembered for ``ttl`` simulated seconds (re-witnessing extends the
-    window). ``ttl`` is constant and callers pass a ``now`` that never
-    decreases (the simulated clock), so keeping the IDs in last-witness
-    order *is* keeping them in expiry order: every :meth:`witness`
-    drops the few leading entries whose time has come, O(1) amortised
-    with no second index, and memory tracks the live working set. A
-    ``now`` earlier than a previous call's is outside the contract.
+    window). Callers pass a ``now`` that never decreases (the simulated
+    clock). One plain dict maps each ID to its expiry, updated in place.
 
-    Expiry happens only inside :meth:`witness`, so ``in`` keeps
-    answering for a stale ID until this peer's next witness.
+    An ID is present while its expiry lies after the clock of the last
+    :meth:`witness`. That is exactly the cache this replaced
+    (``tests/gossipsub/cache_oracle.py``), whose every witness swept
+    the entries with ``expiry <= now``: a stale ID answers ``in`` until
+    this peer's next witness at or after its expiry.
+
+    Expired entries are dropped lazily: the dict is rebuilt from its
+    live entries when it has doubled since the last rebuild *and* some
+    entry can have expired (``_floor`` is at most every held expiry).
+    The insertions that doubled it pay for the rebuild, and it holds at
+    most twice its last live set (64 at least) or only live entries.
     """
 
     def __init__(self, ttl: float = 120.0) -> None:
         self.ttl = ttl
-        #: msg_id -> expiry, oldest witness first. An ``OrderedDict``
-        #: because it pops its first entry in O(1); a plain dict scans
-        #: past every slot deleted since its last resize to find it.
-        self._expiry: "OrderedDict[str, float]" = OrderedDict()
+        self._expiry: Dict[str, float] = {}
+        self._now = self._floor = float("-inf")
+        self._limit = 64
 
     def witness(self, msg_id: str, now: float) -> bool:
         """Record ``msg_id``; returns True when it was seen already."""
         expiry = self._expiry
-        while expiry:
-            oldest = next(iter(expiry))
-            if expiry[oldest] > now:
-                break
-            del expiry[oldest]
-        seen = msg_id in expiry
+        seen = expiry.get(msg_id, now) > now  # absent reads as expired
         expiry[msg_id] = now + self.ttl
-        if seen:
-            expiry.move_to_end(msg_id)
+        self._now = now
+        if self._floor <= now and len(expiry) > self._limit:
+            self._expiry = live = {i: e for i, e in expiry.items() if e > now}
+            # No later insertion (``now + ttl``) can expire earlier.
+            self._floor = min(live.values(), default=now)
+            self._limit = max(64, 2 * len(live))
         return seen
 
     def __contains__(self, msg_id: str) -> bool:
-        return msg_id in self._expiry
+        return self._expiry.get(msg_id, self._now) > self._now
 
     def __len__(self) -> int:
-        return len(self._expiry)
+        return sum(expiry > self._now for expiry in self._expiry.values())

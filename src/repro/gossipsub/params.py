@@ -8,10 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import GossipError
+
 
 @dataclass(frozen=True)
 class GossipSubParams:
-    """Router-level knobs."""
+    """Router-level knobs, checked on construction."""
 
     #: Target mesh degree and its acceptable bounds.
     d: int = 6
@@ -46,3 +48,18 @@ class GossipSubParams:
     #: *every* subscribed topic (other heartbeats maintain only topics
     #: marked dirty by an actual change).
     full_sweep_interval: int = 30
+
+    def __post_init__(self) -> None:
+        valid = {
+            "seen_ttl": self.seen_ttl > 0,
+            "mcache_len": self.mcache_len >= 1,
+            "mcache_gossip": 0 <= self.mcache_gossip <= self.mcache_len,
+            "heartbeat_interval": self.heartbeat_interval > 0,
+        }
+        for field, ok in valid.items():
+            if not ok:
+                raise GossipError(
+                    f"GossipSubParams.{field} = {getattr(self, field)!r} is "
+                    "out of range: need seen_ttl > 0, mcache_len >= 1, "
+                    "0 <= mcache_gossip <= mcache_len, heartbeat_interval > 0"
+                )

@@ -229,9 +229,6 @@ class PeerScoreTracker:
                     del self._ip_peers[stats.ip]
         self._suspects.discard(peer)
 
-    def known_peers(self):
-        return list(self._peers)
-
     def _stats(self, peer: NodeId) -> _PeerStats:
         stats = self._peers.get(peer)
         if stats is None:

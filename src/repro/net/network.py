@@ -10,7 +10,7 @@ property.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Protocol, Set
+from typing import Any, Dict, List, Protocol, Set
 
 from ..errors import NetworkError, SimulationError
 from ..sim.latency import LatencyModel, UniformLatency
@@ -311,9 +311,3 @@ class Network:
             delay, "net.deliver", (sender, receiver, packet), label, receiver
         )
         return True
-
-    def broadcast(
-        self, sender: NodeId, receivers: Iterable[NodeId], packet: Any
-    ) -> int:
-        """Send one packet to many neighbours; returns how many were sent."""
-        return sum(1 for r in receivers if self.send(sender, r, packet))

@@ -283,16 +283,6 @@ class Simulator:
             (self.now + delay, next(self._sequence), None, handler, payload),
         )
 
-    def schedule_at(
-        self,
-        time: float,
-        handler: Handler,
-        label: str = "",
-        shard: Optional[str] = None,
-    ) -> EventHandle:
-        """Run ``handler`` at absolute simulated time ``time``."""
-        return self.schedule(time - self.now, handler, label, shard=shard)
-
     def schedule_periodic(
         self,
         interval: float,

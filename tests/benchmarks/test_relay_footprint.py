@@ -34,13 +34,14 @@ BENCH = (
 BUDGET_ENVELOPE_BYTES = 79_000
 #: Live instances beyond the distinct messages (none measured).
 SLACK_INSTANCES = 8
-#: Measured 180.2 B at 20 peers between 100 and 160 messages (121.2 at
-#: 40, 91.1 at 80: ~61 B of router state per (peer, message) plus
-#: ~2.4 KB per message held once per process by the shared verification
-#: cache, spread over the peers); ~15 % headroom. With a
-#: ``(expiry, id)`` heap entry next to every seen-cache slot it
-#: measures 236.2 (177.7, 147.5).
-BUDGET_MARGINAL_BYTES = 207
+#: Measured 141.8 B at 20 peers between 100 and 160 messages (87.5 at
+#: 40, 57.3 at 80: ~29 B of router state per (peer, message) plus
+#: ~2.3 KB per message held once per process by the shared verification
+#: cache, spread over the peers); ~15 % headroom. With the seen-cache
+#: in an ordered dict (a linked node next to every slot) it measured
+#: 174.4 (119.9, 89.8), ~62 B per (peer, message); with an
+#: ``(expiry, id)`` heap entry next to every slot, 236.2 (177.7, 147.5).
+BUDGET_MARGINAL_BYTES = 163
 
 
 @pytest.fixture(scope="module")

@@ -233,9 +233,7 @@ def _apply(tracker, events):
             probes.append((peer, tracker.score(peer, now)))
     # Final materialisation of everyone.
     probes.extend(
-        (peer, tracker.score(peer, now)) for peer in sorted(
-            tracker.known_peers()
-        )
+        (peer, tracker.score(peer, now)) for peer in sorted(tracker._peers)
     )
     return probes
 
@@ -346,9 +344,7 @@ class TestModeEquivalenceEndToEnd:
         }
         scores = {
             r.node_id: {
-                p: r.scores.score(p, sim.now) for p in sorted(
-                    r.scores.known_peers()
-                )
+                p: r.scores.score(p, sim.now) for p in sorted(r.scores._peers)
             }
             for r in routers
         }

@@ -61,9 +61,11 @@ class TestMessageCache:
         cache.put(msg(2, topic="b"))
         assert len(cache.gossip_ids("a")) == 1
 
-    def test_invalid_windows_rejected(self):
-        with pytest.raises(ValueError):
-            MessageCache(history_length=2, gossip_length=3)
+    def test_idle_router_holds_no_windows(self):
+        cache = MessageCache()
+        for _ in range(100):
+            cache.shift()
+        assert cache._windows == [] and cache.gossip_ids("t") == []
 
 
 class TestSeenCache:

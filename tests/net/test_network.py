@@ -124,13 +124,6 @@ class TestDelivery:
         sim.run()
         assert network.metrics.counter("net.packets_dead_lettered") == 1
 
-    def test_broadcast_counts(self):
-        sim, network, nodes = make_network(4)
-        network.connect("n0", "n1")
-        network.connect("n0", "n2")
-        sent = network.broadcast("n0", ["n1", "n2", "n3"], "y")
-        assert sent == 2
-
 
 class TestOneNetworkPerSimulator:
     """Deliveries go through ports the network registers on its

@@ -41,12 +41,12 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda s: None)
 
-    def test_schedule_at_absolute_time(self):
+    def test_schedule_after_the_clock_has_advanced(self):
         sim = Simulator()
         sim.schedule(1.0, lambda s: None)
         sim.run()
         hits = []
-        sim.schedule_at(5.0, lambda s: hits.append(s.now))
+        sim.schedule(4.0, lambda s: hits.append(s.now))
         sim.run()
         assert hits == [5.0]
 

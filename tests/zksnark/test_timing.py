@@ -1,5 +1,7 @@
 """Tests for the calibrated zkSNARK performance model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.constants import (
@@ -64,7 +66,7 @@ class TestPerformanceModel:
         )
 
     def test_device_speed_scales_everything(self):
-        fast = DEFAULT_PERFORMANCE_MODEL.with_device_speed(2.0)
+        fast = replace(DEFAULT_PERFORMANCE_MODEL, device_speed=2.0)
         assert fast.prove_seconds(32) == pytest.approx(0.25)
         assert fast.verify_seconds_for(32) == pytest.approx(0.015)
 
