@@ -21,17 +21,17 @@ hash rate, keeping benchmarks fast and faithful.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import VerificationError
+from ..crypto.digests import blake2b
 
 
 def _envelope_hash(payload: bytes, ttl: int, nonce: int) -> bytes:
-    hasher = hashlib.blake2b(digest_size=32)
+    hasher = blake2b(digest_size=32)
     hasher.update(ttl.to_bytes(4, "big"))
     hasher.update(nonce.to_bytes(8, "big"))
     hasher.update(payload)

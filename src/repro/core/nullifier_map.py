@@ -36,14 +36,6 @@ class NullifierRecord:
 
     signal: RlnSignal
 
-    @property
-    def share_x(self) -> Fr:
-        return self.signal.share.x
-
-    @property
-    def share_y(self) -> Fr:
-        return self.signal.share.y
-
 
 class NullifierMap:
     """Sliding-window map ``epoch -> internal nullifier -> first signal``.
@@ -139,10 +131,6 @@ class NullifierMap:
     @property
     def entry_count(self) -> int:
         return sum(len(bucket) for bucket in self._epochs.values())
-
-    @property
-    def epoch_count(self) -> int:
-        return len(self._epochs)
 
     def epochs(self):
         return sorted(self._epochs)

@@ -16,10 +16,10 @@ flow matches the paper's deployment story:
 
 from __future__ import annotations
 
-from hashlib import blake2b
 from typing import Callable, Dict, FrozenSet, List, Optional
 
 from ..constants import ETH_BLOCK_INTERVAL_SECONDS
+from ..crypto.digests import blake2b
 from ..crypto.hashing import BULK_CHUNK, blake2b_digests_int
 from ..crypto.keys import IdentityCommitment, MembershipKeyPair
 from ..crypto.slot_index import PackedFieldList

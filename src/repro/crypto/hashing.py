@@ -33,7 +33,6 @@ hash work.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from itertools import repeat, starmap
 from operator import itemgetter, mod
@@ -41,6 +40,7 @@ from struct import iter_unpack
 from typing import Iterator, List, Sequence, Union
 
 from ..errors import FieldError
+from .digests import blake2b
 from .field import Fr
 from .poseidon import poseidon_hash1_int, poseidon_hash2_int
 from .slot_index import PackedFieldList
@@ -49,8 +49,8 @@ _MODULUS = Fr.MODULUS
 
 #: One personalised BLAKE2b state per arity. A digest hashes a copy:
 #: the same state as a freshly built one, at a fraction of the cost.
-_BLAKE2B_1 = hashlib.blake2b(digest_size=32, person=b"repro-fr\x01")
-_BLAKE2B_2 = hashlib.blake2b(digest_size=32, person=b"repro-fr\x02")
+_BLAKE2B_1 = blake2b(digest_size=32, person=b"repro-fr\x01")
+_BLAKE2B_2 = blake2b(digest_size=32, person=b"repro-fr\x02")
 
 #: One level of tree nodes: ints, or a packed (genesis) leaf chunk.
 Level = Union[Sequence[int], PackedFieldList]
@@ -63,8 +63,8 @@ def blake2b_digests_int(state, messages: Sequence[bytes]) -> Iterator[int]:
     """``int(digest) % MODULUS`` of a copy of BLAKE2b ``state`` updated
     with each message; copies up front, so pass at most :data:`BULK_CHUNK`."""
     states = list(starmap(state.copy, repeat((), len(messages))))
-    deque(map(hashlib.blake2b.update, states, messages), 0)
-    digests = map(hashlib.blake2b.digest, states)
+    deque(map(blake2b.update, states, messages), 0)
+    digests = map(blake2b.digest, states)
     ints = map(int.from_bytes, digests, repeat("big"))
     return map(mod, ints, repeat(_MODULUS))
 
@@ -210,7 +210,7 @@ def hash_bytes_to_field(data: bytes, domain: str = "msg") -> Fr:
 
     RLN evaluates the Shamir line at ``x = H(m)``; this is that ``H``.
     """
-    hasher = hashlib.blake2b(digest_size=32)
+    hasher = blake2b(digest_size=32)
     hasher.update(domain.encode())
     hasher.update(b"\x00")
     hasher.update(data)

@@ -9,12 +9,15 @@ public and secret keys").
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
+from random import SystemRandom
 
 from ..constants import KEY_SIZE_BYTES
 from .field import Fr
 from .hashing import hash1
+
+#: Draws from the OS CSPRNG (``os.urandom``), as ``secrets`` does.
+_os_randrange = SystemRandom().randrange
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,7 @@ class IdentitySecret:
         by default the OS CSPRNG is used.
         """
         if rng is None:
-            value = secrets.randbelow(Fr.MODULUS)
+            value = _os_randrange(Fr.MODULUS)
         else:
             value = rng.randrange(Fr.MODULUS)
         return cls(Fr(value))

@@ -28,12 +28,12 @@ records this substitution.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from ..errors import FieldError
+from .digests import sha256
 from .field import Fr
 
 #: Number of full rounds (split half before, half after the partial rounds).
@@ -54,7 +54,7 @@ def _derive_field_elements(tag: str, count: int) -> List[Fr]:
     elements: List[Fr] = []
     counter = 0
     while len(elements) < count:
-        digest = hashlib.sha256(f"{tag}|{counter}".encode()).digest()
+        digest = sha256(f"{tag}|{counter}".encode()).digest()
         elements.append(Fr.reduce_bytes(digest))
         counter += 1
     return elements

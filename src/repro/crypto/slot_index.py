@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from hashlib import blake2b
 from itertools import compress, count, groupby, islice, repeat
 from operator import and_, eq, itemgetter, lshift, or_, rshift
 from struct import iter_unpack
 from typing import Iterable, Iterator, Optional
 
+from .digests import blake2b
 from .field import Fr
 
 

@@ -15,12 +15,12 @@ this module provides a *behaviourally faithful* simulation:
 * **Proofs** are constant-size (128 bytes, the compressed BN254 Groth16
   size), randomised per invocation (zero-knowledge: two proofs of the
   same statement are unlinkable and reveal nothing about the witness),
-  and bound to the public inputs by a keyed MAC standing in for the
-  pairing check.
-* **Verify** recomputes the binding MAC; it runs in constant time with
-  respect to group size, matching the paper's ≈30 ms constant
-  verification cost (the wall-clock value itself comes from
-  :mod:`repro.crypto.zksnark.timing`, not from this code).
+  and bound to the public inputs by a MAC standing in for the pairing
+  check: BLAKE2b keyed with the SRS binding secret (RFC 7693's MAC mode).
+* **Verify** recomputes the binding MAC and compares it in constant
+  time; the cost is constant in the group size, matching the paper's
+  ≈30 ms constant verification cost (the wall-clock value itself comes
+  from :mod:`repro.crypto.zksnark.timing`, not from this code).
 
 DESIGN.md documents this substitution (real Groth16 → checked-witness
 MAC binding) and why it preserves the protocol-relevant behaviour.
@@ -28,14 +28,14 @@ MAC binding) and why it preserves the protocol-relevant behaviour.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
-import secrets
+import os
+from _operator import _compare_digest
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from ...constants import PROOF_SIZE_BYTES, PROVER_KEY_SIZE_BYTES
 from ...errors import ProofError, SerializationError
+from ..digests import blake2b, sha256, sha512
 from ..field import Fr
 from .r1cs import ConstraintSystem
 
@@ -97,7 +97,7 @@ class VerifyingKey:
         payload += b"\x00" + pi_a + pi_b
         for value in public_inputs:
             payload += Fr(value).to_bytes()
-        return hmac.new(self.binding_key, bytes(payload), hashlib.sha256).digest()
+        return blake2b(payload, key=self.binding_key, digest_size=32).digest()
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,9 @@ def trusted_setup(
     a fresh random secret is drawn, as a real ceremony would.
     """
     if seed is None:
-        binding_key = secrets.token_bytes(32)
+        binding_key = os.urandom(32)
     else:
-        binding_key = hashlib.sha256(b"srs|" + seed).digest()
+        binding_key = sha256(b"srs|" + seed).digest()
     vk = VerifyingKey(
         circuit_id=circuit_id,
         binding_key=binding_key,
@@ -181,15 +181,15 @@ def prove(
             f"circuit expects {vk.num_public_inputs}"
         )
     if rng is None:
-        randomness = secrets.token_bytes(32)
+        randomness = os.urandom(32)
     else:
         randomness = rng.randrange(1 << 256).to_bytes(32, "big")
     # pi_a / pi_b are random group elements in real Groth16 (the r and s
     # blinding factors make proofs unlinkable); we model them as hashes
     # of fresh randomness so that repeated proofs of the same statement
     # are distinct and witness-independent.
-    pi_a = hashlib.sha256(b"pi_a|" + randomness).digest()
-    pi_b = hashlib.sha512(b"pi_b|" + randomness).digest()
+    pi_a = sha256(b"pi_a|" + randomness).digest()
+    pi_b = sha512(b"pi_b|" + randomness).digest()
     pi_c = vk._binding(pi_a, pi_b, public)
     return Proof(pi_a=pi_a, pi_b=pi_b, pi_c=pi_c)
 
@@ -207,4 +207,4 @@ def verify(
     if len(public_inputs) != verifying_key.num_public_inputs:
         return False
     expected = verifying_key._binding(proof.pi_a, proof.pi_b, public_inputs)
-    return hmac.compare_digest(expected, proof.pi_c)
+    return _compare_digest(expected, proof.pi_c)

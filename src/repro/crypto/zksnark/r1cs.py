@@ -101,9 +101,6 @@ class LinearCombination:
             total += int(coeff) * int(assignment[index])
         return Fr(total)
 
-    def is_constant(self) -> bool:
-        return not self.terms
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -209,11 +206,6 @@ class ConstraintSystem:
     @property
     def num_constraints(self) -> int:
         return len(self.constraints)
-
-    @property
-    def num_variables(self) -> int:
-        """Total witness length, including the constant-one wire."""
-        return len(self.assignment)
 
     def public_inputs(self) -> Tuple[Fr, ...]:
         """Values of the public-input wires, in allocation order."""

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from hashlib import blake2b
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..crypto.digests import blake2b
 from ..errors import ChainError, ContractError
 from .gas import DEFAULT_GAS_SCHEDULE, GasMeter, GasSchedule
 

@@ -73,14 +73,6 @@ class EventCursor:
             count += 1
         return count
 
-    def peek_pending(self) -> bool:
-        """Whether a poll right now would return anything new
-        (filter included) — without moving the cursor."""
-        events = self.chain.events_since(self.log_index)
-        if self.contract is None:
-            return bool(events)
-        return any(e.contract == self.contract for e in events)
-
     @property
     def caught_up(self) -> bool:
         """True when the cursor sits at the head of the log."""

@@ -9,10 +9,11 @@ receiver, which is the property Waku-Relay's anonymity builds on.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Dict, List, Tuple
+
+from ..crypto.digests import blake2b
 
 
 def payload_to_bytes(payload: Any) -> bytes:
@@ -36,7 +37,7 @@ def compute_message_id(topic: str, payload: Any) -> str:
     the routing layer anonymous and makes duplicate elimination
     origin-blind.
     """
-    hasher = hashlib.blake2b(digest_size=16)
+    hasher = blake2b(digest_size=16)
     hasher.update(topic.encode())
     hasher.update(b"\x00")
     hasher.update(payload_to_bytes(payload))

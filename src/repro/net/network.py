@@ -69,7 +69,6 @@ class Network:
         #: objects — otherwise "is this peer alive?" depends on which
         #: worker asks.
         self._remote_presence: Dict[NodeId, tuple] = {}
-        self._link_total = 0
         #: receiver -> "deliver:<receiver>"; building the label string
         #: once per node instead of once per packet keeps it off the
         #: per-send path.
@@ -170,7 +169,6 @@ class Network:
             del self._nodes[node_id]
             rng = self.simulator.entity_rng(node_id)
             for neighbor in sorted(self._adjacency.pop(node_id, set())):
-                self._link_total -= 1
                 delay = self.latency.sample_latency(rng)
                 self.simulator.schedule_port(
                     delay,
@@ -183,7 +181,6 @@ class Network:
         del self._nodes[node_id]
         for neighbor in self._adjacency.pop(node_id, set()):
             self._adjacency[neighbor].discard(node_id)
-            self._link_total -= 1
             self._notify_link_down(neighbor, node_id)
 
     def node(self, node_id: NodeId) -> NetworkNode:
@@ -234,7 +231,6 @@ class Network:
             if b in self._adjacency[a]:
                 return
             self._adjacency[a].add(b)
-            self._link_total += 1
             delay = self.latency.sample_latency(self.simulator.entity_rng(a))
             self.simulator.schedule_port(
                 delay, "net.link_up", (b, a), label=f"link_up:{b}", shard=b
@@ -243,13 +239,11 @@ class Network:
         if b not in self._adjacency[a]:
             self._adjacency[a].add(b)
             self._adjacency[b].add(a)
-            self._link_total += 1
 
     def disconnect(self, a: NodeId, b: NodeId) -> None:
         if b in self._adjacency.get(a, ()):
             self._adjacency[a].discard(b)
             self._adjacency[b].discard(a)
-            self._link_total -= 1
             self._notify_link_down(a, b)
             self._notify_link_down(b, a)
 
@@ -273,9 +267,6 @@ class Network:
     def neighbor_set(self, node_id: NodeId) -> Set[NodeId]:
         """The live adjacency set (do not mutate); O(1)."""
         return self._adjacency.get(node_id, set())
-
-    def link_count(self) -> int:
-        return self._link_total
 
     # -- transmission -------------------------------------------------------------
 

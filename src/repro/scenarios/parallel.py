@@ -43,9 +43,9 @@ import resource
 import shutil
 import traceback
 from collections import defaultdict
-from hashlib import blake2b
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
+from ..crypto.digests import blake2b
 from ..errors import SimulationError
 from ..eth.chain import Blockchain, ReplicaOp
 from ..sim.parallel_stack import PortPacket

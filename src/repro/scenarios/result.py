@@ -8,10 +8,11 @@ though the host machine's speed differs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict
+
+from ..crypto.digests import sha256
 
 
 @dataclass
@@ -128,7 +129,7 @@ class ScenarioResult:
         canonical = json.dumps(
             self.to_dict(include_wall_clock=False), sort_keys=True
         )
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return sha256(canonical.encode()).hexdigest()[:16]
 
     def format(self) -> str:
         """Human-readable report for the CLI."""

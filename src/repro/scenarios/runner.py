@@ -36,23 +36,21 @@ import shutil
 import tempfile
 import time
 from bisect import insort
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..adversaries.base import SPAM_MARKER
-from ..adversaries.engine import AdversaryEngine
-from ..adversaries.strategies import build_strategy
-from ..attacks.spam import FloodSpammer
-from ..baselines.relay_baselines import BaselineNetwork
 from ..core.peer import WakuRlnRelayPeer
 from ..core.protocol import WakuRlnRelayNetwork
 from ..errors import RateLimitError, RegistrationError
 from ..sim.simulator import Simulator, quiescent_gc
 from ..waku.message import DEFAULT_PUBSUB_TOPIC, WakuMessage
-from ..watchtower import WatchtowerService
-from ..watchtower.service import watchtower_dial_plan
 from .parallel import drive_forked, drive_in_process
 from .result import ScenarioResult
 from .spec import ScenarioSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..adversaries.engine import AdversaryEngine
+    from ..watchtower import WatchtowerService
 
 #: Honest payload marker; spam carries the agents'
 #: :data:`~repro.adversaries.base.SPAM_MARKER` (one shared constant,
@@ -576,6 +574,9 @@ class ScenarioRunner:
                     account = net.chain.get_account(f"eoa:{node_id}")
                     account.balance = max(0, budget_wei - stake)
             return None
+        from ..adversaries.engine import AdversaryEngine
+        from ..adversaries.strategies import build_strategy
+
         engine = AdversaryEngine(
             net,
             start=mix.start,
@@ -646,6 +647,9 @@ class ScenarioRunner:
         wspec = self.spec.watchtowers
         if wspec is None:
             return
+        from ..watchtower import WatchtowerService
+        from ..watchtower.service import watchtower_dial_plan
+
         net = self.net
         if wspec.topics:
             topics = list(wspec.topics)
@@ -1016,6 +1020,9 @@ class ScenarioRunner:
         Fully self-contained and deterministic in ``(spec, seed)`` —
         parallel runs execute it once, on the coordinator, after the
         barrier drive."""
+        from ..attacks.spam import FloodSpammer
+        from ..baselines.relay_baselines import BaselineNetwork
+
         spec = self.spec
         mix = spec.adversaries
         baseline = BaselineNetwork(
@@ -1104,12 +1111,21 @@ class ScenarioRunner:
             engine = self._prepare()
             report = drive_in_process(self, engine)
             self.net.stop()
-            for service in self._watchtowers:
-                service.stop()
             return report
         return drive_forked(self, self.workers)
 
     def run(self) -> ScenarioResult:
+        try:
+            return self._run()
+        finally:
+            # Stop every watchtower and drop its files, also on a raise.
+            for service in self._watchtowers:
+                service.stop()
+                service.close()
+            if self._watchtower_dir is not None:
+                shutil.rmtree(self._watchtower_dir, ignore_errors=True)
+
+    def _run(self) -> ScenarioResult:
         spec = self.spec
         started_wall = time.perf_counter()
 
@@ -1127,8 +1143,6 @@ class ScenarioRunner:
                 self._schedule_faults()
                 net.run(spec.duration)
                 net.stop()
-                for service in self._watchtowers:
-                    service.stop()
             attack_report = (
                 engine.report() if engine is not None else None
             )
@@ -1170,7 +1184,6 @@ class ScenarioRunner:
                 for service in self._watchtowers:
                     rows.append((service.service_id, service.summary()))
                     evidence.update(service.store.evidence_pks())
-                    service.close()
             detected = set(self._detected_pks) | set(evidence)
             for service_id, summary in rows:
                 watchtower_summary[service_id] = summary
@@ -1184,8 +1197,6 @@ class ScenarioRunner:
                 if e.name == "MemberRemoved"
             }
             missed_slashes = len(detected - slashed_pks)
-        if self._watchtower_dir is not None:
-            shutil.rmtree(self._watchtower_dir, ignore_errors=True)
         counters = {
             name: value
             for name, value in sorted(metrics.counters.items())

@@ -42,10 +42,10 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from hashlib import blake2b
 from heapq import heappop, heappush
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from ..crypto.digests import blake2b
 from ..errors import SimulationError
 from .simulator import Handler, Simulator, _gc_quiesce, _gc_restore
 

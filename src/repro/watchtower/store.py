@@ -90,20 +90,23 @@ class WatchtowerStore:
         # Autocommit mode: single writes land immediately; the explicit
         # BEGIN in :meth:`begin` groups one tick into a transaction.
         conn = sqlite3.connect(self.path, isolation_level=None)
-        if self.path != ":memory:":
-            conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.executescript(_SCHEMA)
+        try:
+            if self.path != ":memory:":
+                conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.executescript(_SCHEMA)
+        except sqlite3.DatabaseError as exc:
+            # A torn or foreign file: fail typed, leaking no connection.
+            conn.close()
+            raise SimulationError(
+                f"watchtower store {self.path!r} is unreadable: {exc}"
+            ) from exc
         self._conn = conn
 
     def close(self) -> None:
         if self._conn is not None:
             self._conn.close()
             self._conn = None
-
-    @property
-    def is_open(self) -> bool:
-        return self._conn is not None
 
     @property
     def conn(self) -> sqlite3.Connection:

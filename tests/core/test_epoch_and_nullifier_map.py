@@ -129,7 +129,7 @@ class TestNullifierMap:
         nmap.observe(sig_a)
         check, prior = nmap.observe(sig_b)
         assert check is NullifierCheck.DOUBLE_SIGNAL
-        assert prior.share_x == sig_a.share.x
+        assert prior.signal.share.x == sig_a.share.x
 
     def test_distinct_members_all_new(self):
         nmap = NullifierMap(thr=2)
@@ -198,4 +198,4 @@ class TestNullifierMap:
             prover = RlnProver(keypair=pair, proving_key=pk)
             nmap.observe(prover.create_signal(b"m", epoch, tree.proof(index)))
             nmap.prune(current_epoch=epoch)
-            assert nmap.epoch_count <= 2 * thr + 1
+            assert len(nmap.epochs()) <= 2 * thr + 1

@@ -103,8 +103,8 @@ def check_random_interleaving(seed: int, auto_prune: bool) -> None:
                 first = model.records[signal.epoch][signal.internal_nullifier]
                 assert prior is not None and prior == peeked_prior
                 assert prior.signal is first
-                assert prior.share_x == first.share.x
-                assert prior.share_y == first.share.y
+                assert prior.signal.share.x == first.share.x
+                assert prior.signal.share.y == first.share.y
         else:
             current_epoch += rng.randint(0, 2)
             assert nmap.prune(current_epoch) == model.prune(current_epoch)
@@ -158,7 +158,7 @@ def test_duplicate_never_overwrites_first_record():
     # Same x, different y — classified by abscissa only.
     check, prior = nmap.observe(make_signal(epoch=3, phi=0, x=0, y=9))
     assert check is NullifierCheck.DUPLICATE
-    assert prior is not None and prior.share_y == first.share.y
+    assert prior is not None and prior.signal.share.y == first.share.y
 
 
 def test_record_is_a_slotted_view_with_every_field_it_had():
@@ -167,7 +167,7 @@ def test_record_is_a_slotted_view_with_every_field_it_had():
     nmap.observe(signal)
     _, prior = nmap.observe(signal)
     assert prior is not None and not hasattr(prior, "__dict__")
-    assert (prior.share_x, prior.share_y, prior.signal) == (
+    assert (prior.signal.share.x, prior.signal.share.y, prior.signal) == (
         signal.share.x,
         signal.share.y,
         signal,

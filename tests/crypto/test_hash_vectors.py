@@ -9,7 +9,9 @@ implementation of the same thing:
 the object-form BLAKE2b field hash (``blake2b_field_hash`` below), a
 pairwise ``hash2_int`` loop for ``hash_level_int``, and the one-digest-
 per-identity formula for ``genesis_commitments`` — also at the edges
-of the 4096-state chunks both bulk paths hash in.
+of the 4096-state chunks both bulk paths hash in. The digest
+constructors of :mod:`repro.crypto.digests` and the simulated proof's
+keyed-BLAKE2b binding MAC are checked against ``hashlib``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.protocol import genesis_commitments
+from repro.crypto import digests
 from repro.crypto.field import Fr
 from repro.crypto.hashing import (
     blake2b_level_int,
@@ -33,6 +36,7 @@ from repro.crypto.hashing import (
 )
 from repro.crypto.merkle import MerkleTree, zero_hashes_int
 from repro.crypto.slot_index import PackedFieldList
+from repro.crypto.zksnark.groth16 import trusted_setup
 from repro.errors import FieldError
 from repro.rln.membership import MembershipStore
 
@@ -267,3 +271,51 @@ def test_genesis_commitments_equal_the_per_identity_formula(count, seed):
     assert list(genesis_commitments(count, seed)) == genesis_oracle(
         count, seed
     )
+
+
+#: Empty, short, and several blocks of every digest (64 B for SHA-256,
+#: 128 B for BLAKE2b and SHA-512), not a multiple of any.
+DIGEST_INPUTS = (b"", b"abc", bytes(range(256)) * 3 + b"tail")
+
+#: BLAKE2b parameters the code uses: default, a short digest, the
+#: field hash's personalisation, and the proof MAC's key.
+BLAKE2B_VARIANTS = (
+    {},
+    {"digest_size": 16},
+    {"digest_size": 32, "person": b"repro-fr\x01"},
+    {"digest_size": 32, "key": bytes(range(32))},
+)
+
+
+@pytest.mark.parametrize("data", DIGEST_INPUTS)
+@pytest.mark.parametrize("params", BLAKE2B_VARIANTS)
+def test_blake2b_equals_hashlib(params, data):
+    expected = hashlib.blake2b(data, **params).digest()
+    assert digests.blake2b(data, **params).digest() == expected
+    streamed = digests.blake2b(**params)
+    for start in range(0, len(data), 100):
+        streamed.copy().update(b"ignored")  # a copy leaves its source be
+        streamed.update(data[start : start + 100])
+    assert streamed.digest() == expected
+
+
+@pytest.mark.parametrize("data", DIGEST_INPUTS)
+@pytest.mark.parametrize("name", ("sha256", "sha512"))
+def test_sha2_equals_hashlib(name, data):
+    ours = getattr(digests, name)
+    assert ours(data).digest() == hashlib.new(name, data).digest()
+    assert ours(data).hexdigest() == hashlib.new(name, data).hexdigest()
+
+
+def test_proof_binding_is_keyed_blake2b():
+    """``pi_c`` is BLAKE2b keyed with the binding secret over
+    ``circuit id | 0 | pi_a | pi_b | public inputs``."""
+    _, vk = trusted_setup("square", num_public_inputs=2, seed=b"test")
+    assert vk.binding_key == hashlib.sha256(b"srs|test").digest()
+    pi_a, pi_b, public = bytes(range(32)), bytes(range(64)), (Fr(9), Fr(P - 1))
+    payload = b"square\x00" + pi_a + pi_b + (9).to_bytes(32, "big")
+    payload += (P - 1).to_bytes(32, "big")
+    expected = hashlib.blake2b(
+        payload, key=vk.binding_key, digest_size=32
+    ).digest()
+    assert vk._binding(pi_a, pi_b, public) == expected

@@ -68,18 +68,18 @@ class TestPoll:
 
 
 class TestPeekAndSeek:
-    def test_peek_does_not_advance(self, chain):
+    def test_peek_through_a_clone_does_not_advance(self, chain):
         cursor = EventCursor(chain, contract="a")
-        assert not cursor.peek_pending()
+        assert not cursor.clone().poll()
         chain.call_now("alice", "a", "ping", 1)
-        assert cursor.peek_pending()
+        assert len(cursor.clone().poll()) == 1
         assert cursor.log_index == 0
         assert len(cursor.poll()) == 1
 
     def test_peek_respects_filter(self, chain):
         cursor = EventCursor(chain, contract="a")
         chain.call_now("alice", "b", "ping", 1)
-        assert not cursor.peek_pending()
+        assert not cursor.clone().poll()
 
     def test_seek_to_log_boundary(self, chain):
         """A cursor committed exactly at the head of the log is caught

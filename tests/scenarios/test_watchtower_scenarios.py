@@ -2,9 +2,11 @@
 validation, fault-plan scaling, runner wiring and the registered
 ``delegated-enforcement*`` scenario family."""
 
+import tempfile
+
 import pytest
 
-from repro.errors import ScenarioError
+from repro.errors import ScenarioError, SimulationError
 from repro.scenarios import (
     FaultPlan,
     ScenarioResult,
@@ -13,6 +15,8 @@ from repro.scenarios import (
     run_scenario,
     scenario,
 )
+from repro.scenarios import runner as runner_module
+from repro.scenarios.runner import ScenarioRunner
 
 SMOKE_PEERS = 20
 SMOKE_DURATION = 40.0
@@ -165,3 +169,36 @@ class TestRaceScenario:
         # Both towers watched the same traffic.
         detected = {s["detected"] for s in towers.values()}
         assert len(detected) == 1
+
+
+class TestRunCleanup:
+    """A run that raises still closes every watchtower store and
+    deletes the directory holding them."""
+
+    @pytest.mark.parametrize("workers", (None, 1), ids=("serial", "windowed"))
+    def test_a_raising_run_leaves_no_store_behind(
+        self, workers, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        spec = scenario("delegated-enforcement").scaled(
+            peers=SMOKE_PEERS,
+            duration=SMOKE_DURATION,
+            shards=2 if workers else None,
+            parallel_workers=workers,
+        )
+        runner = ScenarioRunner(spec)
+
+        def boom(*_args):
+            raise RuntimeError("boom")
+
+        if workers:
+            monkeypatch.setattr(runner_module, "drive_in_process", boom)
+        else:
+            monkeypatch.setattr(runner.net, "run", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            runner.run()
+        assert runner._watchtowers, "the run built no watchtower"
+        for service in runner._watchtowers:
+            with pytest.raises(SimulationError, match="is closed"):
+                service.store.cursor()
+        assert list(tmp_path.iterdir()) == []

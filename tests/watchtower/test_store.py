@@ -1,5 +1,7 @@
 """Tests for the watchtower's write-ahead SQLite state store."""
 
+import sqlite3
+
 import pytest
 
 from repro.errors import SimulationError
@@ -22,12 +24,12 @@ def reopened(store):
 
 class TestConnectionLifecycle:
     def test_open_is_idempotent(self, store):
+        conn = store.conn
         store.open()
-        assert store.is_open
+        assert store.conn is conn
 
     def test_closed_store_raises(self, store):
         store.close()
-        assert not store.is_open
         with pytest.raises(SimulationError):
             store.cursor()
 
@@ -36,6 +38,50 @@ class TestConnectionLifecycle:
         store.commit_cursor(7)
         assert store.cursor() == 7
         store.close()
+
+
+class TestTornStore:
+    """A file SQLite cannot read fails typed, naming the path and
+    SQLite's reason, and leaves no connection open behind it."""
+
+    @pytest.fixture
+    def connections(self, monkeypatch):
+        opened = []
+        connect = sqlite3.connect
+
+        def recording(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", recording)
+        return opened
+
+    def assert_unreadable(self, path, reason, connections):
+        with pytest.raises(SimulationError) as raised:
+            WatchtowerStore(str(path))
+        assert str(path) in str(raised.value)
+        assert reason in str(raised.value)
+        assert isinstance(raised.value.__cause__, sqlite3.DatabaseError)
+        assert len(connections) == 1
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            connections[0].execute("SELECT 1")
+
+    def test_garbage_file(self, tmp_path, connections):
+        path = tmp_path / "wt.sqlite"
+        path.write_bytes(b"not a database, " * 256)
+        self.assert_unreadable(path, "file is not a database", connections)
+
+    def test_truncated_wal_store(self, tmp_path, connections):
+        path = tmp_path / "wt.sqlite"
+        store = WatchtowerStore(str(path))
+        for epoch in range(200):
+            store.record_signal("t", epoch, str(epoch), bytes(200))
+        store.close()
+        connections.clear()
+        size = path.stat().st_size
+        with open(path, "r+b") as handle:
+            handle.truncate(size // 2)
+        self.assert_unreadable(path, "malformed", connections)
 
 
 class TestCursor:
