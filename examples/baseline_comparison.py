@@ -6,7 +6,7 @@ peer scoring do not provide *global* spam protection — a resourceful or
 Sybil attacker keeps spamming — while Waku-RLN-Relay removes the
 attacker identity network-wide and makes it pay.
 
-Run:  python examples/baseline_comparison.py        (takes ~1 min)
+Run:  python examples/baseline_comparison.py
 """
 
 from repro.analysis import (

@@ -2,7 +2,7 @@
 """Spam attack demo: a registered member floods the network and is
 caught, financially slashed and globally removed.
 
-Walks through the paper's core mechanism step by step:
+Walks through the paper's core mechanism:
 
 1. the spammer publishes several *different* messages in one epoch;
 2. every message after the first carries a second Shamir share of the
@@ -12,61 +12,56 @@ Walks through the paper's core mechanism step by step:
 4. the contract removes the member, burns half the stake and pays the
    rest to the reporter — spam stops network-wide, permanently.
 
+The attacker is a ``burst-flood`` adversary group of a scenario spec:
+5 messages per epoch for 4 epochs, if it lasts that long, while a
+quarter of the honest peers keep publishing once per epoch.
+
 Run:  python examples/spam_attack.py
 """
 
-from repro.attacks import RlnSpammer
-from repro.core import WakuRlnRelayNetwork, build_report
+from repro.scenarios import (
+    AdversaryGroup,
+    AdversaryMix,
+    ScenarioRunner,
+    ScenarioSpec,
+    TrafficModel,
+)
 
 
 def main() -> None:
-    net = WakuRlnRelayNetwork(peer_count=20, seed=99)
-    initial_balances = {p.node_id: p.balance for p in net.peers}
-    net.register_all()
-    deliveries = net.collect_deliveries()
-    net.start()
-    net.run(2.0)
-
-    spammer = RlnSpammer(net.peer(0), burst=5)
-    print(f"spammer: {spammer.peer.node_id} "
-          f"(staked {net.config.stake_wei / 1e18:.1f} ETH)")
-
-    spammer.run(net, epochs=4)  # 5 msgs/epoch for 4 epochs — if it lasts
-    net.run(4 * net.config.epoch_length + 30.0)
-
-    spam_per_peer = [
-        sum(1 for m in msgs if m.startswith(b"SPAM"))
-        for nid, msgs in deliveries.items()
-        if nid != spammer.peer.node_id
-    ]
-    print(f"spam messages sent:                {spammer.sent}")
-    print(f"max spam accepted by any peer:     {max(spam_per_peer)}")
-    print(f"slash transactions submitted:      "
-          f"{sum(p.slashes_submitted for p in net.peers)}")
-    print(f"spammer still a member?            {spammer.peer.is_registered}")
-
-    report = build_report(net.chain, net.contract, net.peers, initial_balances)
-    spammer_flow = report.ledger(spammer.peer.node_id).net_flow
-    print(f"spammer net loss:                  {-spammer_flow / 1e18:.2f} ETH")
-    print(f"burnt:                             "
-          f"{report.total_burnt / 1e18:.2f} ETH")
-    reporters = [
-        l.node_id
-        for l in report.ledgers
-        if l.net_flow > -net.config.stake_wei
-        and l.node_id != spammer.peer.node_id
-    ]
-    print(f"rewarded reporter:                 {reporters}")
-
-    # Honest traffic continues unaffected.
-    honest = net.peer(5)
-    honest.publish(b"normal message after the attack")
-    net.run(10.0)
-    delivered = sum(
-        1 for msgs in deliveries.values()
-        if b"normal message after the attack" in msgs
+    spec = ScenarioSpec(
+        name="spam-attack-demo",
+        description="one burst flooder among honest publishers",
+        peers=20,
+        duration=70.0,
+        seed=99,
+        traffic=TrafficModel(active_fraction=0.25),
+        adversaries=AdversaryMix(
+            groups=(
+                AdversaryGroup("burst-flood", burst=5, params={"epochs": 4}),
+            ),
+        ),
     )
-    print(f"honest message delivered to:       {delivered}/{len(net.peers)} peers")
+    runner = ScenarioRunner(spec)
+    spammer = runner.net.peers[-1]  # adversaries take the roster's tail
+    stake = runner.net.config.stake_wei
+    print(f"spammer: {spammer.node_id} (staked {stake / 1e18:.1f} ETH)")
+    result = runner.run()
+
+    print(f"spam messages sent:                {result.spam_published}")
+    print(f"spam accepted per honest peer:     "
+          f"{result.spam_per_honest_peer:.2f}")
+    print(f"slash transactions submitted:      {result.slashes_submitted}")
+    print(f"spammer still a member?            {spammer.is_registered}")
+    print(f"spammer net loss:                  "
+          f"{result.attacker_spend / 1e18:.2f} ETH")
+    print(f"burnt:                             "
+          f"{result.stake_burnt / 1e18:.2f} ETH")
+    print(f"paid to reporters:                 "
+          f"{result.reporter_rewards / 1e18:.2f} ETH")
+    # Honest traffic continues unaffected.
+    print(f"honest messages published:         {result.honest_published}")
+    print(f"honest delivery rate:              {result.delivery_rate:.1%}")
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 Four archetypes from the paper's threat discussion, all behind the
 common :class:`~repro.adversaries.base.AdversaryStrategy` interface:
 
-* ``burst-flood`` — the classic one-shot spammer (the pre-engine
-  ``RlnSpammer`` behaviour, ported): a fixed burst for a fixed number
-  of epochs, no rotation. Dies with its first identity.
+* ``burst-flood`` — the classic one-shot spammer the paper-figure
+  experiments (E7, E10) throw at the network: a fixed burst for a
+  fixed number of epochs, no rotation. Dies with its first identity.
 * ``rotating-sybil`` — keeps bursting and, whenever the network slashes
   it, buys a fresh identity while the budget lasts; the attacker the
   cost-of-attack curves are about.

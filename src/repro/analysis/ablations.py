@@ -14,13 +14,12 @@ import random
 from typing import List, Sequence, Tuple
 
 from ..core.config import ProtocolConfig
-from ..core.protocol import WakuRlnRelayNetwork
 from ..crypto.keys import MembershipKeyPair
 from ..gossipsub.params import GossipSubParams
 from ..rln.membership import LocalGroup
 from ..rln.prover import RlnProver, rln_keys
 from ..rln.verifier import RlnVerifier, SignalCheck
-from ..sim.metrics import Histogram
+from .scaling import propagation_run
 
 Headers = Sequence[str]
 Rows = List[Sequence]
@@ -30,7 +29,6 @@ def epoch_length_ablation(
     epoch_lengths: Sequence[float] = (1.0, 5.0, 10.0, 30.0, 60.0),
     max_delay: float = 20.0,
     senders: int = 20,
-    horizon: float = 120.0,
 ) -> Tuple[Headers, Rows]:
     """Effect of ``T`` on honest throughput, Thr and nullifier memory.
 
@@ -58,7 +56,6 @@ def epoch_length_ablation(
                 retained * senders,
             )
         )
-    del horizon
     return headers, rows
 
 
@@ -108,48 +105,18 @@ def root_window_ablation(
 
 
 def _propagation_run(
-    peer_count: int,
-    gossip: GossipSubParams,
-    seed: int,
-    messages: int = 10,
+    peer_count: int, gossip: GossipSubParams, seed: int
 ) -> Tuple[float, float, int, int]:
     """(mean latency, p99, duplicates, bytes sent) for one config."""
-    config = ProtocolConfig(gossip=gossip)
-    net = WakuRlnRelayNetwork(
-        peer_count=peer_count, seed=seed, config=config, degree=6
+    latencies, runner = propagation_run(
+        "abl", peer_count, seed, messages=10, offset=0.3, gossip=gossip
     )
-    net.register_all()
-    net.start()
-    net.run(5.0)
-    latencies = Histogram()
-    sent_at = {}
-
-    def on_delivery(payload: bytes, _mid: str) -> None:
-        if payload in sent_at:
-            latencies.observe(net.simulator.now - sent_at[payload])
-
-    for peer in net.peers:
-        peer.on_payload(on_delivery)
-    epoch = config.epoch_length
-    rng = random.Random(seed)
-    for m in range(messages):
-        publisher = net.peers[rng.randrange(peer_count)]
-        payload = f"abl-{m}".encode()
-
-        def publish(_sim, p=publisher, data=payload):
-            sent_at[data] = net.simulator.now
-            try:
-                p.publish(data)
-            except Exception:
-                pass
-
-        net.simulator.schedule(m * epoch + 0.3, publish)
-    net.run(messages * epoch + 30.0)
+    metrics = runner.net.metrics
     return (
         latencies.mean,
         latencies.percentile(99),
-        net.metrics.counter("gossipsub.duplicates"),
-        net.metrics.counter("gossipsub.bytes_sent"),
+        metrics.counter("gossipsub.duplicates"),
+        metrics.counter("gossipsub.bytes_sent"),
     )
 
 

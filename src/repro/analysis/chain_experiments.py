@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..baselines.onchain_messaging import OnChainMessagingSystem
-from ..core.config import ProtocolConfig
 from ..core.economics import build_report
-from ..core.protocol import WakuRlnRelayNetwork
 from ..crypto.keys import MembershipKeyPair
 from ..eth.chain import Blockchain
 from ..eth.contracts import MembershipRegistry, OnChainTreeContract
+from ..scenarios import (
+    AdversaryGroup,
+    AdversaryMix,
+    ScenarioRunner,
+    ScenarioSpec,
+    TrafficModel,
+)
 from ..sim.metrics import Histogram
+from .scaling import propagation_run
 
 Headers = Sequence[str]
 Rows = List[Sequence]
@@ -119,44 +125,16 @@ def propagation_experiment(
     modeled proving/verification cost when enabled). On-chain: each
     message is a transaction that becomes visible when mined.
     """
-    config = ProtocolConfig(model_crypto_latency=model_crypto_latency)
-    net = WakuRlnRelayNetwork(
-        peer_count=peer_count,
-        seed=seed,
-        config=config,
+    latencies, _runner = propagation_run(
+        "prop",
+        peer_count,
+        seed,
+        messages,
+        offset=0.5,
+        tail=60.0,
         block_interval=block_interval,
+        model_crypto_latency=model_crypto_latency,
     )
-    net.register_all()
-    net.start()
-    net.run(5.0)
-
-    latencies = Histogram()
-    publish_times = {}
-    expected_receivers = peer_count - 1
-
-    def on_delivery(payload: bytes, _mid: str) -> None:
-        sent_at = publish_times.get(payload)
-        if sent_at is not None:
-            latencies.observe(net.simulator.now - sent_at)
-
-    for peer in net.peers:
-        peer.on_payload(on_delivery)
-
-    rng = random.Random(seed)
-    epoch = net.config.epoch_length
-    for m in range(messages):
-        publisher = net.peers[rng.randrange(peer_count)]
-        payload = f"prop-{m}".encode()
-
-        def publish(_sim, p=publisher, data=payload):
-            publish_times[data] = net.simulator.now
-            try:
-                p.publish(data)
-            except Exception:
-                pass  # publisher already used its epoch slot
-
-        net.simulator.schedule(m * epoch + 0.5, publish, label="prop")
-    net.run(messages * epoch + 60.0)
 
     onchain = OnChainMessagingSystem(block_interval=block_interval)
     onchain_lat = Histogram()
@@ -183,22 +161,12 @@ def propagation_experiment(
         "deliveries",
     )
     rows: Rows = [
-        (
-            "Waku-RLN-Relay (off-chain gossip)",
-            latencies.mean,
-            latencies.percentile(99),
-            latencies.maximum,
-            latencies.count,
-        ),
-        (
-            f"on-chain signals ({block_interval:.0f}s blocks)",
-            onchain_lat.mean,
-            onchain_lat.percentile(99),
-            onchain_lat.maximum,
-            onchain_lat.count,
-        ),
+        (system, h.mean, h.percentile(99), h.maximum, h.count)
+        for system, h in (
+            ("Waku-RLN-Relay (off-chain gossip)", latencies),
+            (f"on-chain signals ({block_interval:.0f}s blocks)", onchain_lat),
+        )
     ]
-    del expected_receivers
     return headers, rows
 
 
@@ -208,18 +176,37 @@ def economics_experiment(
     seed: int = 17,
 ) -> Tuple[Headers, Rows]:
     """E10 — the attacker always pays: every spamming identity loses
-    its stake; reporters collect the rewards."""
-    net = WakuRlnRelayNetwork(peer_count=peer_count, seed=seed)
+    its stake; reporters collect the rewards.
+
+    Each spammer double-signals once (a burst of two in one epoch), 5 s
+    into a run with no honest traffic.
+    """
+    runner = ScenarioRunner(
+        ScenarioSpec(
+            name="economics",
+            description="each spammer sends one double-signal",
+            peers=peer_count,
+            duration=65.0,
+            seed=seed,
+            traffic=TrafficModel(messages_per_epoch=0),
+            adversaries=AdversaryMix(
+                start=5.0,
+                groups=(
+                    AdversaryGroup(
+                        "burst-flood",
+                        count=spammer_count,
+                        burst=2,
+                        params={"epochs": 1},
+                    ),
+                ),
+            ),
+        )
+    )
+    net = runner.net
     initial = {p.node_id: p.balance for p in net.peers}
-    net.register_all()
-    net.start()
-    net.run(5.0)
-    spammer_ids = [net.peers[i].node_id for i in range(spammer_count)]
-    for i in range(spammer_count):
-        spammer = net.peers[i]
-        spammer.publish(b"s1-%d" % i)
-        spammer.publish(b"s2-%d" % i, bypass_rate_limit=True)
-    net.run(60.0)
+    # Adversaries take the tail of the roster.
+    spammer_ids = {p.node_id for p in net.peers[peer_count - spammer_count :]}
+    result = runner.run()
     report = build_report(net.chain, net.contract, net.peers, initial)
     stake = net.config.stake_wei
     reporters = [
@@ -228,14 +215,15 @@ def economics_experiment(
         if l.node_id not in spammer_ids and l.net_flow > -stake
     ]
     headers = ("quantity", "value (wei)", "value (ETH)")
-    attacker_loss = report.attackers_net_loss(spammer_ids)
-    reward_total = sum(l.net_flow + stake for l in reporters)
+    spend = result.attacker_spend
+    burnt = result.stake_burnt
+    rewards = result.reporter_rewards
     rows: Rows = [
         ("stake per member", stake, stake / 1e18),
         ("attackers", spammer_count, ""),
-        ("total attacker loss", attacker_loss, attacker_loss / 1e18),
-        ("total burnt", report.total_burnt, report.total_burnt / 1e18),
-        ("total reporter rewards", reward_total, reward_total / 1e18),
+        ("total attacker loss", spend, spend / 1e18),
+        ("total burnt", burnt, burnt / 1e18),
+        ("total reporter rewards", rewards, rewards / 1e18),
         ("rewarded reporters", len(reporters), ""),
     ]
     return headers, rows

@@ -7,7 +7,6 @@ import random
 import time
 from typing import List, Sequence, Tuple
 
-from ..attacks.spam import FloodSpammer, PowSpammer, RlnSpammer, SybilArmy
 from ..baselines.pow import (
     ATTACKER_RIG,
     DESKTOP,
@@ -17,35 +16,26 @@ from ..baselines.pow import (
     verify_envelope,
 )
 from ..baselines.relay_baselines import (
-    BaselineNetwork,
     PowRelayNetwork,
+    PowSpammer,
+    SybilArmy,
     scoring_network,
 )
 from ..core.config import ProtocolConfig
 from ..core.nullifier_map import NullifierMap
-from ..core.protocol import WakuRlnRelayNetwork
 from ..crypto.keys import MembershipKeyPair
 from ..crypto.merkle import MerkleTree
 from ..rln.prover import RlnProver, rln_keys
+from ..scenarios import (
+    AdversaryGroup,
+    AdversaryMix,
+    ScenarioSpec,
+    TrafficModel,
+    run_scenario,
+)
 
 Headers = Sequence[str]
 Rows = List[Sequence]
-
-SPAM = b"SPAM"
-
-
-def _spam_stats(deliveries, exclude_ids) -> Tuple[float, int]:
-    """(mean spam deliveries per honest peer, total spam deliveries)."""
-    honest = {
-        nid: msgs for nid, msgs in deliveries.items() if nid not in exclude_ids
-    }
-    # PoW payloads carry envelope framing before the marker, so match
-    # containment rather than prefix.
-    counts = [
-        sum(1 for m in msgs if SPAM in m) for msgs in honest.values()
-    ]
-    total = sum(counts)
-    return (total / len(counts) if counts else 0.0), total
 
 
 def spam_protection_experiment(
@@ -57,50 +47,55 @@ def spam_protection_experiment(
     """E7 — the same flooding adversary against all four systems.
 
     Reports how much spam honest peers actually received, and whether
-    the system removed the attacker globally.
+    the system removed the attacker globally. The RLN and plain-relay
+    rows are one scenario: a ``burst-flood`` group, with the runner's
+    baseline comparison replaying its flood against an unprotected
+    relay.
     """
-    rows: Rows = []
     epoch_len = ProtocolConfig().epoch_length
     duration = attack_epochs * epoch_len + 30.0
 
-    # --- Waku-RLN-Relay -----------------------------------------------------
-    net = WakuRlnRelayNetwork(peer_count=peer_count, seed=seed)
-    net.register_all()
-    deliveries = net.collect_deliveries()
-    net.start()
-    net.run(2.0)
-    spammer = RlnSpammer(net.peer(0), burst=burst)
-    spammer.run(net, attack_epochs)
-    net.run(duration)
-    mean_spam, total_spam = _spam_stats(deliveries, {net.peer(0).node_id})
-    rows.append(
-        (
-            "Waku-RLN-Relay",
-            spammer.sent,
-            total_spam,
-            mean_spam,
-            "yes (slashed + stake lost)"
-            if not net.peer(0).is_registered
-            else "no",
+    # --- Waku-RLN-Relay, and the same flood against a plain relay ----------
+    result = run_scenario(
+        ScenarioSpec(
+            name="spam-protection",
+            description="one burst flooder, no honest traffic",
+            peers=peer_count,
+            duration=duration,
+            seed=seed,
+            traffic=TrafficModel(messages_per_epoch=0),
+            adversaries=AdversaryMix(
+                start=2.0,
+                groups=(
+                    AdversaryGroup(
+                        "burst-flood",
+                        burst=burst,
+                        params={"epochs": attack_epochs},
+                    ),
+                ),
+            ),
+            compare_baseline=True,
         )
     )
+    extras = result.extras
+    rows: Rows = [
+        (
+            "Waku-RLN-Relay",
+            result.spam_published,
+            result.spam_delivered,
+            result.spam_per_honest_peer,
+            "yes (slashed + stake lost)" if result.members_slashed else "no",
+        ),
+        (
+            "plain relay (no protection)",
+            int(extras["baseline_spam_sent"]),
+            int(extras["baseline_spam_delivered"]),
+            extras["baseline_spam_per_honest_peer"],
+            "no",
+        ),
+    ]
 
-    # --- unprotected relay ----------------------------------------------------
-    plain = BaselineNetwork(peer_count=peer_count, seed=seed)
-    plain_deliveries = plain.collect_deliveries()
-    plain.start()
-    plain.run(2.0)
-    flooder = FloodSpammer(
-        plain, "peer-0", rate_per_second=burst / epoch_len
-    )
-    flooder.run(duration - 30.0)
-    plain.run(duration)
-    mean_spam, total_spam = _spam_stats(plain_deliveries, {"peer-0"})
-    rows.append(
-        ("plain relay (no protection)", flooder.sent, total_spam, mean_spam, "no")
-    )
-
-    # --- peer-scoring baseline ---------------------------------------------------
+    # --- peer-scoring baseline ---------------------------------------------
     # Botnet variant: every Sybil has its own IP (the paper's
     # "inexpensive attack where millions of bots can be deployed").
     for shared_ip, label, verdict in (
@@ -112,38 +107,36 @@ def spam_protection_experiment(
         ),
     ):
         scored = scoring_network(peer_count=peer_count, seed=seed)
-        scored_deliveries = scored.collect_deliveries()
-        scored.start()
-        scored.run(2.0)
         army = SybilArmy(
             scored,
             bot_count=8,
             rate_per_bot=burst / epoch_len,
             shared_ip=shared_ip,
         )
-        army.deploy()
-        army.run(duration - 30.0)
-        scored.run(duration)
-        mean_spam, total_spam = _spam_stats(
-            scored_deliveries, set(army.bots)
-        )
+
+        def sybils():
+            army.deploy()
+            army.run(duration - 30.0)
+            return set(army.bots)
+
+        total_spam, mean_spam = scored.spam_reach(duration, sybils)
         rows.append((label, len(army.bots), total_spam, mean_spam, verdict))
 
-    # --- PoW baseline ---------------------------------------------------------------
+    # --- PoW baseline ------------------------------------------------------
     pow_net = PowRelayNetwork(
         peer_count=peer_count, seed=seed, difficulty_bits=18, mining_bits=6
     )
-    pow_deliveries = pow_net.collect_deliveries()
-    pow_net.start()
-    pow_net.run(2.0)
     pow_spammer = PowSpammer(pow_net, "peer-0", device=ATTACKER_RIG)
-    # Cap the schedule: an attacker rig sustains ~190 msg/s at 18 bits.
-    pow_spammer.run(min(duration - 30.0, 2.0))
-    pow_net.run(duration)
-    mean_spam, total_spam = _spam_stats(pow_deliveries, {"peer-0"})
+
+    def mine_and_flood():
+        # Cap the schedule: an attacker rig sustains ~190 msg/s at 18 bits.
+        pow_spammer.run(min(duration - 30.0, 2.0))
+        return {"peer-0"}
+
+    total_spam, mean_spam = pow_net.spam_reach(duration, mine_and_flood)
     rows.append(
         (
-            f"Whisper PoW (18 bits, attacker rig)",
+            "Whisper PoW (18 bits, attacker rig)",
             pow_spammer.sent,
             total_spam,
             mean_spam,

@@ -1,4 +1,5 @@
-"""Comparison baselines: PoW, peer-scoring-only, on-chain messaging."""
+"""Comparison baselines: PoW, peer-scoring-only, on-chain messaging,
+and the flooders that attack them."""
 
 from .onchain_messaging import (
     MessageBoardContract,
@@ -16,7 +17,14 @@ from .pow import (
     mine_envelope,
     verify_envelope,
 )
-from .relay_baselines import BaselineNetwork, PowRelayNetwork, scoring_network
+from .relay_baselines import (
+    BaselineNetwork,
+    FloodSpammer,
+    PowRelayNetwork,
+    PowSpammer,
+    SybilArmy,
+    scoring_network,
+)
 
 __all__ = [
     "PowEnvelope",
@@ -31,6 +39,9 @@ __all__ = [
     "BaselineNetwork",
     "PowRelayNetwork",
     "scoring_network",
+    "FloodSpammer",
+    "PowSpammer",
+    "SybilArmy",
     "MessageBoardContract",
     "OnChainMessagingSystem",
     "OnChainDelivery",

@@ -1,14 +1,16 @@
-"""Baseline relay networks: PoW-protected, score-only, unprotected.
+"""Baseline relay networks: PoW-protected, score-only, unprotected,
+and the flooders that attack them.
 
 These harnesses mirror :class:`~repro.core.protocol.WakuRlnRelayNetwork`
 closely enough that the spam experiments (E7/E8) can run the *same*
-attack against all four systems and compare outcomes.
+attack against all four systems and compare outcomes. The RLN side of
+that comparison is a scenario's ``burst-flood`` adversary group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..gossipsub.params import GossipSubParams
 from ..gossipsub.router import ValidationResult
@@ -19,7 +21,14 @@ from ..sim.latency import LatencyModel, UniformLatency
 from ..sim.simulator import Simulator
 from ..waku.message import WakuMessage
 from ..waku.relay import WakuRelayNode
-from .pow import DeviceProfile, PHONE, PowEnvelope, mine_envelope, verify_envelope
+from .pow import (
+    ATTACKER_RIG,
+    PHONE,
+    DeviceProfile,
+    PowEnvelope,
+    mine_envelope,
+    verify_envelope,
+)
 
 
 @dataclass
@@ -95,6 +104,27 @@ class BaselineNetwork:
             )
         return deliveries
 
+    def spam_reach(
+        self, duration: float, arm: Callable[[], Set[str]]
+    ) -> Tuple[int, float]:
+        """Start the network and let ``arm`` schedule a flood 2 s in;
+        ``arm`` returns the attacking node ids. After ``duration``
+        more seconds, returns the spam (payloads containing ``SPAM``:
+        PoW envelopes frame it) the other nodes received, in total and
+        per node."""
+        deliveries = self.collect_deliveries()
+        self.start()
+        self.run(2.0)
+        attackers = arm()
+        self.run(duration)
+        counts = [
+            sum(1 for m in msgs if b"SPAM" in m)
+            for nid, msgs in deliveries.items()
+            if nid not in attackers
+        ]
+        total = sum(counts)
+        return total, (total / len(counts) if counts else 0.0)
+
 
 @dataclass
 class PowRelayNetwork(BaselineNetwork):
@@ -166,3 +196,96 @@ def scoring_network(
     return BaselineNetwork(
         peer_count=peer_count, seed=seed, degree=degree, score_params=params
     )
+
+
+@dataclass
+class FloodSpammer:
+    """A flooding publisher for the unprotected / scoring baselines."""
+
+    network: BaselineNetwork
+    node_id: str
+    rate_per_second: float = 10.0
+    sent: int = 0
+
+    def run(
+        self, duration: float, marker: bytes = b"SPAM", start: float = 0.0
+    ) -> None:
+        """Schedule one ``<marker>|<seq>`` message every ``1 / rate``
+        seconds for ``duration`` seconds, ``start`` seconds from now."""
+        node = next(n for n in self.network.nodes if n.node_id == self.node_id)
+        interval = 1.0 / self.rate_per_second
+        for k in range(int(duration / interval)):
+            self.network.simulator.schedule(
+                start + k * interval,
+                lambda _sim, data=marker + f"|{k}".encode(): self._send(
+                    node, data
+                ),
+            )
+
+    def _send(self, node: WakuRelayNode, payload: bytes) -> None:
+        node.publish(WakuMessage(payload=payload))
+        self.sent += 1
+
+
+@dataclass
+class PowSpammer(FloodSpammer):
+    """A flooding attacker with serious mining hardware (PoW baseline).
+
+    It floods at its rig's sustainable rate, bounded only by the hash
+    rate: ``rate = hash_rate / 2^difficulty`` — far above any honest
+    phone.
+    """
+
+    network: PowRelayNetwork
+    rate_per_second: float = field(init=False, default=0.0)
+    device: DeviceProfile = ATTACKER_RIG
+
+    def __post_init__(self) -> None:
+        self.rate_per_second = self.sustainable_rate
+
+    @property
+    def sustainable_rate(self) -> float:
+        return self.device.hash_rate / (2.0 ** self.network.difficulty_bits)
+
+    def _send(self, node: WakuRelayNode, payload: bytes) -> None:
+        self.network.publish_with_pow(node, payload, self.device)
+        self.sent += 1
+
+
+@dataclass
+class SybilArmy:
+    """Bot swarm for the peer-scoring baseline.
+
+    Scoring penalises a *connection*; a Sybil attacker spins up fresh
+    bot identities (optionally sharing one IP) and keeps flooding from
+    new nodes as old ones get graylisted — the "inexpensive attack"
+    of Section I.
+    """
+
+    network: BaselineNetwork
+    bot_count: int = 10
+    attach_degree: int = 3
+    rate_per_bot: float = 5.0
+    shared_ip: Optional[str] = "203.0.113.7"
+    bots: List[str] = field(default_factory=list)
+
+    def deploy(self) -> None:
+        rng = self.network.simulator.rng
+        honest_ids = [n.node_id for n in self.network.nodes]
+        for b in range(self.bot_count):
+            bot_id = f"sybil-{b}"
+            neighbors = rng.sample(
+                honest_ids, min(self.attach_degree, len(honest_ids))
+            )
+            self.network.add_node(bot_id, neighbors)
+            self.bots.append(bot_id)
+            if self.shared_ip is not None:
+                for honest in self.network.nodes:
+                    honest.router.scores.set_ip(bot_id, self.shared_ip)
+
+    def run(self, duration: float, marker: bytes = b"SPAM") -> None:
+        """Flood from every bot, each a millisecond after the last."""
+        for b, bot_id in enumerate(self.bots):
+            FloodSpammer(self.network, bot_id, self.rate_per_bot).run(
+                duration, marker + f"|{b}".encode(), start=0.001 * b
+            )

@@ -45,10 +45,6 @@ class EconomicsReport:
                 return entry
         raise KeyError(node_id)
 
-    def attackers_net_loss(self, attacker_ids: List[str]) -> int:
-        """Total wei lost by the given peers (positive = lost money)."""
-        return -sum(self.ledger(a).net_flow for a in attacker_ids)
-
 
 def build_report(
     chain: Blockchain,

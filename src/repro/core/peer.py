@@ -37,10 +37,7 @@ from .epoch import EpochTracker
 from .nullifier_map import NullifierMap
 from .validator import RlnMessageValidator, ValidationOutcome
 
-#: Application handler: (payload bytes, message id).
-PayloadHandler = Callable[[bytes, str], None]
-
-#: Topic-aware application handler: (pubsub topic, payload, message id).
+#: Application handler: (pubsub topic, payload, message id).
 TopicPayloadHandler = Callable[[str, bytes, str], None]
 
 #: Mapping from validation outcomes to gossip-layer actions. Spam and
@@ -132,7 +129,6 @@ class WakuRlnRelayPeer:
         self.account = chain.create_account(f"eoa:{node_id}", balance).address
 
         self.leaf_index: Optional[int] = None
-        self.payload_handlers: List[PayloadHandler] = []
         self.topic_payload_handlers: List[TopicPayloadHandler] = []
         self.slashes_submitted = 0
         self._slashes_reported: set = set()
@@ -432,19 +428,14 @@ class WakuRlnRelayPeer:
 
     # -- receiving --------------------------------------------------------------------
 
-    def on_payload(self, handler: PayloadHandler) -> None:
-        self.payload_handlers.append(handler)
-
     def on_topic_payload(self, handler: TopicPayloadHandler) -> None:
-        """Like :meth:`on_payload`, with the pubsub topic as first
-        argument (multi-topic workloads account deliveries per topic)."""
+        """Call ``handler(topic, payload, msg_id)`` for every message
+        delivered to this peer's application."""
         self.topic_payload_handlers.append(handler)
 
     def _handle_waku_message(
         self, topic: str, message: WakuMessage, msg_id: str
     ) -> None:
-        for handler in self.payload_handlers:
-            handler(message.payload, msg_id)
         for topic_handler in self.topic_payload_handlers:
             topic_handler(topic, message.payload, msg_id)
 

@@ -479,10 +479,9 @@ class WakuRlnRelayNetwork:
         """Attach recorders to every peer; returns the live dict."""
         deliveries: Dict[str, List[bytes]] = {p.node_id: [] for p in self.peers}
         for peer in self.peers:
-            peer.on_payload(
-                lambda payload, _mid, pid=peer.node_id: deliveries[pid].append(
-                    payload
-                )
+            log = deliveries[peer.node_id]
+            peer.on_topic_payload(
+                lambda _topic, payload, _mid, log=log: log.append(payload)
             )
         return deliveries
 

@@ -1020,63 +1020,50 @@ class ScenarioRunner:
         Fully self-contained and deterministic in ``(spec, seed)`` —
         parallel runs execute it once, on the coordinator, after the
         barrier drive."""
-        from ..attacks.spam import FloodSpammer
-        from ..baselines.relay_baselines import BaselineNetwork
+        from ..baselines.relay_baselines import BaselineNetwork, FloodSpammer
 
         spec = self.spec
         mix = spec.adversaries
         baseline = BaselineNetwork(
             peer_count=spec.peers, seed=spec.seed, degree=spec.degree
         )
-        deliveries = baseline.collect_deliveries()
-        baseline.start()
-        baseline.run(2.0)
         epoch_length = spec.build_config().epoch_length
         flooders = []
-        for group in mix.groups:
-            params = dict(group.params)
-            burst = params.pop("burst", group.burst)
-            rate = max(burst, 1) / epoch_length
-            if group.strategy == "burst-flood":
-                window = max(int(params.get("epochs", 1)), 1) * epoch_length
-            else:
+
+        def arm() -> Set[str]:
+            for group in mix.groups:
+                params = dict(group.params)
+                burst = params.pop("burst", group.burst)
+                rate = max(burst, 1) / epoch_length
                 window = max(spec.duration - mix.start, epoch_length)
-            for _ in range(max(group.count, 1)):
+                if group.strategy == "burst-flood":
+                    epochs = max(int(params.get("epochs", 1)), 1)
+                    window = epochs * epoch_length
+                for _ in range(max(group.count, 1)):
+                    flooder = FloodSpammer(
+                        baseline,
+                        f"peer-{len(flooders)}",
+                        rate_per_second=rate,
+                    )
+                    flooders.append(flooder)
+                    flooder.run(window)
+            if not flooders:
+                # compare_baseline without adversaries: one reference
+                # flooder.
                 flooder = FloodSpammer(
                     baseline,
-                    f"peer-{len(flooders)}",
-                    rate_per_second=rate,
+                    "peer-0",
+                    rate_per_second=BASELINE_BURST / epoch_length,
                 )
                 flooders.append(flooder)
-                flooder.run(window)
-        if not flooders:
-            # compare_baseline without adversaries: one reference
-            # flooder.
-            flooder = FloodSpammer(
-                baseline,
-                "peer-0",
-                rate_per_second=BASELINE_BURST / epoch_length,
-            )
-            flooders.append(flooder)
-            flooder.run(BASELINE_EPOCHS * epoch_length)
-        baseline.run(spec.duration)
-        attacker_ids = {f.node_id for f in flooders}
-        honest = {
-            nid: msgs
-            for nid, msgs in deliveries.items()
-            if nid not in attacker_ids
-        }
-        spam_counts = [
-            sum(1 for m in msgs if m.startswith(SPAM_MARKER))
-            for msgs in honest.values()
-        ]
-        total = sum(spam_counts)
+                flooder.run(BASELINE_EPOCHS * epoch_length)
+            return {f.node_id for f in flooders}
+
+        total, per_peer = baseline.spam_reach(spec.duration, arm)
         return {
             "baseline_spam_sent": float(sum(f.sent for f in flooders)),
             "baseline_spam_delivered": float(total),
-            "baseline_spam_per_honest_peer": (
-                total / len(spam_counts) if spam_counts else 0.0
-            ),
+            "baseline_spam_per_honest_peer": per_peer,
         }
 
     # -- execution ------------------------------------------------------------------

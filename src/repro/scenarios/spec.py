@@ -10,6 +10,7 @@ tests shrink full-scale scenarios to CI size without forking them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Tuple
 
@@ -321,8 +322,19 @@ class ScenarioSpec:
             raise ScenarioError("pre_registered must be >= 0")
         if self.adversaries.total_count >= self.peers:
             raise ScenarioError("spammers must leave at least one honest peer")
+        for name in ("duration", "block_interval"):
+            value = getattr(self, name)
+            if not math.isfinite(value):  # a NaN clock never ends a run
+                raise ScenarioSpecError(
+                    f"{name} must be finite, got {value!r}", problems=(name,)
+                )
         if self.duration <= 0:
             raise ScenarioError("duration must be positive")
+        if self.degree is not None and self.degree < 1:
+            raise ScenarioSpecError(
+                f"degree must be >= 1 or None, got {self.degree!r}",
+                problems=("degree",),
+            )
         if self.shards < 1:
             raise ScenarioError("shards must be >= 1")
         if not isinstance(self.topics, tuple):

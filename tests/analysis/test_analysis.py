@@ -20,6 +20,7 @@ from repro.analysis import (
     paper_reference_row,
     proof_generation_experiment,
     proof_verification_experiment,
+    spam_protection_experiment,
 )
 from repro.analysis.ablations import epoch_length_ablation, root_window_ablation
 from repro.analysis.scaling import network_scaling_experiment
@@ -169,3 +170,42 @@ class TestExperimentSemantics:
             values["total burnt"] + values["total reporter rewards"]
             == values["total attacker loss"]
         )
+
+
+class TestExperimentRowsPinned:
+    """Rows the experiments produced when they hand-wired their own
+    networks, before they ran as scenarios: the scenario path must
+    reproduce them exactly."""
+
+    def test_spam_protection_rln_and_plain_relay_rows(self):
+        _, rows = spam_protection_experiment(peer_count=15, attack_epochs=2)
+        assert rows[:2] == [
+            ("Waku-RLN-Relay", 10, 28, 2.0, "yes (slashed + stake lost)"),
+            ("plain relay (no protection)", 10, 140, 10.0, "no"),
+        ]
+
+    def test_economics_rows(self):
+        _, rows = economics_experiment()
+        values = {row[0]: row[1] for row in rows}
+        assert values == {
+            "stake per member": 10**18,
+            "attackers": 3,
+            "total attacker loss": 3 * 10**18,
+            "total burnt": 15 * 10**17,
+            "total reporter rewards": 15 * 10**17,
+            "rewarded reporters": 2,
+        }
+
+    def test_network_scaling_rows(self):
+        _, rows = network_scaling_experiment(peer_counts=(10, 40))
+        assert rows == [
+            (10, 2, 0.05795679901750568, 0.1100767902247448, "100.0%", 40.25),
+            (
+                40,
+                4,
+                0.10868468867897334,
+                0.17533769649713565,
+                "100.0%",
+                156.25,
+            ),
+        ]

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.attacks import FloodSpammer, PowSpammer, SybilArmy
 from repro.baselines.pow import ATTACKER_RIG, PowEnvelope
-from repro.baselines.relay_baselines import (
+from repro.baselines import (
     BaselineNetwork,
+    FloodSpammer,
     PowRelayNetwork,
+    PowSpammer,
+    SybilArmy,
     scoring_network,
 )
 

@@ -83,6 +83,27 @@ def test_out_of_range_seed_is_a_typed_spec_error(seed):
         assert scenario("honest-steady").scaled(seed=edge).seed == edge
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("duration", float("nan")),  # run() would never return
+        ("duration", float("inf")),
+        ("block_interval", float("nan")),
+        ("block_interval", float("-inf")),
+        ("degree", -1),
+        ("degree", 0),
+    ],
+)
+def test_unrunnable_clock_or_degree_is_a_typed_spec_error(field, value):
+    with pytest.raises(ScenarioSpecError) as excinfo:
+        ScenarioSpec(name="x", description="d", **{field: value})
+    assert excinfo.value.problems == (field,)
+    if field == "duration":
+        with pytest.raises(ScenarioSpecError):
+            scenario("honest-steady").scaled(duration=value)
+    assert ScenarioSpec(name="x", description="d", degree=None).degree is None
+
+
 def test_scaled_rescales_adversary_mix():
     spec = ScenarioSpec(
         name="x",
