@@ -9,7 +9,8 @@ Three measurements behind the `million-id-city` scenario:
   hashes/leaf). Root equivalence is asserted at matched scale; plus
   the traced bytes per identity a whole genesis deployment (the one
   packed member list the contract, the seed event and the tree share,
-  and its lookup index) holds once in use, and at its set-up peak;
+  and its lookup index) holds once in use, and at its set-up peak,
+  and what a built network holds once its list has dropped the buffer;
 * proof + verify cost — two-level membership proofs out of the sharded
   registry vs flat proofs at matched capacity: identical depth,
   identical verify cost, byte-identical flattened path;
@@ -31,7 +32,8 @@ import time
 import tracemalloc
 from dataclasses import replace
 
-from repro.core.protocol import genesis_commitments
+from repro.core.config import ProtocolConfig
+from repro.core.protocol import WakuRlnRelayNetwork, genesis_commitments
 from repro.crypto.field import Fr
 from repro.crypto.hashing import hash1, hash_call_count
 from repro.crypto.keys import IdentityCommitment
@@ -114,6 +116,31 @@ def genesis_deployment_footprint(n, depth, sub_depth):
     return held / n, peak / n, wall
 
 
+def deployed_network_footprint(n, depth, sub_depth, peers=4):
+    """Traced bytes per genesis identity a built ``n``-identity
+    :class:`WakuRlnRelayNetwork` of ``peers`` peers holds after
+    ``register_all``: the list's lookup index (its buffer is gone once
+    the tree has folded it) and the deployment's fixed cost spread over
+    ``n``; also the tracemalloc peak from deployment on (the index
+    sort, while the buffer is still held).
+    ``tests/benchmarks/test_genesis_footprint.py`` pins the held figure
+    at 50k identities. Returns ``(held bytes per identity, peak bytes
+    per identity, wall s)``.
+    """
+    config = ProtocolConfig(merkle_depth=depth, membership_sub_depth=sub_depth)
+    gc.collect()
+    tracemalloc.start()
+    start = time.perf_counter()
+    net = WakuRlnRelayNetwork(peers, config=config, seed=9, pre_registered=n)
+    net.register_all()
+    wall = time.perf_counter() - start
+    gc.collect()
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert net.membership_store.stats()["index_bytes"] > 0
+    return held / n, peak / n, wall
+
+
 def test_registration_throughput(record_table, bench_scale):
     total = bench_scale.n(1_000_000, 600)
     depth = bench_scale.n(20, 10)
@@ -142,6 +169,11 @@ def test_registration_throughput(record_table, bench_scale):
         genesis_deployment_footprint(total, depth, sub_depth)
     )
     hashes_deployed = hash_call_count() - hashes_deployed
+    hashes_network = hash_call_count()
+    network_bytes, network_peak, wall_network = deployed_network_footprint(
+        total, depth, sub_depth
+    )
+    hashes_network = hash_call_count() - hashes_network
 
     rows = [
         (
@@ -174,6 +206,16 @@ def test_registration_throughput(record_table, bench_scale):
             round(deployed_bytes, 1),
             round(deployed_peak, 1),
         ),
+        (
+            "deployed network",
+            total,
+            round(wall_network, 3),
+            hashes_network,
+            round(hashes_network / total, 2),
+            int(total / wall_network),
+            round(network_bytes, 1),
+            round(network_peak, 1),
+        ),
     ]
     record_table(
         "bench_million_id_registration",
@@ -189,17 +231,22 @@ def test_registration_throughput(record_table, bench_scale):
         "branch per registration. Roots are asserted equal at matched "
         "scale. traced B/leaf is tracemalloc bytes held per identity, "
         "peak B/leaf the traced high-water mark: for sharded genesis "
-        "the tree alone plus the list's 4 B lookup index (the packed "
+        "the tree alone plus the list's 8 B lookup index (the packed "
         "member list exists before tracing starts; with no contract "
         "to have sorted it, the tree boundary's zero-leaf probe sorts "
         "the index, traced, which sets this row's peak and about "
         "doubles its wall s); for genesis deployment "
         "everything a deployment in use holds - the one packed list "
         "behind contract, seed event and tree (32 B) and its lookup "
-        "index (4 B) - after the first find_leaf and one slash, and "
-        "the peak is the index sort's transient keys (one int per "
-        "identity). The flat run "
-        "is not traced (tracing would distort its wall s).",
+        "index (8 B: sorted slots and their top words) - after the "
+        "first find_leaf and one slash, and the peak is the index "
+        "sort's transient keys (one int per identity); for deployed "
+        "network a whole 4-peer WakuRlnRelayNetwork after "
+        "register_all, whose tree folded the list at deploy so the "
+        "list dropped its buffer: what is left is the index and the "
+        "network's fixed cost (the number the tier-1 guard pins at "
+        "50k). The flat run is not traced (tracing would distort its "
+        "wall s).",
         meta={
             "identities": total,
             "depth": depth,
@@ -210,6 +257,8 @@ def test_registration_throughput(record_table, bench_scale):
             "peak_memory_bytes": int(peak),
             "deployment_bytes_per_identity": deployed_bytes,
             "deployment_peak_bytes_per_identity": deployed_peak,
+            "network_bytes_per_identity": network_bytes,
+            "network_peak_bytes_per_identity": network_peak,
         },
     )
     assert group.member_count == total

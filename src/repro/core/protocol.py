@@ -53,16 +53,21 @@ def genesis_commitments(count: int, seed: int = 0) -> PackedFieldList:
     is derived: the list never exists as a million ``int`` objects.
     Member ``i`` is ``blake2b(b"genesis-member:<seed>:<i>")`` reduced
     into the field (0 becomes 1), hashed a chunk at a time from copies
-    of one state that has already absorbed the prefix.
+    of one state that has already absorbed the prefix. The list keeps
+    that rule, so it can drop its buffer and re-derive what it reads.
     """
     keyed = blake2b(b"genesis-member:%d:" % seed, digest_size=32)
-    chunks = []
-    for start in range(0, count, BULK_CHUNK):
-        stop = min(start + BULK_CHUNK, count)
-        names = list(map(b"%d".__mod__, range(start, stop)))
-        values = blake2b_digests_int(keyed, names)
-        chunks.append(b"".join([(v or 1).to_bytes(32, "big") for v in values]))
-    return PackedFieldList(b"".join(chunks))
+
+    def derive(first: int, stop: int) -> bytes:
+        chunks = []
+        for start in range(first, stop, BULK_CHUNK):
+            end = min(start + BULK_CHUNK, stop)
+            names = list(map(b"%d".__mod__, range(start, end)))
+            values = blake2b_digests_int(keyed, names)
+            chunks.append(b"".join([(v or 1).to_bytes(32, "big") for v in values]))
+        return b"".join(chunks)
+
+    return PackedFieldList(derive(0, count), rule=derive)
 
 
 class WakuRlnRelayNetwork:
@@ -151,6 +156,13 @@ class WakuRlnRelayNetwork:
                 f"unknown contract design {self.config.contract_design!r}"
             )
         self.contract = self.chain.deploy(contract)
+        #: Deployment-wide shared membership-tree store: every replica
+        #: is a copy-on-write view of one canonical tree per domain.
+        self.membership_store = MembershipStore(
+            self.config.merkle_depth,
+            self.config.root_window,
+            sub_depth=self.config.membership_sub_depth,
+        )
         if pre_registered:
             # Genesis member list: identities registered at deploy time
             # (the "huge membership, small active set" regime the paper
@@ -170,10 +182,15 @@ class WakuRlnRelayNetwork:
                     f"({self.config.group_capacity})"
                 )
             pks = genesis_commitments(pre_registered, seed)
-            contract.genesis_register(pks)
+            contract.genesis_register(pks)  # sorts the lookup index
             self.chain.seed_event(
                 CONTRACT_ADDRESS, "MembersRegistered", pks=pks
             )
+            # The tree folds it before any peer exists, so the buffer can
+            # go: a later read (member, sub-tree, index probe) re-derives.
+            canon = self.membership_store.canonical(self.config.domain or "")
+            canon.apply_batch(pks, self.config.root_window)
+            pks.release()
 
         proving_key, verifying_key = rln_keys(seed=seed.to_bytes(8, "big"))
         self.proving_key = proving_key
@@ -195,13 +212,6 @@ class WakuRlnRelayNetwork:
                 self.verification_cache = VerificationCache(
                     self.config.verification_cache_size
                 )
-        #: Deployment-wide shared membership-tree store: every replica
-        #: is a copy-on-write view of one canonical tree per domain.
-        self.membership_store = MembershipStore(
-            self.config.merkle_depth,
-            self.config.root_window,
-            sub_depth=self.config.membership_sub_depth,
-        )
 
         self._degree = degree
         self._next_peer_index = peer_count

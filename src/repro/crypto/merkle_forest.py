@@ -187,9 +187,11 @@ class CanonicalShardedTree:
         #: the versioned commitment->index map behind find_leaf_at().
         self._leaf_history: Dict[int, List[Tuple[int, int]]] = {}
         #: The genesis batch as applied (its first _genesis_version
-        #: slots are the compacted prefix): the leaf chunks' buffer and
+        #: slots are the compacted prefix): the leaf chunks' source and
         #: the value -> genesis slots lookup as of the genesis version.
-        self._genesis_members = PackedFieldList()
+        self.genesis_members = PackedFieldList()
+        #: Whether a view has applied the genesis batch (see SharedMerkleView).
+        self.genesis_claimed = False
         #: Events replayed by later replicas without hashing (stat).
         self.events_deduped = 0
         #: Views that diverged and went private (stat).
@@ -288,7 +290,7 @@ class CanonicalShardedTree:
             self._sub_leaves.append(chunk)
             self._sub_roots.append(self._fold_sub_root(chunk))
         if compact:
-            self._genesis_members = values
+            self.genesis_members = values
             self._genesis_version = compact
             self._roots = [self._rebuild_top()]
             self._leaf_counts = [compact]
@@ -445,7 +447,7 @@ class CanonicalShardedTree:
             # Candidates are the slots that held ``value`` at genesis;
             # the read through the journal drops the ones overwritten
             # by ``version``. Past the prefix, _leaf_history answers.
-            for index in self._genesis_members.index.slots(value):
+            for index in self.genesis_members.index.slots(value):
                 if index >= self._genesis_version:
                     break
                 if self.node_at(0, index, version) == value:
@@ -486,7 +488,7 @@ class CanonicalShardedTree:
         """Host bytes of the genesis list's lookup index (0 until its
         first use, here or by the contract that shares the list);
         outside :meth:`storage_bytes`' model."""
-        return self._genesis_members.index_bytes
+        return self.genesis_members.index_bytes
 
     @property
     def materialized_subtrees(self) -> int:

@@ -170,7 +170,8 @@ class SharedMerkleView:
         Same head/dedup/fork contract as :meth:`synced_insert`, applied
         value by value; the head case hands the whole remainder to the
         canonical tree's :meth:`~CanonicalShardedTree.apply_batch` so it
-        can compact the genesis prefix. Returns
+        can compact the genesis prefix, and the very batch the tree
+        compacted is matched whole, in O(1). Returns
         ``(first index, roots of the last min(roots_tail, n) states,
         oldest first)`` — exactly the roots a replica must remember for
         its window to match a one-by-one replay.
@@ -188,6 +189,14 @@ class SharedMerkleView:
         tail_roots: List[Fr] = []
         i = 0
         canon = self._canon
+        if values is canon.genesis_members and not (self._forked or self._version):
+            # The first view past it is the replica that applied it at
+            # the head; a later one dedups n, as value by value it did.
+            canon.events_deduped += n if canon.genesis_claimed else 0
+            canon.genesis_claimed = True
+            self._version = n
+            versions = range(need_from + 1, n + 1)
+            return first, [Fr(canon.root_at(v)) for v in versions]
         while i < n:
             if self._forked:
                 self._insert_private(values[i])
@@ -197,6 +206,7 @@ class SharedMerkleView:
                 continue
             if self._version == canon.version:
                 _, tail = canon.apply_batch(values[i:], roots_tail)
+                canon.genesis_claimed = True
                 self._version += n - i
                 tail_roots.extend(Fr(root) for root in tail)
                 break

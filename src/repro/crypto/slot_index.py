@@ -2,50 +2,61 @@
 
 A genesis member list is immutable and huge, so a dormant identity
 must cost neither a Python ``int`` nor a hash-table entry: the list is
-one buffer of 32-byte big-endian field elements that every layer
+one source of 32-byte big-endian field elements that every layer
 (contract, seed event, tree leaf chunks) references, and looking a
-value up in it bisects a permutation of the slots sorted by
-``(value, slot)`` — 4 more bytes per slot. It is sorted on one small
-``int`` per slot (the value's top 32 bits above the slot's bits); only
-runs of tied top words are re-sorted by the full encoding.
+value up in it bisects the top words of a permutation of the slots
+sorted by ``(value, slot)`` — 8 more bytes per slot. It is sorted on
+one small ``int`` per slot (the value's top 32 bits above the slot's
+bits); only runs of tied top words are re-sorted by the full encoding.
+A list derived by a rule can drop its buffer: a read then re-derives
+just the slots it touches, a lookup just those that tie its top word.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import compress, count, groupby, islice, repeat
 from operator import and_, eq, itemgetter, lshift, or_, rshift
 from struct import iter_unpack
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .digests import blake2b
 from .field import Fr
 
 
-def _values(packed: memoryview) -> Iterator[bytes]:
-    """The 32-byte encodings in ``packed``, in slot order."""
-    return map(itemgetter(0), iter_unpack("32s", packed))
+class _Encodings:
+    """What a list and its slices read: a buffer, or the rule after it."""
+
+    def __init__(self, buffer: Optional[memoryview], rule) -> None:
+        self.buffer, self.rule = buffer, rule
+
+    def read(self, start: int, stop: int):
+        """The encodings of slots ``start .. stop - 1``, back to back."""
+        if self.buffer is None:
+            return self.rule(start, stop)
+        return self.buffer[32 * start : 32 * stop]
 
 
 class SortedSlotIndex:
-    """Which slots of a packed run of field elements hold a value."""
+    """Which slots of a packed list hold a value."""
 
-    def __init__(self, packed: memoryview) -> None:
-        self._packed = packed
-        n = len(packed) // 32
+    def __init__(self, values: "PackedFieldList") -> None:
+        #: Encoding of one slot; re-derived once the list is released.
+        self._encoded_at = values._encoded_at
+        n = len(values)
         bits = max(n - 1, 0).bit_length()  # of a slot, under the top word
-        tops = map(itemgetter(0), iter_unpack(">I28x", packed))
+        tops = map(itemgetter(0), iter_unpack(">I28x", values._read()))
         keys = list(map(or_, map(lshift, tops, repeat(bits)), range(n)))
         keys.sort()
         self._order = array("I", map(and_, keys, repeat((1 << bits) - 1)))
+        #: Top word of the value at each position of _order.
+        self._tops = tops = array("I", map(rshift, keys, repeat(bits)))
         # A run of tied top words holds ascending slots: a stable re-sort
         # by encoding puts it in (value, slot) order.
-        tops = map(rshift, keys, repeat(bits))
-        later = map(rshift, islice(keys, 1, None), repeat(bits))
-        tied = compress(count(1), map(eq, later, tops))
+        tied = compress(count(1), map(eq, islice(tops, 1, None), tops))
         repeats = []
-        for _, run in groupby(tied, key=lambda i: keys[i] >> bits):
+        for _, run in groupby(tied, key=tops.__getitem__):
             run = list(run)
             span = slice(run[0] - 1, run[-1] + 1)
             slots = sorted(self._order[span], key=self._encoded_at)
@@ -55,21 +66,16 @@ class SortedSlotIndex:
         #: Lowest slot whose value also sits in an earlier slot.
         self.first_repeat: Optional[int] = min(repeats, default=None)
 
-    def _encoded_at(self, slot: int) -> bytes:
-        return self._packed[32 * slot : 32 * slot + 32].tobytes()
-
     def slots(self, value: int) -> Iterator[int]:
-        """The slots holding ``value``, ascending."""
+        """The slots holding ``value``, ascending; reads only top-word ties."""
         if not 0 <= value < 1 << 256:
             return
         probe = value.to_bytes(32, "big")
-        order = self._order
-        start = bisect_left(order, probe, key=self._encoded_at)
-        for position in range(start, len(order)):
-            slot = order[position]
-            if self._encoded_at(slot) != probe:
-                return
-            yield slot
+        lo = bisect_left(self._tops, value >> 224)
+        hi = bisect_right(self._tops, value >> 224, lo)
+        for slot in self._order[lo:hi]:  # in (value, slot) order
+            if self._encoded_at(slot) == probe:
+                yield slot
 
     def first(self, value: int) -> Optional[int]:
         """The lowest slot holding ``value``, or None."""
@@ -77,25 +83,27 @@ class SortedSlotIndex:
 
     @property
     def nbytes(self) -> int:
-        """Size of the index buffer (host memory, not modelled storage)."""
-        return len(self._order) * self._order.itemsize
+        """Size of the index buffers (host memory, not modelled storage)."""
+        return 2 * len(self._order) * self._order.itemsize
 
 
 class PackedFieldList:
     """Immutable sequence of canonical field elements, 32 B each, in
-    one buffer. Reads decode to ``int``; a contiguous slice is a view
-    of the same buffer (the full range is the list itself, index
-    included); equality, hash, ``repr`` and pickling go by content."""
+    one buffer (or its rule). Reads decode to ``int``; a contiguous
+    slice is a view of the same source (the full range is the list
+    itself, index included); equality, hash, ``repr`` and pickling go
+    by content."""
 
-    __slots__ = ("_packed", "_index")
+    __slots__ = ("_source", "_start", "_stop", "_index")
 
-    def __init__(self, packed=b"") -> None:
-        """``packed``: 32-byte big-endian encodings, back to back."""
-        if not isinstance(packed, memoryview):  # a slice hands a view
-            packed = memoryview(bytes(packed))
+    def __init__(self, packed=b"", rule: Optional[Callable] = None) -> None:
+        """``packed``: 32-byte big-endian encodings, back to back; if
+        given, ``rule(start, stop)`` derives those of any slot range."""
+        packed = memoryview(bytes(packed))
         if len(packed) % 32:
             raise ValueError("packed field elements are 32 bytes each")
-        self._packed = packed
+        self._source = _Encodings(packed, rule)
+        self._start, self._stop = 0, len(packed) // 32
         self._index: Optional[SortedSlotIndex] = None
 
     @classmethod
@@ -109,8 +117,22 @@ class PackedFieldList:
             packed += Fr(getattr(item, "element", item)).to_bytes()
         return cls(packed)
 
+    def release(self) -> None:
+        """Drop the buffer: reads of the list, its slices and its index
+        re-derive the slots they need from here on."""
+        if self._source.rule is None:
+            raise ValueError("only a rule-backed list can drop its buffer")
+        self._source.buffer = None
+
+    def _read(self):
+        return self._source.read(self._start, self._stop)
+
+    def _encoded_at(self, slot: int) -> bytes:
+        slot += self._start
+        return bytes(self._source.read(slot, slot + 1))
+
     def __len__(self) -> int:
-        return len(self._packed) // 32
+        return self._stop - self._start
 
     def __getitem__(self, item):
         if isinstance(item, slice):
@@ -119,27 +141,30 @@ class PackedFieldList:
                 raise ValueError("packed lists slice contiguously only")
             if len(span) == len(self):
                 return self
-            stop = span.start + len(span)
-            return PackedFieldList(self._packed[32 * span.start : 32 * stop])
-        offset = 32 * range(len(self))[item]
-        return int.from_bytes(self._packed[offset : offset + 32], "big")
+            view = object.__new__(PackedFieldList)
+            view._source, view._index = self._source, None
+            view._start = self._start + span.start
+            view._stop = view._start + len(span)
+            return view
+        return int.from_bytes(self._encoded_at(range(len(self))[item]), "big")
 
     def __iter__(self) -> Iterator[int]:
-        return map(int.from_bytes, _values(self._packed), repeat("big"))
+        encoded = iter_unpack("32s", self._read())
+        return map(int.from_bytes, map(itemgetter(0), encoded), repeat("big"))
 
     def __bytes__(self) -> bytes:
-        return self._packed.tobytes()
+        return bytes(self._read())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PackedFieldList):
             return NotImplemented
-        return self._packed == other._packed
+        return self._read() == other._read()
 
     def __hash__(self) -> int:
-        return hash(self._packed)
+        return hash(bytes(self))
 
     def __repr__(self) -> str:
-        digest = blake2b(self._packed, digest_size=16).hexdigest()
+        digest = blake2b(self._read(), digest_size=16).hexdigest()
         return f"PackedFieldList(n={len(self)}, blake2b={digest})"
 
     def __reduce__(self):
@@ -149,7 +174,7 @@ class PackedFieldList:
     def index(self) -> SortedSlotIndex:
         """value -> slots lookup over this list; sorted once, on first use."""
         if self._index is None:
-            self._index = SortedSlotIndex(self._packed)
+            self._index = SortedSlotIndex(self)
         return self._index
 
     @property

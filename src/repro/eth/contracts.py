@@ -85,8 +85,8 @@ class MembershipRegistry(MembershipContractBase):
     snapshots for revert. Genesis members occupy leaf slots
     ``0 .. n-1``; transactional registrations continue after them.
     The list is one :class:`~repro.crypto.slot_index.PackedFieldList`
-    (32 B per member, plus its 4 B per member pk -> slot index), the
-    same object the seed event announces and the replicas' tree reads.
+    (32 B per member until deploy drops its buffer, plus 8 B of index),
+    the same object the seed event announces and the replicas' tree reads.
     """
 
     def __init__(

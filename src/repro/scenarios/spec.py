@@ -311,15 +311,21 @@ class ScenarioSpec:
     streaming_metrics: bool = False
 
     def __post_init__(self) -> None:
-        if self.peers < 2:
-            raise ScenarioError("a scenario needs at least 2 peers")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 1 << 64):
-            raise ScenarioSpecError(  # proving keys derive from 8 bytes
-                f"seed must be an integer in [0, 2**64), got {self.seed!r}",
-                problems=("seed",),
-            )
-        if self.pre_registered < 0:
-            raise ScenarioError("pre_registered must be >= 0")
+        for name, least, below in (
+            ("peers", 2, math.inf), ("pre_registered", 0, math.inf),
+            ("shards", 1, math.inf), ("parallel_workers", 0, math.inf),
+            ("degree", 1, math.inf),  # or None: a full mesh
+            ("seed", 0, 1 << 64),  # proving keys derive from 8 bytes
+        ):
+            value = getattr(self, name)
+            if value is None and name == "degree":
+                continue
+            if not (isinstance(value, int) and least <= value < below):
+                raise ScenarioSpecError(
+                    f"{name} must be an integer in [{least}, {below}), "
+                    f"got {value!r}",
+                    problems=(name,),
+                )
         if self.adversaries.total_count >= self.peers:
             raise ScenarioError("spammers must leave at least one honest peer")
         for name in ("duration", "block_interval"):
@@ -330,13 +336,6 @@ class ScenarioSpec:
                 )
         if self.duration <= 0:
             raise ScenarioError("duration must be positive")
-        if self.degree is not None and self.degree < 1:
-            raise ScenarioSpecError(
-                f"degree must be >= 1 or None, got {self.degree!r}",
-                problems=("degree",),
-            )
-        if self.shards < 1:
-            raise ScenarioError("shards must be >= 1")
         if not isinstance(self.topics, tuple):
             object.__setattr__(self, "topics", tuple(self.topics))
         names = [t.name for t in self.topics]
@@ -400,17 +399,11 @@ class ScenarioSpec:
             raise ScenarioError(
                 f"unknown ProtocolConfig overrides: {sorted(unknown)}"
             )
-        if self.parallel_workers < 0:
-            raise ScenarioSpecError(
-                "parallel_workers must be >= 0",
-                problems=("parallel_workers",),
-            )
-        if (
-            self.parallel_window is not None
-            and self.parallel_window <= 0
+        if self.parallel_window is not None and not (
+            0 < self.parallel_window < math.inf
         ):
             raise ScenarioSpecError(
-                f"parallel_window must be positive, got "
+                f"parallel_window must be positive and finite, got "
                 f"{self.parallel_window}; drop the override to use the "
                 f"latency model's minimum latency, or pick a value no "
                 f"larger than it (the protocol's delivery-delay bound "

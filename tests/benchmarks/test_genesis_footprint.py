@@ -7,7 +7,9 @@ first-class number. The measurement is the benchmark's own
 which also records it at 1M identities); this pins it at 50k, held and
 at its set-up peak, so that a reintroduced per-identity dict entry,
 ``int`` or ``bytes`` list or ``Fr`` copy fails here in seconds instead
-of showing up as RSS on a full-scale run.
+of showing up as RSS on a full-scale run. A built network goes further:
+its tree folds the list at deploy and the list drops its buffer, so
+what it holds per identity is pinned on its own.
 """
 
 from __future__ import annotations
@@ -19,28 +21,48 @@ BENCH = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "bench_million_id.py"
 )
 
-#: Held: measured 46.6 B/identity at 50k (32 B in the one packed list
-#: the contract, the seed event and the tree share, 4 B in its lookup
+#: Held: measured 50.7 B/identity at 50k (32 B in the one packed list
+#: the contract, the seed event and the tree share, 8 B in its lookup
 #: index, the rest the deployment's fixed cost — tree top, journal, one
-#: materialised sub-tree — spread over 50k); ~18 % headroom. A second
-#: per-identity ``int`` or ``bytes`` list adds 40-70 B. The tuple-of-
-#: ints design measured 92.3, the dict-based one before it 344.8.
+#: materialised sub-tree — spread over 50k); 46.6 with the 4 B index
+#: that kept no top words. A second per-identity ``int`` or ``bytes``
+#: list adds 40-70 B. The tuple-of-ints design measured 92.3, the
+#: dict-based one before it 344.8.
 HELD_BUDGET_BYTES_PER_IDENTITY = 55
 
-#: Peak: measured 77.2 B/identity, set while the index is sorted (the
-#: list's 32 B plus ~45 B of transient sort keys, one small ``int`` and
-#: one list slot per identity); ~20 % headroom. Sorting one 36-byte
-#: ``value || slot`` bytes record per identity instead measured 114.2.
+#: Peak: measured 81.4 B/identity, set while the index is sorted (the
+#: list's 32 B, ~45 B of transient sort keys — one small ``int`` and
+#: one list slot per identity — and the index's 8 B); 77.2 with the
+#: 4 B index. Sorting one 36-byte ``value || slot`` bytes record per
+#: identity instead measured 114.2.
 #: The index transient now stays under the live set of a run, so a
 #: process's RSS high-water mark is set by the run, not by set-up.
 PEAK_BUDGET_BYTES_PER_IDENTITY = 93
 
+#: Deployed: measured 15.2 B/identity held by a 4-peer
+#: ``WakuRlnRelayNetwork(pre_registered=50_000)`` after ``register_all``
+#: (8 B of lookup index, the rest the network's fixed cost spread over
+#: 50k); ~20 % headroom. A network that keeps the 32 B/identity buffer
+#: after deploy measured 43.2.
+DEPLOYED_BUDGET_BYTES_PER_IDENTITY = 18
 
-def test_genesis_deployment_bytes_per_identity():
+
+def _bench():
     spec = importlib.util.spec_from_file_location("bench_million_id", BENCH)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    held, peak, _ = bench.genesis_deployment_footprint(
+    return bench
+
+
+def test_deployed_network_bytes_per_identity():
+    held, _, _ = _bench().deployed_network_footprint(
+        50_000, depth=20, sub_depth=10
+    )
+    assert held < DEPLOYED_BUDGET_BYTES_PER_IDENTITY, held
+
+
+def test_genesis_deployment_bytes_per_identity():
+    held, peak, _ = _bench().genesis_deployment_footprint(
         50_000, depth=20, sub_depth=10
     )
     assert held < HELD_BUDGET_BYTES_PER_IDENTITY, held

@@ -308,8 +308,8 @@ class TestGenesisLookupIndex:
                 sharded.find_leaf_at(genesis[0], version)
         if gv:
             # One index over the whole batch (the list's own, which a
-            # contract holding the same list shares): 4 B per member.
-            assert sharded.index_bytes == 4 * len(genesis)
+            # contract holding the same list shares): 8 B per member.
+            assert sharded.index_bytes == 8 * len(genesis)
 
     def test_slashed_genesis_slot_before_and_after(self):
         tree = CanonicalShardedTree(DEPTH, 2)
@@ -323,7 +323,7 @@ class TestGenesisLookupIndex:
         assert tree.find_leaf_at(7, slashed - 1) == 0
         assert tree.find_leaf_at(7, slashed) == 2
         assert tree.find_leaf_at(7, tree.version) == 2
-        assert tree.index_bytes == 4 * 7  # the whole batch's index
+        assert tree.index_bytes == 8 * 7  # the whole batch's index
         tree.apply(("set", 2, 0))
         tree.apply(("set", 4, 0))
         assert tree.find_leaf_at(7, tree.version) == 7  # the re-insert
@@ -450,7 +450,7 @@ class TestForkBehavior:
             if k in (1, 6):
                 assert type(leaves) is list
             else:
-                assert leaves._packed.obj is members._packed.obj
+                assert leaves._source is members._source
         assert members[20] == 21 and tuple(members) == tuple(range(1, 101))
         assert tree.node_at(0, 20, tree.version) == 0
         assert tree.node_at(0, 20, tree.version - 2) == 21

@@ -5,7 +5,9 @@ the seed event and the tree, so everything those layers do with it —
 indexing, slicing, iteration, value lookups, duplicate detection,
 content identity across processes — is checked against the tuple.
 The lookup index is also checked against the plain ``value || slot``
-record sort of ``slot_index_oracle`` on lists built to tie.
+record sort of ``slot_index_oracle`` on lists built to tie, and a list
+that dropped its buffer for the rule that derived it against the same
+tuple.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.field import Fr
 from repro.crypto.keys import IdentityCommitment
-from repro.crypto.slot_index import PackedFieldList, SortedSlotIndex
+from repro.crypto.slot_index import PackedFieldList
 from repro.errors import FieldError
 from slot_index_oracle import sorted_slots
 
@@ -85,8 +87,8 @@ def test_reads_match_a_tuple_of_canonical_ints(items, data):
     view = packed[lo:hi]
     assert isinstance(view, PackedFieldList)
     assert tuple(view) == model[lo:hi] and len(view) == len(model[lo:hi])
-    # A slice is a view of the same buffer, not a copy ...
-    assert view._packed.obj is packed._packed.obj
+    # A slice is a view of the same source, not a copy ...
+    assert view._source is packed._source
     # ... and the full range is the list itself, so its index is shared.
     assert (view is packed) == (len(view) == n)
     assert packed[:] is packed and packed[0:] is packed
@@ -101,7 +103,7 @@ def test_lookups_match_a_scan(items, probes):
     packed = PackedFieldList.of(items)
     assert packed.index_bytes == 0  # nothing sorted until asked
     index = packed.index
-    assert packed.index is index and packed.index_bytes == 4 * len(model)
+    assert packed.index is index and packed.index_bytes == 8 * len(model)
     for value in {*model, *probes, 0, -1, P, 1 << 256, (1 << 256) - 1}:
         held = [slot for slot, v in enumerate(model) if v == value]
         assert list(index.slots(value)) == held
@@ -120,7 +122,7 @@ def test_index_equals_the_record_sort_on_tied_values(data):
     value = st.one_of(RAW, st.sampled_from(pool))  # repeats are common
     values = data.draw(st.lists(value, min_size=n, max_size=n))
     packed = b"".join(v.to_bytes(32, "big") for v in values)
-    index = SortedSlotIndex(memoryview(packed))
+    index = PackedFieldList(packed).index
     order, first_repeat = sorted_slots(packed)
     assert list(index._order) == order
     assert index.first_repeat == first_repeat
@@ -168,3 +170,52 @@ def test_rejects_what_fr_rejects_and_ragged_buffers():
         PackedFieldList(b"\x00" * 33)
     assert len(PackedFieldList()) == 0 and list(PackedFieldList()) == []
     assert PackedFieldList().index.first(0) is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_released_rule_backed_list_reads_as_a_tuple(data):
+    n = data.draw(st.sampled_from(LENGTHS))
+    pool = data.draw(st.lists(RAW, min_size=1, max_size=4))
+    value = st.one_of(RAW, st.sampled_from(pool))
+    model = tuple(data.draw(st.lists(value, min_size=n, max_size=n)))
+    derived = []  # the slot ranges the rule was asked for
+
+    def rule(start, stop):
+        derived.append((start, stop))
+        return b"".join(v.to_bytes(32, "big") for v in model[start:stop])
+
+    packed = PackedFieldList(rule(0, n), rule=rule)
+    sorted_first = data.draw(st.booleans())
+    if sorted_first:  # as a deployment does: sort, then release
+        packed.index
+    lo, hi = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    early = packed[lo:hi]  # a slice taken while the buffer was held
+    packed.release()
+    assert packed._source.buffer is None and derived == [(0, n)]
+    assert len(packed) == n and tuple(packed) == model
+    encoded = b"".join(v.to_bytes(32, "big") for v in model)
+    assert bytes(packed) == encoded and packed == PackedFieldList(encoded)
+    assert tuple(early) == model[lo:hi] == tuple(packed[lo:hi])
+    for i in range(-n, n):
+        assert packed[i] == model[i]
+    for i in range(len(early)):
+        assert early[i] == model[lo + i]
+    index = packed.index
+    assert index.nbytes == 8 * n
+    later = [slot for slot, v in enumerate(model) if v in model[:slot]]
+    assert index.first_repeat == min(later, default=None)
+    probes = data.draw(st.lists(RAW, max_size=4))
+    for v in {*model, *probes, *(v + 1 for v in model)}:
+        held = [slot for slot, w in enumerate(model) if w == v]
+        derived.clear()
+        assert list(index.slots(v)) == held
+        assert index.first(v) == (held[0] if held else None)
+        # Only slots whose top word ties the probe's are derived.
+        assert all(stop == slot + 1 for slot, stop in derived)
+        assert all(model[slot] >> 224 == v >> 224 for slot, _ in derived)
+
+
+def test_only_a_rule_backed_list_drops_its_buffer():
+    with pytest.raises(ValueError):
+        PackedFieldList.of([1, 2]).release()

@@ -50,37 +50,57 @@ class TestPreRegisteredGenesis:
 
     def test_genesis_members_exist_once(self, monkeypatch):
         # The contract's list, the seed event's payload and the tree's
-        # compacted prefix are one object — one buffer, sorted once per
-        # deployment, however many layers look values up in it.
+        # compacted prefix are one object, sorted once per deployment.
+        # The tree folds it and the buffer goes before the first peer
+        # is built, so every layer reads it by its rule from then on.
         from repro.crypto.slot_index import PackedFieldList, SortedSlotIndex
 
         sorted_runs = []
         build = SortedSlotIndex.__init__
 
-        def counting(index, packed):
-            sorted_runs.append(len(packed) // 32)
-            build(index, packed)
+        def counting(index, values):
+            sorted_runs.append(len(values))
+            build(index, values)
+
+        at_first_peer = []
+        build_peer = WakuRlnRelayNetwork._build_peer
+
+        def recording(net, node_id):
+            if not at_first_peer:
+                canon = net.membership_store.canonical()
+                buffer = net.contract._genesis_pks._source.buffer
+                at_first_peer.append((canon.genesis_version, buffer))
+            return build_peer(net, node_id)
 
         monkeypatch.setattr(SortedSlotIndex, "__init__", counting)
+        monkeypatch.setattr(WakuRlnRelayNetwork, "_build_peer", recording)
         net = _network(pre=100)
         net.register_all()
         announced = net.chain.event_log[0].args["pks"]
         canon = net.membership_store.canonical()
         assert isinstance(announced, PackedFieldList)
         assert net.contract._genesis_pks is announced
-        assert canon._genesis_members is announced
-        buffer = announced._packed.obj
+        assert canon.genesis_members is announced
+        assert at_first_peer == [(canon.genesis_version, None)]
+        assert canon.genesis_version == 100 - CONFIG.root_window
+        source = announced._source
+        assert source.buffer is None
         chunks = canon._sub_leaves[: canon.genesis_version >> canon.sub_depth]
-        assert chunks and all(c._packed.obj is buffer for c in chunks)
+        assert chunks and all(c._source is source for c in chunks)
+        expected = genesis_commitments(100, seed=5)
+        assert tuple(announced) == tuple(expected)
         for slot in (0, 17, 99):
-            pk = announced[slot]
+            pk = expected[slot]
             assert net.contract.member_at(slot) == pk
             assert net.contract.is_member(pk)
             assert canon.node_at(0, slot, canon.version) == pk
             assert canon.find_leaf_at(pk, canon.version) == slot
         assert not net.contract.is_member(12345)
-        assert net.membership_store.stats()["index_bytes"] == 4 * 100
+        assert net.membership_store.stats()["index_bytes"] == 8 * 100
         assert sorted_runs == [100]
+        # The reference peer's sync matched the folded batch whole, as
+        # the replica that would have applied it: nothing deduped yet.
+        assert net.membership_store.stats()["events_deduped"] == 0
 
     def test_live_peers_get_slots_after_the_dormant_block(self):
         net = _network(pre=40, peers=4)

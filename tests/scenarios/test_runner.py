@@ -104,6 +104,25 @@ def test_unrunnable_clock_or_degree_is_a_typed_spec_error(field, value):
     assert ScenarioSpec(name="x", description="d", degree=None).degree is None
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("peers", 2.5),
+        ("pre_registered", 2.5),
+        ("parallel_workers", None),
+        ("parallel_window", float("nan")),
+        ("shards", 2.5),
+    ],
+)
+def test_a_wrongly_typed_size_is_a_typed_spec_error(field, value):
+    # Each of these used to pass the spec and fail later with a bare
+    # TypeError (or never fail at all).
+    with pytest.raises(ScenarioSpecError) as excinfo:
+        ScenarioSpec(name="x", description="d", **{field: value})
+    assert excinfo.value.problems == (field,)
+    assert field in str(excinfo.value)
+
+
 def test_scaled_rescales_adversary_mix():
     spec = ScenarioSpec(
         name="x",
