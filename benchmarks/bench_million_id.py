@@ -20,6 +20,16 @@ Three measurements behind the `million-id-city` scenario:
   per-epoch growth must decline (bounded caches warming, not
   per-epoch state accumulating).
 
+Two more record where a ``registry-genesis``-shaped run (the
+reference benchmark's workload, :func:`registry_genesis_spec`) spends
+its host memory:
+
+* RSS by phase — ``VmHWM`` / ``VmRSS`` of a fresh interpreter after
+  its imports, after the network is deployed, at kernel start and at
+  run end, so "where the peak is set" is a measured number;
+* bytes per live peer by source file — tracemalloc at run end, as the
+  slope between two peer counts, so fixed costs cancel.
+
 Run with ``pytest benchmarks/bench_million_id.py -s``; tier-1 smokes
 it tiny via ``--bench-quick``.
 """
@@ -27,10 +37,16 @@ it tiny via ``--bench-quick``.
 from __future__ import annotations
 
 import gc
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import WakuRlnRelayNetwork, genesis_commitments
@@ -41,7 +57,16 @@ from repro.crypto.slot_index import PackedFieldList
 from repro.eth.chain import Blockchain
 from repro.eth.contracts import MembershipRegistry
 from repro.rln.membership import MembershipStore
-from repro.scenarios import TrafficModel, run_scenario, scenario
+from repro.scenarios import (
+    AdversaryGroup,
+    AdversaryMix,
+    ScenarioSpec,
+    TopicSpec,
+    TrafficModel,
+    run_scenario,
+    scenario,
+)
+from repro.scenarios.runner import ScenarioRunner
 
 #: Matched-capacity flat reference size: big enough that per-leaf hash
 #: counts are stable, small enough that the O(depth)/leaf path finishes
@@ -122,8 +147,9 @@ def deployed_network_footprint(n, depth, sub_depth, peers=4):
     ``register_all``: the list's lookup index (its buffer is gone once
     the tree has folded it) and the deployment's fixed cost spread over
     ``n``; also the tracemalloc peak from deployment on (the index
-    sort, while the buffer is still held).
-    ``tests/benchmarks/test_genesis_footprint.py`` pins the held figure
+    sort, after the buffer is unmapped; the buffer is an anonymous
+    mapping, which tracemalloc does not see).
+    ``tests/benchmarks/test_genesis_footprint.py`` pins both figures
     at 50k identities. Returns ``(held bytes per identity, peak bytes
     per identity, wall s)``.
     """
@@ -139,6 +165,142 @@ def deployed_network_footprint(n, depth, sub_depth, peers=4):
     tracemalloc.stop()
     assert net.membership_store.stats()["index_bytes"] > 0
     return held / n, peak / n, wall
+
+
+def registry_genesis_spec(peers, pre_registered, seed=3, quick=False):
+    """A spec shaped like the reference benchmark's ``registry-genesis``
+    workload (full size: 1000 peers over 500k dormant identities, 30 s):
+    three weight-0 side topics, two adaptive-backoff agents, a depth-20
+    registry of 2^10 sub-trees. Its traffic is 2 % of the peers
+    publishing about once per run; ``quick`` is the smoke form (a
+    quarter of the peers at 0.5 msg/epoch for 15 s), which still
+    publishes at a few dozen peers."""
+    return ScenarioSpec(
+        name="registry-genesis",
+        description="registry-genesis-shaped footprint run",
+        peers=peers,
+        duration=15.0 if quick else 30.0,
+        seed=seed,
+        pre_registered=pre_registered,
+        streaming_metrics=True,
+        traffic=(
+            TrafficModel(messages_per_epoch=0.5, active_fraction=0.25)
+            if quick
+            else TrafficModel(messages_per_epoch=0.35, active_fraction=0.02)
+        ),
+        topics=(
+            TopicSpec("/waku/2/market/proto", traffic_weight=0.0,
+                      subscribe_fraction=0.3),
+            TopicSpec("/waku/2/chat/proto", traffic_weight=0.0,
+                      subscribe_fraction=0.2),
+            TopicSpec("/waku/2/firehose/proto", traffic_weight=0.0,
+                      subscribe_fraction=0.05, rln_protected=False),
+        ),
+        adversaries=AdversaryMix(
+            groups=(
+                AdversaryGroup(strategy="adaptive-backoff", count=2,
+                               budget_stakes=4, burst=6),
+            ),
+        ),
+        config_overrides={
+            "verification_cache_size": 65536,
+            "merkle_depth": 20,
+            "membership_sub_depth": 10,
+            "eager_nullifier_gc": True,
+        },
+    )
+
+
+def _source_file(path):
+    """``gossipsub/router.py`` for a ``repro`` module, else the base name."""
+    head, sep, tail = path.rpartition(f"repro{os.sep}")
+    return tail if sep else os.path.basename(path)
+
+
+def live_peer_bytes(peers, pre_registered, seed=3, quick=False):
+    """Traced bytes held at the end of a :func:`registry_genesis_spec`
+    run (the runner, its network and the result still alive), by the
+    source file that allocated them."""
+    spec = registry_genesis_spec(peers, pre_registered, seed, quick)
+    gc.collect()
+    tracemalloc.start()
+    runner = ScenarioRunner(spec)
+    runner.run()
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    held = Counter()
+    for stat in snapshot.statistics("filename"):
+        held[_source_file(stat.traceback[0].filename)] += stat.size
+    del runner
+    return held
+
+
+def live_peer_marginal_bytes(low, high, pre_registered, seed=3, quick=False):
+    """Traced bytes one more live peer holds at run end: the slope of
+    :func:`live_peer_bytes` between ``low`` and ``high`` peers, over
+    the same dormant identities, so fixed costs (the genesis index,
+    module state) cancel. Returns ``(bytes per peer, {file: bytes per
+    peer})``; ``tests/benchmarks/test_peer_footprint.py`` pins the
+    first at smoke size."""
+    small = live_peer_bytes(low, pre_registered, seed, quick)
+    large = live_peer_bytes(high, pre_registered, seed, quick)
+    by_file = {
+        name: (large[name] - small[name]) / (high - low)
+        for name in large.keys() | small.keys()
+    }
+    return sum(by_file.values()), by_file
+
+
+#: The phases :func:`rss_by_phase` reads ``/proc/self/status`` at.
+PHASES = ("imports", "deploy", "kernel start", "run end")
+
+
+def _vm_mb():
+    with open("/proc/self/status") as status:
+        fields = dict(line.split(":", 1) for line in status)
+    return [int(fields[k].split()[0]) / 1024 for k in ("VmHWM", "VmRSS")]
+
+
+def _phases(peers, pre_registered, seed, quick):
+    """Run in the fresh interpreter :func:`rss_by_phase` starts."""
+    marks = [_vm_mb()]
+    build, run = WakuRlnRelayNetwork.__init__, WakuRlnRelayNetwork.run
+
+    def built(net, *args, **kwargs):
+        build(net, *args, **kwargs)
+        marks.append(_vm_mb())
+
+    def started(net, duration):
+        marks.append(_vm_mb())
+        run(net, duration)
+
+    WakuRlnRelayNetwork.__init__, WakuRlnRelayNetwork.run = built, started
+    spec = registry_genesis_spec(peers, pre_registered, seed, quick)
+    ScenarioRunner(spec).run()
+    marks.append(_vm_mb())
+    return marks
+
+
+def rss_by_phase(peers, pre_registered, seed=3, quick=False):
+    """``[(phase, VmHWM MB, VmRSS MB)]`` of a fresh ``PYTHONHASHSEED=0``
+    interpreter running :func:`registry_genesis_spec` once, at each of
+    :data:`PHASES`: after importing this module (and so the run's
+    packages), after ``WakuRlnRelayNetwork`` is built (genesis list,
+    index, peers), when the kernel starts (registrations settled,
+    relays subscribed) and when the run returns. Linux only."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    args = [str(peers), str(pre_registered), str(seed), str(int(quick))]
+    out = subprocess.run(
+        [sys.executable, __file__, *args],
+        env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    marks = json.loads(out.splitlines()[-1])
+    return [(phase, *mark) for phase, mark in zip(PHASES, marks)]
 
 
 def test_registration_throughput(record_table, bench_scale):
@@ -245,8 +407,10 @@ def test_registration_throughput(record_table, bench_scale):
         "register_all, whose tree folded the list at deploy so the "
         "list dropped its buffer: what is left is the index and the "
         "network's fixed cost (the number the tier-1 guard pins at "
-        "50k). The flat run is not traced (tracing would distort its "
-        "wall s).",
+        "50k), and the peak is the index sort, which runs only after "
+        "the buffer (an anonymous mapping tracemalloc does not see) "
+        "is unmapped. The flat run is not traced (tracing would "
+        "distort its wall s).",
         meta={
             "identities": total,
             "depth": depth,
@@ -520,3 +684,75 @@ def test_city_parallel_speedup(record_table, bench_scale):
             ),
         },
     )
+
+
+def test_rss_by_phase(record_table, bench_scale):
+    """Where a registry-genesis run's RSS high-water mark is set."""
+    if not os.path.exists("/proc/self/status"):
+        import pytest
+
+        pytest.skip("reads /proc/self/status")
+    peers = bench_scale.n(1000, 40)
+    dormant = bench_scale.n(500_000, 2000)
+    phases = rss_by_phase(peers, dormant, seed=3, quick=bench_scale.quick)
+    rows = [(phase, round(hwm, 1), round(rss, 1)) for phase, hwm, rss in phases]
+    marks = {phase: (hwm, rss) for phase, hwm, rss in phases}
+    record_table(
+        "bench_million_id_rss_phases",
+        f"RSS by phase: registry-genesis shape, {peers} peers over "
+        f"{dormant:,} dormant identities, seed 3, one fresh process",
+        ("phase", "VmHWM MB", "VmRSS MB"),
+        rows,
+        note="VmHWM is the process's RSS high-water mark so far. deploy "
+        "is WakuRlnRelayNetwork built: the genesis list derived into an "
+        "anonymous mapping, folded by the canonical tree and unmapped, "
+        "then the lookup index sorted on the kept 4 B top words, then "
+        "the peers. kernel start follows register_all and the relays' "
+        "subscribe storm. The peak is set by the run when VmHWM at "
+        "kernel start is below VmRSS at run end.",
+        meta={
+            "peers": peers,
+            "identities": dormant,
+            **{
+                f"{phase.replace(' ', '_')}_{kind}_mb": value
+                for phase, (hwm, rss) in marks.items()
+                for kind, value in (("hwm", hwm), ("rss", rss))
+            },
+        },
+    )
+    if not bench_scale.quick:
+        assert marks["kernel start"][0] < marks["run end"][1]
+
+
+def test_live_peer_bytes_by_file(record_table, bench_scale):
+    """Per-live-peer host memory of a registry-genesis run, by file."""
+    low, high = bench_scale.n((500, 1000), (20, 40))
+    dormant = bench_scale.n(500_000, 2000)
+    per_peer, by_file = live_peer_marginal_bytes(
+        low, high, dormant, seed=3, quick=bench_scale.quick
+    )
+    rows = [
+        (name, round(size / 1024, 2))
+        for name, size in sorted(by_file.items(), key=lambda i: -i[1])
+        if abs(size) >= 0.05 * 1024
+    ]
+    rows.append(("total", round(per_peer / 1024, 2)))
+    record_table(
+        "bench_million_id_peer_bytes",
+        f"Traced KB per live peer at run end, {low} -> {high} peers over "
+        f"{dormant:,} dormant identities (registry-genesis shape, seed 3)",
+        ("file", "KB per peer"),
+        rows,
+        note="tracemalloc at run end, by the file that allocated; the "
+        "slope between two peer counts, so the genesis index and other "
+        "fixed costs cancel. Rows under 0.05 KB are left out of the "
+        "table, not of the total. It includes per-(peer, message) "
+        "state (seen-cache, message cache, nullifier maps) for the "
+        "run's messages.",
+        meta={"low": low, "high": high, "identities": dormant,
+              "bytes_per_peer": per_peer},
+    )
+
+
+if __name__ == "__main__":  # the fresh interpreter of rss_by_phase()
+    print(json.dumps(_phases(*map(int, sys.argv[1:]))))

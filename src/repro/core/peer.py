@@ -131,7 +131,7 @@ class WakuRlnRelayPeer:
         self.leaf_index: Optional[int] = None
         self.topic_payload_handlers: List[TopicPayloadHandler] = []
         self.slashes_submitted = 0
-        self._slashes_reported: set = set()
+        self._slashes_reported: Dict[IdentityCommitment, None] = {}
         self._cursor = EventCursor(chain, contract_address)
         self._membership_events_applied = 0
         #: pubsub topic -> epoch of this peer's last honest publish
@@ -234,7 +234,7 @@ class WakuRlnRelayPeer:
     def _synced_log_index(self, value: int) -> None:
         self._cursor.seek(value)
 
-    def sync(self) -> int:
+    def sync(self, _sim: object = None) -> int:
         """Apply new contract events to the local tree; returns #applied."""
         applied = 0
         for event in self._cursor.poll():
@@ -332,7 +332,7 @@ class WakuRlnRelayPeer:
         self._stop_tasks.append(
             sim.schedule_periodic(
                 self.config.sync_interval,
-                lambda _sim: self.sync(),
+                self.sync,
                 label=f"sync:{self.node_id}",
                 jitter=0.2,
                 stagger=True,
@@ -343,7 +343,7 @@ class WakuRlnRelayPeer:
         self._stop_tasks.append(
             sim.schedule_periodic(
                 self.config.epoch_length,
-                lambda _sim: self._housekeeping(),
+                self._housekeeping,
                 label=f"gc:{self.node_id}",
                 jitter=0.2,
                 stagger=True,
@@ -352,7 +352,7 @@ class WakuRlnRelayPeer:
             )
         )
 
-    def _housekeeping(self) -> None:
+    def _housekeeping(self, _sim: object = None) -> None:
         """Prune every RLN topic's nullifier map to its window."""
         for validator in self.rln_topics.values():
             validator.housekeeping()
@@ -491,7 +491,7 @@ class WakuRlnRelayPeer:
             return
         if not self.group.contains(evidence.commitment):
             return
-        self._slashes_reported.add(evidence.commitment)
+        self._slashes_reported[evidence.commitment] = None
         self.slashes_submitted += 1
         self.chain.transact(
             self.account,

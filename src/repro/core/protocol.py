@@ -16,7 +16,8 @@ flow matches the paper's deployment story:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional
+from mmap import mmap
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional
 
 from ..constants import ETH_BLOCK_INTERVAL_SECONDS
 from ..crypto.digests import blake2b
@@ -55,19 +56,22 @@ def genesis_commitments(count: int, seed: int = 0) -> PackedFieldList:
     into the field (0 becomes 1), hashed a chunk at a time from copies
     of one state that has already absorbed the prefix. The list keeps
     that rule, so it can drop its buffer and re-derive what it reads.
+    The buffer is an anonymous mapping, unmapped when dropped (a freed
+    16 MB heap block would raise glibc's mmap threshold instead).
     """
     keyed = blake2b(b"genesis-member:%d:" % seed, digest_size=32)
 
-    def derive(first: int, stop: int) -> bytes:
-        chunks = []
+    def chunks(first: int, stop: int) -> Iterator[bytes]:
         for start in range(first, stop, BULK_CHUNK):
             end = min(start + BULK_CHUNK, stop)
             names = list(map(b"%d".__mod__, range(start, end)))
             values = blake2b_digests_int(keyed, names)
-            chunks.append(b"".join([(v or 1).to_bytes(32, "big") for v in values]))
-        return b"".join(chunks)
+            yield b"".join([(v or 1).to_bytes(32, "big") for v in values])
 
-    return PackedFieldList(derive(0, count), rule=derive)
+    packed = mmap(-1, 32 * count) if count else b""
+    for chunk in chunks(0, count):
+        packed.write(chunk)
+    return PackedFieldList(packed, rule=lambda *span: b"".join(chunks(*span)))
 
 
 class WakuRlnRelayNetwork:
@@ -181,16 +185,17 @@ class WakuRlnRelayNetwork:
                     f"{self.config.merkle_depth} group capacity "
                     f"({self.config.group_capacity})"
                 )
+            # The tree folds the list, which drops its buffer before the
+            # contract sorts the index on the kept top words (and checks
+            # for zero and repeated keys): the two never share the heap.
             pks = genesis_commitments(pre_registered, seed)
-            contract.genesis_register(pks)  # sorts the lookup index
-            self.chain.seed_event(
-                CONTRACT_ADDRESS, "MembersRegistered", pks=pks
-            )
-            # The tree folds it before any peer exists, so the buffer can
-            # go: a later read (member, sub-tree, index probe) re-derives.
             canon = self.membership_store.canonical(self.config.domain or "")
             canon.apply_batch(pks, self.config.root_window)
             pks.release()
+            contract.genesis_register(pks)
+            self.chain.seed_event(
+                CONTRACT_ADDRESS, "MembersRegistered", pks=pks
+            )
 
         proving_key, verifying_key = rln_keys(seed=seed.to_bytes(8, "big"))
         self.proving_key = proving_key
@@ -452,6 +457,8 @@ class WakuRlnRelayNetwork:
                 reference,
                 index_of.get(peer.commitment.element._value),
             )
+        # Every replica reads at the head: the journal has no reader left.
+        self.membership_store.canonical(self.config.domain or "").prune()
 
     def start(self, mine_blocks: bool = True) -> None:
         """Start relays, periodic peer tasks and (optionally) the miner."""

@@ -36,9 +36,10 @@ What the decomposition buys:
 :class:`CanonicalShardedTree` sits behind every
 :class:`~repro.crypto.merkle_shared.SharedMerkleView`: versioned reads
 through an undo journal, fork and dedup counters. Versions inside a
-compacted genesis range are the one exception: their roots and node
+compacted genesis range are one exception: their roots and node
 snapshots were never stored, so reading them raises
 :class:`~repro.errors.MerkleError` instead of silently recomputing.
+Node reads below the journal's pruned floor are the other.
 
 :class:`TwoLevelProof` is the sharded proof shape: a sub-tree path to
 the sub-root plus a top path from the sub-root to the root.
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from weakref import ref
 
 from ..errors import MerkleError
 from .field import Fr
@@ -136,11 +138,10 @@ class CanonicalShardedTree:
     materialised lazily, and the batch path compacts the genesis prefix
     (see the module docstring).
 
-    History (events, roots, undo journal, leaf history) is retained for
-    the process lifetime — O(depth) small tuples per event. Views never
-    deregister, so there is no safe prune point; if that ever binds, cap
-    retention to the laggiest attached version (verification only ever
-    consults the root window).
+    Events, roots and leaf history are retained for the process
+    lifetime. The undo journal (O(depth) small tuples per event) is
+    pruned by :meth:`prune` below the laggiest attached view: a view
+    reads nodes only at its own version, which never falls.
     """
 
     def __init__(self, depth: int, sub_depth: int) -> None:
@@ -177,6 +178,10 @@ class CanonicalShardedTree:
         #: batch: no per-version events, roots or journal entries exist
         #: for them (they are reconstructed or refused on access).
         self._genesis_version = 0
+        #: Nodes are readable at version 0 and from here on (prune()).
+        self._node_floor = 0
+        #: Weak references to the views reading this tree.
+        self.views: List[ref] = []
         #: Post-genesis events; _events[i] moved the head from version
         #: _genesis_version + i to _genesis_version + i + 1.
         self._events: List[Event] = []
@@ -206,12 +211,10 @@ class CanonicalShardedTree:
     def event_at(self, version: int) -> Event:
         """The event that moved the head from ``version`` to ``version+1``.
 
-        Genesis-compacted versions are all inserts; the inserted value
-        is recovered from the leaf state at the genesis version (the
-        journal preserves it even if the slot was overwritten later).
+        Genesis-compacted versions are all inserts of the genesis list.
         """
         if version < self._genesis_version:
-            return ("insert", self.node_at(0, version, self._genesis_version))
+            return ("insert", self.genesis_members[version])
         return self._events[version - self._genesis_version]
 
     def root_at(self, version: int) -> int:
@@ -291,7 +294,7 @@ class CanonicalShardedTree:
             self._sub_roots.append(self._fold_sub_root(chunk))
         if compact:
             self.genesis_members = values
-            self._genesis_version = compact
+            self._genesis_version = self._node_floor = compact
             self._roots = [self._rebuild_top()]
             self._leaf_counts = [compact]
         tail_roots = []
@@ -412,14 +415,15 @@ class CanonicalShardedTree:
         """Digest of node (height, index) as of ``version``.
 
         Genesis-compacted intermediate versions were never journaled
-        and cannot be read back; version 0 (the empty tree) always can.
+        and pruned ones are gone: neither can be read back; version 0
+        (the empty tree) always can.
         """
-        if version < self._genesis_version:
+        if version < self._node_floor:
             if version == 0:
                 return self._zeros[height]
             raise MerkleError(
-                f"node history at version {version} was compacted by "
-                f"the genesis batch"
+                f"node history at version {version} was compacted or "
+                f"pruned (readable from version {self._node_floor})"
             )
         key = (height, index)
         if version < self.version:
@@ -438,9 +442,9 @@ class CanonicalShardedTree:
 
     def find_leaf_at(self, value: int, version: int) -> Optional[int]:
         """Lowest index holding ``value`` as of ``version`` (or None)."""
-        if 0 < version < self._genesis_version:
+        if 0 < version < self._node_floor:
             raise MerkleError(
-                f"leaf lookup at compacted version {version}"
+                f"leaf lookup at compacted or pruned version {version}"
             )
         best: Optional[int] = None
         if self._genesis_version and version:
@@ -460,17 +464,28 @@ class CanonicalShardedTree:
         return best
 
     def leaf_slots_at(self, version: int) -> Dict[int, List[int]]:
-        """value -> ascending indices snapshot (fork bootstrap)."""
-        if 0 < version < self._genesis_version:
-            raise MerkleError(
-                f"leaf snapshot at compacted version {version}"
-            )
+        """value -> ascending indices snapshot (fork bootstrap); raises
+        like :meth:`node_at` at a compacted or pruned version."""
         slots: Dict[int, List[int]] = {}
         for index in range(self.leaf_count_at(version)):
             slots.setdefault(self.node_at(0, index, version), []).append(
                 index
             )
         return slots
+
+    def prune(self) -> None:
+        """Drop the journal entries no view reads: those at or below the
+        laggiest view's version. A view attached later at version 0
+        reads the empty tree and advances by events alone."""
+        views = [v for v in (r() for r in self.views) if v is not None]
+        self.views = list(map(ref, views))
+        floor = min((v.version for v in views), default=self.version)
+        if floor > self._node_floor:
+            self._node_floor = floor
+            self._journal = {
+                key: kept for key, entries in self._journal.items()
+                if (kept := [entry for entry in entries if entry[0] > floor])
+            }
 
     def storage_bytes(self) -> int:
         """Bytes of live head node storage in the paper's storage model

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from bisect import insort
 from typing import Dict, List, Optional, Tuple
+from weakref import ref
 
 from ..errors import MerkleError
 from .field import Fr
@@ -67,6 +68,7 @@ class SharedMerkleView:
         self._overlay: Optional[Dict[Tuple[int, int], int]] = None
         self._private_count = 0
         self._leaf_slots: Optional[Dict[int, List[int]]] = None
+        canonical.views.append(ref(self))  # for its journal prune
 
     # -- state ---------------------------------------------------------------
 
@@ -274,13 +276,14 @@ class SharedMerkleView:
 
         From here every mutation writes into a private overlay; reads
         fall through to the canonical state *as of the fork version*,
-        which the undo journal keeps addressable forever.
+        which the undo journal keeps addressable while the view exists.
+        Refused, with the view unchanged, at a version pruned past.
         """
         canon = self._canon
+        self._leaf_slots = canon.leaf_slots_at(self._version)
         self._fork_version = self._version
         self._overlay = {}
         self._private_count = canon.leaf_count_at(self._version)
-        self._leaf_slots = canon.leaf_slots_at(self._version)
         self._forked = True
         canon.forks += 1
 

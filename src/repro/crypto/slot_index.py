@@ -10,6 +10,8 @@ one small ``int`` per slot (the value's top 32 bits above the slot's
 bits); only runs of tied top words are re-sorted by the full encoding.
 A list derived by a rule can drop its buffer: a read then re-derives
 just the slots it touches, a lookup just those that tie its top word.
+Dropped before its index is sorted, it keeps the top words (4 B per
+slot) for that sort, and only its tied runs are re-derived.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress, count, groupby, islice, repeat
+from mmap import mmap
 from operator import and_, eq, itemgetter, lshift, or_, rshift
 from struct import iter_unpack
 from typing import Callable, Iterable, Iterator, Optional
@@ -46,8 +49,11 @@ class SortedSlotIndex:
         self._encoded_at = values._encoded_at
         n = len(values)
         bits = max(n - 1, 0).bit_length()  # of a slot, under the top word
-        tops = map(itemgetter(0), iter_unpack(">I28x", values._read()))
+        tops, values._tops = values._tops, None  # kept by a release
+        if tops is None:
+            tops = map(itemgetter(0), iter_unpack(">I28x", values._read()))
         keys = list(map(or_, map(lshift, tops, repeat(bits)), range(n)))
+        del tops
         keys.sort()
         self._order = array("I", map(and_, keys, repeat((1 << bits) - 1)))
         #: Top word of the value at each position of _order.
@@ -94,17 +100,20 @@ class PackedFieldList:
     itself, index included); equality, hash, ``repr`` and pickling go
     by content."""
 
-    __slots__ = ("_source", "_start", "_stop", "_index")
+    __slots__ = ("_source", "_start", "_stop", "_index", "_tops")
 
     def __init__(self, packed=b"", rule: Optional[Callable] = None) -> None:
         """``packed``: 32-byte big-endian encodings, back to back; if
-        given, ``rule(start, stop)`` derives those of any slot range."""
-        packed = memoryview(bytes(packed))
+        given, ``rule(start, stop)`` derives those of any slot range.
+        An anonymous ``mmap`` is held as is, so release() unmaps it."""
+        packed = memoryview(packed if isinstance(packed, mmap) else bytes(packed))
         if len(packed) % 32:
             raise ValueError("packed field elements are 32 bytes each")
         self._source = _Encodings(packed, rule)
         self._start, self._stop = 0, len(packed) // 32
         self._index: Optional[SortedSlotIndex] = None
+        #: Top words kept by release() for an index not sorted yet.
+        self._tops: Optional[array] = None
 
     @classmethod
     def of(cls, items: Iterable) -> "PackedFieldList":
@@ -119,9 +128,13 @@ class PackedFieldList:
 
     def release(self) -> None:
         """Drop the buffer: reads of the list, its slices and its index
-        re-derive the slots they need from here on."""
+        re-derive the slots they need from here on. An index not yet
+        sorted keeps the top word of each slot to sort on."""
         if self._source.rule is None:
             raise ValueError("only a rule-backed list can drop its buffer")
+        if self._index is None and self._source.buffer is not None:
+            tops = iter_unpack(">I28x", self._read())
+            self._tops = array("I", map(itemgetter(0), tops))
         self._source.buffer = None
 
     def _read(self):
@@ -142,7 +155,7 @@ class PackedFieldList:
             if len(span) == len(self):
                 return self
             view = object.__new__(PackedFieldList)
-            view._source, view._index = self._source, None
+            view._source, view._index, view._tops = self._source, None, None
             view._start = self._start + span.start
             view._stop = view._start + len(span)
             return view

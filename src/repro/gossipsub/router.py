@@ -45,7 +45,7 @@ from ..sim.metrics import MetricsRegistry
 from .mcache import MessageCache, SeenCache
 from .params import GossipSubParams
 from .rpc import GossipMessage, RpcPacket, compute_message_id
-from .score import PeerScoreParams, PeerScoreTracker
+from .score import DEFAULT_SCORE_PARAMS, PeerScoreParams, PeerScoreTracker
 
 
 class ValidationResult(Enum):
@@ -97,7 +97,7 @@ class GossipSubRouter:
         # Pre-bound counter dict: the registry method costs a call frame
         # per bump, and the delivery path bumps several per packet.
         self._counters = self.metrics.counters
-        self.scores = PeerScoreTracker(score_params or PeerScoreParams())
+        self.scores = PeerScoreTracker(score_params or DEFAULT_SCORE_PARAMS)
         #: Read per inbound packet: the tracker's live suspect set and
         #: the kernel whose clock stamps the packet.
         self._suspects = self.scores.suspects()

@@ -137,6 +137,10 @@ class PeerScoreParams:
         return self.topic_params.get(topic, self.default_topic_params)
 
 
+#: What a router given no params reads: one shared, frozen copy.
+DEFAULT_SCORE_PARAMS = PeerScoreParams()
+
+
 def _decay_steps(
     value: float, factor: float, steps: int, floor: float
 ) -> float:
@@ -157,7 +161,7 @@ def _decay_steps(
     return value
 
 
-@dataclass
+@dataclass(slots=True)
 class _TopicStats:
     """Per-(peer, topic) counters. ``tick`` is the decay tick the
     decaying counters were last materialised at."""
@@ -172,7 +176,7 @@ class _TopicStats:
     tick: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _PeerStats:
     topics: Dict[str, _TopicStats] = field(default_factory=dict)
     behaviour_penalty: float = 0.0

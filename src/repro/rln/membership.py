@@ -13,7 +13,6 @@ already applied the ``k+1``-th membership event.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from ..constants import DEFAULT_MERKLE_DEPTH
@@ -54,7 +53,7 @@ class LocalGroup:
             MerkleTree(depth) if tree is None else tree
         )
         self.root_window = root_window
-        self._recent_roots: "OrderedDict[Fr, None]" = OrderedDict()
+        self._recent_roots: Dict[Fr, None] = {}  # oldest first
         self._remember_root(self.tree.root)
         #: Number of membership events applied; used to detect gaps.
         self.applied_events = 0
@@ -62,10 +61,11 @@ class LocalGroup:
     # -- root bookkeeping ----------------------------------------------------
 
     def _remember_root(self, root: Fr) -> None:
-        self._recent_roots[root] = None
-        self._recent_roots.move_to_end(root)
-        while len(self._recent_roots) > self.root_window:
-            self._recent_roots.popitem(last=False)
+        recent = self._recent_roots
+        recent.pop(root, None)  # a repeated root moves to the end
+        recent[root] = None
+        while len(recent) > self.root_window:
+            del recent[next(iter(recent))]
 
     @property
     def root(self) -> Fr:
@@ -151,7 +151,7 @@ class LocalGroup:
         if other.root_window != self.root_window:
             raise SyncError("replicas disagree on the root-window size")
         self.tree = other.tree.clone()
-        self._recent_roots = OrderedDict(other._recent_roots)
+        self._recent_roots = dict(other._recent_roots)
         self.applied_events = other.applied_events
 
     def _check_sequence(self, event_index: int) -> None:

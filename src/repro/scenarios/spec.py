@@ -20,6 +20,24 @@ from ..errors import ScenarioError, ScenarioSpecError
 from ..waku.message import DEFAULT_PUBSUB_TOPIC
 
 
+def _check(spec, kind, *names: str, least=0, below=math.inf) -> None:
+    """Raise :class:`ScenarioSpecError` naming the first of ``names``
+    whose value is not an ``int`` (``kind`` int) or a real (``kind``
+    float) in ``[least, below)``; NaN and infinities never are."""
+    for name in names:
+        value = getattr(spec, name)
+        if not (
+            isinstance(value, int if kind is int else (int, float))
+            and least <= value < below
+        ):
+            what = "an integer" if kind is int else "a number"
+            raise ScenarioSpecError(
+                f"{name} must be {what} in [{least}, {below}), "
+                f"got {value!r}",
+                problems=(name,),
+            )
+
+
 @dataclass(frozen=True)
 class TopicSpec:
     """One extra pubsub topic of a multiplexed mesh.
@@ -48,8 +66,7 @@ class TopicSpec:
             raise ScenarioError(
                 "the primary topic is implicit; list only extra topics"
             )
-        if self.traffic_weight < 0:
-            raise ScenarioError("traffic_weight must be >= 0")
+        _check(self, float, "traffic_weight")
         if not 0.0 <= self.subscribe_fraction <= 1.0:
             raise ScenarioError("subscribe_fraction must be within [0, 1]")
 
@@ -71,8 +88,7 @@ class TrafficModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.active_fraction <= 1.0:
             raise ScenarioError("active_fraction must be within [0, 1]")
-        if self.messages_per_epoch < 0:
-            raise ScenarioError("messages_per_epoch must be >= 0")
+        _check(self, float, "messages_per_epoch")
 
 
 @dataclass(frozen=True)
@@ -100,18 +116,13 @@ class AdversaryGroup:
     target_topics: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ScenarioError("adversary group count must be >= 0")
+        _check(self, int, "count", "burst")
+        # An adversary needs at least 1 stake of budget to exist.
+        _check(self, int, "budget_stakes", least=1)
         if not isinstance(self.target_topics, tuple):
             object.__setattr__(
                 self, "target_topics", tuple(self.target_topics)
             )
-        if self.budget_stakes < 1:
-            raise ScenarioError(
-                "an adversary needs at least 1 stake of budget to exist"
-            )
-        if self.burst < 0:
-            raise ScenarioError("burst must be >= 0")
         # Validate the name early (typos should fail at spec build, not
         # mid-run); imported lazily to keep spec a leaf module.
         from ..adversaries.strategies import strategy_names
@@ -171,16 +182,13 @@ class WatchtowerSpec:
     topics: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ScenarioError("watchtowers need count >= 1")
+        _check(self, int, "count", "degree", least=1)
         if not 0.0 <= self.reward_cut <= 1.0:
             raise ScenarioError("reward_cut must be within [0, 1]")
         if not 0.0 <= self.delegate_fraction <= 1.0:
             raise ScenarioError("delegate_fraction must be within [0, 1]")
         if self.delegation_fee_wei < 0:
             raise ScenarioError("delegation_fee_wei must be >= 0")
-        if self.degree < 1:
-            raise ScenarioError("watchtower degree must be >= 1")
         if not isinstance(self.topics, tuple):
             object.__setattr__(self, "topics", tuple(self.topics))
 
@@ -240,8 +248,8 @@ class ChurnModel:
     start: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.join_interval < 0 or self.leave_interval < 0:
-            raise ScenarioError("churn intervals must be >= 0")
+        _check(self, float, "join_interval", "leave_interval")
+        _check(self, int, "max_joins", "max_leaves")
 
     @property
     def active(self) -> bool:
@@ -311,29 +319,16 @@ class ScenarioSpec:
     streaming_metrics: bool = False
 
     def __post_init__(self) -> None:
-        for name, least, below in (
-            ("peers", 2, math.inf), ("pre_registered", 0, math.inf),
-            ("shards", 1, math.inf), ("parallel_workers", 0, math.inf),
-            ("degree", 1, math.inf),  # or None: a full mesh
-            ("seed", 0, 1 << 64),  # proving keys derive from 8 bytes
-        ):
-            value = getattr(self, name)
-            if value is None and name == "degree":
-                continue
-            if not (isinstance(value, int) and least <= value < below):
-                raise ScenarioSpecError(
-                    f"{name} must be an integer in [{least}, {below}), "
-                    f"got {value!r}",
-                    problems=(name,),
-                )
+        _check(self, int, "peers", least=2)
+        _check(self, int, "pre_registered", "parallel_workers")
+        _check(self, int, "shards", least=1)
+        if self.degree is not None:  # None: a full mesh
+            _check(self, int, "degree", least=1)
+        # Proving keys derive from 8 bytes of the seed.
+        _check(self, int, "seed", below=1 << 64)
         if self.adversaries.total_count >= self.peers:
             raise ScenarioError("spammers must leave at least one honest peer")
-        for name in ("duration", "block_interval"):
-            value = getattr(self, name)
-            if not math.isfinite(value):  # a NaN clock never ends a run
-                raise ScenarioSpecError(
-                    f"{name} must be finite, got {value!r}", problems=(name,)
-                )
+        _check(self, float, "duration", "block_interval")  # NaN never ends
         if self.duration <= 0:
             raise ScenarioError("duration must be positive")
         if not isinstance(self.topics, tuple):

@@ -137,6 +137,27 @@ class EventHandle:
         return self._cancelled
 
 
+class _Periodic:
+    """One :meth:`Simulator.schedule_periodic` task: its bound ``tick``
+    is the queued handler, its bound ``cancel`` the caller's cancel."""
+
+    __slots__ = ("interval", "handler", "label", "jitter", "draw", "shard")
+
+    def tick(self, sim: "Simulator") -> None:
+        if self.handler is None:  # cancelled
+            return
+        self.handler(sim)
+        if self.handler is not None:
+            jitter = self.jitter
+            delay = self.interval + (
+                self.draw.uniform(0, jitter) if jitter else 0
+            )
+            sim.schedule(delay, self.tick, self.label, shard=self.shard)
+
+    def cancel(self) -> None:
+        self.handler = None
+
+
 class Simulator:
     """A deterministic discrete-event simulator."""
 
@@ -307,27 +328,15 @@ class Simulator:
         if interval <= 0:
             raise SimulationError("periodic interval must be positive")
         draw = rng if rng is not None else self.rng
-        stopped = False
-
-        def tick(sim: "Simulator") -> None:
-            if stopped:
-                return
-            handler(sim)
-            if not stopped:
-                delay = interval + (draw.uniform(0, jitter) if jitter else 0)
-                sim.schedule(delay, tick, label, shard=shard)
-
         if stagger:
             first_delay = draw.uniform(0, interval)
         else:
             first_delay = interval + (draw.uniform(0, jitter) if jitter else 0)
-        self.schedule(first_delay, tick, label, shard=shard)
-
-        def cancel() -> None:
-            nonlocal stopped
-            stopped = True
-
-        return cancel
+        task = _Periodic()
+        task.interval, task.handler, task.label = interval, handler, label
+        task.jitter, task.draw, task.shard = jitter, draw, shard
+        self.schedule(first_delay, task.tick, label, shard=shard)
+        return task.cancel
 
     # -- execution ----------------------------------------------------------------
 

@@ -25,6 +25,7 @@ from repro.crypto.hashing import hash_call_count
 from repro.crypto.keys import MembershipKeyPair
 from repro.crypto.merkle import MerkleProof
 from repro.crypto.merkle_forest import CanonicalShardedTree, TwoLevelProof
+from repro.crypto.merkle_shared import SharedMerkleView
 from repro.crypto.slot_index import PackedFieldList
 from repro.errors import MerkleError
 from repro.rln.membership import LocalGroup, MembershipStore
@@ -466,3 +467,130 @@ class TestForkBehavior:
                 assert tree.node_at(height, index, tree.version) == (
                     flat.node_at(height, index, flat.version)
                 )
+
+
+def _advance(view, tree):
+    """Apply the event at ``view``'s version, as a lagging replica's
+    sync does (the genesis batch whole, through its fast path)."""
+    if view.version < tree.genesis_version:
+        view.synced_insert_batch(tree.genesis_members, 2)
+        return
+    event = tree.event_at(view.version)
+    if event[0] == "insert":
+        view.synced_insert(Fr(event[1]))
+    else:
+        view.synced_update(event[1], Fr(event[2]))
+
+
+class TestJournalPrune:
+    """A tree whose undo journal is pruned below its laggiest view
+    against one never pruned, driven by the same views."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        genesis=st.integers(0, 12),
+        sub_depth=st.sampled_from([2, DEPTH]),
+    )
+    def test_reads_from_the_floor_on_equal_a_never_pruned_tree(
+        self, data, genesis, sub_depth
+    ):
+        pruned, full = (CanonicalShardedTree(DEPTH, sub_depth) for _ in "ab")
+        if genesis:
+            for tree in (pruned, full):
+                tree.apply_batch(list(range(1, genesis + 1)), roots_tail=2)
+        pairs = [(SharedMerkleView(pruned), SharedMerkleView(full))]
+        values = st.integers(1, 6)  # repeats are common
+        for _ in range(data.draw(st.integers(1, 25))):
+            action = data.draw(st.sampled_from(
+                ["register", "slash", "sync", "fork", "view", "clone",
+                 "drop", "prune", "prune"]
+            ))
+            if action == "view" or not pairs:
+                pairs.append(
+                    (SharedMerkleView(pruned), SharedMerkleView(full))
+                )
+                continue
+            i = data.draw(st.integers(0, len(pairs) - 1))
+            a, b = pairs[i]
+            if action in ("register", "slash", "sync") and a.is_forked:
+                continue
+            if action in ("register", "slash"):
+                while a.version < pruned.version:  # catch up, then write
+                    _advance(a, pruned)
+                    _advance(b, full)
+            if action == "register":
+                value = Fr(data.draw(values))
+                a.synced_insert(value)
+                b.synced_insert(value)
+            elif action == "slash" and a.leaf_count:
+                index = data.draw(st.integers(0, a.leaf_count - 1))
+                a.synced_update(index, Fr.zero())
+                b.synced_update(index, Fr.zero())
+            elif action == "sync":
+                for _ in range(data.draw(st.integers(1, 3))):
+                    if a.version < pruned.version:
+                        _advance(a, pruned)
+                        _advance(b, full)
+            elif action == "fork":
+                value = Fr(data.draw(values))
+                if 0 < a.version < pruned._node_floor:
+                    # A replay inside the pruned range has no snapshot
+                    # left to fork off: refused, and the view unchanged.
+                    with pytest.raises(MerkleError):
+                        a.insert(value)
+                    assert not a.is_forked and a.leaf_count == b.leaf_count
+                    continue
+                a.insert(value)
+                b.insert(value)
+            elif action == "clone":
+                pairs.append((a.clone(), b.clone()))
+            elif action == "drop":
+                del pairs[i]
+            elif action == "prune":
+                before = pruned._node_floor
+                pruned.prune()
+                laggiest = min(a.version for a, _ in pairs)
+                assert pruned._node_floor in (before, laggiest)
+            self._assert_reads_equal(pruned, full, pairs)
+        for a, b in pairs:  # every attached view reaches the head
+            while not a.is_forked and a.version < pruned.version:
+                _advance(a, pruned)
+                _advance(b, full)
+        pruned.prune()
+        self._assert_reads_equal(pruned, full, pairs)
+        floor = pruned._node_floor
+        assert all(
+            version > floor
+            for entries in pruned._journal.values()
+            for version, _ in entries
+        )
+
+    @staticmethod
+    def _assert_reads_equal(pruned, full, pairs):
+        floor = max(pruned._node_floor, pruned.genesis_version)
+        probes = range(0, 8)
+        for version in [0, *range(floor, pruned.version + 1)]:
+            assert pruned.root_at(version) == full.root_at(version)
+            for value in probes:
+                assert pruned.find_leaf_at(value, version) == (
+                    full.find_leaf_at(value, version)
+                )
+            for height in range(DEPTH + 1):
+                for index in range(min(4, 2 ** (DEPTH - height))):
+                    assert pruned.node_at(height, index, version) == (
+                        full.node_at(height, index, version)
+                    )
+        for version in range(pruned.genesis_version + 1, floor):
+            with pytest.raises(MerkleError):  # refused, never stale
+                pruned.node_at(0, 0, version)
+            with pytest.raises(MerkleError):
+                pruned.find_leaf_at(1, version)
+        for a, b in pairs:
+            if 0 < a.version < floor:
+                continue  # a replay in progress reads events only
+            assert a.root == b.root and a.leaf_count == b.leaf_count
+            for index in range(min(a.leaf_count, 4)):
+                assert a.proof(index) == b.proof(index)
+            for value in probes:
+                assert a.find_leaf(Fr(value)) == b.find_leaf(Fr(value))

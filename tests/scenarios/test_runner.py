@@ -11,7 +11,9 @@ from repro.scenarios import (
     AdversaryMix,
     ChurnModel,
     ScenarioSpec,
+    TopicSpec,
     TrafficModel,
+    WatchtowerSpec,
     register_scenario,
     run_scenario,
     scenario,
@@ -119,6 +121,38 @@ def test_a_wrongly_typed_size_is_a_typed_spec_error(field, value):
     # TypeError (or never fail at all).
     with pytest.raises(ScenarioSpecError) as excinfo:
         ScenarioSpec(name="x", description="d", **{field: value})
+    assert excinfo.value.problems == (field,)
+    assert field in str(excinfo.value)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+CASES = [
+    # The run died later: "event queue went backwards in time".
+    (TrafficModel, {"messages_per_epoch": NAN}, "messages_per_epoch"),
+    (ChurnModel, {"join_interval": NAN}, "join_interval"),
+    # A bare ValueError from random.choices.
+    (TopicSpec, {"name": "/t", "traffic_weight": INF}, "traffic_weight"),
+    # Bare TypeErrors.
+    (AdversaryGroup, {"strategy": "burst-flood", "count": 1.5}, "count"),
+    (WatchtowerSpec, {"count": 1.5}, "count"),
+    # Accepted silently.
+    (ChurnModel, {"max_joins": 2.5}, "max_joins"),
+    (AdversaryGroup, {"strategy": "burst-flood", "burst": NAN}, "burst"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, field",
+    CASES,
+    ids=[f"{cls.__name__}.{field}" for cls, _, field in CASES],
+)
+def test_an_unrunnable_sub_spec_field_is_a_typed_spec_error(
+    cls, kwargs, field
+):
+    with pytest.raises(ScenarioSpecError) as excinfo:
+        cls(**kwargs)
     assert excinfo.value.problems == (field,)
     assert field in str(excinfo.value)
 
