@@ -578,8 +578,8 @@ def test_memory_flatness_over_epochs(record_table, bench_scale):
          "nullifiers live", "nullifiers pruned"),
         rows,
         note="bounded = epoch-grid nullifier GC + streaming metrics; "
-        "lazy/exact = timer-pruned nullifier maps + full-sample "
-        "histograms/series. Live nullifier state is window-flat while "
+        "lazy/exact = timer-pruned nullifier maps + the uncapped "
+        "economics series. Live nullifier state is window-flat while "
         "cumulative pruned entries grow with the run; peaks converge "
         "as bounded per-peer caches (decode, mcache) finish warming — "
         "the truly-unbounded nullifier byte contrast is recorded in "

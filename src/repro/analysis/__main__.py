@@ -245,29 +245,5 @@ def main(argv) -> int:
     return 0
 
 
-def _reexec_with_stable_hashing() -> None:
-    """Pin ``PYTHONHASHSEED`` so scenario runs are reproducible *across*
-    processes, not just within one.
-
-    Gossip meshes are sets of peer ids; their iteration order decides
-    the order in which per-link latencies are drawn from the seeded RNG,
-    and that order follows Python's (normally randomised) string
-    hashing. Seeding alone therefore only fixes results within a single
-    interpreter — the CLI re-executes itself once with deterministic
-    hashing so ``run-scenario`` fingerprints are stable run-to-run.
-    """
-    import os
-
-    if os.environ.get("PYTHONHASHSEED") == "0":
-        return
-    env = dict(os.environ, PYTHONHASHSEED="0")
-    os.execve(
-        sys.executable,
-        [sys.executable, "-m", "repro.analysis", *sys.argv[1:]],
-        env,
-    )
-
-
 if __name__ == "__main__":
-    _reexec_with_stable_hashing()
     raise SystemExit(main(sys.argv[1:]))

@@ -152,7 +152,6 @@ class PowRelayNetwork(BaselineNetwork):
         except Exception:
             return ValidationResult.REJECT
         if not verify_envelope(envelope, self.mining_bits):
-            self.metrics.increment("pow.rejected")
             return ValidationResult.REJECT
         return ValidationResult.ACCEPT
 
@@ -174,7 +173,6 @@ class PowRelayNetwork(BaselineNetwork):
         self.simulator.schedule(
             delay, lambda _sim: node.publish(message), label="pow-publish"
         )
-        self.metrics.increment("pow.mined")
         return delay
 
 

@@ -378,7 +378,6 @@ class GossipSubRouter:
                     wanted.append(msg_id)
         wanted = wanted[: self.params.max_iwant_per_heartbeat]
         if wanted:
-            self.metrics.increment("gossipsub.iwant_sent", len(wanted))
             self._send(from_peer, RpcPacket(iwant=wanted))
 
     def _handle_iwant(self, iwant: List[str], from_peer: NodeId) -> None:
@@ -388,7 +387,6 @@ class GossipSubRouter:
             if (message := self.mcache.get(msg_id)) is not None
         ]
         if found:
-            self.metrics.increment("gossipsub.iwant_served", len(found))
             self._send(from_peer, RpcPacket(publish=found))
 
     def _handle_graft(self, topic: str, from_peer: NodeId) -> None:
@@ -560,7 +558,6 @@ class GossipSubRouter:
         self._emit_gossip()
         self.mcache.shift()
         self._expire_backoffs()
-        self.metrics.increment("gossipsub.heartbeats")
 
     def _topics_needing_maintenance(self) -> List[str]:
         """Subscribed topics a non-sweep heartbeat must visit: explicitly
@@ -683,7 +680,6 @@ class GossipSubRouter:
                 continue
             packet = RpcPacket(ihave={topic: msg_ids})
             fan_out = len(targets)
-            counters["gossipsub.ihave_sent"] += fan_out
             counters["gossipsub.rpc_sent"] += fan_out
             counters["gossipsub.bytes_sent"] += fan_out * packet.size_bytes
             send = self.network.send

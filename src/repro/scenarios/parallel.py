@@ -186,7 +186,6 @@ def _spam_partial(runner: "ScenarioRunner") -> int:
 
 def _child_bundle(runner: "ScenarioRunner", engine, group: range):
     net = runner.net
-    spec = runner.spec
     config = net.config
     bundle: Dict[str, object] = {
         "received": runner._received,
@@ -219,15 +218,6 @@ def _child_bundle(runner: "ScenarioRunner", engine, group: range):
             else None
         ),
         "nullifier": None,
-        # Streaming histogram accumulators are O(1) per metric, so
-        # shipping them is cheap; plain histograms hold full sample
-        # lists and stay local (nothing downstream of a parallel run
-        # reads them).
-        "streams": (
-            dict(net.metrics.histograms)
-            if spec.streaming_metrics
-            else None
-        ),
         "ru_maxrss": resource.getrusage(
             resource.RUSAGE_SELF
         ).ru_maxrss,
@@ -521,11 +511,6 @@ def _merge(
             merged[name] += value
     net.metrics.counters.clear()
     net.metrics.counters.update(merged)
-
-    for bundle in bundles:
-        if bundle["streams"]:
-            for name, stream in bundle["streams"].items():
-                net.metrics.histograms[name].merge(stream)
 
     if bundles[0]["memo"] is not None:
         runner._memo_override = (

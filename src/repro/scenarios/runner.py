@@ -276,10 +276,6 @@ class ScenarioRunner:
                 pre_registered=spec.pre_registered,
                 owned_shards=owned,
             )
-        if spec.streaming_metrics:
-            # Before any sample lands: histograms become bounded
-            # streaming accumulators for the whole run.
-            self.net.metrics.use_streaming()
         if spec.parallel_workers:
             self._wire_roster_parallel()
         else:

@@ -3,76 +3,20 @@
 from __future__ import annotations
 
 import math
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 
 @dataclass
 class Histogram:
-    """Collects float samples; summarises on demand.
+    """Collects float samples; every statistic is computed on demand.
+    The mean adds left to right (``sum`` rounds differently on 3.12+)."""
 
-    Summary statistics are cached between observations: the running
-    sum / min / max update in O(1) per :meth:`observe`, and the sorted
-    view percentiles read from is built once and invalidated by the
-    next observation — repeated queries (a per-epoch summary asking for
-    several percentiles) no longer re-sort or re-scan the sample list
-    each call. All cached values are bit-identical to the naive
-    recomputation: the running sum adds in the same left-to-right order
-    ``sum(samples)`` would. Appending to ``samples`` directly (instead
-    of through ``observe``) is detected by a length check and triggers
-    a full rebuild.
-    """
-
-    samples: Sequence[float] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        # Contiguous C doubles instead of a list of boxed floats: a
-        # large run accumulates millions of latency samples, and the
-        # array stores them in a quarter of the memory with no
-        # pointer-chasing. Python floats are C doubles, so every
-        # statistic computed from the array is bit-identical to the
-        # list version.
-        self.samples = array("d", self.samples)
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        samples = self.samples
-        self._n = len(samples)
-        total = 0.0
-        for value in samples:
-            total += value
-        self._sum = total
-        self._min = min(samples) if samples else 0.0
-        self._max = max(samples) if samples else 0.0
-        self._sorted: Optional[List[float]] = None
-
-    def _sync(self) -> None:
-        if self._n != len(self.samples):
-            self._rebuild()
+    samples: List[float] = field(default_factory=list)
 
     def observe(self, value: float) -> None:
-        if self._n != len(self.samples):  # inline _sync: hot path
-            self._rebuild()
         self.samples.append(value)
-        if self._n == 0:
-            self._min = value
-            self._max = value
-        else:
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-        self._n += 1
-        self._sum += value
-        self._sorted = None
-
-    def _ordered(self) -> List[float]:
-        self._sync()
-        if self._sorted is None:
-            self._sorted = sorted(self.samples)
-        return self._sorted
 
     @property
     def count(self) -> int:
@@ -80,22 +24,22 @@ class Histogram:
 
     @property
     def mean(self) -> float:
-        self._sync()
-        return self._sum / self._n if self._n else 0.0
+        total = 0.0
+        for value in self.samples:
+            total += value
+        return total / len(self.samples) if self.samples else 0.0
 
     @property
     def minimum(self) -> float:
-        self._sync()
-        return self._min
+        return min(self.samples) if self.samples else 0.0
 
     @property
     def maximum(self) -> float:
-        self._sync()
-        return self._max
+        return max(self.samples) if self.samples else 0.0
 
     def percentile(self, q: float) -> float:
         """Linear-interpolated percentile, ``q`` in [0, 100]."""
-        ordered = self._ordered()
+        ordered = sorted(self.samples)
         if not ordered:
             return 0.0
         if len(ordered) == 1:
@@ -110,196 +54,11 @@ class Histogram:
 
     @property
     def stddev(self) -> float:
-        if len(self.samples) < 2:
+        n = len(self.samples)
+        if n < 2:
             return 0.0
         mean = self.mean
-        variance = sum((s - mean) ** 2 for s in self.samples) / (
-            len(self.samples) - 1
-        )
-        return math.sqrt(variance)
-
-
-class QuantileSketch:
-    """Mergeable log-bucketed quantile sketch (DDSketch-style).
-
-    Positive values land in bucket ``ceil(log_gamma(v))``; with
-    ``gamma = 1.02`` any reported quantile is within ~1% relative error
-    of the exact one, from a dict that holds at most a few thousand
-    counts no matter how many samples stream through. Zero and negative
-    values (deltas, clock skews) get their own zero counter / mirrored
-    negative buckets. Fully deterministic — same observations in any
-    order produce the same sketch — and two sketches over disjoint
-    streams merge by adding counts.
-    """
-
-    __slots__ = ("_gamma", "_log_gamma", "_pos", "_neg", "_zero")
-
-    def __init__(self, gamma: float = 1.02) -> None:
-        if gamma <= 1.0:
-            raise ValueError("gamma must exceed 1")
-        self._gamma = gamma
-        self._log_gamma = math.log(gamma)
-        self._pos: Dict[int, int] = {}
-        self._neg: Dict[int, int] = {}
-        self._zero = 0
-
-    def observe(self, value: float) -> None:
-        if value > 0.0:
-            key = math.ceil(math.log(value) / self._log_gamma)
-            self._pos[key] = self._pos.get(key, 0) + 1
-        elif value < 0.0:
-            key = math.ceil(math.log(-value) / self._log_gamma)
-            self._neg[key] = self._neg.get(key, 0) + 1
-        else:
-            self._zero += 1
-
-    @property
-    def count(self) -> int:
-        return (
-            self._zero
-            + sum(self._pos.values())
-            + sum(self._neg.values())
-        )
-
-    @property
-    def bucket_count(self) -> int:
-        """Live buckets — the sketch's actual state size."""
-        return len(self._pos) + len(self._neg) + (1 if self._zero else 0)
-
-    def merge(self, other: "QuantileSketch") -> None:
-        if other._gamma != self._gamma:
-            raise ValueError("cannot merge sketches of different gamma")
-        for key, n in other._pos.items():
-            self._pos[key] = self._pos.get(key, 0) + n
-        for key, n in other._neg.items():
-            self._neg[key] = self._neg.get(key, 0) + n
-        self._zero += other._zero
-
-    def _bucket_value(self, key: int, sign: int) -> float:
-        # Geometric bucket midpoint: within gamma of every sample that
-        # hashed into the bucket.
-        return sign * 2.0 * self._gamma ** key / (1.0 + self._gamma)
-
-    def quantile(self, q: float) -> float:
-        """Value at quantile ``q`` in [0, 100], within ~gamma-1 relative."""
-        total = self.count
-        if total == 0:
-            return 0.0
-        rank = (q / 100.0) * (total - 1)
-        seen = 0
-        for key in sorted(self._neg, reverse=True):
-            seen += self._neg[key]
-            if seen > rank:
-                return self._bucket_value(key, -1)
-        if self._zero:
-            seen += self._zero
-            if seen > rank:
-                return 0.0
-        for key in sorted(self._pos):
-            seen += self._pos[key]
-            if seen > rank:
-                return self._bucket_value(key, 1)
-        # rank == total - 1 lands here only through float round-off.
-        return self.maximum_bucket()
-
-    def maximum_bucket(self) -> float:
-        if self._pos:
-            return self._bucket_value(max(self._pos), 1)
-        if self._zero:
-            return 0.0
-        if self._neg:
-            return self._bucket_value(min(self._neg), -1)
-        return 0.0
-
-
-class StreamingHistogram:
-    """Bounded-memory drop-in for :class:`Histogram`.
-
-    Keeps running moments (Welford) for count / mean / stddev, exact
-    min / max, and a :class:`QuantileSketch` for percentiles — O(1)
-    state per metric regardless of how many samples a 10k-epoch run
-    produces. ``mean``/``stddev`` match :class:`Histogram` to floating-
-    point accumulation order; ``percentile`` is approximate (~1%
-    relative), which the scenario summaries round away. Selected per
-    run by ``ScenarioSpec.streaming_metrics``.
-    """
-
-    __slots__ = ("_n", "_mean", "_m2", "_min", "_max", "sketch")
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = 0.0
-        self._max = 0.0
-        self.sketch = QuantileSketch()
-
-    def observe(self, value: float) -> None:
-        if self._n == 0:
-            self._min = value
-            self._max = value
-        else:
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-        self._n += 1
-        delta = value - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (value - self._mean)
-        self.sketch.observe(value)
-
-    @property
-    def count(self) -> int:
-        return self._n
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self._n else 0.0
-
-    @property
-    def minimum(self) -> float:
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        return self._max
-
-    @property
-    def stddev(self) -> float:
-        if self._n < 2:
-            return 0.0
-        return math.sqrt(self._m2 / (self._n - 1))
-
-    def percentile(self, q: float) -> float:
-        """Sketch-backed percentile; exact at the endpoints."""
-        if self._n == 0:
-            return 0.0
-        if q <= 0.0:
-            return self._min
-        if q >= 100.0:
-            return self._max
-        return self.sketch.quantile(q)
-
-    def merge(self, other: "StreamingHistogram") -> None:
-        """Fold another stream in (parallel-worker reduction)."""
-        if other._n == 0:
-            return
-        if self._n == 0:
-            self._min, self._max = other._min, other._max
-        else:
-            self._min = min(self._min, other._min)
-            self._max = max(self._max, other._max)
-        n = self._n + other._n
-        delta = other._mean - self._mean
-        self._mean += delta * other._n / n
-        self._m2 += other._m2 + delta * delta * self._n * other._n / n
-        self._n = n
-        self.sketch.merge(other.sketch)
-
-    def storage_bytes(self) -> int:
-        """Rough live-state size: fixed fields + sketch buckets."""
-        return 48 + 16 * self.sketch.bucket_count
+        return math.sqrt(sum((s - mean) ** 2 for s in self.samples) / (n - 1))
 
 
 class BoundedSeries:
@@ -348,50 +107,12 @@ class BoundedSeries:
 
 @dataclass
 class MetricsRegistry:
-    """Named counters and histograms shared across a simulation."""
+    """Named counters shared across a simulation."""
 
     counters: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    histograms: Dict[str, Histogram] = field(
-        default_factory=lambda: defaultdict(Histogram)
-    )
 
     def increment(self, name: str, amount: int = 1) -> None:
         self.counters[name] += amount
 
-    def observe(self, name: str, value: float) -> None:
-        self.histograms[name].observe(value)
-
     def counter(self, name: str) -> int:
         return self.counters.get(name, 0)
-
-    def histogram(self, name: str) -> Histogram:
-        return self.histograms[name]
-
-    def use_streaming(self) -> None:
-        """Switch histogram storage to bounded streaming accumulators.
-
-        Must be called before any samples are recorded (the harness
-        calls it right after construction): a retroactive switch would
-        silently discard sample lists.
-        """
-        for name, hist in self.histograms.items():
-            if hist.count:
-                raise ValueError(
-                    f"cannot switch histogram {name!r} to streaming "
-                    f"after it has recorded samples"
-                )
-        fresh: Dict[str, StreamingHistogram] = defaultdict(
-            StreamingHistogram
-        )
-        for name in self.histograms:
-            fresh[name] = StreamingHistogram()
-        self.histograms = fresh
-
-    def summary(self) -> Dict[str, float]:
-        """Flat dict of every counter and histogram mean (for tables)."""
-        out: Dict[str, float] = dict(self.counters)
-        for name, hist in self.histograms.items():
-            if hist.count:
-                out[f"{name}.mean"] = hist.mean
-                out[f"{name}.p99"] = hist.percentile(99)
-        return out

@@ -57,7 +57,6 @@ class OracleRouter(GossipSubRouter):
             ]
             rng.shuffle(candidates)
             for peer in candidates[: self.params.d_lazy]:
-                self.metrics.increment("gossipsub.ihave_sent")
                 self._send(peer, RpcPacket(ihave={topic: list(msg_ids)}))
 
 

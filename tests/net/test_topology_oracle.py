@@ -164,7 +164,6 @@ def test_scenario_path_does_not_import_networkx(entry):
     env = dict(
         os.environ,
         PYTHONPATH=SRC + (os.pathsep + existing if existing else ""),
-        PYTHONHASHSEED="0",  # the CLI would re-exec itself to pin it
     )
     code = GUARDED[entry] + (
         "\nimport sys\nassert 'networkx' not in sys.modules, 'networkx loaded'"

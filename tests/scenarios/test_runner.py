@@ -10,6 +10,7 @@ from repro.scenarios import (
     AdversaryGroup,
     AdversaryMix,
     ChurnModel,
+    FaultPlan,
     ScenarioSpec,
     TopicSpec,
     TrafficModel,
@@ -140,6 +141,31 @@ CASES = [
     # Accepted silently.
     (ChurnModel, {"max_joins": 2.5}, "max_joins"),
     (AdversaryGroup, {"strategy": "burst-flood", "burst": NAN}, "burst"),
+    # Ran to completion.
+    (TrafficModel, {"payload_bytes": -1}, "payload_bytes"),
+    # Died mid-run: "event queue went backwards in time".
+    (TrafficModel, {"start": NAN}, "start"),
+    (AdversaryMix, {"start": NAN}, "start"),
+    (ChurnModel, {"start": NAN}, "start"),
+    (FaultPlan, {"target": "watchtower-0", "crash_at": NAN}, "crash_at"),
+    (
+        FaultPlan,
+        {"target": "watchtower-0", "crash_at": 1.0, "restart_at": NAN},
+        "restart_at",
+    ),
+    # Died mid-run: "periodic interval must be positive".
+    (WatchtowerSpec, {"sync_interval": 0.0}, "sync_interval"),
+    # Accepted silently.
+    (WatchtowerSpec, {"delegation_fee_wei": 2.5}, "delegation_fee_wei"),
+    # A plain ScenarioError with no problems.
+    (TrafficModel, {"active_fraction": NAN}, "active_fraction"),
+    (
+        TopicSpec,
+        {"name": "/t", "subscribe_fraction": NAN},
+        "subscribe_fraction",
+    ),
+    (WatchtowerSpec, {"reward_cut": NAN}, "reward_cut"),
+    (WatchtowerSpec, {"delegate_fraction": NAN}, "delegate_fraction"),
 ]
 
 

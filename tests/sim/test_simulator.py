@@ -329,9 +329,9 @@ class TestMetrics:
         assert hist.stddev == 0.0
 
     def test_cached_stats_match_naive_recomputation(self):
-        """The cached running stats must be bit-identical to recomputing
-        from scratch after every single observation — interleaving
-        reads (which warm the caches) with writes (which invalidate)."""
+        """Every statistic is its textbook definition over the samples,
+        checked between observations: the mean adds left to right, the
+        percentile interpolates linearly between order statistics."""
         rng = random.Random(1234)
         hist = Histogram()
         for i in range(500):
@@ -385,8 +385,5 @@ class TestMetrics:
         metrics = MetricsRegistry()
         metrics.increment("x")
         metrics.increment("x", 4)
-        metrics.observe("lat", 0.5)
         assert metrics.counter("x") == 5
         assert metrics.counter("missing") == 0
-        assert metrics.histogram("lat").count == 1
-        assert "lat.mean" in metrics.summary()

@@ -1,139 +1,13 @@
-"""Streaming metrics: bounded accumulators vs exact histograms."""
+"""Streaming metrics: the adversary series cap and its flag."""
 
 from __future__ import annotations
 
-import math
-import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.sim.metrics import (
-    BoundedSeries,
-    Histogram,
-    MetricsRegistry,
-    QuantileSketch,
-    StreamingHistogram,
-)
-
-finite_floats = st.floats(
-    min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
-)
-
-
-class TestStreamingHistogramParity:
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(finite_floats, min_size=1, max_size=200))
-    def test_moments_match_exact_histogram(self, samples):
-        exact = Histogram()
-        streaming = StreamingHistogram()
-        for value in samples:
-            exact.observe(value)
-            streaming.observe(value)
-        assert streaming.count == exact.count
-        assert streaming.minimum == exact.minimum
-        assert streaming.maximum == exact.maximum
-        assert streaming.mean == pytest.approx(exact.mean, rel=1e-9, abs=1e-6)
-        assert streaming.stddev == pytest.approx(
-            exact.stddev, rel=1e-6, abs=1e-6
-        )
-        # Endpoint percentiles are exact by construction.
-        assert streaming.percentile(0) == exact.minimum
-        assert streaming.percentile(100) == exact.maximum
-
-    def test_percentiles_within_sketch_error(self):
-        rng = random.Random(5)
-        exact = Histogram()
-        streaming = StreamingHistogram()
-        for _ in range(5000):
-            value = rng.expovariate(1 / 40.0) + 1.0
-            exact.observe(value)
-            streaming.observe(value)
-        for q in (10, 50, 90, 99):
-            reference = exact.percentile(q)
-            assert streaming.percentile(q) == pytest.approx(
-                reference, rel=0.05
-            )
-
-    def test_empty_histogram_reads_zero(self):
-        streaming = StreamingHistogram()
-        assert streaming.count == 0
-        assert streaming.mean == 0.0
-        assert streaming.stddev == 0.0
-        assert streaming.percentile(50) == 0.0
-
-    def test_state_is_bounded(self):
-        streaming = StreamingHistogram()
-        for i in range(100_000):
-            streaming.observe(float(i % 997) + 0.5)
-        # A 100k-sample stream must not hold 100k samples' worth of
-        # state: the sketch bucket count is capped by the value range,
-        # not the stream length.
-        assert streaming.sketch.bucket_count < 1000
-        assert streaming.storage_bytes() < 20_000
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.lists(finite_floats, min_size=1, max_size=80),
-        st.lists(finite_floats, min_size=1, max_size=80),
-    )
-    def test_merge_equals_single_stream(self, left, right):
-        merged = StreamingHistogram()
-        for value in left:
-            merged.observe(value)
-        other = StreamingHistogram()
-        for value in right:
-            other.observe(value)
-        merged.merge(other)
-        combined = StreamingHistogram()
-        for value in left + right:
-            combined.observe(value)
-        assert merged.count == combined.count
-        assert merged.minimum == combined.minimum
-        assert merged.maximum == combined.maximum
-        assert merged.mean == pytest.approx(combined.mean, abs=1e-6)
-        assert merged.stddev == pytest.approx(combined.stddev, abs=1e-6)
-        assert merged.sketch.count == combined.sketch.count
-
-
-class TestQuantileSketch:
-    def test_relative_error_bound(self):
-        sketch = QuantileSketch(gamma=1.02)
-        values = [1.0 + i * 0.37 for i in range(2000)]
-        for value in values:
-            sketch.observe(value)
-        ordered = sorted(values)
-        for q in (1, 25, 50, 75, 99):
-            rank = math.floor((q / 100) * (len(ordered) - 1))
-            reference = ordered[rank]
-            assert sketch.quantile(q) == pytest.approx(reference, rel=0.03)
-
-    def test_negative_and_zero_values(self):
-        sketch = QuantileSketch()
-        for value in (-10.0, -1.0, 0.0, 0.0, 1.0, 10.0):
-            sketch.observe(value)
-        assert sketch.count == 6
-        assert sketch.quantile(0) == pytest.approx(-10.0, rel=0.03)
-        assert sketch.quantile(50) == 0.0
-        assert sketch.quantile(100) == pytest.approx(10.0, rel=0.03)
-
-    def test_merge_requires_matching_gamma(self):
-        with pytest.raises(ValueError):
-            QuantileSketch(gamma=1.02).merge(QuantileSketch(gamma=1.05))
-        with pytest.raises(ValueError):
-            QuantileSketch(gamma=1.0)
-
-    def test_determinism_under_reordering(self):
-        values = [math.exp(i / 50.0) for i in range(300)]
-        forward = QuantileSketch()
-        backward = QuantileSketch()
-        for value in values:
-            forward.observe(value)
-        for value in reversed(values):
-            backward.observe(value)
-        assert forward.quantile(50) == backward.quantile(50)
-        assert forward.bucket_count == backward.bucket_count
+from repro.scenarios import run_scenario, scenario
+from repro.sim.metrics import BoundedSeries
 
 
 class TestBoundedSeries:
@@ -168,30 +42,14 @@ class TestBoundedSeries:
             BoundedSeries(max_points=3)
 
 
-class TestRegistrySwitch:
-    def test_use_streaming_swaps_default_factory(self):
-        registry = MetricsRegistry()
-        registry.use_streaming()
-        registry.observe("latency", 1.0)
-        assert isinstance(
-            registry.histogram("latency"), StreamingHistogram
-        )
-        assert isinstance(registry.histogram("fresh"), StreamingHistogram)
-        assert registry.histogram("latency").count == 1
 
-    def test_use_streaming_refuses_after_samples(self):
-        registry = MetricsRegistry()
-        registry.observe("latency", 1.0)
-        with pytest.raises(ValueError):
-            registry.use_streaming()
-
-    def test_counters_unaffected(self):
-        registry = MetricsRegistry()
-        registry.increment("events", 3)
-        registry.use_streaming()
-        registry.increment("events", 2)
-        assert registry.counter("events") == 5
-        registry.observe("x", 2.0)
-        summary = registry.summary()
-        assert summary["events"] == 5
-        assert summary["x.mean"] == 2.0
+@pytest.mark.parametrize(
+    "name", ["rotating-sybil-economics", "million-id-city"]
+)
+def test_streaming_metrics_is_fingerprint_neutral_below_the_cap(name):
+    # One series point per 10 s epoch: a 20 s run is far below the
+    # 256-point cap, so the flag must change nothing.
+    spec = scenario(name).scaled(peers=40, duration=20.0, seed=3)
+    on = run_scenario(replace(spec, streaming_metrics=True))
+    off = run_scenario(replace(spec, streaming_metrics=False))
+    assert on.fingerprint() == off.fingerprint()
