@@ -57,7 +57,6 @@ def _spec(
                 ),
             ),
         ),
-        config_overrides={"verification_cache_size": 65536},
     )
 
 

@@ -203,7 +203,6 @@ def registry_genesis_spec(peers, pre_registered, seed=3, quick=False):
             ),
         ),
         config_overrides={
-            "verification_cache_size": 65536,
             "merkle_depth": 20,
             "membership_sub_depth": 10,
             "eager_nullifier_gc": True,

@@ -24,7 +24,6 @@ import tracemalloc
 from dataclasses import replace
 
 from repro.core import WakuRlnRelayNetwork
-from repro.core.config import ProtocolConfig
 from repro.core.epoch import EpochTracker
 from repro.core.nullifier_map import NullifierMap
 from repro.core.validator import RlnMessageValidator
@@ -54,15 +53,11 @@ def _live_envelopes():
 
 
 def _warm_relay(peers, seed):
-    """A registered, started relay a few heartbeats in. One shared
-    verification cache, as every reference scenario has — without it
-    each peer parses its own ``RlnSignal`` per message and those copies
-    (52 of 63 KB per peer at 60 messages) drown the router state."""
-    net = WakuRlnRelayNetwork(
-        peer_count=peers,
-        seed=seed,
-        config=ProtocolConfig(verification_cache_size=65536),
-    )
+    """A registered, started relay a few heartbeats in, on the default
+    shared verification cache — without it each peer parses its own
+    ``RlnSignal`` per message and those copies (52 of 63 KB per peer at
+    60 messages) drown the router state."""
+    net = WakuRlnRelayNetwork(peer_count=peers, seed=seed)
     net.register_all()
     net.start()
     net.run(5.0)

@@ -36,7 +36,6 @@ def main() -> None:
                 ),
             ),
         ),
-        config_overrides={"verification_cache_size": 65536},
     )
     result = run_scenario(spec)
     print(result.format())

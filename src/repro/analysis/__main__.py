@@ -99,10 +99,8 @@ def _explain_parallel(spec, workers) -> int:
     workers = min(workers, spec.shards)
     roster = [f"peer-{i}" for i in range(spec.peers)]
     pins = ScenarioRunner.shard_pins(spec)
-    plan = ShardPlan.blocked(roster, spec.shards, pins=pins)
-    window = spec.parallel_window
-    if window is None:
-        window = UniformLatency(base_seconds=0.03).min_latency()
+    plan = ShardPlan(spec.shards, keys=roster, pins=pins)
+    window = UniformLatency(base_seconds=0.03).min_latency()
     barriers = sum(1 for _ in barrier_times(spec.duration, window))
     tail = spec.adversaries.total_count
     services = len(spec.watchtowers.service_ids()) if spec.watchtowers else 0

@@ -25,6 +25,7 @@ from ..core.config import ProtocolConfig
 from ..core.nullifier_map import NullifierMap
 from ..crypto.keys import MembershipKeyPair
 from ..crypto.merkle import MerkleTree
+from ..crypto.zksnark.timing import DEFAULT_PERFORMANCE_MODEL
 from ..rln.prover import RlnProver, rln_keys
 from ..scenarios import (
     AdversaryGroup,
@@ -163,8 +164,7 @@ def routing_overhead_experiment(
     this implementation's wall-clock. PoW publisher cost depends on the
     device, which is the paper's resource-restriction argument.
     """
-    config = ProtocolConfig()
-    model = config.performance_model
+    model = DEFAULT_PERFORMANCE_MODEL
     headers = (
         "system",
         "publisher cost/msg (s)",

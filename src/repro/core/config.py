@@ -13,9 +13,16 @@ from ..constants import (
     DEFAULT_MERKLE_DEPTH,
     DEFAULT_SLASH_BURN_FRACTION,
 )
-from ..crypto.zksnark.timing import DEFAULT_PERFORMANCE_MODEL, PerformanceModel
+from ..errors import ConfigError
 from ..gossipsub.params import GossipSubParams
 from ..rln.membership import DEFAULT_ROOT_WINDOW
+from ..rln.verifier import DEFAULT_VERIFICATION_CACHE_SIZE
+
+
+def _in(v, kind, least=0, most=math.inf) -> bool:
+    """``v`` is a ``kind`` in ``[least, most]``; NaN and infinities
+    never are."""
+    return isinstance(v, kind) and least <= v <= most and v < math.inf
 
 
 @dataclass(frozen=True)
@@ -44,8 +51,6 @@ class ProtocolConfig:
     root_window: int = DEFAULT_ROOT_WINDOW
     #: How often peers poll the contract event log, in seconds.
     sync_interval: float = 2.0
-    #: Membership contract design: "registry" (paper) or "onchain_tree".
-    contract_design: str = "registry"
     #: When True, modeled zkSNARK latencies delay publish/validation in
     #: simulated time (the paper's 0.5 s prove / 30 ms verify figures).
     model_crypto_latency: bool = False
@@ -54,7 +59,7 @@ class ProtocolConfig:
     #: pairing-check outcome for a given (publics, proof) pair is
     #: network-global). 0 disables the cache — every router verifies
     #: every signal itself, the paper's naive per-message cost model.
-    verification_cache_size: int = 0
+    verification_cache_size: int = DEFAULT_VERIFICATION_CACHE_SIZE
     #: Shard the deployment's shared canonical membership tree (one
     #: copy-on-write tree per domain that every replica views, see
     #: :class:`~repro.rln.membership.MembershipStore`) into
@@ -74,16 +79,37 @@ class ProtocolConfig:
     #: duplicate with lazy GC but as epoch-expired with eager GC, so
     #: flipping this is behaviour-visible (and fingerprint-visible).
     eager_nullifier_gc: bool = False
-    performance_model: PerformanceModel = DEFAULT_PERFORMANCE_MODEL
     gossip: GossipSubParams = field(default_factory=GossipSubParams)
 
     def __post_init__(self) -> None:
+        real = (int, float)
         sub = self.membership_sub_depth
-        if sub is not None and not 0 < sub < self.merkle_depth:
-            raise ValueError(
-                f"membership_sub_depth must satisfy 0 < {sub} < "
-                f"merkle_depth ({self.merkle_depth})"
-            )
+        valid = {
+            "epoch_length": _in(self.epoch_length, real)
+            and self.epoch_length > 0,
+            "max_network_delay": _in(self.max_network_delay, real),
+            "merkle_depth": _in(self.merkle_depth, int, 1),
+            "stake_wei": _in(self.stake_wei, int),
+            "burn_fraction": _in(self.burn_fraction, real, most=1),
+            "root_window": _in(self.root_window, int, 1),
+            "sync_interval": _in(self.sync_interval, real)
+            and self.sync_interval > 0,
+            "verification_cache_size": _in(self.verification_cache_size, int),
+            "membership_sub_depth": sub is None
+            or _in(self.merkle_depth, int)
+            and _in(sub, int, 1, self.merkle_depth - 1),
+        }
+        for name, ok in valid.items():
+            if not ok:
+                raise ConfigError(
+                    f"ProtocolConfig.{name} = {getattr(self, name)!r} is out "
+                    "of range: need epoch_length, sync_interval > 0; "
+                    "max_network_delay >= 0 finite; burn_fraction in [0, 1]; "
+                    "integers merkle_depth, root_window >= 1, stake_wei, "
+                    "verification_cache_size >= 0 and "
+                    "0 < membership_sub_depth < merkle_depth",
+                    field=name,
+                )
 
     @property
     def thr(self) -> int:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..crypto.field import Fr
 from ..crypto.keys import IdentityCommitment, MembershipKeyPair
 from ..crypto.zksnark.groth16 import ProvingKey, VerifyingKey
+from ..crypto.zksnark.timing import DEFAULT_PERFORMANCE_MODEL
 from ..errors import RateLimitError, RegistrationError
 from ..eth.chain import Blockchain
 from ..eth.cursor import EventCursor
@@ -29,7 +29,8 @@ from ..rln.membership import LocalGroup, MembershipStore
 from ..rln.prover import RlnProver
 from ..rln.slashing import SlashingEvidence
 from ..rln.verifier import RlnVerifier, VerificationCache
-from ..waku.message import WakuMessage
+from ..sim.metrics import MetricsRegistry
+from ..waku.message import DEFAULT_PUBSUB_TOPIC, WakuMessage
 from ..waku.relay import WakuRelayNode
 from ..gossipsub.router import ValidationResult
 from .config import ProtocolConfig
@@ -52,6 +53,61 @@ OUTCOME_TO_GOSSIP = {
     ValidationOutcome.REJECT_BAD_EPOCH: ValidationResult.REJECT,
     ValidationOutcome.REJECT_MALFORMED: ValidationResult.REJECT,
 }
+
+
+def topic_domain(config: ProtocolConfig, pubsub_topic: str) -> Optional[str]:
+    """RLN domain tag for ``pubsub_topic``.
+
+    The primary topic keeps the deployment's configured domain
+    (wire-compatible with single-topic deployments); every other RLN
+    topic gets a domain derived from its name, so external nullifiers
+    — and therefore rate limits and double-signal detection — are
+    independent per topic. Peers and watchtowers share it, so both
+    see the very same nullifiers.
+    """
+    if pubsub_topic == DEFAULT_PUBSUB_TOPIC:
+        return config.domain
+    return f"{config.domain or ''}|topic:{pubsub_topic}"
+
+
+def wire_rln_topic(
+    relay: WakuRelayNode,
+    pubsub_topic: str,
+    validate: Callable[[str, WakuMessage], ValidationResult],
+    *,
+    config: ProtocolConfig,
+    verifying_key: VerifyingKey,
+    group: LocalGroup,
+    epoch_tracker: EpochTracker,
+    cache: Optional[VerificationCache],
+    metrics: MetricsRegistry,
+) -> RlnMessageValidator:
+    """Put ``pubsub_topic`` under the Section III pipeline on ``relay``.
+
+    Builds the topic's validator (proof check against ``group``'s root
+    window, epoch window, nullifier map), joins the topic and installs
+    ``validate(topic, message)`` as its relay validator. The one RLN
+    node stack a peer and a watchtower both run.
+    """
+    validator = RlnMessageValidator(
+        verifier=RlnVerifier(
+            verifying_key=verifying_key,
+            root_predicate=group.is_acceptable_root,
+            domain=topic_domain(config, pubsub_topic),
+            cache=cache,
+            metrics=metrics,
+        ),
+        epoch_tracker=epoch_tracker,
+        nullifier_map=NullifierMap(
+            config.thr, auto_prune=config.eager_nullifier_gc
+        ),
+        metrics=metrics,
+    )
+    relay.join_topic(pubsub_topic)
+    relay.add_validator(
+        lambda message: validate(pubsub_topic, message), topic=pubsub_topic
+    )
+    return validator
 
 
 class WakuRlnRelayPeer:
@@ -97,7 +153,7 @@ class WakuRlnRelayPeer:
             network.simulator, config.epoch_length, clock_skew
         )
         processing_delay = (
-            config.performance_model.verify_seconds
+            DEFAULT_PERFORMANCE_MODEL.verify_seconds
             if config.model_crypto_latency
             else 0.0
         )
@@ -118,7 +174,7 @@ class WakuRlnRelayPeer:
         ] = []
         # The primary topic is RLN-protected from birth; the same host
         # may join other (free or RLN) topics on the same relay node.
-        self.validator = self._join_rln_topic(self.relay.pubsub_topic)
+        self.validator = self.join_rln_topic(self.relay.pubsub_topic)
         self.relay.on_topic_message(self._handle_waku_message)
 
         balance = (
@@ -133,7 +189,6 @@ class WakuRlnRelayPeer:
         self.slashes_submitted = 0
         self._slashes_reported: Dict[IdentityCommitment, None] = {}
         self._cursor = EventCursor(chain, contract_address)
-        self._membership_events_applied = 0
         #: pubsub topic -> epoch of this peer's last honest publish
         #: (the self-enforced one-message-per-epoch-per-topic limit).
         self._last_published_epochs: Dict[str, int] = {}
@@ -141,53 +196,9 @@ class WakuRlnRelayPeer:
 
     # -- topics ----------------------------------------------------------------
 
-    def _topic_domain(self, pubsub_topic: str) -> Optional[str]:
-        """RLN domain tag for ``pubsub_topic``.
-
-        The primary topic keeps the deployment's configured domain
-        (wire-compatible with single-topic deployments); every other
-        RLN topic gets a domain derived from its name, so external
-        nullifiers — and therefore rate limits and double-signal
-        detection — are independent per topic.
-        """
-        if pubsub_topic == self.relay.pubsub_topic:
-            return self.config.domain
-        base = self.config.domain or ""
-        return f"{base}|topic:{pubsub_topic}"
-
-    def _join_rln_topic(self, pubsub_topic: str) -> RlnMessageValidator:
-        verifier = RlnVerifier(
-            verifying_key=self._verifying_key,
-            root_predicate=self.group.is_acceptable_root,
-            domain=self._topic_domain(pubsub_topic),
-            cache=self._verification_cache,
-            metrics=self.network.metrics,
-        )
-        validator = RlnMessageValidator(
-            verifier=verifier,
-            epoch_tracker=self.epoch_tracker,
-            nullifier_map=NullifierMap(
-                self.config.thr,
-                auto_prune=self.config.eager_nullifier_gc,
-            ),
-            metrics=self.network.metrics,
-        )
-        if self._slash_reporting:
-            validator.on_spam(self._submit_slash)
-        for observer in self._evidence_observers:
-            validator.on_spam(observer)
-        self.rln_topics[pubsub_topic] = validator
-        self.relay.join_topic(pubsub_topic)
-        self.relay.add_validator(
-            lambda message, topic=pubsub_topic: self._validate_waku_message(
-                message, topic
-            ),
-            topic=pubsub_topic,
-        )
-        return validator
-
-    def join_rln_topic(self, pubsub_topic: str) -> None:
-        """Join ``pubsub_topic`` as a member of its RLN group.
+    def join_rln_topic(self, pubsub_topic: str) -> RlnMessageValidator:
+        """Join ``pubsub_topic`` as a member of its RLN group; returns
+        the topic's validator.
 
         The topic gets its own rate limit (one message per epoch per
         topic), its own nullifier map and domain-separated external
@@ -195,8 +206,24 @@ class WakuRlnRelayPeer:
         the one shared membership stake. Idempotent.
         """
         if pubsub_topic in self.rln_topics:
-            return
-        self._join_rln_topic(pubsub_topic)
+            return self.rln_topics[pubsub_topic]
+        validator = wire_rln_topic(
+            self.relay,
+            pubsub_topic,
+            self._validate_waku_message,
+            config=self.config,
+            verifying_key=self._verifying_key,
+            group=self.group,
+            epoch_tracker=self.epoch_tracker,
+            cache=self._verification_cache,
+            metrics=self.network.metrics,
+        )
+        if self._slash_reporting:
+            validator.on_spam(self._submit_slash)
+        for observer in self._evidence_observers:
+            validator.on_spam(observer)
+        self.rln_topics[pubsub_topic] = validator
+        return validator
 
     def join_open_topic(self, pubsub_topic: str) -> None:
         """Join a topic with no RLN protection (free traffic)."""
@@ -236,36 +263,16 @@ class WakuRlnRelayPeer:
 
     def sync(self, _sim: object = None) -> int:
         """Apply new contract events to the local tree; returns #applied."""
-        applied = 0
+        group = self.group
+        before = group.applied_events
         for event in self._cursor.poll():
+            index = group.apply_event(event)
             if event.name == "MemberRegistered":
-                commitment = IdentityCommitment(Fr(event.args["pk"]))
-                index = self.group.apply_registration(
-                    commitment, self._membership_events_applied
-                )
-                if commitment == self.commitment:
+                if event.args["pk"] == int(self.commitment.element):
                     self.leaf_index = index
-                self._membership_events_applied += 1
-                applied += 1
-            elif event.name == "MembersRegistered":
-                # Genesis batch: one event, applied through the tree's
-                # bulk-build path (dormant identities, so no own-slot
-                # check is needed — this peer registers transactionally).
-                self.group.apply_registration_batch(
-                    event.args["pks"], self._membership_events_applied
-                )
-                self._membership_events_applied += 1
-                applied += 1
-            elif event.name == "MemberRemoved":
-                index = event.args["index"]
-                self.group.apply_removal(
-                    index, self._membership_events_applied
-                )
-                if index == self.leaf_index:
-                    self.leaf_index = None  # we were slashed
-                self._membership_events_applied += 1
-                applied += 1
-        return applied
+            elif event.name == "MemberRemoved" and index == self.leaf_index:
+                self.leaf_index = None  # we were slashed
+        return group.applied_events - before
 
     def adopt_sync_state(
         self,
@@ -282,15 +289,9 @@ class WakuRlnRelayPeer:
         index for all peers; the fallback scan here is O(members)).
         Returns the number of events adopted.
         """
-        adopted = (
-            reference._membership_events_applied
-            - self._membership_events_applied
-        )
+        adopted = reference.group.applied_events - self.group.applied_events
         self.group.replicate_from(reference.group)
         self._synced_log_index = reference._synced_log_index
-        self._membership_events_applied = (
-            reference._membership_events_applied
-        )
         if leaf_index is None:
             leaf_index = self.group.tree.find_leaf(self.commitment.element)
         # Adopt the index *unconditionally*: in the adopted state this
@@ -401,7 +402,7 @@ class WakuRlnRelayPeer:
             message=payload,
             epoch=epoch,
             merkle_proof=self.group.merkle_proof(self.leaf_index),
-            domain=self._topic_domain(topic),
+            domain=topic_domain(self.config, topic),
         )
         self._last_published_epochs[topic] = epoch
         message = WakuMessage(
@@ -412,7 +413,7 @@ class WakuRlnRelayPeer:
         if self.config.model_crypto_latency:
             # Proof generation occupies the device before the message
             # can leave (0.5 s at depth 32 on the reference phone).
-            delay = self.config.performance_model.prove_seconds(
+            delay = DEFAULT_PERFORMANCE_MODEL.prove_seconds(
                 self.config.merkle_depth
             )
             self.network.simulator.schedule(
@@ -440,7 +441,7 @@ class WakuRlnRelayPeer:
             topic_handler(topic, message.payload, msg_id)
 
     def _validate_waku_message(
-        self, message: WakuMessage, pubsub_topic: str
+        self, pubsub_topic: str, message: WakuMessage
     ) -> ValidationResult:
         validator = self.rln_topics[pubsub_topic]
         report = validator.validate_bytes(message.rate_limit_proof)

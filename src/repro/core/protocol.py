@@ -4,7 +4,7 @@
 used by the integration tests, the examples and every benchmark. The
 flow matches the paper's deployment story:
 
-1. deploy the membership contract (registry by default);
+1. deploy the membership registry contract;
 2. create peers, each with an Ethereum account and an RLN credential;
 3. peers submit registration transactions; a miner process seals blocks
    every ``block_interval`` simulated seconds; peers pick up the
@@ -26,7 +26,7 @@ from ..crypto.keys import IdentityCommitment, MembershipKeyPair
 from ..crypto.slot_index import PackedFieldList
 from ..errors import NetworkError, RegistrationError
 from ..eth.chain import Blockchain
-from ..eth.contracts import MembershipRegistry, OnChainTreeContract
+from ..eth.contracts import MembershipRegistry
 from ..net.network import Network, NodeId
 from ..net.topology import connect_full_mesh, connect_random_regular
 from ..rln.membership import MembershipStore
@@ -87,7 +87,6 @@ class WakuRlnRelayNetwork:
         block_interval: float = ETH_BLOCK_INTERVAL_SECONDS,
         shards: int = 1,
         parallel: bool = False,
-        parallel_window: Optional[float] = None,
         shard_pins: Optional[Dict[str, int]] = None,
         pre_registered: int = 0,
         owned_shards: Optional[FrozenSet[int]] = None,
@@ -106,22 +105,14 @@ class WakuRlnRelayNetwork:
             # in shards *and* workers (the test matrix pins this) but
             # intentionally a distinct mode from the serial kernel:
             # per-entity streams change individual draws.
-            window = parallel_window
-            if window is None:
-                window = latency.min_latency()
+            window = latency.min_latency()
             if window <= 0:
                 raise NetworkError(
                     "parallel mode needs a positive barrier window; "
                     f"{type(latency).__name__} has no usable minimum "
                     "latency bound"
                 )
-            if window > latency.min_latency():
-                raise NetworkError(
-                    f"barrier window {window} exceeds the minimum "
-                    f"latency {latency.min_latency()}; cross-shard "
-                    "messages would land inside their own window"
-                )
-            plan = ShardPlan.blocked(peer_ids, shards, pins=shard_pins)
+            plan = ShardPlan(shards, keys=peer_ids, pins=shard_pins)
             self.simulator: Simulator = WindowedStackSimulator(
                 seed=seed, plan=plan, window=window
             )
@@ -142,23 +133,11 @@ class WakuRlnRelayNetwork:
         )
         self.metrics = self.network.metrics
         self.chain = Blockchain(block_interval=block_interval)
-        if self.config.contract_design == "registry":
-            contract = MembershipRegistry(
-                CONTRACT_ADDRESS,
-                stake_wei=self.config.stake_wei,
-                burn_fraction=self.config.burn_fraction,
-            )
-        elif self.config.contract_design == "onchain_tree":
-            contract = OnChainTreeContract(
-                CONTRACT_ADDRESS,
-                depth=self.config.merkle_depth,
-                stake_wei=self.config.stake_wei,
-                burn_fraction=self.config.burn_fraction,
-            )
-        else:
-            raise RegistrationError(
-                f"unknown contract design {self.config.contract_design!r}"
-            )
+        contract = MembershipRegistry(
+            CONTRACT_ADDRESS,
+            stake_wei=self.config.stake_wei,
+            burn_fraction=self.config.burn_fraction,
+        )
         self.contract = self.chain.deploy(contract)
         #: Deployment-wide shared membership-tree store: every replica
         #: is a copy-on-write view of one canonical tree per domain.
@@ -174,10 +153,6 @@ class WakuRlnRelayNetwork:
             # peers with one batch seed event, which replicas apply via
             # the tree's bulk-build path instead of a per-identity
             # event replay.
-            if self.config.contract_design != "registry":
-                raise RegistrationError(
-                    "pre-registered members require the registry design"
-                )
             if pre_registered + peer_count > self.config.group_capacity:
                 raise RegistrationError(
                     f"{pre_registered} genesis + {peer_count} peer "
@@ -320,7 +295,6 @@ class WakuRlnRelayNetwork:
         self,
         register: bool = True,
         start: bool = True,
-        bootstrap: str = "replica",
         node_id: Optional[NodeId] = None,
         neighbors: Optional[List[NodeId]] = None,
     ) -> WakuRlnRelayPeer:
@@ -328,32 +302,22 @@ class WakuRlnRelayNetwork:
 
         The newcomer dials ``degree`` random live peers, optionally
         submits its registration transaction (mined with the next
-        block), and starts relaying. With ``bootstrap="replica"`` (the
-        default) it adopts the most-synced incumbent's membership
-        replica — the same clone fast path ``register_all`` uses, now
-        safe mid-run — and only replays events newer than that;
-        ``bootstrap="replay"`` keeps the original behaviour of syncing
-        the full contract event log from genesis.
+        block), and starts relaying. A serial join adopts the
+        most-synced incumbent's membership replica — the same clone
+        fast path ``register_all`` uses — and only replays events newer
+        than that.
 
         ``node_id``/``neighbors`` let a precomputed churn plan pin the
         identity and dial list; parallel mode requires both (the plan
         computes them from shared per-entity streams so every worker
-        agrees) and forces ``bootstrap="replay"`` — "most-synced
-        incumbent" is a partition-dependent choice, the full event log
-        is not.
+        agrees), and its joiner replays the full event log: "most-synced
+        incumbent" is a partition-dependent choice, the log is not.
         """
-        if bootstrap not in ("replica", "replay"):
+        if self.parallel and (node_id is None or neighbors is None):
             raise NetworkError(
-                f"unknown bootstrap mode {bootstrap!r}; "
-                "use 'replica' or 'replay'"
+                "parallel churn joins need a planned node_id and "
+                "dial list (see the scenario runner's churn plan)"
             )
-        if self.parallel:
-            if node_id is None or neighbors is None:
-                raise NetworkError(
-                    "parallel churn joins need a planned node_id and "
-                    "dial list (see the scenario runner's churn plan)"
-                )
-            bootstrap = "replay"
         if node_id is None:
             node_id = f"peer-{self._next_peer_index}"
             self._next_peer_index += 1
@@ -367,7 +331,7 @@ class WakuRlnRelayNetwork:
             neighbors = rng.sample(alive, min(fanout, len(alive)))
         for neighbor in neighbors:
             self.network.connect(peer.node_id, neighbor)
-        if bootstrap == "replica" and self.peers:
+        if not self.parallel and self.peers:
             reference = max(
                 self.peers, key=lambda p: p._synced_log_index
             )

@@ -80,6 +80,15 @@ class SyncError(ReproError):
     """Local membership tree is out of sync with the contract."""
 
 
+class ConfigError(ReproError):
+    """A :class:`~repro.core.config.ProtocolConfig` field is out of range;
+    ``field`` names it."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
+
+
 class ScenarioError(ReproError):
     """Invalid scenario specification or unknown scenario name."""
 

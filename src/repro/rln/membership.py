@@ -117,6 +117,27 @@ class LocalGroup:
             self._remember_root(root)
         return first_index
 
+    def apply_event(self, event) -> Optional[int]:
+        """Apply the membership contract's next log event.
+
+        :attr:`applied_events` is its sequence number, so this is the
+        one event applier every replica — peer or watchtower — runs
+        over its cursor. Returns the leaf index a ``MemberRegistered``
+        or ``MemberRemoved`` event touched (None for the bulk-applied
+        genesis batch ``MembersRegistered``).
+        """
+        args = event.args
+        if event.name == "MemberRegistered":
+            return self.apply_registration(
+                IdentityCommitment(Fr(args["pk"])), self.applied_events
+            )
+        if event.name == "MemberRemoved":
+            self.apply_removal(args["index"], self.applied_events)
+            return args["index"]
+        if event.name == "MembersRegistered":
+            self.apply_registration_batch(args["pks"], self.applied_events)
+        return None
+
     def two_level_proof(self, leaf_index: int):
         """Sharded authentication path (sub-tree hop + top hop).
 

@@ -27,8 +27,10 @@ from ..sim.metrics import MetricsRegistry
 from .nullifier import external_nullifier
 from .signal import RlnSignal
 
-#: Default capacity of a :class:`VerificationCache`.
-DEFAULT_VERIFICATION_CACHE_SIZE = 4096
+#: Default capacity of a :class:`VerificationCache`: large enough that
+#: one attack round's distinct signals all fit, so each proof is
+#: verified once network-wide.
+DEFAULT_VERIFICATION_CACHE_SIZE = 65536
 
 
 class SignalCheck(Enum):

@@ -52,11 +52,6 @@ def all_scenarios() -> Iterable[ScenarioSpec]:
     return [_REGISTRY[name] for name in scenario_names()]
 
 
-#: Cache size the built-ins use; large enough that one attack round's
-#: distinct signals all fit, so each proof is verified once network-wide.
-_CACHE = {"verification_cache_size": 65536}
-
-
 register_scenario(
     ScenarioSpec(
         name="honest-steady",
@@ -67,7 +62,6 @@ register_scenario(
         peers=200,
         duration=120.0,
         traffic=TrafficModel(messages_per_epoch=1.0, active_fraction=0.5),
-        config_overrides=_CACHE,
     )
 )
 
@@ -89,7 +83,6 @@ register_scenario(
                 ),
             ),
         ),
-        config_overrides=_CACHE,
     )
 )
 
@@ -111,7 +104,6 @@ register_scenario(
                 ),
             ),
         ),
-        config_overrides=_CACHE,
     )
 )
 
@@ -132,7 +124,6 @@ register_scenario(
             max_joins=15,
             max_leaves=10,
         ),
-        config_overrides=_CACHE,
     )
 )
 
@@ -151,7 +142,6 @@ register_scenario(
         traffic=TrafficModel(messages_per_epoch=1.0, active_fraction=0.5),
         churn=ChurnModel(join_interval=4.0, max_joins=25),
         config_overrides={
-            **_CACHE,
             "root_window": 2,
             "sync_interval": 12.0,
         },
@@ -182,7 +172,6 @@ register_scenario(
                 ),
             ),
         ),
-        config_overrides=_CACHE,
     )
 )
 
@@ -209,7 +198,6 @@ register_scenario(
                 ),
             ),
         ),
-        config_overrides=_CACHE,
     )
 )
 
@@ -236,7 +224,6 @@ register_scenario(
                 ),
             ),
         ),
-        config_overrides=_CACHE,
     )
 )
 
@@ -279,7 +266,6 @@ register_scenario(
             max_joins=12,
             max_leaves=8,
         ),
-        config_overrides=_CACHE,
     )
 )
 
@@ -326,7 +312,6 @@ register_scenario(
                 ),
             ),
         ),
-        config_overrides=_CACHE,
     )
 )
 
@@ -363,7 +348,6 @@ register_scenario(
                 ),
             ),
         ),
-        config_overrides=_CACHE,
     )
 )
 
@@ -408,7 +392,6 @@ register_scenario(
             ),
         ),
         config_overrides={
-            **_CACHE,
             # 2^20 = 1,048,576 slots: fits 950k dormant + 50k live +
             # adversary rotations. sub_depth 10 -> 1024-leaf sub-trees.
             "merkle_depth": 20,
@@ -444,7 +427,6 @@ register_scenario(
             ),
         ),
         watchtowers=WatchtowerSpec(count=1),
-        config_overrides=_CACHE,
     )
 )
 
@@ -478,7 +460,6 @@ register_scenario(
         faults=(
             FaultPlan("watchtower-0", crash_at=10.0, restart_at=25.0),
         ),
-        config_overrides=_CACHE,
     )
 )
 
@@ -508,7 +489,6 @@ register_scenario(
             ),
         ),
         watchtowers=WatchtowerSpec(count=2),
-        config_overrides=_CACHE,
     )
 )
 
@@ -531,6 +511,5 @@ register_scenario(
             ),
         ),
         compare_baseline=True,
-        config_overrides=_CACHE,
     )
 )

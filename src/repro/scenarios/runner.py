@@ -271,7 +271,6 @@ class ScenarioRunner:
                 block_interval=spec.block_interval,
                 shards=spec.shards,
                 parallel=bool(spec.parallel_workers),
-                parallel_window=spec.parallel_window,
                 shard_pins=self._pins,
                 pre_registered=spec.pre_registered,
                 owned_shards=owned,

@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Tuple
 
 from ..constants import ETH_BLOCK_INTERVAL_SECONDS
 from ..core.config import ProtocolConfig
-from ..errors import ScenarioError, ScenarioSpecError
+from ..errors import ConfigError, ScenarioError, ScenarioSpecError
 from ..waku.message import DEFAULT_PUBSUB_TOPIC
 
 
@@ -303,9 +303,6 @@ class ScenarioSpec:
     #: and workers, but the mode draws from per-entity RNG streams,
     #: so they intentionally differ from the serial kernel's.
     parallel_workers: int = 0
-    #: Barrier window length in simulated seconds (None = the latency
-    #: model's minimum latency, the widest sound window).
-    parallel_window: Optional[float] = None
     #: Identities baked into the membership contract at deploy time
     #: (genesis member list) on top of the ``peers`` that register
     #: transactionally — the paper's "huge membership, small active
@@ -394,18 +391,13 @@ class ScenarioSpec:
             raise ScenarioError(
                 f"unknown ProtocolConfig overrides: {sorted(unknown)}"
             )
-        if self.parallel_window is not None and not (
-            0 < self.parallel_window < math.inf
-        ):
+        try:
+            self.build_config()
+        except ConfigError as error:
             raise ScenarioSpecError(
-                f"parallel_window must be positive and finite, got "
-                f"{self.parallel_window}; drop the override to use the "
-                f"latency model's minimum latency, or pick a value no "
-                f"larger than it (the protocol's delivery-delay bound "
-                f"is max_network_delay="
-                f"{ProtocolConfig().max_network_delay}s)",
-                problems=("parallel_window",),
-            )
+                f"config_overrides: {error}",
+                problems=(f"config_overrides.{error.field}",),
+            ) from None
 
     @property
     def topic_names(self) -> Tuple[str, ...]:

@@ -60,70 +60,41 @@ def _stable_hash(key: str, salt: bytes = b"") -> int:
 class ShardPlan:
     """Maps entity keys (node ids) to shard indices.
 
-    Two strategies:
-
-    - ``hash``: stable blake2 of the key, modulo the shard count.
-      Stateless, churn-proof, but ignores topology.
-    - ``block``: contiguous blocks over an explicit ordered key list —
-      the "region" partition when node ids are laid out by topology
-      region or topic cluster. Keys outside the list (churn joiners)
-      fall back to the hash assignment, so the plan never rejects a
-      node.
+    ``keys`` is an optional ordered key list cut into contiguous
+    blocks — the "region" partition when node ids are laid out by
+    topology region or topic cluster. Every other key (churn joiners,
+    or all of them without a list) gets a stable blake2 hash of the
+    key, modulo the shard count, so the plan never rejects a node.
 
     ``None`` keys (events that concern no particular node: the miner,
     scenario drivers) map to shard 0.
 
-    ``pins`` forces specific keys onto specific shards regardless of
-    strategy — the full-stack parallel mode pins entities that must be
-    co-resident with the shard-0 globals (adversary agents driven by
-    the engine, watchtower services) so a worker owning shard 0 owns
-    everything those globals touch synchronously.
+    ``pins`` forces specific keys onto specific shards — the
+    full-stack parallel mode pins entities that must be co-resident
+    with the shard-0 globals (adversary agents driven by the engine,
+    watchtower services) so a worker owning shard 0 owns everything
+    those globals touch synchronously.
     """
 
     def __init__(
         self,
         shard_count: int,
-        strategy: str = "hash",
-        keys: Optional[Sequence[str]] = None,
+        keys: Sequence[str] = (),
         pins: Optional[Dict[str, int]] = None,
     ) -> None:
         if shard_count < 1:
             raise SimulationError("shard_count must be >= 1")
-        if strategy not in ("hash", "block"):
-            raise SimulationError(
-                f"unknown shard strategy {strategy!r}; use 'hash' or 'block'"
-            )
         self.shard_count = shard_count
-        self.strategy = strategy
         self._assignment: Dict[str, int] = {}
-        if strategy == "block":
-            if not keys:
+        block = -(-len(keys) // shard_count)  # ceil division
+        for i, key in enumerate(keys):
+            self._assignment[key] = min(i // block, shard_count - 1)
+        for key, shard in (pins or {}).items():
+            if not 0 <= shard < shard_count:
                 raise SimulationError(
-                    "block strategy needs the ordered key list"
+                    f"pin {key!r} -> {shard} outside [0, {shard_count})"
                 )
-            block = -(-len(keys) // shard_count)  # ceil division
-            for i, key in enumerate(keys):
-                self._assignment[key] = min(i // block, shard_count - 1)
-        if pins:
-            for key, shard in pins.items():
-                if not 0 <= shard < shard_count:
-                    raise SimulationError(
-                        f"pin {key!r} -> {shard} outside [0, {shard_count})"
-                    )
-                self._assignment[key] = shard
-
-    @classmethod
-    def hashed(cls, shard_count: int) -> "ShardPlan":
-        return cls(shard_count, strategy="hash")
-
-    @classmethod
-    def blocked(
-        cls,
-        keys: Sequence[str],
-        shard_count: int,
-        pins: Optional[Dict[str, int]] = None,
-    ) -> "ShardPlan":
-        return cls(shard_count, strategy="block", keys=keys, pins=pins)
+            self._assignment[key] = shard
 
     def shard_of(self, key: Optional[str]) -> int:
         if key is None:
@@ -214,7 +185,7 @@ class WindowedStackSimulator(Simulator):
         super().__init__(seed=seed)
         if window <= 0:
             raise SimulationError("barrier window must be positive")
-        self.plan = plan if plan is not None else ShardPlan.hashed(1)
+        self.plan = plan if plan is not None else ShardPlan(1)
         self.window = window
         self.owned: FrozenSet[int] = frozenset(
             range(self.plan.shard_count)

@@ -27,8 +27,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.config import ProtocolConfig
 from ..core.epoch import EpochTracker
-from ..core.nullifier_map import NullifierMap
-from ..core.peer import OUTCOME_TO_GOSSIP
+from ..core.peer import OUTCOME_TO_GOSSIP, wire_rln_topic
 from ..core.validator import RlnMessageValidator, ValidationOutcome
 from ..crypto.field import Fr
 from ..crypto.keys import IdentityCommitment
@@ -37,7 +36,6 @@ from ..eth.cursor import EventCursor
 from ..rln.membership import LocalGroup
 from ..rln.signal import RlnSignal
 from ..rln.slashing import SlashingEvidence
-from ..rln.verifier import RlnVerifier
 from ..waku.message import DEFAULT_PUBSUB_TOPIC, WakuMessage
 from ..waku.relay import WakuRelayNode
 from .store import WatchtowerStore
@@ -118,17 +116,8 @@ class WatchtowerService:
         self.group: Optional[LocalGroup] = None
         self._validators: Dict[str, RlnMessageValidator] = {}
         self._cursor = EventCursor(self.chain, self.contract_address)
-        self._membership_events_applied = 0
 
     # -- stack construction -------------------------------------------------------
-
-    def _topic_domain(self, pubsub_topic: str) -> Optional[str]:
-        """Same domain separation the peers use (core/peer.py) — the
-        watchtower must see the very nullifiers the peers see."""
-        if pubsub_topic == DEFAULT_PUBSUB_TOPIC:
-            return self.config.domain
-        base = self.config.domain or ""
-        return f"{base}|topic:{pubsub_topic}"
 
     def _build_stack(self) -> None:
         """Fresh in-memory state: relay node, membership replica,
@@ -137,7 +126,6 @@ class WatchtowerService:
         config = self.config
         net = self.net
         self.group = net.membership_store.local_group(config.domain or "")
-        self._membership_events_applied = 0
         self._cursor = EventCursor(self.chain, self.contract_address)
         self.epoch_tracker = EpochTracker(
             net.network.simulator, config.epoch_length
@@ -149,28 +137,21 @@ class WatchtowerService:
         )
         self._validators = {}
         for topic in self.topics:
-            verifier = RlnVerifier(
+            validator = wire_rln_topic(
+                self.relay,
+                topic,
+                self._validate,
+                config=config,
                 verifying_key=net.verifying_key,
-                root_predicate=self.group.is_acceptable_root,
-                domain=self._topic_domain(topic),
-                cache=net.verification_cache,
-                metrics=net.metrics,
-            )
-            validator = RlnMessageValidator(
-                verifier=verifier,
+                group=self.group,
                 epoch_tracker=self.epoch_tracker,
-                nullifier_map=NullifierMap(config.thr),
+                cache=net.verification_cache,
                 metrics=net.metrics,
             )
             validator.on_spam(
                 lambda evidence, t=topic: self._on_evidence(t, evidence)
             )
             self._validators[topic] = validator
-            self.relay.join_topic(topic)
-            self.relay.add_validator(
-                lambda message, t=topic: self._validate(t, message),
-                topic=topic,
-            )
 
     def _dial(self) -> None:
         """Connect into the overlay (``degree`` planned peers)."""
@@ -330,25 +311,9 @@ class WatchtowerService:
         self.store.prune_signals(current, self.config.thr)
 
     def _apply_event(self, event, enforce: bool, now: float) -> None:
-        if event.name == "MemberRegistered":
-            self.group.apply_registration(
-                IdentityCommitment(Fr(event.args["pk"])),
-                self._membership_events_applied,
-            )
-            self._membership_events_applied += 1
-        elif event.name == "MembersRegistered":
-            # Genesis batch (one event; bulk-applied, nothing to enforce).
-            self.group.apply_registration_batch(
-                event.args["pks"], self._membership_events_applied
-            )
-            self._membership_events_applied += 1
-        elif event.name == "MemberRemoved":
-            self.group.apply_removal(
-                event.args["index"], self._membership_events_applied
-            )
-            self._membership_events_applied += 1
-            if enforce:
-                self._resolve_evidence(event.args["pk"], now)
+        self.group.apply_event(event)
+        if enforce and event.name == "MemberRemoved":
+            self._resolve_evidence(event.args["pk"], now)
 
     def _resolve_evidence(self, pk: int, now: float) -> None:
         """A member is gone from the group — settle our evidence, if

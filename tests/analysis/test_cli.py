@@ -10,10 +10,8 @@ from repro.scenarios.parallel import barrier_times
 from repro.sim.latency import UniformLatency
 
 
-def _parallel_window(spec):
-    if spec.parallel_window is not None:
-        return spec.parallel_window
-    return UniformLatency(base_seconds=0.03).min_latency()
+#: The barrier window: the runner's latency model's minimum latency.
+WINDOW = UniformLatency(base_seconds=0.03).min_latency()
 
 
 class TestCli:
@@ -26,8 +24,7 @@ class TestCli:
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        window = _parallel_window(scenario("rotating-sybil-economics"))
-        barriers = len(list(barrier_times(6.0, window)))
+        barriers = len(list(barrier_times(6.0, WINDOW)))
         assert f"({barriers} barriers over 6.0s)" in out
 
     @pytest.mark.parametrize("name", scenario_names())
@@ -41,8 +38,7 @@ class TestCli:
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        window = _parallel_window(spec)
-        barriers = len(list(barrier_times(spec.duration, window)))
+        barriers = len(list(barrier_times(spec.duration, WINDOW)))
         assert f"({barriers} barriers over {spec.duration}s)" in out
         owned = [
             int(count)

@@ -136,33 +136,3 @@ class TestValidatorWiring:
             for nid in neighbor_ids
         ]
         assert any(score < 0 for score in scores)
-
-
-class TestOnChainTreeDeployment:
-    def test_network_runs_on_original_rln_contract(self):
-        """The whole protocol also works with the on-chain tree design
-        (only gas costs differ) — the ablation the paper argues against."""
-        config = ProtocolConfig(contract_design="onchain_tree", merkle_depth=10)
-        net = WakuRlnRelayNetwork(peer_count=5, seed=80, config=config)
-        net.register_all()
-        deliveries = net.collect_deliveries()
-        net.start()
-        net.run(2.0)
-        assert net.registered_count == 5
-        # On-chain root agrees with every peer's local replica.
-        assert net.contract.root() == int(net.peer(0).group.root)
-        net.peer(1).publish(b"on the original design")
-        net.run(10.0)
-        delivered = sum(
-            1 for v in deliveries.values() if b"on the original design" in v
-        )
-        assert delivered == 5
-
-    def test_unknown_contract_design_rejected(self):
-        from repro.errors import RegistrationError
-
-        with pytest.raises(RegistrationError):
-            WakuRlnRelayNetwork(
-                peer_count=3,
-                config=ProtocolConfig(contract_design="magic"),
-            )

@@ -4,6 +4,7 @@ detect → slash, on a full simulated deployment."""
 import pytest
 
 from repro.core import ProtocolConfig, WakuRlnRelayNetwork, build_report
+from repro.crypto.zksnark.timing import DEFAULT_PERFORMANCE_MODEL
 from repro.errors import RateLimitError, RegistrationError
 
 
@@ -224,7 +225,7 @@ class TestModeledCryptoLatency:
             1 for msgs in others if b"slow proof" in msgs
         )
         assert arrival_counts == 5
-        prove_time = config.performance_model.prove_seconds(
+        prove_time = DEFAULT_PERFORMANCE_MODEL.prove_seconds(
             config.merkle_depth
         )
         assert prove_time > 0.2  # depth 20 is a sizeable circuit

@@ -96,37 +96,39 @@ def test_rotated_registration_after_bootstrap_reaches_every_router():
 
 
 def test_add_peer_replica_bootstrap_matches_replay():
-    """The mid-run join fast path adopts a clone; outcome must be
-    byte-identical with replaying the full event log."""
-    def join(bootstrap: str):
-        net = _network(seed=31)
-        net.start()
-        net.run(5.0)
-        newcomer = net.add_peer(bootstrap=bootstrap)
-        net.run(20.0)  # registration mined + everyone synced
-        return net, newcomer
-
-    net_a, fast = join("replica")
-    net_b, slow = join("replay")
-    assert fast.is_registered and slow.is_registered
-    assert fast.leaf_index == slow.leaf_index
-    assert fast.group.root == slow.group.root
-    assert fast.group.recent_roots()[-1] == slow.group.recent_roots()[-1]
+    """The mid-run join fast path adopts a clone; its outcome must be
+    byte-identical with a fresh replica replaying the full event log."""
+    net = _network(seed=31)
+    net.start()
+    net.run(5.0)
+    newcomer = net.add_peer()
+    net.run(20.0)  # registration mined + everyone synced
+    assert newcomer.is_registered
+    # The replay oracle: a fresh replica applies the whole log.
+    replay = net.membership_store.local_group()
+    for event in net.chain.event_log:
+        replay.apply_event(event)
+    assert newcomer.leaf_index == replay.index_of(newcomer.commitment)
+    assert newcomer.group.root == replay.root
+    assert newcomer.group.recent_roots() == replay.recent_roots()
+    assert newcomer.group.applied_events == replay.applied_events
     # The fast path skipped the genesis replay but still converged with
     # the incumbents.
-    assert fast.group.root == net_a.peers[0].group.root
+    assert newcomer.group.root == net.peers[0].group.root
 
 
-def test_add_peer_rejects_unknown_bootstrap_without_side_effects():
+def test_unplanned_windowed_join_fails_without_side_effects():
     import pytest
 
     from repro.errors import NetworkError
 
-    net = _network()
+    net = WakuRlnRelayNetwork(
+        peer_count=6, config=CONFIG, seed=9, shards=2, parallel=True
+    )
     index_before = net._next_peer_index
     peers_before = len(net.peers)
-    with pytest.raises(NetworkError):
-        net.add_peer(bootstrap="replicaa")  # typo
+    with pytest.raises(NetworkError, match="planned node_id"):
+        net.add_peer()  # a windowed join needs its node_id and dial list
     # The failed join left nothing behind: no phantom peer, no index
     # burn, no dangling overlay links.
     assert net._next_peer_index == index_before

@@ -133,13 +133,6 @@ class TestPreRegisteredGenesis:
         with pytest.raises(RegistrationError):
             _network(pre=2**8 - 3, peers=6)  # 253 + 6 > 256
 
-    def test_pre_registration_requires_registry_design(self):
-        config = ProtocolConfig(merkle_depth=8, contract_design="onchain_tree")
-        with pytest.raises(RegistrationError):
-            WakuRlnRelayNetwork(
-                peer_count=4, config=config, seed=1, pre_registered=10
-            )
-
     def test_genesis_member_slashable(self):
         # A genesis member whose secret leaks is slashable like any
         # other: the contract tombstones its immutable slot. Uses a

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import WakuRlnRelayNetwork
+from repro.core.peer import topic_domain
 from repro.errors import RateLimitError, ScenarioError
 from repro.scenarios import (
     AdversaryGroup,
@@ -143,7 +144,7 @@ class TestPerTopicRln:
             merkle_proof=publisher.group.merkle_proof(
                 publisher.leaf_index
             ),
-            domain=publisher._topic_domain(MARKET),
+            domain=topic_domain(net.config, MARKET),
         )
         raw = signal.to_bytes()
         market_verifier = router.rln_topics[MARKET].verifier

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ScenarioError, ScenarioSpecError
+from repro.core.config import ProtocolConfig
+from repro.errors import ConfigError, ScenarioError, ScenarioSpecError
 from repro.scenarios import (
     AdversaryGroup,
     AdversaryMix,
@@ -113,7 +114,6 @@ def test_unrunnable_clock_or_degree_is_a_typed_spec_error(field, value):
         ("peers", 2.5),
         ("pre_registered", 2.5),
         ("parallel_workers", None),
-        ("parallel_window", float("nan")),
         ("shards", 2.5),
     ],
 )
@@ -181,6 +181,42 @@ def test_an_unrunnable_sub_spec_field_is_a_typed_spec_error(
         cls(**kwargs)
     assert excinfo.value.problems == (field,)
     assert field in str(excinfo.value)
+
+
+CONFIG_CASES = [
+    # A bare ValueError, a ZeroDivisionError and an OverflowError.
+    ("epoch_length", NAN),
+    ("epoch_length", 0),
+    ("max_network_delay", INF),
+    # Ran, and paid reporters a negative reward: value not conserved.
+    ("burn_fraction", 2.0),
+    # Ran silently.
+    ("stake_wei", -1),
+    ("root_window", 0),
+    # Silently turned the verification cache off.
+    ("verification_cache_size", -5),
+    # A bare ValueError once the runner built the config.
+    ("membership_sub_depth", 20),
+    # Died mid-run: "periodic interval must be positive".
+    ("sync_interval", 0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    CONFIG_CASES,
+    ids=[f"{field}={value}" for field, value in CONFIG_CASES],
+)
+def test_an_out_of_range_config_override_is_a_typed_spec_error(field, value):
+    with pytest.raises(ScenarioSpecError) as excinfo:
+        ScenarioSpec(
+            name="x", description="d", peers=6, config_overrides={field: value}
+        )
+    assert excinfo.value.problems == (f"config_overrides.{field}",)
+    with pytest.raises(ConfigError) as direct:
+        ProtocolConfig(**{field: value})
+    assert direct.value.field == field
+    assert field in str(direct.value)
 
 
 def test_scaled_rescales_adversary_mix():

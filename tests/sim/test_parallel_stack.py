@@ -21,7 +21,7 @@ from repro.sim.simulator import Simulator
 
 def make_sim(shards=2, seed=7, window=0.25, pins=None):
     keys = [f"peer-{i}" for i in range(8)]
-    plan = ShardPlan.blocked(keys, shards, pins=pins)
+    plan = ShardPlan(shards, keys, pins=pins)
     return WindowedStackSimulator(seed=seed, plan=plan, window=window)
 
 
@@ -209,8 +209,8 @@ class TestPortsAndOwnership:
             sim.restrict_to(frozenset({0, 1}))
 
     def test_shard_pins_override_assignment(self):
-        plan = ShardPlan.blocked(
-            [f"peer-{i}" for i in range(8)], 2, pins={"peer-7": 0}
+        plan = ShardPlan(
+            2, [f"peer-{i}" for i in range(8)], pins={"peer-7": 0}
         )
         assert plan.shard_of("peer-7") == 0
         assert plan.shard_of("peer-4") == 1

@@ -189,7 +189,7 @@ def _kernels():
     return [
         Simulator(seed=3),
         WindowedStackSimulator(
-            seed=3, plan=ShardPlan.hashed(2), window=0.25
+            seed=3, plan=ShardPlan(2), window=0.25
         ),
     ]
 

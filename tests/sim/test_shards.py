@@ -15,41 +15,50 @@ DURATION = 8.0
 
 class TestShardPlan:
     def test_hash_plan_is_stable_and_in_range(self):
-        plan = ShardPlan.hashed(4)
+        plan = ShardPlan(4)
         for key in (f"peer-{i}" for i in range(200)):
             shard = plan.shard_of(key)
             assert 0 <= shard < 4
             assert plan.shard_of(key) == shard  # stable
 
     def test_hash_plan_spreads_keys(self):
-        plan = ShardPlan.hashed(4)
+        plan = ShardPlan(4)
         counts = [0] * 4
         for i in range(400):
             counts[plan.shard_of(f"peer-{i}")] += 1
         assert all(count > 50 for count in counts)
 
-    def test_block_plan_contiguous(self):
+    def test_key_list_is_cut_into_contiguous_blocks(self):
         keys = [f"peer-{i}" for i in range(10)]
-        plan = ShardPlan.blocked(keys, 2)
-        assert [plan.shard_of(k) for k in keys] == [0] * 5 + [1] * 5
+        assert [ShardPlan(2, keys).shard_of(k) for k in keys] == (
+            [0] * 5 + [1] * 5
+        )
+        # Ceil-sized blocks: the last shard takes the remainder.
+        assert [ShardPlan(3, keys).shard_of(k) for k in keys] == (
+            [0] * 4 + [1] * 4 + [2] * 2
+        )
 
-    def test_block_plan_unknown_key_falls_back_to_hash(self):
-        plan = ShardPlan.blocked(["a", "b"], 2)
-        assert 0 <= plan.shard_of("joined-later") < 2
+    def test_key_outside_the_list_hashes_as_without_a_list(self):
+        listed, hashed = ShardPlan(4, ["a", "b"]), ShardPlan(4)
+        for key in (f"joined-{i}" for i in range(50)):
+            assert listed.shard_of(key) == hashed.shard_of(key)
+
+    def test_pins_override_both_assignments(self):
+        plan = ShardPlan(2, ["a", "b"], pins={"b": 0, "joined": 1})
+        assert plan.shard_of("b") == 0
+        assert plan.shard_of("joined") == 1
 
     def test_none_key_maps_to_shard_zero(self):
-        assert ShardPlan.hashed(4).shard_of(None) == 0
+        assert ShardPlan(4).shard_of(None) == 0
 
     def test_single_shard_short_circuits(self):
-        assert ShardPlan.hashed(1).shard_of("anything") == 0
+        assert ShardPlan(1).shard_of("anything") == 0
 
     def test_invalid_plans_rejected(self):
         with pytest.raises(SimulationError):
-            ShardPlan.hashed(0)
+            ShardPlan(0)
         with pytest.raises(SimulationError):
-            ShardPlan(2, strategy="nope")
-        with pytest.raises(SimulationError):
-            ShardPlan(2, strategy="block")  # no keys
+            ShardPlan(2, pins={"a": 2})
 
 
 def _relay_workload(sim, log):
@@ -129,8 +138,8 @@ class TestWindowedPartitionInvariance:
         """The heap orders on ``(time, origin, seq)``, none of which
         depends on the plan: the trace and every logged draw match the
         single-shard run, in execution order."""
-        (base,), base_trace, base_log = _run(ShardPlan.hashed(1))
-        (sim,), trace, log = _run(ShardPlan.hashed(shards))
+        (base,), base_trace, base_log = _run(ShardPlan(1))
+        (sim,), trace, log = _run(ShardPlan(shards))
         assert len(base_log) > 100
         assert [e[:4] for e in trace] == [e[:4] for e in base_trace]
         assert log == base_log
@@ -140,7 +149,7 @@ class TestWindowedPartitionInvariance:
     def test_forked_workers_match_one_worker(self, shards, workers):
         """Splitting the shards across workers that meet only at the
         barriers executes the same events under the same keys."""
-        plan = ShardPlan.hashed(shards)
+        plan = ShardPlan(shards)
         (whole,), whole_trace, whole_log = _run(plan)
         sims, trace, log = _run(plan, workers=workers)
         assert len(sims) == workers
@@ -155,7 +164,7 @@ class TestWindowedPartitionInvariance:
         )
 
     def test_cross_shard_accounting(self):
-        (sim,), _trace, _log = _run(ShardPlan.hashed(4))
+        (sim,), _trace, _log = _run(ShardPlan(4))
         stats = sim.shard_stats()
         assert stats["shards"] == 4
         assert stats["window"] == WINDOW
@@ -166,13 +175,13 @@ class TestWindowedPartitionInvariance:
         assert 0.0 < stats["cross_shard_fraction"] < 1.0
 
     def test_single_shard_has_no_cross_traffic(self):
-        (sim,), _trace, _log = _run(ShardPlan.hashed(1))
+        (sim,), _trace, _log = _run(ShardPlan(1))
         stats = sim.shard_stats()
         assert stats["cross_shard_scheduled"] == 0
         assert stats["events_by_shard"] == [sim.events_processed]
 
     def test_cancelled_timers_stop_on_every_worker(self):
-        _sims, _trace, log = _run(ShardPlan.hashed(4), workers=2)
+        _sims, _trace, log = _run(ShardPlan(4), workers=2)
         for i, node in enumerate(NODES):
             beats = [
                 t for t, kind, who, _ in log if kind == "beat" and who == node
@@ -187,7 +196,7 @@ class TestWindowedPartitionInvariance:
         """Handles cancel events queued for other shards; a cancelled
         event never fires and leaves the live depth."""
         sim = WindowedStackSimulator(
-            seed=0, plan=ShardPlan.hashed(4), window=WINDOW
+            seed=0, plan=ShardPlan(4), window=WINDOW
         )
         pending = []
         fired = []

@@ -4,7 +4,9 @@ competing-watchtower races on a full simulated deployment."""
 
 import pytest
 
-from repro.core import WakuRlnRelayNetwork
+from repro.core import ProtocolConfig, WakuRlnRelayNetwork
+from repro.core.validator import ValidationOutcome
+from repro.waku.message import DEFAULT_PUBSUB_TOPIC
 from repro.watchtower import WatchtowerService, WatchtowerStore
 
 
@@ -122,6 +124,39 @@ class TestDelegatedEnforcement:
         assert peer.balance == before - 10**15
         assert service.balance == 10**15
         assert service.store.delegation_count() == 1
+
+    def test_eager_nullifier_gc_prunes_on_the_epoch_grid(self, tmp_path):
+        """The watchtower runs the routers' validator stack, so it
+        honours ``eager_nullifier_gc`` as every router does: a signal
+        for a new latest epoch drops the buckets more than ``thr``
+        behind it at once, with no housekeeping tick in between."""
+        net = WakuRlnRelayNetwork(
+            peer_count=6,
+            seed=42,
+            block_interval=5.0,
+            config=ProtocolConfig(eager_nullifier_gc=True),
+        )
+        net.register_all()
+        service = make_service(net, tmp_path)
+        service.start()
+        net.run(5 * net.config.epoch_length)
+        router = net.peer(5).validator
+        tower = service._validators[DEFAULT_PUBSUB_TOPIC]
+        now, thr = tower.epoch_tracker.current_epoch, net.config.thr
+        # The oldest epoch still in the window, then a new latest one
+        # more than thr ahead of it.
+        signals = [
+            peer.prover.create_signal(
+                b"m", epoch, peer.group.merkle_proof(peer.leaf_index)
+            ).to_bytes()
+            for peer, epoch in zip(net.peers, (now - thr, now + 1))
+        ]
+        for validator in (router, tower):
+            for raw in signals:
+                report = validator.validate_bytes(raw)
+                assert report.outcome is ValidationOutcome.RELAY
+            assert validator.nullifier_map.epochs() == [now + 1]
+            assert validator.nullifier_map.auto_pruned_entries == 1
 
 
 class TestCrashRecovery:
