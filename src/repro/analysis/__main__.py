@@ -93,14 +93,14 @@ def _explain_parallel(spec, workers) -> int:
     groups and barrier windows the runner uses."""
     from ..scenarios.parallel import barrier_times, contiguous_groups
     from ..scenarios.runner import ScenarioRunner
-    from ..sim.latency import UniformLatency
+    from ..sim.latency import DEFAULT_LATENCY
     from ..sim.parallel_stack import ShardPlan
 
     workers = min(workers, spec.shards)
     roster = [f"peer-{i}" for i in range(spec.peers)]
     pins = ScenarioRunner.shard_pins(spec)
     plan = ShardPlan(spec.shards, keys=roster, pins=pins)
-    window = UniformLatency(base_seconds=0.03).min_latency()
+    window = DEFAULT_LATENCY.min_latency()
     barriers = sum(1 for _ in barrier_times(spec.duration, window))
     tail = spec.adversaries.total_count
     services = len(spec.watchtowers.service_ids()) if spec.watchtowers else 0

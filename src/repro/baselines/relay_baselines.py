@@ -17,7 +17,7 @@ from ..gossipsub.router import ValidationResult
 from ..gossipsub.score import PeerScoreParams, strict_topic_params
 from ..net.network import Network
 from ..net.topology import connect_full_mesh, connect_random_regular
-from ..sim.latency import LatencyModel, UniformLatency
+from ..sim.latency import DEFAULT_LATENCY, LatencyModel
 from ..sim.simulator import Simulator
 from ..waku.message import WakuMessage
 from ..waku.relay import WakuRelayNode
@@ -46,7 +46,7 @@ class BaselineNetwork:
         self.simulator = Simulator(seed=self.seed)
         self.network = Network(
             simulator=self.simulator,
-            latency=self.latency or UniformLatency(base_seconds=0.03),
+            latency=self.latency or DEFAULT_LATENCY,
         )
         self.metrics = self.network.metrics
         self.nodes: List[WakuRelayNode] = [

@@ -61,7 +61,7 @@ class ProtocolConfig:
     #: every signal itself, the paper's naive per-message cost model.
     verification_cache_size: int = DEFAULT_VERIFICATION_CACHE_SIZE
     #: Shard the deployment's shared canonical membership tree (one
-    #: copy-on-write tree per domain that every replica views, see
+    #: tree per domain that every replica views, see
     #: :class:`~repro.rln.membership.MembershipStore`) into
     #: fixed-capacity sub-trees of this depth under a top-level
     #: root-of-roots (the tree-of-trees registry,

@@ -137,8 +137,8 @@ class WakuRlnRelayPeer:
         self._rng = rng
         self.keypair = MembershipKeyPair.generate(rng)
         # One membership (stake + tree) serves every topic of this peer;
-        # with a deployment store the replica is a copy-on-write view of
-        # the one canonical tree, otherwise it is fully independent.
+        # with a deployment store the replica is a view of the one
+        # canonical tree, otherwise of a private one.
         self.group = (
             membership_store.local_group(config.domain or "")
             if membership_store is not None

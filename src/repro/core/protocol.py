@@ -32,7 +32,7 @@ from ..net.topology import connect_full_mesh, connect_random_regular
 from ..rln.membership import MembershipStore
 from ..rln.prover import rln_keys
 from ..rln.verifier import BarrierMemoCache, VerificationCache
-from ..sim.latency import LatencyModel, UniformLatency
+from ..sim.latency import DEFAULT_LATENCY, LatencyModel
 from ..sim.metrics import MetricsRegistry
 from ..sim.parallel_stack import ShardPlan, WindowedStackSimulator
 from ..sim.simulator import Simulator
@@ -96,7 +96,7 @@ class WakuRlnRelayNetwork:
         self.parallel = parallel
         if owned_shards is not None and not parallel:
             raise NetworkError("owned_shards requires parallel mode")
-        latency = latency or UniformLatency(base_seconds=0.03)
+        latency = latency or DEFAULT_LATENCY
         peer_ids = [f"peer-{i}" for i in range(peer_count)]
         if parallel:
             # Window-isolated kernel: per-entity order keys and RNG
@@ -140,7 +140,7 @@ class WakuRlnRelayNetwork:
         )
         self.contract = self.chain.deploy(contract)
         #: Deployment-wide shared membership-tree store: every replica
-        #: is a copy-on-write view of one canonical tree per domain.
+        #: is a view of one canonical tree per domain.
         self.membership_store = MembershipStore(
             self.config.merkle_depth,
             self.config.root_window,

@@ -2,31 +2,25 @@
 
 This is the *naive* membership-tree store the paper quotes 67 MB for at
 depth 20: every internal node of the fixed-shape tree is materialised (or
-defaulted to a precomputed zero-subtree hash). It supports:
-
-* append-only insertion of identity commitments (leaves),
-* leaf overwrite (member deletion sets the leaf back to zero),
-* authentication-path extraction for any leaf (needed by provers),
-* root queries and proof verification,
-* O(1) commitment-to-index lookup (``find_leaf``).
+defaulted to a precomputed zero-subtree hash). It is what the crypto
+experiments (E1-E4, E8) prove against: append-only insertion of identity
+commitments, authentication paths and the root. Replicas never hold one;
+they read the one canonical tree of :mod:`repro.crypto.merkle_forest`
+through :mod:`repro.crypto.merkle_shared`, whose reads are checked
+against a flat per-version oracle built on this class.
 
 Internally the tree is int-native: nodes are canonical integers hashed
 through :func:`repro.crypto.hashing.hash2_int`, so a depth-20 path
 update allocates no :class:`Fr` objects. The public API still speaks
-``Fr``.
-
-The storage-optimized variant from reference [9] of the paper lives in
-:mod:`repro.crypto.merkle_optimized`, the one canonical tree per
-deployment domain in :mod:`repro.crypto.merkle_forest`, and each
-replica's copy-on-write view of it in :mod:`repro.crypto.merkle_shared`;
-all produce identical roots, which property tests assert.
+``Fr``. The storage-optimized variant from reference [9] of the paper
+lives in :mod:`repro.crypto.merkle_optimized`; property tests assert
+both produce identical roots.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import MerkleError
 from .field import Fr
@@ -127,9 +121,6 @@ class MerkleTree:
         self._zeros = zero_hashes_int(depth)
         self._nodes: Dict[Tuple[int, int], int] = {}
         self._next_index = 0
-        #: leaf value -> ascending indices currently holding it; keeps
-        #: ``find_leaf`` O(1) instead of a linear scan over members.
-        self._leaf_slots: Dict[int, List[int]] = {}
 
     # -- node access --------------------------------------------------------
 
@@ -164,95 +155,9 @@ class MerkleTree:
         if self._next_index >= self.capacity:
             raise MerkleError(f"tree is full ({self.capacity} leaves)")
         index = self._next_index
-        value = Fr(leaf)._value
-        self._index_leaf(value, index)
-        self._set_leaf(index, value)
+        self._set_leaf(index, Fr(leaf)._value)
         self._next_index += 1
         return index
-
-    def clone(self) -> "MerkleTree":
-        """An independent copy with identical contents.
-
-        Copying materialised nodes is ~20x cheaper than replaying the
-        insertions that produced them (no hashing); the zero-subtree
-        table is immutable and shared.
-        """
-        other = MerkleTree.__new__(MerkleTree)
-        other.depth = self.depth
-        other.capacity = self.capacity
-        other._zeros = self._zeros
-        other._nodes = dict(self._nodes)
-        other._next_index = self._next_index
-        other._leaf_slots = {
-            value: list(slots) for value, slots in self._leaf_slots.items()
-        }
-        return other
-
-    def update(self, index: int, leaf: Fr) -> None:
-        """Overwrite an existing slot (member deletion writes zero)."""
-        self._check_index(index)
-        if index >= self._next_index:
-            raise MerkleError(f"leaf {index} has not been inserted yet")
-        value = Fr(leaf)._value
-        old = self._get_node(0, index)
-        if old != value:
-            self._unindex_leaf(old, index)
-            self._index_leaf(value, index)
-        self._set_leaf(index, value)
-
-    def delete(self, index: int) -> None:
-        """Reset slot ``index`` to the zero leaf."""
-        self.update(index, Fr.zero())
-
-    # For an *independent* replica there is no shared structure to
-    # protect, so membership events from the synced log are plain
-    # mutations; the aliases keep LocalGroup agnostic of its tree type
-    # (SharedMerkleView distinguishes the two paths).
-    synced_insert = insert
-    synced_update = update
-
-    def synced_insert_batch(
-        self, leaves, roots_tail: int
-    ) -> Tuple[int, List[Fr]]:
-        """Apply one batch membership event to an independent replica.
-
-        A plain insert loop — with no shared structure there is nothing
-        to compact. Returns ``(first index, roots of the last
-        min(roots_tail, n) states, oldest first)``, matching
-        :meth:`SharedMerkleView.synced_insert_batch` so
-        :class:`~repro.rln.membership.LocalGroup` stays agnostic of its
-        tree type.
-        """
-        first = self._next_index
-        leaves = pack_batch(leaves)
-        n = len(leaves)
-        if self._next_index + n > self.capacity:
-            raise MerkleError(f"tree is full ({self.capacity} leaves)")
-        need_from = n - min(max(roots_tail, 1), n) if n else 0
-        roots: List[Fr] = []
-        for j, leaf in enumerate(leaves):
-            self.insert(leaf)
-            if j >= need_from:
-                roots.append(self.root)
-        return first, roots
-
-    def _index_leaf(self, value: int, index: int) -> None:
-        slots = self._leaf_slots.get(value)
-        if slots is None:
-            self._leaf_slots[value] = [index]
-        else:
-            insort(slots, index)
-
-    def _unindex_leaf(self, value: int, index: int) -> None:
-        slots = self._leaf_slots.get(value)
-        if slots is None:
-            return
-        try:
-            slots.remove(index)
-        except ValueError:
-            return
-        if not slots:
-            del self._leaf_slots[value]
 
     def _set_leaf(self, index: int, value: int) -> None:
         nodes = self._nodes
@@ -292,22 +197,9 @@ class MerkleTree:
 
     # -- storage accounting --------------------------------------------------
 
-    def storage_bytes(self) -> int:
-        """Bytes required to persist every materialised node (32 B each)."""
-        return 32 * len(self._nodes)
-
     def full_storage_bytes(self) -> int:
         """Bytes for a *fully materialised* depth-d tree: (2^(d+1)-1) * 32.
 
         This is the figure the paper quotes (67 MB at depth 20).
         """
         return 32 * ((1 << (self.depth + 1)) - 1)
-
-    def leaves(self) -> Sequence[Fr]:
-        """All assigned leaf values, in insertion order."""
-        return [self.leaf(i) for i in range(self._next_index)]
-
-    def find_leaf(self, leaf: Fr) -> Optional[int]:
-        """Index of the first occurrence of ``leaf`` among assigned slots."""
-        slots = self._leaf_slots.get(Fr(leaf)._value)
-        return slots[0] if slots else None

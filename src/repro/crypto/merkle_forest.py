@@ -35,7 +35,7 @@ What the decomposition buys:
 
 :class:`CanonicalShardedTree` sits behind every
 :class:`~repro.crypto.merkle_shared.SharedMerkleView`: versioned reads
-through an undo journal, fork and dedup counters. Versions inside a
+through an undo journal, and a dedup counter. Versions inside a
 compacted genesis range are one exception: their roots and node
 snapshots were never stored, so reading them raises
 :class:`~repro.errors.MerkleError` instead of silently recomputing.
@@ -199,8 +199,6 @@ class CanonicalShardedTree:
         self.genesis_claimed = False
         #: Events replayed by later replicas without hashing (stat).
         self.events_deduped = 0
-        #: Views that diverged and went private (stat).
-        self.forks = 0
 
     # -- head bookkeeping ---------------------------------------------------
 
@@ -462,16 +460,6 @@ class CanonicalShardedTree:
                 if self.node_at(0, index, version) == value:
                     best = index
         return best
-
-    def leaf_slots_at(self, version: int) -> Dict[int, List[int]]:
-        """value -> ascending indices snapshot (fork bootstrap); raises
-        like :meth:`node_at` at a compacted or pruned version."""
-        slots: Dict[int, List[int]] = {}
-        for index in range(self.leaf_count_at(version)):
-            slots.setdefault(self.node_at(0, index, version), []).append(
-                index
-            )
-        return slots
 
     def prune(self) -> None:
         """Drop the journal entries no view reads: those at or below the

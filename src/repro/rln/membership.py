@@ -5,6 +5,12 @@ ordered list of public keys, while **every peer maintains the Merkle
 tree locally**, updating it from contract events ("Group
 Synchronization"). :class:`LocalGroup` is that local replica.
 
+Every replica's tree is a view of a canonical tree: one per
+(deployment, domain) in a :class:`MembershipStore`, or a private one
+for a replica built outside any deployment. A replica offered an event
+other than the one its tree recorded raises
+:class:`~repro.errors.SyncError`.
+
 It also keeps a small window of recent roots. Proof verification
 accepts any root in the window, which tolerates the unavoidable race
 between a publisher proving against root ``r_k`` and a router that has
@@ -13,12 +19,12 @@ already applied the ``k+1``-th membership event.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..constants import DEFAULT_MERKLE_DEPTH
 from ..crypto.field import Fr
 from ..crypto.keys import IdentityCommitment
-from ..crypto.merkle import MerkleProof, MerkleTree
+from ..crypto.merkle import MerkleProof
 from ..crypto.merkle_forest import CanonicalShardedTree
 from ..crypto.merkle_shared import SharedMerkleView
 from ..errors import MemberNotFoundError, SyncError
@@ -26,31 +32,30 @@ from ..errors import MemberNotFoundError, SyncError
 #: How many historical roots a router accepts by default.
 DEFAULT_ROOT_WINDOW = 8
 
-#: Anything LocalGroup can use as its tree.
-MembershipTree = Union[MerkleTree, SharedMerkleView]
-
 
 class LocalGroup:
     """A peer's local replica of the RLN membership tree.
 
-    ``tree`` selects the storage strategy: by default every replica
-    owns an independent :class:`MerkleTree` (the paper's literal
-    reading); a deployment running a :class:`MembershipStore` instead
-    hands each replica a :class:`SharedMerkleView` of the one canonical
-    copy-on-write tree, which makes a membership event cost O(depth)
-    hashes once network-wide instead of once per replica. Either way
-    the replica's observable behaviour is identical — the store's
-    property tests prove bit-equal roots, root windows and decisions.
+    ``tree`` is a :class:`SharedMerkleView`: a deployment's
+    :class:`MembershipStore` hands each replica a view of its domain's
+    one canonical tree, which makes a membership event cost O(depth)
+    hashes once network-wide instead of once per replica. Built without
+    one (a standalone peer, an ablation), the replica gets a view of a
+    private canonical tree of its own. The store's property tests prove
+    bit-equal roots, root windows and decisions against replicas on a
+    flat oracle tree.
     """
 
     def __init__(
         self,
         depth: int = DEFAULT_MERKLE_DEPTH,
         root_window: int = DEFAULT_ROOT_WINDOW,
-        tree: Optional[MembershipTree] = None,
+        tree: Optional[SharedMerkleView] = None,
     ) -> None:
-        self.tree: MembershipTree = (
-            MerkleTree(depth) if tree is None else tree
+        self.tree = (
+            SharedMerkleView(CanonicalShardedTree(depth, depth))
+            if tree is None
+            else tree
         )
         self.root_window = root_window
         self._recent_roots: Dict[Fr, None] = {}  # oldest first
@@ -86,7 +91,7 @@ class LocalGroup:
         """Apply a MemberRegistered event; returns the new leaf index.
 
         ``event_index`` is the contract's event sequence number; applying
-        events out of order would silently fork the local tree from the
+        events out of order would silently diverge the local tree from the
         canonical one, so a gap raises :class:`SyncError` instead.
         """
         self._check_sequence(event_index)
@@ -109,7 +114,7 @@ class LocalGroup:
         pins this.
         """
         self._check_sequence(event_index)
-        first_index, tail_roots = self.tree.synced_insert_batch(
+        first_index, tail_roots = self.tree.synced_extend(
             commitments, self.root_window
         )
         self.applied_events += 1
@@ -141,8 +146,8 @@ class LocalGroup:
     def two_level_proof(self, leaf_index: int):
         """Sharded authentication path (sub-tree hop + top hop).
 
-        Only meaningful when the replica's tree is backed by a sharded
-        canonical tree; ``flatten()`` of the result is exactly
+        Only meaningful when the replica's canonical tree is sharded;
+        ``flatten()`` of the result is exactly
         :meth:`merkle_proof` of the same leaf.
         """
         return self.tree.two_level_proof(leaf_index)
@@ -162,12 +167,13 @@ class LocalGroup:
         window — so a freshly bootstrapped peer may copy an up-to-date
         replica instead of replaying the whole event log. Behaviourally
         identical to applying the same events one by one, including the
-        remembered intermediate roots.
+        remembered intermediate roots. Both replicas must read the same
+        canonical tree: adopting another domain's (or another replica's
+        private) tree would silently re-bind this one to a different log.
         """
-        if other.tree.depth != self.tree.depth:
+        if other.tree.canonical is not self.tree.canonical:
             raise SyncError(
-                f"cannot replicate a depth-{other.tree.depth} tree into a "
-                f"depth-{self.tree.depth} replica"
+                "cannot replicate a replica of a different canonical tree"
             )
         if other.root_window != self.root_window:
             raise SyncError("replicas disagree on the root-window size")
@@ -205,24 +211,21 @@ class LocalGroup:
         """Authentication path for a member's leaf (publisher side)."""
         return self.tree.proof(leaf_index)
 
-    def storage_bytes(self) -> int:
-        return self.tree.storage_bytes()
-
 
 class MembershipStore:
     """Deployment-wide shared membership-tree store.
 
     One :class:`~repro.crypto.merkle_forest.CanonicalShardedTree` per
     (deployment, domain); every replica created through
-    :meth:`local_group` holds a copy-on-write view of its domain's
+    :meth:`local_group` holds a view of its domain's
     canonical tree. The first replica to apply a membership event pays
     the O(depth) hashing; every other replica's application of the same
     event is a pointer advance (counted in ``events_deduped``), and a
-    replica that diverges forks into private storage without ever
-    touching its siblings (counted in ``forks``).
+    replica offered a different event raises :class:`SyncError` without
+    touching its siblings.
 
     Every deployment builds one; a peer constructed outside a
-    deployment's store keeps a fully independent replica.
+    deployment's store keeps a private canonical tree.
     """
 
     def __init__(
@@ -300,7 +303,6 @@ class MembershipStore:
             "domains": len(self._canonicals),
             "events": sum(c.version for c in canonicals),
             "events_deduped": sum(c.events_deduped for c in canonicals),
-            "forks": sum(c.forks for c in canonicals),
             "shared_bytes": sum(c.storage_bytes() for c in canonicals),
             # How many sub-tree interiors were actually built (memory
             # tracks the active slice, not the full capacity).

@@ -1207,7 +1207,8 @@ class ScenarioRunner:
             extras["membership_events_deduped"] = float(
                 store_stats["events_deduped"]
             )
-            extras["membership_forks"] = float(store_stats["forks"])
+            # Views never fork; kept for the fingerprint (ROADMAP item 1).
+            extras["membership_forks"] = 0.0
             if net.config.membership_sub_depth is not None:
                 # Sharded registry only: how much of the tree-of-trees
                 # was actually built. Gated on the opt-in flag so flat

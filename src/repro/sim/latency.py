@@ -52,6 +52,10 @@ class UniformLatency(LatencyModel):
         return self.base_seconds + rng.uniform(0, self.spread_seconds)
 
 
+#: The relay networks' default link latency (30-80 ms per hop).
+DEFAULT_LATENCY = UniformLatency(base_seconds=0.03)
+
+
 @dataclass(frozen=True)
 class LogNormalLatency(LatencyModel):
     """Heavy-tailed latency, the usual fit for internet RTT distributions.

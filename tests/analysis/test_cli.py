@@ -7,11 +7,11 @@ import pytest
 from repro.analysis.__main__ import EXPERIMENTS, main
 from repro.scenarios import scenario, scenario_names
 from repro.scenarios.parallel import barrier_times
-from repro.sim.latency import UniformLatency
+from repro.sim.latency import DEFAULT_LATENCY
 
 
 #: The barrier window: the runner's latency model's minimum latency.
-WINDOW = UniformLatency(base_seconds=0.03).min_latency()
+WINDOW = DEFAULT_LATENCY.min_latency()
 
 
 class TestCli:

@@ -20,6 +20,7 @@ import hashlib
 from typing import List, Sequence
 
 import pytest
+from flat_tree_oracle import FlatTree
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,7 @@ from repro.crypto.hashing import (
     hash_level_int,
     set_hash_backend,
 )
-from repro.crypto.merkle import MerkleTree, zero_hashes_int
+from repro.crypto.merkle import zero_hashes_int
 from repro.crypto.slot_index import PackedFieldList
 from repro.crypto.zksnark.groth16 import trusted_setup
 from repro.errors import FieldError
@@ -193,7 +194,7 @@ def test_sharded_genesis_root_is_pinned(backend):
 def test_flat_store_root_is_pinned(backend):
     *_, (depth, leaves, slash, root) = VECTORS[backend]
     view = MembershipStore(depth=depth).view()
-    reference = MerkleTree(depth)
+    reference = FlatTree(depth)
     for leaf in leaves:
         view.synced_insert(Fr(leaf))
         reference.insert(Fr(leaf))

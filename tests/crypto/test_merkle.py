@@ -1,6 +1,8 @@
-"""Tests for the full and frontier Merkle trees."""
+"""Tests for the full and frontier Merkle trees, and for the flat
+oracle's overwrite / lookup / clone surface on top of the full tree."""
 
 import pytest
+from flat_tree_oracle import FlatTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,21 +68,6 @@ class TestMerkleTree:
         tree.insert(Fr(7))
         assert tree.leaf(0) == Fr(7)
 
-    def test_update_and_delete(self):
-        tree = MerkleTree(3)
-        tree.insert(Fr(7))
-        root_before = tree.root
-        tree.update(0, Fr(8))
-        assert tree.leaf(0) == Fr(8)
-        assert tree.root != root_before
-        tree.delete(0)
-        assert tree.leaf(0) == Fr.zero()
-
-    def test_update_unassigned_slot_rejected(self):
-        tree = MerkleTree(3)
-        with pytest.raises(MerkleError):
-            tree.update(0, Fr(1))
-
     def test_index_out_of_range(self):
         tree = MerkleTree(3)
         with pytest.raises(MerkleError):
@@ -92,15 +79,40 @@ class TestMerkleTree:
         with pytest.raises(MerkleError):
             MerkleTree(0)
 
+    def test_full_storage_formula(self):
+        tree = MerkleTree(20)
+        # (2^21 - 1) nodes * 32 B each = the paper's ~67 MB (decimal) figure.
+        assert tree.full_storage_bytes() == 32 * (2**21 - 1)
+        assert tree.full_storage_bytes() == pytest.approx(67e6, rel=0.01)
+
+
+class TestFlatTree:
+    """The replica surface the oracle adds to :class:`MerkleTree`."""
+
+    def test_update_and_delete(self):
+        tree = FlatTree(3)
+        tree.insert(Fr(7))
+        root_before = tree.root
+        tree.update(0, Fr(8))
+        assert tree.leaf(0) == Fr(8)
+        assert tree.root != root_before
+        tree.delete(0)
+        assert tree.leaf(0) == Fr.zero()
+
+    def test_update_unassigned_slot_rejected(self):
+        tree = FlatTree(3)
+        with pytest.raises(MerkleError):
+            tree.update(0, Fr(1))
+
     def test_find_leaf(self):
-        tree = MerkleTree(3)
+        tree = FlatTree(3)
         tree.insert(Fr(5))
         tree.insert(Fr(6))
         assert tree.find_leaf(Fr(6)) == 1
         assert tree.find_leaf(Fr(99)) is None
 
     def test_find_leaf_first_occurrence_wins(self):
-        tree = MerkleTree(3)
+        tree = FlatTree(3)
         tree.insert(Fr(7))
         tree.insert(Fr(7))
         assert tree.find_leaf(Fr(7)) == 0
@@ -109,7 +121,7 @@ class TestMerkleTree:
         assert tree.find_leaf(Fr.zero()) == 0  # explicit zeroed slot
 
     def test_find_leaf_tracks_updates(self):
-        tree = MerkleTree(3)
+        tree = FlatTree(3)
         tree.insert(Fr(1))
         tree.insert(Fr(2))
         tree.update(0, Fr(3))
@@ -122,7 +134,7 @@ class TestMerkleTree:
         assert tree.find_leaf(Fr(3)) == 1
 
     def test_clone_index_is_independent(self):
-        tree = MerkleTree(3)
+        tree = FlatTree(3)
         tree.insert(Fr(5))
         twin = tree.clone()
         twin.update(0, Fr(6))
@@ -132,23 +144,17 @@ class TestMerkleTree:
         assert tree.root != twin.root
 
     def test_leaves_in_insertion_order(self):
-        tree = MerkleTree(3)
+        tree = FlatTree(3)
         values = [Fr(3), Fr(1), Fr(2)]
         for v in values:
             tree.insert(v)
         assert list(tree.leaves()) == values
 
     def test_storage_grows_with_inserts(self):
-        tree = MerkleTree(8)
+        tree = FlatTree(8)
         before = tree.storage_bytes()
         tree.insert(Fr(1))
         assert tree.storage_bytes() > before
-
-    def test_full_storage_formula(self):
-        tree = MerkleTree(20)
-        # (2^21 - 1) nodes * 32 B each = the paper's ~67 MB (decimal) figure.
-        assert tree.full_storage_bytes() == 32 * (2**21 - 1)
-        assert tree.full_storage_bytes() == pytest.approx(67e6, rel=0.01)
 
 
 class TestMerkleProof:

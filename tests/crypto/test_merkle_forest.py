@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from flat_tree_oracle import FlatTreeOracle
+from flat_tree_oracle import FlatReplica, FlatTreeOracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +27,7 @@ from repro.crypto.merkle import MerkleProof
 from repro.crypto.merkle_forest import CanonicalShardedTree, TwoLevelProof
 from repro.crypto.merkle_shared import SharedMerkleView
 from repro.crypto.slot_index import PackedFieldList
-from repro.errors import MerkleError
+from repro.errors import MerkleError, SyncError
 from repro.rln.membership import LocalGroup, MembershipStore
 
 DEPTH = 6
@@ -39,13 +39,13 @@ def _commitments(n: int, seed: int = 3):
 
 
 def _triple(sub_depth: int, depth: int = DEPTH):
-    """(sharded replica, one-sub-tree replica, independent replica)."""
+    """(sharded replica, one-sub-tree replica, flat-oracle replica)."""
     sharded = MembershipStore(depth=depth, sub_depth=sub_depth)
     flat = MembershipStore(depth=depth)
     return (
         sharded.local_group(),
         flat.local_group(),
-        LocalGroup(depth),
+        FlatReplica(depth),
     )
 
 
@@ -238,7 +238,7 @@ class TestGenesisBatch:
 
     def test_slash_of_genesis_member_after_compaction(self):
         sharded = MembershipStore(depth=DEPTH, sub_depth=3).local_group()
-        flat = LocalGroup(DEPTH)
+        flat = FlatReplica(DEPTH)
         commitments = _commitments(25, seed=13)
         sharded.apply_registration_batch(commitments, event_index=0)
         for event, commitment in enumerate(commitments):
@@ -399,8 +399,8 @@ class TestTwoLevelProof:
             group.two_level_proof(0)
 
 
-class TestForkBehavior:
-    def test_diverging_replica_forks_privately(self):
+class TestReplicaBehavior:
+    def test_diverging_replica_raises_sync_error(self):
         store = MembershipStore(depth=DEPTH, sub_depth=2)
         commitments = _commitments(10, seed=23)
         canonical_replica = store.local_group()
@@ -409,12 +409,16 @@ class TestForkBehavior:
             commitments[:8], event_index=0
         )
         divergent.apply_registration_batch(commitments[:7], event_index=0)
+        canonical = store.canonical()
+        digest = canonical.state_digest()
+        root, version = divergent.root, divergent.tree.version
         # Replica 2 now applies a *different* second event (its batch
-        # was contract event 0): must fork, not corrupt the canonical.
-        divergent.apply_registration(commitments[9], 1)
-        assert store.stats()["forks"] == 1
-        assert divergent.root != canonical_replica.root
-        assert divergent.member_count == canonical_replica.member_count
+        # was contract event 0): it is off the log, and nothing moves.
+        with pytest.raises(SyncError, match="version 7"):
+            divergent.apply_registration(commitments[9], 1)
+        assert canonical.state_digest() == digest
+        assert (divergent.root, divergent.tree.version) == (root, version)
+        assert divergent.applied_events == 1
         # Canonical side unaffected; a third replica dedups cleanly.
         third = store.local_group()
         third.apply_registration_batch(commitments[:8], event_index=0)
@@ -473,7 +477,7 @@ def _advance(view, tree):
     """Apply the event at ``view``'s version, as a lagging replica's
     sync does (the genesis batch whole, through its fast path)."""
     if view.version < tree.genesis_version:
-        view.synced_insert_batch(tree.genesis_members, 2)
+        view.synced_extend(tree.genesis_members, 2)
         return
     event = tree.event_at(view.version)
     if event[0] == "insert":
@@ -503,7 +507,7 @@ class TestJournalPrune:
         values = st.integers(1, 6)  # repeats are common
         for _ in range(data.draw(st.integers(1, 25))):
             action = data.draw(st.sampled_from(
-                ["register", "slash", "sync", "fork", "view", "clone",
+                ["register", "slash", "sync", "diverge", "view", "clone",
                  "drop", "prune", "prune"]
             ))
             if action == "view" or not pairs:
@@ -513,8 +517,6 @@ class TestJournalPrune:
                 continue
             i = data.draw(st.integers(0, len(pairs) - 1))
             a, b = pairs[i]
-            if action in ("register", "slash", "sync") and a.is_forked:
-                continue
             if action in ("register", "slash"):
                 while a.version < pruned.version:  # catch up, then write
                     _advance(a, pruned)
@@ -532,17 +534,15 @@ class TestJournalPrune:
                     if a.version < pruned.version:
                         _advance(a, pruned)
                         _advance(b, full)
-            elif action == "fork":
-                value = Fr(data.draw(values))
-                if 0 < a.version < pruned._node_floor:
-                    # A replay inside the pruned range has no snapshot
-                    # left to fork off: refused, and the view unchanged.
-                    with pytest.raises(MerkleError):
-                        a.insert(value)
-                    assert not a.is_forked and a.leaf_count == b.leaf_count
-                    continue
-                a.insert(value)
-                b.insert(value)
+            elif action == "diverge" and a.version < pruned.version:
+                # No log records a value above 100; pruned or not, the
+                # lagging view refuses it and nothing moves.
+                value = Fr(100 + data.draw(values))
+                digest, version = pruned.state_digest(), a.version
+                with pytest.raises(SyncError):
+                    a.synced_insert(value)
+                assert pruned.state_digest() == digest
+                assert a.version == version
             elif action == "clone":
                 pairs.append((a.clone(), b.clone()))
             elif action == "drop":
@@ -554,7 +554,7 @@ class TestJournalPrune:
                 assert pruned._node_floor in (before, laggiest)
             self._assert_reads_equal(pruned, full, pairs)
         for a, b in pairs:  # every attached view reaches the head
-            while not a.is_forked and a.version < pruned.version:
+            while a.version < pruned.version:
                 _advance(a, pruned)
                 _advance(b, full)
         pruned.prune()

@@ -10,6 +10,7 @@ from repro.crypto.field import Fr
 from repro.crypto.keys import MembershipKeyPair
 from repro.crypto.merkle import MerkleTree
 from repro.errors import SerializationError
+from repro.rln.membership import MembershipStore
 from repro.rln.prover import RlnProver, rln_keys
 from repro.rln.signal import RlnSignal
 from repro.rln.slashing import detect_double_signal
@@ -137,14 +138,14 @@ class TestTreeInvariants:
         st.data(),
     )
     def test_deletion_invalidates_only_that_member(self, values, data):
-        tree = MerkleTree(6)
+        tree = MembershipStore(depth=6).view()
         for v in values[: tree.capacity]:
-            tree.insert(Fr(v))
+            tree.synced_insert(Fr(v))
         victim = data.draw(
             st.integers(min_value=0, max_value=tree.leaf_count - 1)
         )
         proofs = {i: tree.proof(i) for i in range(tree.leaf_count)}
-        tree.delete(victim)
+        tree.synced_update(victim, Fr.zero())
         # Old proofs are stale (root changed) — but fresh proofs of the
         # survivors still verify, and the victim's leaf is zero.
         for i in range(tree.leaf_count):

@@ -1,12 +1,13 @@
-"""Shared membership store: equivalence, forks, isolation.
+"""Shared membership store: equivalence, divergent events, isolation.
 
-The copy-on-write store is only allowed to exist because it is
-*observably identical* to independent replicas: same roots, same root
-windows, same verification decisions, under any interleaving of
-registrations, slashes, replication and forced forks. These tests
-drive shared and independent replica populations through the same
-random event scripts and compare everything a router or publisher
-could see.
+The shared store is only allowed to exist because it is *observably
+identical* to independent replicas: same roots, same root windows, same
+verification decisions, under any interleaving of registrations,
+slashes and replication. These tests drive shared replicas and
+independent ones on the flat oracle tree (``FlatReplica``) through the
+same random event scripts and compare everything a router or publisher
+could see. A replica offered an event other than the recorded one is
+off the log: it raises :class:`SyncError` and nothing changes.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from hypothesis import strategies as st
 
 from repro.crypto.field import Fr
 from repro.crypto.hashing import hash_call_count
-from repro.crypto.keys import MembershipKeyPair
+from repro.crypto.keys import IdentityCommitment, MembershipKeyPair
 from repro.crypto.merkle_forest import CanonicalShardedTree
 from repro.crypto.merkle_shared import SharedMerkleView
-from repro.errors import MerkleError
+from repro.errors import MerkleError, SyncError
 from repro.rln.membership import LocalGroup, MembershipStore
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "crypto"))
-from flat_tree_oracle import FlatTreeOracle  # noqa: E402
+from flat_tree_oracle import FlatReplica, FlatTreeOracle  # noqa: E402
 
 DEPTH = 8
 
@@ -48,16 +49,34 @@ def _assert_replicas_equal(shared: LocalGroup, independent: LocalGroup):
         )
 
 
+def _canonical_state(canonical):
+    return (
+        canonical.state_digest(),
+        [canonical.root_at(v) for v in range(canonical.version + 1)],
+        canonical.events_deduped,
+    )
+
+
+def _replica_state(group: LocalGroup):
+    return (
+        group.tree.version,
+        group.root,
+        group.recent_roots(),
+        group.member_count,
+        group.applied_events,
+    )
+
+
 #: One action of the random script. ("reg", c) registers commitment #c,
 #: ("slash", i) removes an assigned slot, ("replicate", r) re-bootstraps
-#: replica r from replica 0, ("fork", r) mutates replica r's tree
-#: out-of-band (the adversarial-desync move).
+#: replica r from replica 0, ("diverge", v) offers a replica lagging at
+#: a version drawn from v an event the log did not record there.
 actions = st.lists(
     st.one_of(
         st.tuples(st.just("reg"), st.integers(0, 39)),
         st.tuples(st.just("slash"), st.integers(0, 39)),
         st.tuples(st.just("replicate"), st.integers(1, 3)),
-        st.tuples(st.just("fork"), st.integers(1, 3)),
+        st.tuples(st.just("diverge"), st.integers(0, 39)),
     ),
     min_size=1,
     max_size=40,
@@ -71,10 +90,8 @@ class TestSharedVsIndependentEquivalence:
         commitments = _commitments(40, seed=seed)
         store = MembershipStore(depth=DEPTH, root_window=4)
         shared = [store.local_group() for _ in range(4)]
-        independent = [
-            LocalGroup(depth=DEPTH, root_window=4) for _ in range(4)
-        ]
-        forked = set()
+        independent = [FlatReplica(DEPTH, root_window=4) for _ in range(4)]
+        canonical = store.canonical()
         events = 0
         next_commit = 0
         for kind, arg in actions:
@@ -84,8 +101,6 @@ class TestSharedVsIndependentEquivalence:
                 commitment = commitments[next_commit]
                 next_commit += 1
                 for group in shared + independent:
-                    if id(group) in forked:
-                        continue
                     group.apply_registration(commitment, events)
                 events += 1
             elif kind == "slash":
@@ -94,23 +109,29 @@ class TestSharedVsIndependentEquivalence:
                     continue
                 index = arg % count
                 for group in shared + independent:
-                    if id(group) in forked:
-                        continue
                     group.apply_removal(index, events)
                 events += 1
             elif kind == "replicate":
                 shared[arg].replicate_from(shared[0])
                 independent[arg].replicate_from(independent[0])
-                forked.discard(id(shared[arg]))
-                forked.discard(id(independent[arg]))
-            else:  # fork: same out-of-band mutation on both populations
-                count = independent[arg].member_count
-                if count == 0:
-                    continue
-                shared[arg].tree.update(arg % count, Fr(0xBEEF + arg))
-                independent[arg].tree.update(arg % count, Fr(0xBEEF + arg))
-                forked.add(id(shared[arg]))
-                forked.add(id(independent[arg]))
+            elif events:  # diverge: no log records 0xBEEF + arg
+                version = arg % events
+                lagging = LocalGroup(
+                    DEPTH, 4, tree=SharedMerkleView(canonical, version)
+                )
+                before = _replica_state(lagging), _canonical_state(canonical)
+                with pytest.raises(SyncError):
+                    if arg % 2 and lagging.member_count:
+                        # Every recorded slash writes zero.
+                        lagging.tree.synced_update(
+                            arg % lagging.member_count, Fr(0xBEEF + arg)
+                        )
+                    else:
+                        lagging.apply_registration(
+                            IdentityCommitment(Fr(0xBEEF + arg)), 0
+                        )
+                after = _replica_state(lagging), _canonical_state(canonical)
+                assert after == before
             for s, i in zip(shared, independent):
                 _assert_replicas_equal(s, i)
 
@@ -169,7 +190,6 @@ class TestDedupAccounting:
         stats = store.stats()
         assert stats["events"] == len(commitments)
         assert stats["events_deduped"] == 9 * len(commitments)
-        assert stats["forks"] == 0
 
     def test_replicate_from_shared_view_is_hash_free(self):
         commitments = _commitments(5)
@@ -184,7 +204,32 @@ class TestDedupAccounting:
         assert newcomer.root == reference.root
 
 
-class TestForkIsolation:
+class TestReplicateFrom:
+    def test_replicate_from_another_domain_is_refused(self):
+        store = MembershipStore(depth=DEPTH)
+        chat, market = store.local_group("a"), store.local_group("b")
+        market.apply_registration(_commitments(1)[0], 0)
+        before = _replica_state(chat)
+        with pytest.raises(SyncError, match="different canonical tree"):
+            chat.replicate_from(market)
+        assert _replica_state(chat) == before
+        assert chat.tree.canonical is store.canonical("a")
+
+    def test_private_replicas_never_share_a_tree(self):
+        reference = LocalGroup(depth=DEPTH, root_window=4)
+        reference.apply_registration(_commitments(1)[0], 0)
+        replica = LocalGroup(depth=DEPTH, root_window=4)
+        with pytest.raises(SyncError):
+            replica.replicate_from(reference)
+        assert replica.member_count == 0
+        assert replica.tree.canonical is not reference.tree.canonical
+
+
+class TestDivergentEvents:
+    """A replica offered an event other than the one the log recorded
+    at its version raises SyncError; it, its siblings and the canonical
+    tree are left exactly as they were."""
+
     def _populated(self, replicas: int = 3):
         commitments = _commitments(8)
         store = MembershipStore(depth=DEPTH)
@@ -194,27 +239,97 @@ class TestForkIsolation:
                 group.apply_registration(commitment, event)
         return store, groups, commitments
 
-    def test_forked_mutation_never_leaks(self):
-        store, groups, commitments = self._populated()
+    def _refused(self, store, late: LocalGroup, groups, offer) -> str:
         canonical = store.canonical()
-        root_before = Fr(canonical.root_at(canonical.version))
-        sibling_roots = [g.root for g in groups[1:]]
+        before = (
+            _replica_state(late),
+            [_replica_state(g) for g in groups],
+            _canonical_state(canonical),
+        )
+        with pytest.raises(SyncError) as refused:
+            offer()
+        assert (
+            _replica_state(late),
+            [_replica_state(g) for g in groups],
+            _canonical_state(canonical),
+        ) == before
+        return str(refused.value)
 
-        rogue = groups[0]
-        rogue.tree.update(2, Fr(0xDEAD))
-        rogue.tree.insert(Fr(0xFEED))
-        rogue.tree.delete(0)
+    def test_divergent_insert(self):
+        store, groups, commitments = self._populated()
+        late = store.local_group()
+        for event, commitment in enumerate(commitments[:4]):
+            late.apply_registration(commitment, event)
+        rogue = _commitments(1, seed=99)[0]
+        message = self._refused(
+            store, late, groups, lambda: late.apply_registration(rogue, 4)
+        )
+        assert "version 4" in message
+        assert repr(("insert", int(commitments[4].element))) in message
+        assert repr(("insert", int(rogue.element))) in message
+        # Still on the log: the recorded event applies without hashing.
+        before = hash_call_count()
+        late.apply_registration(commitments[4], 4)
+        assert hash_call_count() == before
 
-        assert rogue.tree.is_forked
-        assert Fr(canonical.root_at(canonical.version)) == root_before
-        assert [g.root for g in groups[1:]] == sibling_roots
-        for sibling in groups[1:]:
-            assert sibling.tree.leaf(2) == commitments[2].element
-            assert not sibling.tree.is_forked
-
-    def test_fork_then_siblings_keep_sharing(self):
+    def test_divergent_set(self):
         store, groups, _ = self._populated()
-        groups[0].tree.update(1, Fr(123))
+        late = store.local_group()
+        late.replicate_from(groups[0])
+        groups[0].apply_removal(2, 8)  # the log records ("set", 2, 0)
+        message = self._refused(
+            store, late, groups[1:], lambda: late.apply_removal(3, 8)
+        )
+        assert "version 8" in message and "('set', 3, 0)" in message
+        late.apply_removal(2, 8)
+        assert late.root == groups[0].root
+
+    def test_divergent_batch_moves_nothing(self):
+        store = MembershipStore(depth=DEPTH, sub_depth=2)
+        commitments = _commitments(10, seed=23)
+        first = store.local_group()
+        first.apply_registration_batch(commitments[:8], event_index=0)
+        late = store.local_group()
+        # Five values match the recorded batch before the sixth differs:
+        # none of them may advance the view or count as deduped.
+        offered = commitments[:5] + commitments[9:10]
+        message = self._refused(
+            store, late, [first],
+            lambda: late.apply_registration_batch(offered, 0),
+        )
+        assert "version 5" in message
+        third = store.local_group()
+        third.apply_registration_batch(commitments[:8], event_index=0)
+        _assert_replicas_equal(third, first)
+
+    def test_lagging_view_keeps_its_version(self):
+        store, groups, commitments = self._populated()
+        laggard = store.local_group()
+        for event, commitment in enumerate(commitments[:3]):
+            laggard.apply_registration(commitment, event)
+        frozen_proof = laggard.merkle_proof(1)
+        extra = _commitments(2, seed=5)
+        for event, commitment in enumerate(extra, start=8):
+            for group in groups:
+                group.apply_registration(commitment, event)
+        self._refused(
+            store, laggard, groups,
+            lambda: laggard.apply_registration(extra[0], 3),
+        )
+        assert laggard.member_count == 3
+        assert laggard.merkle_proof(1) == frozen_proof
+        assert frozen_proof.verify(laggard.root)
+        for event, commitment in enumerate(
+            commitments[3:] + extra, start=3
+        ):
+            laggard.apply_registration(commitment, event)
+        assert _replica_state(laggard)[1:] == _replica_state(groups[0])[1:]
+
+    def test_siblings_keep_sharing_after_a_refusal(self):
+        store, groups, _ = self._populated()
+        late = store.local_group()
+        with pytest.raises(SyncError):
+            late.apply_registration(_commitments(1, seed=99)[0], 0)
         extra = _commitments(3, seed=99)
         before = hash_call_count()
         for event, commitment in enumerate(extra, start=8):
@@ -225,54 +340,16 @@ class TestForkIsolation:
         assert hash_call_count() - before == 3 * DEPTH
         assert groups[1].root == groups[2].root
 
-    def test_fork_is_frozen_at_fork_version(self):
-        store, groups, commitments = self._populated()
-        rogue = groups[0]
-        rogue.tree.update(2, Fr(0xDEAD))
-        snapshot_root = rogue.root
-        # Canonical marches on; the fork must not see those events.
-        extra = _commitments(2, seed=5)
-        for event, commitment in enumerate(extra, start=8):
-            for group in groups[1:]:
-                group.apply_registration(commitment, event)
-        assert rogue.root == snapshot_root
-        assert rogue.member_count == len(commitments)
-        proof = rogue.tree.proof(2)
-        assert proof.leaf == Fr(0xDEAD)
-        assert proof.verify(rogue.root)
-
-    def test_clone_of_fork_is_independent(self):
-        store, groups, _ = self._populated()
-        rogue = groups[0]
-        rogue.tree.update(2, Fr(0xDEAD))
-        twin = rogue.tree.clone()
-        rogue.tree.update(3, Fr(0xBEEF))
-        assert twin.leaf(3) != Fr(0xBEEF)
-        twin.update(4, Fr(0xCAFE))
-        assert rogue.tree.leaf(4) != Fr(0xCAFE)
-
-    def test_forked_view_bounds_checks(self):
+    def test_view_bounds_checks(self):
         store = MembershipStore(depth=2)
         group = store.local_group()
         commitments = _commitments(4)
         for event, commitment in enumerate(commitments):
             group.apply_registration(commitment, event)
         with pytest.raises(MerkleError):
-            group.tree.insert(Fr(1))  # full even on the fork path
+            group.tree.synced_insert(Fr(1))  # full
         with pytest.raises(MerkleError):
-            group.tree.update(9, Fr(1))
-
-    def test_out_of_band_insert_forks_even_at_head(self):
-        store = MembershipStore(depth=DEPTH)
-        groups = [store.local_group() for _ in range(2)]
-        groups[0].apply_registration(_commitments(1)[0], 0)
-        groups[1].apply_registration(_commitments(1)[0], 0)
-        canonical_version = store.canonical().version
-        groups[0].tree.insert(Fr(42))
-        assert groups[0].tree.is_forked
-        # The rogue insert must not have become a canonical event.
-        assert store.canonical().version == canonical_version
-        assert not groups[1].tree.is_forked
+            group.tree.synced_update(9, Fr(1))
 
 
 class TestLaggingViews:

@@ -8,6 +8,8 @@ accepted — the boundary the paper's group-sync race argument relies on.
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,9 @@ from repro.rln.membership import (
 )
 from repro.rln.prover import RlnProver, rln_keys
 from repro.rln.verifier import RlnVerifier, SignalCheck
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "crypto"))
+from flat_tree_oracle import FlatReplica  # noqa: E402
 
 
 def grow(group: LocalGroup, rng: random.Random, count: int):
@@ -95,14 +100,15 @@ def test_removal_events_also_slide_the_window():
 def test_replicated_group_accepts_identical_roots():
     """replicate_from preserves the window, not just the latest root."""
     rng = random.Random(13)
-    source = LocalGroup(depth=8, root_window=4)
+    store = MembershipStore(depth=8, root_window=4)
+    source = store.local_group()
     grow(source, rng, 6)
-    replica = LocalGroup(depth=8, root_window=4)
+    replica = store.local_group()
     replica.replicate_from(source)
     assert replica.recent_roots() == source.recent_roots()
     assert replica.root == source.root
     assert replica.applied_events == source.applied_events
-    # The clone is independent: growing one does not move the other.
+    # The copy is a view of its own: growing one does not move the other.
     grow(replica, rng, 1)
     assert replica.root != source.root
 
@@ -140,7 +146,7 @@ def test_genesis_batch_canonicalises_like_one_by_one_replay(sub_depth):
     batched = MembershipStore(
         depth=6, root_window=window, sub_depth=sub_depth
     ).local_group()
-    independent = LocalGroup(depth=6, root_window=window)
+    independent = FlatReplica(6, root_window=window)
     replayed = LocalGroup(depth=6, root_window=window)
     assert batched.apply_registration_batch(batch, 0) == 0
     assert independent.apply_registration_batch(batch, 0) == 0
