@@ -135,10 +135,15 @@ def relay_calls_per_event(peers=30, messages=40, publishers=20, seed=11):
     entry the interpreter reports to ``sys.setprofile`` (C builtins
     are not frames and do not count), divided by the events the kernel
     processed meanwhile. Three of four events are duplicate
-    deliveries, so this is the length of the delivery path — schedule,
-    dispatch, ``Network.send``, the router's inbound handling — as a
-    count that repeats exactly, where a wall-clock difference of the
-    same size drowns in host noise;
+    deliveries, so this is the length of the delivery path as a count
+    that repeats exactly, where a wall-clock difference of the same
+    size drowns in host noise. A duplicate costs four frames:
+    ``Network._deliver_port`` → ``GossipSubRouter.deliver`` →
+    ``SeenCache.witness`` and ``PeerScoreTracker.duplicate_message``.
+    A first delivery adds the validator chain (router → relay
+    ``_validate`` → the topic's RLN check) and one forward: one
+    ``Network.send`` and one ``schedule_port`` call per fan-out, and
+    one latency draw per target.
     ``tests/benchmarks/test_delivery_path_calls.py`` pins it.
     """
     net = _warm_relay(peers, seed)

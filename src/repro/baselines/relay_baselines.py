@@ -146,7 +146,9 @@ class PowRelayNetwork(BaselineNetwork):
         for node in self.nodes:
             node.add_validator(self._pow_validator)
 
-    def _pow_validator(self, message: WakuMessage) -> ValidationResult:
+    def _pow_validator(
+        self, topic: str, message: WakuMessage
+    ) -> ValidationResult:
         try:
             envelope = PowEnvelope.from_bytes(message.payload)
         except Exception:

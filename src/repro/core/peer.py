@@ -104,9 +104,7 @@ def wire_rln_topic(
         metrics=metrics,
     )
     relay.join_topic(pubsub_topic)
-    relay.add_validator(
-        lambda message: validate(pubsub_topic, message), topic=pubsub_topic
-    )
+    relay.add_validator(validate, topic=pubsub_topic)
     return validator
 
 

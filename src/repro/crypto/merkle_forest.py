@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
-from weakref import ref
+from weakref import WeakValueDictionary, ref
 
 from ..errors import MerkleError
 from .field import Fr
@@ -127,6 +127,36 @@ class TwoLevelProof:
         )
 
 
+class RootWindow:
+    """The last ``size`` distinct roots a replica accepts, oldest first.
+
+    Shared: replicas of one canonical tree that started at one version
+    (:meth:`CanonicalShardedTree.root_window`) and applied the same
+    events hold one window, whose :meth:`advance` runs once for all.
+    """
+
+    __slots__ = ("roots", "size", "_next", "__weakref__")
+
+    def __init__(self, roots: Dict[Fr, None], size: int) -> None:
+        self.roots, self.size = roots, size
+        #: ``(version, window)``: the successor last computed.
+        self._next: Optional[Tuple[int, "RootWindow"]] = None
+
+    def advance(self, version: int, roots: Sequence[Fr]) -> "RootWindow":
+        """The window at ``version`` after remembering ``roots``, oldest
+        first: a repeated root moves to the end, and the oldest drop out
+        past ``size``."""
+        if self._next is None or self._next[0] != version:
+            recent = dict(self.roots)
+            for root in roots:
+                recent.pop(root, None)
+                recent[root] = None
+                while len(recent) > self.size:
+                    del recent[next(iter(recent))]
+            self._next = (version, RootWindow(recent, self.size))
+        return self._next[1]
+
+
 class CanonicalShardedTree:
     """The one copy of a membership tree a whole deployment shares.
 
@@ -199,6 +229,9 @@ class CanonicalShardedTree:
         self.genesis_claimed = False
         #: Events replayed by later replicas without hashing (stat).
         self.events_deduped = 0
+        #: (version, size) -> the root window replicas starting there
+        #: share, kept while a replica holds it.
+        self._start_windows: WeakValueDictionary = WeakValueDictionary()
 
     # -- head bookkeeping ---------------------------------------------------
 
@@ -224,6 +257,15 @@ class CanonicalShardedTree:
             f"root at version {version} was compacted by the genesis "
             f"batch (first stored version is {self._genesis_version})"
         )
+
+    def root_window(self, version: int, size: int) -> RootWindow:
+        """The root window of a replica starting at ``version``: that
+        version's root alone, one object for every such replica."""
+        window = self._start_windows.get((version, size))
+        if window is None:
+            window = RootWindow({Fr(self.root_at(version)): None}, size)
+            self._start_windows[(version, size)] = window
+        return window
 
     def leaf_count_at(self, version: int) -> int:
         if version >= self._genesis_version:

@@ -49,7 +49,7 @@ def _canonical_tx_hash(origin: str, seq: int) -> int:
     return int.from_bytes(digest, "big") >> 1
 
 
-@dataclass
+@dataclass(slots=True)
 class Account:
     """An externally-owned account."""
 
@@ -69,7 +69,7 @@ class Event:
     log_index: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Receipt:
     """Outcome of one executed transaction."""
 

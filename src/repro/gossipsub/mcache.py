@@ -16,29 +16,36 @@ class MessageCache:
 
     Windows are indexed **per topic**, so :meth:`gossip_ids` touches
     only the queried topic's IDs (in insertion order) and an idle topic
-    costs a dict miss — on a multiplexed mesh the heartbeat's gossip
-    emission is O(own traffic), not O(all traffic x topics). Only
-    windows that received a message exist, tagged with the shift count
-    they were filled at, so an idle router holds an empty list.
-    :meth:`shift` is amortised O(1) per cached message.
+    costs a few tuple reads — on a multiplexed mesh the heartbeat's
+    gossip emission is O(own traffic), not O(all traffic x topics).
+    The windows are flat: one ``(shift count, topic, IDs)`` entry per
+    topic a window received, oldest window first and, within a window,
+    in the order its topics first arrived — no dict per window, and
+    only windows that received a message exist, so an idle router
+    holds an empty list. :meth:`shift` is amortised O(1) per cached
+    message.
     """
 
     def __init__(self, history_length: int = 5, gossip_length: int = 3) -> None:
         self.history_length = history_length
         self.gossip_length = gossip_length
         self._messages: Dict[str, GossipMessage] = {}
-        #: Non-empty windows, oldest first: (shift count, topic -> IDs).
-        self._windows: List[Tuple[int, Dict[str, List[str]]]] = []
+        self._windows: List[Tuple[int, str, List[str]]] = []
         self._shifts = 0
 
     def put(self, message: GossipMessage) -> None:
-        if message.msg_id in self._messages:
+        msg_id, topic, shifts = message.msg_id, message.topic, self._shifts
+        if msg_id in self._messages:
             return
-        self._messages[message.msg_id] = message
-        windows = self._windows
-        if not windows or windows[-1][0] != self._shifts:
-            windows.append((self._shifts, {}))
-        windows[-1][1].setdefault(message.topic, []).append(message.msg_id)
+        self._messages[msg_id] = message
+        # The current window's entries are the list's tail.
+        for shift_no, entry_topic, ids in reversed(self._windows):
+            if shift_no != shifts:
+                break
+            if entry_topic == topic:
+                ids.append(msg_id)
+                return
+        self._windows.append((shifts, topic, [msg_id]))
 
     def get(self, msg_id: str) -> Optional[GossipMessage]:
         return self._messages.get(msg_id)
@@ -47,11 +54,10 @@ class MessageCache:
         """``topic``'s IDs in the gossip window, newest window first."""
         out: List[str] = []
         oldest = self._shifts - self.gossip_length
-        for shift_no, window in reversed(self._windows):
+        for shift_no, entry_topic, ids in reversed(self._windows):
             if shift_no <= oldest:
                 break
-            ids = window.get(topic)
-            if ids:
+            if entry_topic == topic:
                 out.extend(ids)
         return out
 
@@ -61,9 +67,8 @@ class MessageCache:
         horizon = self._shifts - self.history_length
         windows = self._windows
         while windows and windows[0][0] <= horizon:
-            for ids in windows.pop(0)[1].values():
-                for msg_id in ids:
-                    del self._messages[msg_id]
+            for msg_id in windows.pop(0)[2]:
+                del self._messages[msg_id]
 
     def __len__(self) -> int:
         return len(self._messages)

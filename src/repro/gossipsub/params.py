@@ -55,11 +55,13 @@ class GossipSubParams:
             "mcache_len": self.mcache_len >= 1,
             "mcache_gossip": 0 <= self.mcache_gossip <= self.mcache_len,
             "heartbeat_interval": self.heartbeat_interval > 0,
+            "max_iwant_per_heartbeat": self.max_iwant_per_heartbeat >= 0,
         }
         for field, ok in valid.items():
             if not ok:
                 raise GossipError(
                     f"GossipSubParams.{field} = {getattr(self, field)!r} is "
                     "out of range: need seen_ttl > 0, mcache_len >= 1, "
-                    "0 <= mcache_gossip <= mcache_len, heartbeat_interval > 0"
+                    "0 <= mcache_gossip <= mcache_len, heartbeat_interval > 0, "
+                    "max_iwant_per_heartbeat >= 0"
                 )

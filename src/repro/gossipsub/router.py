@@ -37,7 +37,10 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum
-from typing import Any, Callable, Collection, Dict, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Set,
+    Tuple,
+)
 
 from ..errors import GossipError
 from ..net.network import Network, NodeId
@@ -56,11 +59,14 @@ class ValidationResult(Enum):
     REJECT = "reject"  # drop + P4 penalty for the forwarding peer
 
 
-#: Validator callback: (payload, previous_hop) -> ValidationResult.
-Validator = Callable[[Any, NodeId], ValidationResult]
+#: Validator callback: (topic, payload, previous_hop) -> ValidationResult.
+Validator = Callable[[str, Any, NodeId], ValidationResult]
 
 #: Application delivery callback: (topic, payload, msg_id, previous_hop).
 DeliveryCallback = Callable[[str, Any, str, NodeId], None]
+
+#: Read-only stand-in for a missing peer set (no throwaway ``set()``).
+_NO_PEERS: FrozenSet[NodeId] = frozenset()
 
 
 class GossipSubRouter:
@@ -98,9 +104,7 @@ class GossipSubRouter:
         # per bump, and the delivery path bumps several per packet.
         self._counters = self.metrics.counters
         self.scores = PeerScoreTracker(score_params or DEFAULT_SCORE_PARAMS)
-        #: Read per inbound packet: the tracker's live suspect set and
-        #: the kernel whose clock stamps the packet.
-        self._suspects = self.scores.suspects()
+        #: Read per inbound packet: the kernel whose clock stamps it.
         self._simulator = network.simulator
 
         self.subscriptions: Set[str] = set()
@@ -113,8 +117,9 @@ class GossipSubRouter:
         #: violation (P7). Entries expire lazily through ``_backoff_heap``.
         self._backoff: Dict[Tuple[NodeId, str], float] = {}
         self._backoff_heap: List[Tuple[float, NodeId, str]] = []
-        #: Topics whose mesh needs maintenance on the next heartbeat.
-        self._dirty_topics: Set[str] = set()
+        #: Topics whose mesh needs maintenance on the next heartbeat (a
+        #: tuple: a few topics at most, and none costs no container).
+        self._dirty_topics: Tuple[str, ...] = ()
         self._heartbeat_count = 0
 
         self.mcache = MessageCache(self.params.mcache_len, self.params.mcache_gossip)
@@ -163,7 +168,7 @@ class GossipSubRouter:
         """
         for topic, mesh in self.mesh.items():
             if peer in mesh:
-                self._dirty_topics.add(topic)
+                self._mark_dirty(topic)
 
     # -- subscriptions ------------------------------------------------------------
 
@@ -174,7 +179,7 @@ class GossipSubRouter:
             return
         self.subscriptions.add(topic)
         self.mesh.setdefault(topic, set())
-        self._dirty_topics.add(topic)
+        self._mark_dirty(topic)
         # Adopt fanout peers if we were publishing to this topic already.
         for peer in sorted(self.fanout.pop(topic, ())):
             self._graft_peer(peer, topic)
@@ -190,13 +195,13 @@ class GossipSubRouter:
         for peer in sorted(self.mesh.get(topic, ())):
             self._prune_peer(peer, topic)
         self.mesh.pop(topic, None)
-        self._dirty_topics.discard(topic)
+        self._mark_clean(topic)
         self._broadcast_control(RpcPacket(unsubscribe=[topic]))
 
     def announce_to(self, peer: NodeId) -> None:
         """Tell a (new) neighbour which topics we are subscribed to."""
         if self.subscriptions:
-            self._send(peer, RpcPacket(subscribe=sorted(self.subscriptions)))
+            self._send((peer,), RpcPacket(subscribe=sorted(self.subscriptions)))
 
     def add_validator(self, topic: str, validator: Validator) -> None:
         """Install the validator consulted for every message on
@@ -221,23 +226,21 @@ class GossipSubRouter:
         self.mcache.put(message)
         self.metrics.increment("gossipsub.published")
 
-        targets: Set[NodeId]
+        targets: Collection[NodeId]
         if self.params.flood_publish:
             threshold = self.scores.params.publish_threshold
-            targets = {
+            targets = [
                 peer
-                for peer in self.topic_peers.get(topic, set())
+                for peer in self.topic_peers.get(topic, _NO_PEERS)
                 if self.scores.score(peer, self.now) >= threshold
-            }
+            ]
         elif topic in self.subscriptions:
-            targets = set(self.mesh.get(topic, set()))
+            targets = self.mesh.get(topic, _NO_PEERS)
         else:
             targets = self._fanout_targets(topic)
-        packet = RpcPacket(publish=[message])
         # Sorted: set order leaks the interpreter's hash seed into the
         # send sequence (and so into delivery order network-wide).
-        for peer in sorted(targets):
-            self._send(peer, packet)
+        self._send(sorted(targets), RpcPacket(publish=[message]))
         # A publisher counts as having delivered its own message.
         self._deliver_locally(message, from_peer=self.node_id)
         return msg_id
@@ -256,41 +259,47 @@ class GossipSubRouter:
 
     # -- packet handling -----------------------------------------------------------------
 
-    def deliver(self, from_peer: NodeId, packet: Any) -> None:
-        """Network entry point (NetworkNode protocol)."""
+    def deliver(self, from_peer: NodeId, packet: Any, held: bool = False) -> None:
+        """Network entry point (NetworkNode protocol): one RPC from
+        direct neighbour ``from_peer``. An RPC carrying publications is
+        first held for ``processing_delay`` simulated seconds (``held``
+        marks its re-entry)."""
         if not isinstance(packet, RpcPacket):
             raise GossipError(f"unexpected packet type {type(packet).__name__}")
-        if self.processing_delay > 0 and packet.publish:
+        if self.processing_delay > 0 and packet.publish and not held:
             self.network.simulator.schedule(
                 self.processing_delay,
-                lambda _sim: self._process(from_peer, packet),
+                lambda _sim: self.deliver(from_peer, packet, True),
                 label=f"validate:{self.node_id}",
                 shard=self.node_id,
             )
             return
-        self._process(from_peer, packet)
-
-    def _process(self, from_peer: NodeId, packet: RpcPacket) -> None:
         scores = self.scores
         counters = self._counters
         now = self._simulator.now
-        scores.add_peer(from_peer)
+        if from_peer not in scores._peers:
+            scores.add_peer(from_peer)
         # Graylisting compares against a negative threshold, and a
         # non-suspect provably scores >= 0 — only suspects need the
         # real score computed on this per-RPC path.
-        if from_peer in self._suspects and (
+        if from_peer in scores._suspects and (
             scores.score(from_peer, now) < scores.params.graylist_threshold
         ):
             counters["gossipsub.graylisted_rpc"] += 1
             return
-        for topic in packet.subscribe:
-            self.topic_peers.setdefault(topic, set()).add(from_peer)
-        for topic in packet.unsubscribe:
-            self.topic_peers.get(topic, set()).discard(from_peer)
-            mesh = self.mesh.get(topic)
-            if mesh is not None and from_peer in mesh:
-                mesh.discard(from_peer)
-                self._dirty_topics.add(topic)
+        # A publish-only RPC (every forward) skips the control walks in
+        # two truth tests.
+        if packet.subscribe or packet.unsubscribe:
+            for topic in packet.subscribe:
+                self.topic_peers.setdefault(topic, set()).add(from_peer)
+            for topic in packet.unsubscribe:
+                peers = self.topic_peers.get(topic)
+                if peers is not None:
+                    peers.discard(from_peer)
+                mesh = self.mesh.get(topic)
+                if mesh is not None and from_peer in mesh:
+                    mesh.discard(from_peer)
+                    self._mark_dirty(topic)
         # Three of four deliveries are duplicates: they end here, on
         # the seen-cache probe, without another router frame.
         for message in packet.publish:
@@ -300,22 +309,28 @@ class GossipSubRouter:
                 counters["gossipsub.duplicates"] += 1
             else:
                 self._handle_first(message, from_peer)
-        if packet.ihave:
-            self._handle_ihave(packet.ihave, from_peer)
-        if packet.iwant:
-            self._handle_iwant(packet.iwant, from_peer)
-        for topic in packet.graft:
-            self._handle_graft(topic, from_peer)
-        for topic, backoff in packet.prune:
-            self._handle_prune(
-                topic, from_peer, backoff, packet.px.get(topic, [])
-            )
+        if packet.ihave or packet.iwant or packet.graft or packet.prune:
+            if packet.ihave:
+                self._handle_ihave(packet.ihave, from_peer)
+            if packet.iwant:
+                self._handle_iwant(packet.iwant, from_peer)
+            for topic in packet.graft:
+                self._handle_graft(topic, from_peer)
+            for topic, backoff in packet.prune:
+                self._handle_prune(
+                    topic, from_peer, backoff, packet.px.get(topic, [])
+                )
 
     def _handle_first(self, message: GossipMessage, from_peer: NodeId) -> None:
         """A message this node had not seen: validate, deliver, forward."""
         topic = message.topic
         counters = self._counters
-        result = self._validate(message, from_peer)
+        validator = self.validators.get(topic)
+        result = (
+            ValidationResult.ACCEPT
+            if validator is None
+            else validator(topic, message.payload, from_peer)
+        )
         if result is ValidationResult.REJECT:
             self.scores.reject_message(from_peer, topic)
             counters["gossipsub.rejected"] += 1
@@ -326,15 +341,7 @@ class GossipSubRouter:
         self.scores.first_message(from_peer, topic)
         self.mcache.put(message)
         self._deliver_locally(message, from_peer)
-        self._forward(message, exclude={from_peer})
-
-    def _validate(
-        self, message: GossipMessage, from_peer: NodeId
-    ) -> ValidationResult:
-        validator = self.validators.get(message.topic)
-        if validator is None:
-            return ValidationResult.ACCEPT
-        return validator(message.payload, from_peer)
+        self._forward(message, from_peer)
 
     def _deliver_locally(self, message: GossipMessage, from_peer: NodeId) -> None:
         if message.topic not in self.subscriptions:
@@ -343,21 +350,25 @@ class GossipSubRouter:
         for callback in self.delivery_callbacks:
             callback(message.topic, message.payload, message.msg_id, from_peer)
 
-    def _forward(self, message: GossipMessage, exclude: Set[NodeId]) -> None:
-        topic = message.topic
-        targets = set(self.mesh.get(topic, set())) - exclude
+    def _forward(self, message: GossipMessage, from_peer: NodeId) -> None:
+        """Relay a first delivery to the topic's mesh, less the peer it
+        came from: one packet, one fan-out, counted once. Sorted so the
+        forward order never depends on the set hash order."""
+        mesh = self.mesh.get(message.topic)
+        if not mesh:
+            return
+        targets = sorted(mesh)
+        if from_peer in mesh:
+            targets.remove(from_peer)
         if not targets:
             return
         packet = RpcPacket(publish=[message])
-        # One packet fans out to the whole mesh: size and count it once
-        # (``_send`` too counts before the network can refuse). Sorted
-        # so the forward order never depends on the set hash order.
+        # ``_send`` inline: this is the one fan-out per first delivery.
+        # Every target counts, before the network can refuse one.
         counters = self._counters
         counters["gossipsub.rpc_sent"] += len(targets)
         counters["gossipsub.bytes_sent"] += len(targets) * packet.size_bytes
-        send = self.network.send
-        for peer in sorted(targets):
-            send(self.node_id, peer, packet)
+        self.network.send(self.node_id, targets, packet)
 
     def _handle_ihave(
         self, ihave: Dict[str, List[str]], from_peer: NodeId
@@ -369,16 +380,18 @@ class GossipSubRouter:
             < self.scores.params.gossip_threshold
         ):
             return
-        wanted: List[str] = []
+        # An insertion-ordered set, cut at the cap as it fills.
+        wanted: Dict[str, None] = {}
+        cap = self.params.max_iwant_per_heartbeat
         for topic, ids in ihave.items():
-            if topic not in self.subscriptions:
-                continue
-            for msg_id in ids:
-                if msg_id not in self.seen and msg_id not in wanted:
-                    wanted.append(msg_id)
-        wanted = wanted[: self.params.max_iwant_per_heartbeat]
+            if topic in self.subscriptions:
+                for msg_id in ids:
+                    if len(wanted) >= cap:
+                        break
+                    if msg_id not in wanted and msg_id not in self.seen:
+                        wanted[msg_id] = None
         if wanted:
-            self._send(from_peer, RpcPacket(iwant=wanted))
+            self._send((from_peer,), RpcPacket(iwant=list(wanted)))
 
     def _handle_iwant(self, iwant: List[str], from_peer: NodeId) -> None:
         found = [
@@ -387,33 +400,24 @@ class GossipSubRouter:
             if (message := self.mcache.get(msg_id)) is not None
         ]
         if found:
-            self._send(from_peer, RpcPacket(publish=found))
+            self._send((from_peer,), RpcPacket(publish=found))
 
     def _handle_graft(self, topic: str, from_peer: NodeId) -> None:
         if topic not in self.subscriptions:
-            self._send(
-                from_peer,
-                RpcPacket(prune=[(topic, self.params.prune_backoff)]),
-            )
-            return
-        if self._in_backoff(from_peer, topic):
+            pass
+        elif self._in_backoff(from_peer, topic):
             # GRAFTing while backoffed is a protocol violation (P7).
             self.scores.behaviour_penalty(from_peer)
-            self._send(
-                from_peer,
-                RpcPacket(prune=[(topic, self.params.prune_backoff)]),
-            )
+        elif self.scores.score(from_peer, self.now) >= 0:
+            self.mesh.setdefault(topic, set()).add(from_peer)
+            self._mark_dirty(topic)
+            self.scores.graft(from_peer, topic, self.now)
+            self.topic_peers.setdefault(topic, set()).add(from_peer)
             return
-        if self.scores.score(from_peer, self.now) < 0:
-            self._send(
-                from_peer,
-                RpcPacket(prune=[(topic, self.params.prune_backoff)]),
-            )
-            return
-        self.mesh.setdefault(topic, set()).add(from_peer)
-        self._dirty_topics.add(topic)
-        self.scores.graft(from_peer, topic, self.now)
-        self.topic_peers.setdefault(topic, set()).add(from_peer)
+        # Refused: answer with a PRUNE.
+        self._send(
+            (from_peer,), RpcPacket(prune=[(topic, self.params.prune_backoff)])
+        )
 
     def _handle_prune(
         self,
@@ -425,7 +429,7 @@ class GossipSubRouter:
         mesh = self.mesh.get(topic)
         if mesh is not None and from_peer in mesh:
             mesh.discard(from_peer)
-            self._dirty_topics.add(topic)
+            self._mark_dirty(topic)
         self.scores.prune(from_peer, topic, self.now)
         self._set_backoff(
             from_peer, topic, max(backoff, self.params.prune_backoff)
@@ -450,6 +454,16 @@ class GossipSubRouter:
             self.announce_to(peer)
 
     # -- mesh maintenance -----------------------------------------------------------------
+
+    def _mark_dirty(self, topic: str) -> None:
+        if topic not in self._dirty_topics:
+            self._dirty_topics += (topic,)
+
+    def _mark_clean(self, topic: str) -> None:
+        dirty = self._dirty_topics
+        if topic in dirty:
+            i = dirty.index(topic)
+            self._dirty_topics = dirty[:i] + dirty[i + 1 :]
 
     def _in_backoff(self, peer: NodeId, topic: str) -> bool:
         return self._backoff.get((peer, topic), 0.0) > self.now
@@ -477,15 +491,15 @@ class GossipSubRouter:
 
     def _graft_peer(self, peer: NodeId, topic: str) -> None:
         self.mesh.setdefault(topic, set()).add(peer)
-        self._dirty_topics.add(topic)
+        self._mark_dirty(topic)
         self.scores.graft(peer, topic, self.now)
-        self._send(peer, RpcPacket(graft=[topic]))
+        self._send((peer,), RpcPacket(graft=[topic]))
 
     def _prune_peer(self, peer: NodeId, topic: str) -> None:
         mesh = self.mesh.get(topic)
         if mesh is not None and peer in mesh:
             mesh.discard(peer)
-            self._dirty_topics.add(topic)
+            self._mark_dirty(topic)
         self.scores.prune(peer, topic, self.now)
         self._set_backoff(peer, topic, self.params.prune_backoff)
         # Offer Peer Exchange: well-scored alternatives from our mesh,
@@ -502,7 +516,7 @@ class GossipSubRouter:
         packet = RpcPacket(prune=[(topic, self.params.prune_backoff)])
         if suggestions:
             packet.px = {topic: suggestions}
-        self._send(peer, packet)
+        self._send((peer,), packet)
 
     def _gossip_eligible_peers(
         self, topic: str, exclude: Collection[NodeId] = ()
@@ -553,7 +567,7 @@ class GossipSubRouter:
             self._maintain_topic(topic)
         if sweep:
             for topic in sorted(self.subscriptions):
-                self._opportunistic_graft(topic, self.mesh.get(topic, set()))
+                self._opportunistic_graft(topic, self.mesh.get(topic, _NO_PEERS))
         self._expire_fanout()
         self._emit_gossip()
         self.mcache.shift()
@@ -578,8 +592,10 @@ class GossipSubRouter:
     def _maintain_topic(self, topic: str) -> None:
         """One topic's mesh repair."""
         rng = self.network.simulator.entity_rng(self.node_id)
-        mesh = self.mesh.setdefault(topic, set())
-        self._dirty_topics.discard(topic)
+        mesh = self.mesh.get(topic)
+        if mesh is None:
+            mesh = self.mesh[topic] = set()
+        self._mark_clean(topic)
         neighbors = self.network.neighbor_set(self.node_id)
         # Evict mesh members whose connection is gone (churn); they
         # re-enter through GRAFT after the backoff, and meanwhile
@@ -633,7 +649,7 @@ class GossipSubRouter:
         # be revisited next heartbeat, exactly like the reference sweep
         # would.
         if not self.params.d_lo <= len(mesh) <= self.params.d_hi:
-            self._dirty_topics.add(topic)
+            self._mark_dirty(topic)
 
     def _opportunistic_graft(self, topic: str, mesh: Set[NodeId]) -> None:
         """Graft above-median candidates when the mesh's median score
@@ -678,24 +694,23 @@ class GossipSubRouter:
             targets = candidates[: self.params.d_lazy]
             if not targets:
                 continue
+            # ``_send`` inline, as in ``_forward``.
             packet = RpcPacket(ihave={topic: msg_ids})
-            fan_out = len(targets)
-            counters["gossipsub.rpc_sent"] += fan_out
-            counters["gossipsub.bytes_sent"] += fan_out * packet.size_bytes
-            send = self.network.send
-            for peer in targets:
-                send(self.node_id, peer, packet)
+            counters["gossipsub.rpc_sent"] += len(targets)
+            counters["gossipsub.bytes_sent"] += len(targets) * packet.size_bytes
+            self.network.send(self.node_id, targets, packet)
 
     # -- transport ------------------------------------------------------------------------
 
-    def _send(self, peer: NodeId, packet: RpcPacket) -> None:
-        if packet.is_empty():
+    def _send(self, peers: Sequence[NodeId], packet: RpcPacket) -> None:
+        """Send ``packet`` (never empty) to ``peers`` as one fan-out;
+        every target counts, before the network can refuse one."""
+        if not peers:
             return
         counters = self._counters
-        counters["gossipsub.rpc_sent"] += 1
-        counters["gossipsub.bytes_sent"] += packet.size_bytes
-        self.network.send(self.node_id, peer, packet)
+        counters["gossipsub.rpc_sent"] += len(peers)
+        counters["gossipsub.bytes_sent"] += len(peers) * packet.size_bytes
+        self.network.send(self.node_id, peers, packet)
 
     def _broadcast_control(self, packet: RpcPacket) -> None:
-        for peer in self.peers():
-            self._send(peer, packet)
+        self._send(self.peers(), packet)

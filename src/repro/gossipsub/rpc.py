@@ -77,17 +77,6 @@ class RpcPacket:
     subscribe: List[str] = field(default_factory=list)
     unsubscribe: List[str] = field(default_factory=list)
 
-    def is_empty(self) -> bool:
-        return not (
-            self.publish
-            or self.ihave
-            or self.iwant
-            or self.graft
-            or self.prune
-            or self.subscribe
-            or self.unsubscribe
-        )
-
     @property
     def size_bytes(self) -> int:
         """Rough wire size for bandwidth accounting.

@@ -34,7 +34,7 @@ sweep for meshes containing no suspects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import AbstractSet, Dict, FrozenSet, Optional, Set
 
 from ..net.network import NodeId
 
@@ -185,6 +185,10 @@ class _PeerStats:
     ip: Optional[str] = None
 
 
+#: The suspect set of a tracker with no suspects: shared, read-only.
+_NO_SUSPECTS: FrozenSet[NodeId] = frozenset()
+
+
 class PeerScoreTracker:
     """Maintains live score state for every known peer, with the
     global-clock decay described in the module docstring."""
@@ -196,8 +200,9 @@ class PeerScoreTracker:
         self._tick = 0
         #: ip -> peers sharing it (P6 is O(1) per score with this index).
         self._ip_peers: Dict[str, Set[NodeId]] = {}
-        #: Conservative superset of peers whose score may be negative.
-        self._suspects: Set[NodeId] = set()
+        #: Conservative superset of peers whose score may be negative;
+        #: a set of its own only while it is not empty.
+        self._suspects: AbstractSet[NodeId] = _NO_SUSPECTS
         #: peer -> (now, tick, score, now_dependent, decaying). A score
         #: is a pure function of (peer state, IP group size, now, decay
         #: tick); between events the router reads it repeatedly
@@ -231,7 +236,7 @@ class PeerScoreTracker:
                     cache.pop(member, None)
                 if not group:
                     del self._ip_peers[stats.ip]
-        self._suspects.discard(peer)
+        self._drop_suspect(peer)
 
     def _stats(self, peer: NodeId) -> _PeerStats:
         stats = self._peers.get(peer)
@@ -313,7 +318,7 @@ class PeerScoreTracker:
             # A silent mesh member on a strict topic can go negative
             # with no further events; keep it under suspicion while
             # (and after) it sits in this mesh.
-            self._suspects.add(peer)
+            self._suspect(peer)
 
     def prune(self, peer: NodeId, topic: str, now: float) -> None:
         """Peer leaves the mesh; a delivery deficit becomes P3b."""
@@ -325,7 +330,7 @@ class PeerScoreTracker:
             deficit = self._delivery_deficit(stats, params)
             if deficit > 0:
                 stats.mesh_failure_penalty += deficit * deficit
-                self._suspects.add(peer)
+                self._suspect(peer)
         stats.in_mesh = False
 
     # -- delivery events ------------------------------------------------------------
@@ -369,20 +374,20 @@ class PeerScoreTracker:
         self._score_cache.pop(peer, None)
         stats = self._topic_stats(peer, topic)
         stats.invalid_message_deliveries += 1
-        self._suspects.add(peer)
+        self._suspect(peer)
 
     def behaviour_penalty(self, peer: NodeId, amount: float = 1.0) -> None:
         self._score_cache.pop(peer, None)
         stats = self._stats(peer)
         self._materialize_behaviour(stats)
         stats.behaviour_penalty += amount
-        self._suspects.add(peer)
+        self._suspect(peer)
 
     def set_app_score(self, peer: NodeId, score: float) -> None:
         self._score_cache.pop(peer, None)
         self._stats(peer).app_score = score
         if score < 0:
-            self._suspects.add(peer)
+            self._suspect(peer)
 
     def set_ip(self, peer: NodeId, ip: str) -> None:
         self._assign_ip(peer, self._stats(peer), ip)
@@ -408,7 +413,7 @@ class PeerScoreTracker:
         for member in group:
             cache.pop(member, None)
         if len(group) > self.params.ip_colocation_factor_threshold:
-            self._suspects.update(group)
+            self._suspect(*group)
 
     # -- suspects ---------------------------------------------------------------------
 
@@ -422,9 +427,21 @@ class PeerScoreTracker:
         """
         return peer in self._suspects
 
-    def suspects(self) -> Set[NodeId]:
-        """Live view of the suspect set (do not mutate)."""
+    def suspects(self) -> AbstractSet[NodeId]:
+        """The current suspect set (do not mutate)."""
         return self._suspects
+
+    def _suspect(self, *peers: NodeId) -> None:
+        if self._suspects is _NO_SUSPECTS:
+            self._suspects = set()
+        self._suspects.update(peers)
+
+    def _drop_suspect(self, peer: NodeId) -> None:
+        suspects = self._suspects
+        if peer in suspects:
+            suspects.discard(peer)
+            if not suspects:
+                self._suspects = _NO_SUSPECTS
 
     # -- scoring -----------------------------------------------------------------------
 
@@ -532,8 +549,8 @@ class PeerScoreTracker:
             total += excess * excess * self.params.behaviour_penalty_weight
         if p7 > 0:
             suspect = True
-        if not suspect:
-            self._suspects.discard(peer)
+        if not suspect and peer in self._suspects:
+            self._drop_suspect(peer)
         self._score_cache[peer] = (
             now, tick, total, now_dependent, decaying
         )

@@ -10,7 +10,7 @@ property.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Protocol, Set
+from typing import Any, Dict, List, Protocol, Sequence, Set
 
 from ..errors import NetworkError, SimulationError
 from ..sim.latency import LatencyModel, UniformLatency
@@ -69,10 +69,6 @@ class Network:
         #: objects — otherwise "is this peer alive?" depends on which
         #: worker asks.
         self._remote_presence: Dict[NodeId, tuple] = {}
-        #: receiver -> "deliver:<receiver>"; building the label string
-        #: once per node instead of once per packet keeps it off the
-        #: per-send path.
-        self._deliver_labels: Dict[NodeId, str] = {}
         # Pre-bound metric sinks: every packet touches these, and the
         # registry indirection is measurable at millions of sends.
         self._counters = self.metrics.counters
@@ -168,15 +164,13 @@ class Network:
             # latency draw later, owned-or-foreign alike.
             del self._nodes[node_id]
             rng = self.simulator.entity_rng(node_id)
-            for neighbor in sorted(self._adjacency.pop(node_id, set())):
-                delay = self.latency.sample_latency(rng)
-                self.simulator.schedule_port(
-                    delay,
-                    "net.link_down",
-                    (node_id, neighbor),
-                    label=f"link_down:{neighbor}",
-                    shard=neighbor,
-                )
+            self.simulator.schedule_port(
+                "net.link_down",
+                [
+                    (self.latency.sample_latency(rng), (node_id, n), n)
+                    for n in sorted(self._adjacency.pop(node_id, ()))
+                ],
+            )
             return
         del self._nodes[node_id]
         for neighbor in self._adjacency.pop(node_id, set()):
@@ -232,9 +226,7 @@ class Network:
                 return
             self._adjacency[a].add(b)
             delay = self.latency.sample_latency(self.simulator.entity_rng(a))
-            self.simulator.schedule_port(
-                delay, "net.link_up", (b, a), label=f"link_up:{b}", shard=b
-            )
+            self.simulator.schedule_port("net.link_up", [(delay, (b, a), b)])
             return
         if b not in self._adjacency[a]:
             self._adjacency[a].add(b)
@@ -270,35 +262,45 @@ class Network:
 
     # -- transmission -------------------------------------------------------------
 
-    def send(self, sender: NodeId, receiver: NodeId, packet: Any) -> bool:
-        """Schedule delivery of ``packet`` over the ``sender—receiver`` link.
+    def send(
+        self, sender: NodeId, receivers: Sequence[NodeId], packet: Any
+    ) -> int:
+        """Schedule ``packet`` to each of ``receivers`` in order, as one
+        fan-out; returns how many were scheduled.
 
-        Returns False if the packet was dropped by the loss model or the
-        link does not exist (e.g. the peer just disconnected); gossip is
-        tolerant of both, so no exception is raised.
+        A receiver without a link (e.g. a peer that just disconnected)
+        or a packet the loss model drops is skipped and counted; gossip
+        is tolerant of both. Per receiver, the loss draw (when the model
+        can lose) precedes the latency draw, both from the *sender's*
+        stream: shared on the serial kernel, private on the windowed
+        one, so draws do not depend on shard/worker interleaving.
         """
-        if receiver not in self._adjacency.get(sender, ()):
-            self._counters["net.send_no_link"] += 1
-            return False
-        # Loss and latency draw from the *sender's* stream: on the
-        # serial kernel entity_rng is the shared stream (the
-        # historical behaviour, bit for bit), on the windowed kernel
-        # it makes the draw independent of shard/worker interleaving.
-        rng = self.simulator.entity_rng(sender)
-        if self.latency.sample_loss(rng):
-            self._counters["net.packets_lost"] += 1
-            return False
-        delay = self.latency.sample_latency(rng)
-        self._counters["net.packets_sent"] += 1
-
-        label = self._deliver_labels.get(receiver)
-        if label is None:
-            label = self._deliver_labels[receiver] = f"deliver:{receiver}"
-
-        # The receiver is the delivery's shard affinity: the windowed
-        # kernel queues the event where the receiving node lives (or
-        # exports it to the worker that owns it).
-        self.simulator.schedule_port(
-            delay, "net.deliver", (sender, receiver, packet), label, receiver
-        )
-        return True
+        links = self._adjacency.get(sender, ())
+        loss = self.latency.loss_probability
+        sample = self.latency.sample_latency
+        counters = self._counters
+        items = []
+        no_link = lost = 0
+        rng = None  # the stream is first asked for by a linked receiver
+        for receiver in receivers:
+            if receiver not in links:
+                no_link += 1
+                continue
+            if rng is None:
+                rng = self.simulator.entity_rng(sender)
+            if loss > 0 and rng.random() < loss:
+                lost += 1
+            else:
+                # The receiver is the delivery's shard affinity: the
+                # windowed kernel queues the event where the receiving
+                # node lives (or exports it to the worker that owns it).
+                payload = (sender, receiver, packet)
+                items.append((sample(rng), payload, receiver))
+        if no_link:
+            counters["net.send_no_link"] += no_link
+        if lost:
+            counters["net.packets_lost"] += lost
+        if items:
+            counters["net.packets_sent"] += len(items)
+            self.simulator.schedule_port("net.deliver", items)
+        return len(items)

@@ -14,7 +14,9 @@ other than the one its tree recorded raises
 It also keeps a small window of recent roots. Proof verification
 accepts any root in the window, which tolerates the unavoidable race
 between a publisher proving against root ``r_k`` and a router that has
-already applied the ``k+1``-th membership event.
+already applied the ``k+1``-th membership event. Replicas that started
+at one version and applied the same events hold one shared window
+(:class:`~repro.crypto.merkle_forest.RootWindow`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from ..constants import DEFAULT_MERKLE_DEPTH
 from ..crypto.field import Fr
 from ..crypto.keys import IdentityCommitment
 from ..crypto.merkle import MerkleProof
-from ..crypto.merkle_forest import CanonicalShardedTree
+from ..crypto.merkle_forest import CanonicalShardedTree, RootWindow
 from ..crypto.merkle_shared import SharedMerkleView
 from ..errors import MemberNotFoundError, SyncError
 
@@ -58,19 +60,16 @@ class LocalGroup:
             else tree
         )
         self.root_window = root_window
-        self._recent_roots: Dict[Fr, None] = {}  # oldest first
-        self._remember_root(self.tree.root)
+        self._window: RootWindow = self.tree.canonical.root_window(
+            self.tree.version, root_window
+        )
         #: Number of membership events applied; used to detect gaps.
         self.applied_events = 0
 
     # -- root bookkeeping ----------------------------------------------------
 
-    def _remember_root(self, root: Fr) -> None:
-        recent = self._recent_roots
-        recent.pop(root, None)  # a repeated root moves to the end
-        recent[root] = None
-        while len(recent) > self.root_window:
-            del recent[next(iter(recent))]
+    def _remember(self, roots) -> None:
+        self._window = self._window.advance(self.tree.version, roots)
 
     @property
     def root(self) -> Fr:
@@ -78,10 +77,10 @@ class LocalGroup:
 
     def recent_roots(self) -> List[Fr]:
         """Roots currently accepted for proof verification, oldest first."""
-        return list(self._recent_roots)
+        return list(self._window.roots)
 
     def is_acceptable_root(self, root: Fr) -> bool:
-        return root in self._recent_roots
+        return root in self._window.roots
 
     # -- event application -----------------------------------------------------
 
@@ -97,7 +96,7 @@ class LocalGroup:
         self._check_sequence(event_index)
         leaf_index = self.tree.synced_insert(commitment.element)
         self.applied_events += 1
-        self._remember_root(self.tree.root)
+        self._remember((self.tree.root,))
         return leaf_index
 
     def apply_registration_batch(
@@ -118,8 +117,7 @@ class LocalGroup:
             commitments, self.root_window
         )
         self.applied_events += 1
-        for root in tail_roots:
-            self._remember_root(root)
+        self._remember(tail_roots)
         return first_index
 
     def apply_event(self, event) -> Optional[int]:
@@ -157,7 +155,7 @@ class LocalGroup:
         self._check_sequence(event_index)
         self.tree.synced_update(leaf_index, Fr.zero())
         self.applied_events += 1
-        self._remember_root(self.tree.root)
+        self._remember((self.tree.root,))
 
     def replicate_from(self, other: "LocalGroup") -> None:
         """Adopt another replica's synced state wholesale.
@@ -178,7 +176,7 @@ class LocalGroup:
         if other.root_window != self.root_window:
             raise SyncError("replicas disagree on the root-window size")
         self.tree = other.tree.clone()
-        self._recent_roots = dict(other._recent_roots)
+        self._window = other._window
         self.applied_events = other.applied_events
 
     def _check_sequence(self, event_index: int) -> None:

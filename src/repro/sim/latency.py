@@ -16,7 +16,12 @@ from ..errors import SimulationError
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Base class: constant latency, optional loss."""
+    """Base class: constant latency, optional loss.
+
+    A packet is lost when ``loss_probability > 0`` and a draw from the
+    sender's stream falls below it (:meth:`Network.send` draws it before
+    the packet's latency).
+    """
 
     base_seconds: float = 0.05
     loss_probability: float = 0.0
@@ -36,11 +41,6 @@ class LatencyModel:
         """
         return self.base_seconds
 
-    def sample_loss(self, rng: random.Random) -> bool:
-        if self.loss_probability <= 0:
-            return False
-        return rng.random() < self.loss_probability
-
 
 @dataclass(frozen=True)
 class UniformLatency(LatencyModel):
@@ -49,7 +49,9 @@ class UniformLatency(LatencyModel):
     spread_seconds: float = 0.05
 
     def sample_latency(self, rng: random.Random) -> float:
-        return self.base_seconds + rng.uniform(0, self.spread_seconds)
+        # ``rng.uniform(0, spread)`` is ``0 + (spread - 0) * random()``:
+        # the same float, without its frame.
+        return self.base_seconds + self.spread_seconds * rng.random()
 
 
 #: The relay networks' default link latency (30-80 ms per hop).

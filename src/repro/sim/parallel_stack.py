@@ -47,7 +47,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..crypto.digests import blake2b
 from ..errors import SimulationError
-from .simulator import Handler, Simulator, _gc_quiesce, _gc_restore
+from .simulator import Handler, PortItem, Simulator, _gc_quiesce, _gc_restore
 
 
 def _stable_hash(key: str, salt: bytes = b"") -> int:
@@ -122,9 +122,11 @@ PortPacket = Tuple[int, Optional[str], float, str, int, str, object, str]
 
 class _WRecord:
     """One scheduled event of the windowed kernel: ``handler(payload)``,
-    where a closure event's payload is the simulator itself."""
+    where a closure event's payload is the simulator itself. A closure
+    event's record is also the handle :meth:`schedule` returns."""
 
-    __slots__ = ("handler", "payload", "label", "shard", "ckey", "cancelled")
+    __slots__ = ("handler", "payload", "label", "shard", "ckey", "time",
+                 "cancelled")
 
     def __init__(
         self,
@@ -133,6 +135,7 @@ class _WRecord:
         label: str,
         shard: int,
         ckey: str,
+        time: float,
     ) -> None:
         self.handler = handler
         self.payload = payload
@@ -142,28 +145,11 @@ class _WRecord:
         #: affinity key), falling back to its origin — what
         #: descendants scheduled from its handler inherit as origin.
         self.ckey = ckey
+        self.time = time
         self.cancelled = False
 
-
-class _WHandle:
-    """Cancellation handle (EventHandle-compatible surface)."""
-
-    __slots__ = ("_record", "_time")
-
-    def __init__(self, record: _WRecord, time: float) -> None:
-        self._record = record
-        self._time = time
-
     def cancel(self) -> None:
-        self._record.cancelled = True
-
-    @property
-    def time(self) -> float:
-        return self._time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._record.cancelled
+        self.cancelled = True
 
 
 class WindowedStackSimulator(Simulator):
@@ -195,6 +181,8 @@ class WindowedStackSimulator(Simulator):
         self._exec_shard = 0
         self._origin_seq: Dict[str, int] = {}
         self._exports: List[PortPacket] = []
+        #: port -> shard key -> the events' label, built once per pair.
+        self._labels: Dict[str, Dict[Optional[str], str]] = {}
         self._running = False
         self._window_end = 0.0
         self._salt = _stable_hash(f"entity-rng:{seed}").to_bytes(8, "big")
@@ -281,51 +269,48 @@ class WindowedStackSimulator(Simulator):
 
     # -- ports ---------------------------------------------------------------------
 
-    def schedule_port(
-        self,
-        delay: float,
-        port: str,
-        payload: object,
-        label: str = "",
-        shard: Optional[str] = None,
-    ) -> None:
-        """Schedule ``port(payload)`` — the cross-worker-safe form.
+    def schedule_port(self, port: str, items: Sequence[PortItem]) -> None:
+        """Schedule ``port(payload)`` per ``(delay, payload, shard)``
+        item, in order — the cross-worker-safe form. An event's label is
+        ``"<port name after its last dot>:<shard>"`` (``deliver:peer-3``).
 
-        For an owned destination shard this is exactly a local
+        For an owned destination shard an item is exactly a local
         :meth:`schedule` of the port handler under the same key; for a
         foreign shard the event is exported and injected by the owning
         worker at the barrier, again under the same key — so ownership
         never changes the execution order.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay}s in the past")
         handler = self._ports.get(port)
         if handler is None:
             raise SimulationError(f"unknown port {port!r}")
-        time = self.now + delay
         origin = self._context
-        # One per delivery: the per-origin counter and the plan's
-        # assignment read inline, causality checked only off-shard.
+        # The per-origin counter and the plan's assignment are read
+        # inline, and causality is checked only off-shard.
         seq = self._origin_seq.get(origin, 0)
-        self._origin_seq[origin] = seq + 1
-        dst = self.plan._assignment.get(shard)
-        if dst is None:
-            dst = self.plan.shard_of(shard)
-        if dst != self._exec_shard:
-            self._check_causality(dst, time, label)
-        if dst in self.owned:
-            record = _WRecord(
-                handler,
-                payload,
-                label,
-                dst,
-                shard if shard is not None else origin,
-            )
-            heappush(self._heap, (time, origin, seq, record))
-        else:
-            self._exports.append(
-                (dst, shard, time, origin, seq, port, payload, label)
-            )
+        assignment = self.plan._assignment
+        labels = self._labels.setdefault(port, {})
+        for delay, payload, shard in items:
+            if delay < 0:
+                raise SimulationError(f"cannot schedule {delay}s in the past")
+            time = self.now + delay
+            self._origin_seq[origin] = seq + 1
+            dst = assignment.get(shard)
+            if dst is None:
+                dst = self.plan.shard_of(shard)
+            label = labels.get(shard)
+            if label is None:
+                label = labels[shard] = f"{port.rpartition('.')[2]}:{shard}"
+            if dst != self._exec_shard:
+                self._check_causality(dst, time, label)
+            if dst in self.owned:
+                ckey = shard if shard is not None else origin
+                record = _WRecord(handler, payload, label, dst, ckey, time)
+                heappush(self._heap, (time, origin, seq, record))
+            else:
+                self._exports.append(
+                    (dst, shard, time, origin, seq, port, payload, label)
+                )
+            seq += 1
 
     def inject(self, packets: List[PortPacket]) -> None:
         """Accept barrier packets exported by other workers."""
@@ -335,13 +320,8 @@ class WindowedStackSimulator(Simulator):
                     f"packet for shard {dst} routed to wrong worker"
                 )
             handler = self._ports[port]
-            record = _WRecord(
-                handler,
-                payload,
-                label,
-                dst,
-                dst_key if dst_key is not None else origin,
-            )
+            ckey = dst_key if dst_key is not None else origin
+            record = _WRecord(handler, payload, label, dst, ckey, time)
             heappush(self._heap, (time, origin, seq, record))
 
     def drain_exports(self) -> List[PortPacket]:
@@ -386,11 +366,10 @@ class WindowedStackSimulator(Simulator):
                 f"closure event {label!r} targets foreign shard {dst}; "
                 "cross-worker events must go through schedule_port"
             )
-        record = _WRecord(
-            handler, self, label, dst, shard if shard is not None else origin
-        )
+        ckey = shard if shard is not None else origin
+        record = _WRecord(handler, self, label, dst, ckey, time)
         heappush(self._heap, (time, origin, seq, record))
-        return _WHandle(record, time)
+        return record
 
     # -- ownership ---------------------------------------------------------------------
 

@@ -8,8 +8,8 @@ deterministic given a seed, and simulated seconds are free, so a 13 s
 block interval or a 0.5 s proving delay costs nothing in wall-clock.
 
 The queue stores ``(time, sequence, event)`` tuples so heap comparisons
-stay in C, event records are slotted and recycled through a free list,
-and cancelled events are compacted out of the heap once they outnumber
+stay in C, an event record is slotted and is also its handle, and
+cancelled events are compacted out of the heap once they outnumber
 live ones — workloads that cancel/reschedule timers constantly (gossip
 backoffs, churn) keep a bounded queue instead of a monotonically
 growing one. A *port event* (:meth:`Simulator.schedule_port`; network
@@ -25,12 +25,16 @@ import itertools
 import random
 from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 
 #: An event handler; receives the simulator so it can schedule follow-ups.
 Handler = Callable[["Simulator"], None]
+
+#: One port event: ``(delay, payload, shard)``; ``shard`` is the affinity
+#: key the windowed kernel routes by (the serial kernel ignores it).
+PortItem = Tuple[float, object, Optional[str]]
 
 
 # -- GC quiescence --------------------------------------------------------
@@ -86,55 +90,29 @@ def _gc_restore() -> None:
     gc.unfreeze()
 
 
-class _ScheduledEvent:
-    """One queue entry's mutable record (identity + cancellation flag).
+class EventHandle:
+    """One queued closure event: the record its heap entry holds, and
+    the handle :meth:`Simulator.schedule` returns to cancel it.
 
     Ordering lives in the ``(time, sequence)`` tuple prefix of the heap
-    entries, never on the record itself; records are recycled through
-    the simulator's free list, with ``sequence`` doubling as the
-    incarnation check that keeps stale :class:`EventHandle` references
-    from touching a reused record.
+    entries, never on the record itself. A record drops its handler
+    when it fires, so cancelling it afterwards leaves the queue alone.
     """
 
-    __slots__ = ("time", "sequence", "handler", "cancelled")
+    __slots__ = ("_sim", "time", "handler", "cancelled")
 
-    def __init__(self) -> None:
-        self.time = 0.0
-        self.sequence = -1
-        self.handler: Optional[Handler] = None
+    def __init__(self, sim: "Simulator", time: float, handler: Handler) -> None:
+        self._sim = sim
+        self.time = time
+        self.handler: Optional[Handler] = handler
         self.cancelled = False
 
-
-class EventHandle:
-    """Returned by :meth:`Simulator.schedule`; allows cancellation."""
-
-    __slots__ = ("_sim", "_event", "_sequence", "_time", "_cancelled")
-
-    def __init__(self, sim: "Simulator", event: _ScheduledEvent) -> None:
-        self._sim = sim
-        self._event = event
-        self._sequence = event.sequence
-        self._time = event.time
-        self._cancelled = False
-
     def cancel(self) -> None:
-        if self._cancelled:
+        if self.cancelled:
             return
-        self._cancelled = True
-        event = self._event
-        # Only mark the record if it is still *our* incarnation (it may
-        # have fired and been recycled for an unrelated event since).
-        if event.sequence == self._sequence and not event.cancelled:
-            event.cancelled = True
+        self.cancelled = True
+        if self.handler is not None:  # still queued
             self._sim._note_cancelled()
-
-    @property
-    def time(self) -> float:
-        return self._time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
 
 
 class _Periodic:
@@ -165,18 +143,14 @@ class Simulator:
     #: cancelled events sit in it *and* they are at least half of it.
     COMPACT_MIN_CANCELLED = 64
 
-    #: Free-list bound; beyond this, popped event records are dropped.
-    _POOL_LIMIT = 4096
-
     def __init__(self, seed: int = 0) -> None:
         self.now = 0.0
         self.rng = random.Random(seed)
-        #: Heap of ``(time, sequence, _ScheduledEvent)`` and, for port
+        #: Heap of ``(time, sequence, EventHandle)`` and, for port
         #: events, ``(time, sequence, None, handler, payload)``.
         self._queue: list = []
         self._ports: Dict[str, Callable[[object], None]] = {}
         self._sequence = itertools.count()
-        self._pool: list = []
         self._cancelled_pending = 0
         self.events_processed = 0
 
@@ -224,13 +198,6 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------------
 
-    def _recycle(self, event: _ScheduledEvent) -> None:
-        event.handler = None  # don't pin closures in the free list
-        event.sequence = -1
-        pool = self._pool
-        if len(pool) < self._POOL_LIMIT:
-            pool.append(event)
-
     def _note_cancelled(self) -> None:
         self._cancelled_pending += 1
         queue = self._queue
@@ -239,9 +206,6 @@ class Simulator:
             and self._cancelled_pending * 2 >= len(queue)
         ):
             live = [e for e in queue if e[2] is None or not e[2].cancelled]
-            for entry in queue:
-                if entry[2] is not None and entry[2].cancelled:
-                    self._recycle(entry[2])
             # In place, so aliases held by a running step()/run() frame
             # keep seeing the compacted heap.
             queue[:] = live
@@ -263,16 +227,9 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s in the past")
-        # The record checkout is inline: one call frame per scheduled
-        # event matters at tens of millions of events.
-        pool = self._pool
-        event = pool.pop() if pool else _ScheduledEvent()
-        event.time = time = self.now + delay
-        event.sequence = sequence = next(self._sequence)
-        event.handler = handler
-        event.cancelled = False
-        heappush(self._queue, (time, sequence, event))
-        return EventHandle(self, event)
+        event = EventHandle(self, self.now + delay, handler)
+        heappush(self._queue, (event.time, next(self._sequence), event))
+        return event
 
     def register_port(
         self, name: str, handler: Callable[[object], None]
@@ -283,26 +240,20 @@ class Simulator:
             raise SimulationError(f"port {name!r} already registered")
         self._ports[name] = handler
 
-    def schedule_port(
-        self,
-        delay: float,
-        port: str,
-        payload: object,
-        label: str = "",
-        shard: Optional[str] = None,
-    ) -> None:
-        """Run ``port``'s handler on ``payload`` after ``delay``
-        seconds: ordered like a :meth:`schedule` call made at the same
-        point, but not cancellable (the heap entry is the whole event)."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay}s in the past")
+    def schedule_port(self, port: str, items: Sequence[PortItem]) -> None:
+        """For each ``(delay, payload, shard)`` of ``items``, in order,
+        run ``port``'s handler on ``payload`` after ``delay`` seconds:
+        ordered like :meth:`schedule` calls made at the same point, but
+        not cancellable (the heap entry is the whole event). A fan-out
+        is one call."""
         handler = self._ports.get(port)
         if handler is None:
             raise SimulationError(f"unknown port {port!r}")
-        heappush(
-            self._queue,
-            (self.now + delay, next(self._sequence), None, handler, payload),
-        )
+        queue, now, sequence = self._queue, self.now, self._sequence
+        for delay, payload, _shard in items:
+            if delay < 0:
+                raise SimulationError(f"cannot schedule {delay}s in the past")
+            heappush(queue, (now + delay, next(sequence), None, handler, payload))
 
     def schedule_periodic(
         self,
@@ -352,7 +303,6 @@ class Simulator:
             event = entry[2]
             if event is not None and event.cancelled:
                 self._cancelled_pending -= 1
-                self._recycle(event)
                 continue
             if entry[0] < self.now:
                 raise SimulationError("event queue went backwards in time")
@@ -360,8 +310,7 @@ class Simulator:
             if event is None:
                 entry[3](entry[4])
             else:
-                handler = event.handler
-                self._recycle(event)
+                handler, event.handler = event.handler, None
                 handler(self)
             self.events_processed += 1
             return True
@@ -392,7 +341,6 @@ class Simulator:
                 if event is not None and event.cancelled:
                     heappop(queue)
                     self._cancelled_pending -= 1
-                    self._recycle(event)
                     continue
                 time = entry[0]
                 if until is not None and time > until:
@@ -406,8 +354,7 @@ class Simulator:
                 if event is None:
                     entry[3](entry[4])
                 else:
-                    handler = event.handler
-                    self._recycle(event)
+                    handler, event.handler = event.handler, None
                     handler(self)
                 self.events_processed += 1
                 processed += 1
@@ -419,7 +366,7 @@ class Simulator:
             # must not mask real unprocessed work).
             while queue and queue[0][2] is not None and queue[0][2].cancelled:
                 self._cancelled_pending -= 1
-                self._recycle(heappop(queue)[2])
+                heappop(queue)
             if queue and (until is None or queue[0][0] <= until):
                 raise SimulationError(
                     f"event budget exhausted ({max_events} events) with "

@@ -32,8 +32,8 @@ MessageHandler = Callable[[WakuMessage, str], None]
 #: sender; the topic is routing metadata, not an identity.
 TopicMessageHandler = Callable[[str, WakuMessage, str], None]
 
-#: Waku validator: message -> ValidationResult.
-WakuValidator = Callable[[WakuMessage], ValidationResult]
+#: Waku validator: (pubsub topic, message) -> ValidationResult.
+WakuValidator = Callable[[str, WakuMessage], ValidationResult]
 
 
 class WakuRelayNode:
@@ -73,9 +73,7 @@ class WakuRelayNode:
         if topic in self._topics:
             return
         self._topics.add(topic)
-        self.router.add_validator(
-            topic, lambda payload, frm, t=topic: self._validate(t, payload)
-        )
+        self.router.add_validator(topic, self._validate)
         if self._started:
             self.router.subscribe(topic)
             for peer in self.router.peers():
@@ -147,14 +145,17 @@ class WakuRelayNode:
             return decode_envelope(payload)
         return payload if isinstance(payload, WakuMessage) else None
 
-    def _validate(self, topic: str, payload: Any) -> ValidationResult:
+    def _validate(
+        self, topic: str, payload: Any, from_peer: NodeId
+    ) -> ValidationResult:
+        del from_peer  # validators must not see the previous hop
         message = self._decode(payload)
         if message is None:
             return ValidationResult.REJECT
         for scope, validator in self._validators:
             if scope is not None and scope != topic:
                 continue
-            result = validator(message)
+            result = validator(topic, message)
             if result is not ValidationResult.ACCEPT:
                 return result
         return ValidationResult.ACCEPT

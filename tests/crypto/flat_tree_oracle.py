@@ -121,12 +121,32 @@ class FlatTree(MerkleTree):
 
 class FlatReplica(LocalGroup):
     """An independent replica: a :class:`LocalGroup` on a
-    :class:`FlatTree`, replicating by copying the whole tree."""
+    :class:`FlatTree`, replicating by copying the whole tree, with a
+    root-window dict of its own — the per-replica window the shared
+    :class:`~repro.crypto.merkle_forest.RootWindow` replaced."""
 
     def __init__(
         self, depth: int, root_window: int = DEFAULT_ROOT_WINDOW
     ) -> None:
-        super().__init__(depth, root_window, tree=FlatTree(depth))
+        self.tree = FlatTree(depth)
+        self.root_window = root_window
+        self._recent_roots: Dict[Fr, None] = {}  # oldest first
+        self._remember((self.tree.root,))
+        self.applied_events = 0
+
+    def _remember(self, roots) -> None:
+        recent = self._recent_roots
+        for root in roots:
+            recent.pop(root, None)  # a repeated root moves to the end
+            recent[root] = None
+            while len(recent) > self.root_window:
+                del recent[next(iter(recent))]
+
+    def recent_roots(self) -> List[Fr]:
+        return list(self._recent_roots)
+
+    def is_acceptable_root(self, root: Fr) -> bool:
+        return root in self._recent_roots
 
     def replicate_from(self, other: "FlatReplica") -> None:
         if other.root_window != self.root_window:

@@ -1,5 +1,7 @@
 """Tests for the blockchain simulation and gas metering."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ChainError
@@ -47,6 +49,19 @@ class TestAccounts:
     def test_unknown_account_rejected(self, chain):
         with pytest.raises(ChainError):
             chain.get_account("ghost")
+
+
+class TestSlottedRecords:
+    """Accounts and receipts are slotted (no per-record ``__dict__``)
+    and still pickle, as forked workers' barrier traffic needs."""
+
+    def test_account_and_receipt_round_trip(self, chain):
+        receipt = chain.call_now("alice", "counter", "bump")
+        account = chain.get_account("alice")
+        for record in (account, receipt):
+            assert not hasattr(record, "__dict__")
+            assert pickle.loads(pickle.dumps(record)) == record
+        assert receipt.events and receipt.events[0].name == "Bumped"
 
 
 class TestExecution:

@@ -36,10 +36,14 @@ class EagerTracker(PeerScoreTracker):
         return True
 
 
-class _Everyone:
-    """A suspect set holding every peer: each gate scores for real."""
+class _Everyone(set):
+    """A suspect set holding every peer: each gate scores for real.
+    It keeps the peers added to it, and never empties."""
 
     def __contains__(self, peer):
+        return True
+
+    def __bool__(self):
         return True
 
 
@@ -49,12 +53,13 @@ class SweepRouter(GossipSubRouter):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.scores = EagerTracker(self.scores.params)
-        self._suspects = _Everyone()
+        self.scores._suspects = _Everyone()
 
     def heartbeat(self):
         # A dirty topic is maintained on the next heartbeat; marking
         # all of them turns the O(changed) pass into the full sweep.
-        self._dirty_topics.update(self.subscriptions)
+        for topic in sorted(self.subscriptions):
+            self._mark_dirty(topic)
         super().heartbeat()
 
 

@@ -1,13 +1,18 @@
 """The flattened inbound path against the code it replaced.
 
-``GossipSubRouter._process`` now tests seen-ness itself and drops a
-duplicate without another router frame, ``_forward`` counts a fan-out
-once, and ``PeerScoreTracker.duplicate_message`` / ``add_peer`` skip
-frames that were no-ops. The previous ``_process`` / ``_handle_publish``
-/ per-target ``_forward`` / ``_send`` and the previous tracker methods
-are kept below as the oracle: fed the same packets, both must leave the
-same counters, score state, suspects and outbound traffic after every
-step.
+``GossipSubRouter.deliver`` is now the whole inbound path in one frame:
+it probes the tracker for an unknown peer instead of calling
+``add_peer``, tests seen-ness itself and drops a duplicate without
+another router frame, and skips the control fields of a publish-only
+packet. A first delivery reaches the topic's validator directly, and
+``_forward`` sends one fan-out through one ``Network.send`` call,
+counted once. ``PeerScoreTracker.duplicate_message`` / ``add_peer``
+skip frames that were no-ops. The previous ``deliver`` / ``_process``
+/ ``_handle_publish`` / ``_validate`` / per-target ``_forward`` and
+``_send`` and the previous tracker methods are kept below as the
+oracle: fed the same packets through ``deliver``, both must leave the
+same counters, score state, suspects, kernel queue and outbound traffic
+(one entry per delivered target) after every step.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from typing import Optional
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import GossipError
 from repro.gossipsub.router import GossipSubRouter, ValidationResult
 from repro.gossipsub.rpc import GossipMessage, RpcPacket, compute_message_id
 from repro.gossipsub.score import (
@@ -60,6 +66,21 @@ class OracleRouter(GossipSubRouter):
         super().__init__(*args, **kwargs)
         self.scores = OracleTracker(self.scores.params)
 
+    def deliver(self, from_peer, packet):
+        if not isinstance(packet, RpcPacket):
+            raise GossipError(
+                f"unexpected packet type {type(packet).__name__}"
+            )
+        if self.processing_delay > 0 and packet.publish:
+            self.network.simulator.schedule(
+                self.processing_delay,
+                lambda _sim: self._process(from_peer, packet),
+                label=f"validate:{self.node_id}",
+                shard=self.node_id,
+            )
+            return
+        self._process(from_peer, packet)
+
     def _process(self, from_peer, packet):
         self.scores.add_peer(from_peer)
         if self.scores.maybe_negative(from_peer) and (
@@ -75,7 +96,7 @@ class OracleRouter(GossipSubRouter):
             mesh = self.mesh.get(topic)
             if mesh is not None and from_peer in mesh:
                 mesh.discard(from_peer)
-                self._dirty_topics.add(topic)
+                self._mark_dirty(topic)
         for message in packet.publish:
             self._handle_publish(message, from_peer)
         if packet.ihave:
@@ -108,26 +129,30 @@ class OracleRouter(GossipSubRouter):
         self.scores.first_message(from_peer, topic)
         self.mcache.put(message)
         self._deliver_locally(message, from_peer)
-        self._forward(message, exclude={from_peer})
+        self._forward_each(message, exclude={from_peer})
 
-    def _forward(self, message, exclude):
+    def _validate(self, message, from_peer):
+        validator = self.validators.get(message.topic)
+        if validator is None:
+            return ValidationResult.ACCEPT
+        return validator(message.topic, message.payload, from_peer)
+
+    def _forward_each(self, message, exclude):
         targets = set(self.mesh.get(message.topic, set())) - exclude
         if not targets:
             return
         packet = RpcPacket(publish=[message])
         size = packet.size_bytes
         for peer in sorted(targets):
-            self._send(peer, packet, size)
+            self._send_one(peer, packet, size)
 
-    def _send(self, peer, packet, size: Optional[int] = None):
-        if packet.is_empty():
-            return
+    def _send_one(self, peer, packet, size: Optional[int] = None):
         counters = self.metrics.counters
         counters["gossipsub.rpc_sent"] += 1
         counters["gossipsub.bytes_sent"] += (
             packet.size_bytes if size is None else size
         )
-        self.network.send(self.node_id, peer, packet)
+        self.network.send(self.node_id, [peer], packet)
 
 
 PLAIN, STRICT = "plain-topic", "strict-topic"
@@ -148,7 +173,7 @@ SCORE_PARAMS = PeerScoreParams(
 )
 
 
-def _verdict(payload, _from_peer):
+def _verdict(_topic, payload, _from_peer):
     number = payload[-1]
     if number % 7 == 0:
         return ValidationResult.REJECT

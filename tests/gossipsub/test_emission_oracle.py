@@ -3,12 +3,14 @@
 ``GossipSubRouter._gossip_eligible_peers`` now drops the caller's mesh
 *before* ranking, scores each surviving candidate once and sorts on a
 C-level key, and ``_emit_gossip`` sends one IHAVE packet per topic to
-its ``d_lazy`` targets, counting the fan-out once. The previous methods
-are kept below as the oracle — rank every eligible topic peer, drop the
-mesh afterwards, one packet and one ``_send`` per target. Fed the same
-router state, both must send the same packets to the same peers in the
-same order, leave the same counters and mesh, and draw the same entity
-RNG stream, heartbeat after heartbeat.
+its ``d_lazy`` targets in one ``Network.send`` call, counting the
+fan-out once. The previous methods are kept below as the oracle — rank
+every eligible topic peer, drop the mesh afterwards, one packet and one
+single-target send per target. Fed the same router state through
+``deliver``, both must send the same packets to the same peers in the
+same order (one recorded entry per target of a batched send), deliver
+the same packets, leave the same counters and mesh, and draw the same
+entity RNG stream, heartbeat after heartbeat.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class OracleRouter(GossipSubRouter):
             ]
             rng.shuffle(candidates)
             for peer in candidates[: self.params.d_lazy]:
-                self._send(peer, RpcPacket(ihave={topic: list(msg_ids)}))
+                self._send((peer,), RpcPacket(ihave={topic: list(msg_ids)}))
 
 
 MESHED, STRICT, FANOUT = "meshed", "strict", "fanout"
@@ -76,9 +78,10 @@ SCORE_PARAMS = PeerScoreParams(topic_params={STRICT: strict_topic_params()})
 class _Stub:
     def __init__(self, node_id):
         self.node_id = node_id
+        self.received = []
 
     def deliver(self, from_peer, packet):
-        pass
+        self.received.append((from_peer, packet))
 
 
 class World:
@@ -91,11 +94,12 @@ class World:
             "subject", self.network, PARAMS, score_params=SCORE_PARAMS
         )
         self.sent = []
+        self.stubs = []
         send = self.network.send
 
-        def recording_send(sender, receiver, packet):
-            self.sent.append((receiver, packet))
-            return send(sender, receiver, packet)
+        def recording_send(sender, receivers, packet):
+            self.sent.extend((receiver, packet) for receiver in receivers)
+            return send(sender, receivers, packet)
 
         self.network.send = recording_send
         router = self.router
@@ -103,7 +107,8 @@ class World:
         router.subscribe(STRICT)
         for i, (topics, meshes, app_score, backoffs) in enumerate(peers):
             peer = f"n{i}"
-            self.network.attach(_Stub(peer))
+            self.stubs.append(_Stub(peer))
+            self.network.attach(self.stubs[-1])
             self.network.connect("subject", peer)
             router.deliver(peer, RpcPacket(subscribe=sorted(topics)))
             router.deliver(peer, RpcPacket(graft=sorted(meshes & topics)))
@@ -126,6 +131,7 @@ class World:
         router = self.router
         return {
             "sent": list(self.sent),
+            "received": [list(stub.received) for stub in self.stubs],
             "counters": dict(self.network.metrics.counters),
             "mesh": {t: sorted(m) for t, m in router.mesh.items()},
             "fanout": {t: sorted(m) for t, m in router.fanout.items()},

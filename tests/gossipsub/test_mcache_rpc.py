@@ -89,11 +89,6 @@ class TestSeenCache:
 
 
 class TestRpcPacket:
-    def test_empty_detection(self):
-        assert RpcPacket().is_empty()
-        assert not RpcPacket(graft=["t"]).is_empty()
-        assert not RpcPacket(publish=[msg(1)]).is_empty()
-
     def test_size_accounts_for_contents(self):
         small = RpcPacket(iwant=["a" * 16])
         big = RpcPacket(publish=[msg(1)], ihave={"t": ["x" * 16] * 10})

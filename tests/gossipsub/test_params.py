@@ -27,6 +27,7 @@ from repro.gossipsub.params import GossipSubParams
         ("mcache_gossip", -1),
         ("heartbeat_interval", 0.0),
         ("heartbeat_interval", -0.5),
+        ("max_iwant_per_heartbeat", -1),
     ],
 )
 def test_out_of_range_field_is_a_typed_error(field, value):

@@ -56,9 +56,9 @@ class TestPxOffer:
         sent = []
         original_send = a._send
 
-        def capture(peer, packet):
-            sent.append((peer, packet))
-            original_send(peer, packet)
+        def capture(peers, packet):
+            sent.extend((peer, packet) for peer in peers)
+            original_send(peers, packet)
 
         a._send = capture
         a._prune_peer("b", TOPIC)

@@ -176,7 +176,7 @@ class TestValidators:
         for router in routers:
             router.add_validator(
                 TOPIC,
-                lambda payload, frm: (
+                lambda topic, payload, frm: (
                     ValidationResult.REJECT
                     if payload.startswith(b"spam")
                     else ValidationResult.ACCEPT
@@ -200,7 +200,7 @@ class TestValidators:
         sim, network, routers = build_network(4)
         for router in routers:
             router.add_validator(
-                TOPIC, lambda payload, frm: ValidationResult.IGNORE
+                TOPIC, lambda topic, payload, frm: ValidationResult.IGNORE
             )
         routers[0].publish(TOPIC, b"meh")
         sim.run_for(5.0)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gossipsub.score import (
+    _NO_SUSPECTS,
     PeerScoreParams,
     PeerScoreTracker,
     TopicScoreParams,
@@ -71,8 +72,7 @@ def _fresh(tracker, now):
     tracker._score_cache.clear()
     fresh = [tracker.score(peer, now) for peer in PEERS]
     tracker._score_cache = memo
-    tracker._suspects.clear()
-    tracker._suspects.update(suspects)
+    tracker._suspects = suspects or _NO_SUSPECTS
     return fresh
 
 

@@ -93,7 +93,7 @@ class TestDelivery:
             2, latency=LatencyModel(base_seconds=0.5)
         )
         network.connect("n0", "n1")
-        assert network.send("n0", "n1", "hello")
+        assert network.send("n0", ["n1"], "hello")
         assert nodes[1].received == []
         sim.run()
         assert nodes[1].received == [("n0", "hello")]
@@ -101,7 +101,7 @@ class TestDelivery:
 
     def test_send_without_link_fails_softly(self):
         sim, network, nodes = make_network(2)
-        assert not network.send("n0", "n1", "x")
+        assert not network.send("n0", ["n1"], "x")
         sim.run()
         assert nodes[1].received == []
         assert network.metrics.counter("net.send_no_link") == 1
@@ -111,7 +111,7 @@ class TestDelivery:
             2, latency=LatencyModel(loss_probability=1.0)
         )
         network.connect("n0", "n1")
-        assert not network.send("n0", "n1", "x")
+        assert not network.send("n0", ["n1"], "x")
         sim.run()
         assert nodes[1].received == []
         assert network.metrics.counter("net.packets_lost") == 1
@@ -119,7 +119,7 @@ class TestDelivery:
     def test_churned_receiver_dead_letters(self):
         sim, network, nodes = make_network(2)
         network.connect("n0", "n1")
-        network.send("n0", "n1", "x")
+        network.send("n0", ["n1"], "x")
         network.detach("n1")
         sim.run()
         assert network.metrics.counter("net.packets_dead_lettered") == 1

@@ -404,3 +404,83 @@ class TestStoreDomains:
         assert market.member_count == 0
         assert store.canonical("chat") is not store.canonical("market")
         assert store.domains == ["chat", "market"]
+
+
+def _old_window(roots, size):
+    """The per-replica window the shared one replaced: a repeated root
+    moves to the end, the oldest drop out past ``size``."""
+    recent = {}
+    for root in roots:
+        recent.pop(root, None)
+        recent[root] = None
+        while len(recent) > size:
+            del recent[next(iter(recent))]
+    return list(recent)
+
+
+class TestSharedRootWindow:
+    """Replicas hold one window object per (start version, history),
+    and each still answers exactly like a window of its own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log=st.lists(st.integers(0, 5), min_size=1, max_size=14),
+        starts=st.lists(st.integers(0, 14), min_size=1, max_size=5),
+        size=st.integers(1, 4),
+    )
+    def test_windows_are_shared_and_exact(self, log, starts, size):
+        # A non-negative entry registers the next commitment; a slash
+        # of slot ``i % count`` zeroes it, and slashing one slot twice
+        # (or the newest slot) repeats an earlier root.
+        commitments = iter(_commitments(len(log)))
+        store = MembershipStore(depth=DEPTH, root_window=size)
+        writer = store.local_group()
+        events = []
+        for i, entry in enumerate(log):
+            if entry % 3 or not writer.member_count:
+                writer.apply_registration(next(commitments), i)
+                events.append(("reg", writer.member_count - 1))
+            else:
+                slot = entry % writer.member_count
+                writer.apply_removal(slot, i)
+                events.append(("slash", slot))
+        canonical = store.canonical()
+        # Every replica exists before any of them catches up, as every
+        # peer of a deployment does before its first sync.
+        replicas = {}
+        for start in starts:
+            start = min(start, len(events))
+            group = LocalGroup(
+                DEPTH, size, tree=SharedMerkleView(canonical, start)
+            )
+            group.applied_events = start
+            replicas.setdefault(start, []).append(group)
+        def roots_from(start):
+            return [Fr(canonical.root_at(v)) for v in range(start, len(events) + 1)]
+
+        for start, groups in sorted(replicas.items()):
+            expected = _old_window(roots_from(start), size)
+            for group in groups:
+                for i, (kind, slot) in enumerate(events[start:], start):
+                    if kind == "reg":
+                        leaf = Fr(canonical.event_at(i)[1])
+                        group.apply_registration(IdentityCommitment(leaf), i)
+                    else:
+                        group.apply_removal(slot, i)
+                assert group.recent_roots() == expected
+                for probe in expected:
+                    assert group.is_acceptable_root(probe)
+            assert len({id(group._window) for group in groups}) == 1
+        assert writer.recent_roots() == _old_window(roots_from(0), size)
+
+    def test_replicate_from_shares_the_window(self):
+        store = MembershipStore(depth=DEPTH, root_window=4)
+        reference = store.local_group()
+        for event, commitment in enumerate(_commitments(3)):
+            reference.apply_registration(commitment, event)
+        newcomer = store.local_group()
+        newcomer.replicate_from(reference)
+        assert newcomer._window is reference._window
+        newcomer.apply_registration(_commitments(4)[3], 3)
+        reference.apply_registration(_commitments(4)[3], 3)
+        assert newcomer._window is reference._window

@@ -163,7 +163,7 @@ class TestPortsAndOwnership:
         sim_all.register_port("t", lambda payload: seen_local.append(payload))
 
         def send(s):
-            s.schedule_port(0.2, "t", "hello", shard="peer-7")
+            s.schedule_port("t", [(0.2, "hello", "peer-7")])
 
         sim_all.schedule(0.05, send, shard="peer-0")
         sim_all.run_window(0.25)

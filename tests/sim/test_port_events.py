@@ -24,9 +24,10 @@ from repro.sim.simulator import Simulator
 class ClosurePortSimulator(Simulator):
     """Tests-only oracle: a port event is a plain closure event."""
 
-    def schedule_port(self, delay, port, payload, label="", shard=None):
+    def schedule_port(self, port, items):
         handler = self._ports[port]
-        self.schedule(delay, lambda _sim: handler(payload), label, shard)
+        for delay, payload, shard in items:
+            self.schedule(delay, lambda _sim, p=payload: handler(p), "", shard)
 
 
 class Driver:
@@ -61,7 +62,7 @@ class Driver:
         return self.next_id
 
     def port(self, delay):
-        self.sim.schedule_port(delay, "p", self._id())
+        self.sim.schedule_port("p", [(delay, self._id(), None)])
 
     def closure(self, delay):
         ident = self._id()
@@ -133,10 +134,10 @@ def test_equal_time_port_and_closure_events_fire_in_scheduling_order():
     sim = Simulator()
     order = []
     sim.register_port("p", order.append)
-    sim.schedule_port(1.0, "p", "port-1")
+    sim.schedule_port("p", [(1.0, "port-1", None)])
     sim.schedule(1.0, lambda _sim: order.append("closure-2"))
-    sim.schedule_port(1.0, "p", "port-3")
-    sim.schedule(0.5, lambda s: s.schedule_port(0.5, "p", "port-4"))
+    sim.schedule_port("p", [(1.0, "port-3", None)])
+    sim.schedule(0.5, lambda s: s.schedule_port("p", [(0.5, "port-4", None)]))
     sim.run()
     assert order == ["port-1", "closure-2", "port-3", "port-4"]
     assert sim.now == 1.0 and sim.events_processed == 5
@@ -148,7 +149,7 @@ def test_event_budget_with_a_port_event_at_the_head_raises_truncation():
     sim.register_port("p", fired.append)
     sim.schedule(1.0, lambda _sim: None).cancel()  # cancelled head first
     for i in range(3):
-        sim.schedule_port(1.0 + i, "p", i)
+        sim.schedule_port("p", [(1.0 + i, i, None)])
     with pytest.raises(SimulationError, match="event budget exhausted"):
         sim.run(max_events=2)
     assert fired == [0, 1] and sim.queue_depth() == 1
@@ -160,8 +161,8 @@ def test_run_until_includes_a_port_event_exactly_at_until():
     sim = Simulator()
     fired = []
     sim.register_port("p", fired.append)
-    sim.schedule_port(2.0, "p", "at")
-    sim.schedule_port(2.5, "p", "after")
+    sim.schedule_port("p", [(2.0, "at", None)])
+    sim.schedule_port("p", [(2.5, "after", None)])
     sim.run(until=2.0)
     assert fired == ["at"] and sim.now == 2.0 and sim.queue_depth() == 1
     assert sim.step() and fired == ["at", "after"] and not sim.step()
@@ -172,7 +173,7 @@ def test_compaction_at_the_real_threshold_keeps_port_entries():
     fired = []
     sim.register_port("p", fired.append)
     for i in (3, 1, 2):
-        sim.schedule_port(float(i), "p", i)
+        sim.schedule_port("p", [(float(i), i, None)])
     doomed = [
         sim.schedule(0.5, lambda _sim: fired.append("dead"))
         for _ in range(Simulator.COMPACT_MIN_CANCELLED)
@@ -200,9 +201,9 @@ def test_port_misuse_is_a_simulation_error_on_every_kernel(sim):
     with pytest.raises(SimulationError, match="already registered"):
         sim.register_port("p", lambda payload: None)
     with pytest.raises(SimulationError, match="unknown port"):
-        sim.schedule_port(1.0, "q", None)
+        sim.schedule_port("q", [(1.0, None, None)])
     with pytest.raises(SimulationError, match="in the past"):
-        sim.schedule_port(-1.0, "p", None)
+        sim.schedule_port("p", [(-1.0, None, None)])
     assert sim.queue_depth() == 0
 
 
@@ -227,15 +228,12 @@ def _mixed_trace(sim):
         trace.append(("closure", node, sim.now, sim.rng.random()))
         target = nodes[sim.rng.randrange(len(nodes))]
         sim.schedule_port(
-            sim.rng.choice([0.0, 0.25, 0.5]),
-            "hop",
-            (hop, target),
-            shard=target,
+            "hop", [(sim.rng.choice([0.0, 0.25, 0.5]), (hop, target), target)]
         )
 
     sim.register_port("hop", on_port)
     for node in nodes:
-        sim.schedule_port(0.5, "hop", (0, node), shard=node)
+        sim.schedule_port("hop", [(0.5, (0, node), node)])
     sim.run(until=3.0)
     sim.run()
     return trace, sim.now, sim.events_processed
@@ -264,10 +262,10 @@ def test_delivery_to_a_node_detached_in_flight_is_dead_lettered(sim):
         network.attach(node)
     network.connect("a", "b")
     network.connect("a", "c")
-    assert network.send("a", "b", "lost")
-    assert network.send("a", "c", "kept")
+    assert network.send("a", ["b"], "lost")
+    assert network.send("a", ["c"], "kept")
     network.detach("b")  # both packets are in flight
-    assert not network.send("a", "b", "no link any more")
+    assert not network.send("a", ["b"], "no link any more")
     if isinstance(sim, WindowedStackSimulator):
         sim.run_window(1.0, final=True)
     else:

@@ -79,11 +79,7 @@ def _relay_workload(sim, log):
             delay = rng.uniform(WINDOW, WINDOW + 0.3)
             log.append((round(s.now, 9), "beat", node, target))
             s.schedule_port(
-                delay,
-                "deliver",
-                (node, target),
-                label=f"deliver:{target}",
-                shard=target,
+                "deliver", [(delay, (node, target), target)]
             )
 
         return handler

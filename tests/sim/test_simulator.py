@@ -5,9 +5,18 @@ import random
 import pytest
 
 from repro.errors import SimulationError
+from repro.net.network import Network
 from repro.sim.latency import LatencyModel, LogNormalLatency, UniformLatency
 from repro.sim.metrics import Histogram, MetricsRegistry
 from repro.sim.simulator import Simulator
+
+
+class _Sink:
+    def __init__(self, node_id):
+        self.node_id = node_id
+
+    def deliver(self, from_peer, packet):
+        pass
 
 
 class TestScheduling:
@@ -239,9 +248,8 @@ class TestHeapHygiene:
         assert not any(h.cancelled for h in keep)
 
     def test_stale_handle_cannot_cancel_recycled_record(self):
-        """After an event fires, its record returns to the free list and
-        may be reused; a lingering handle to the fired event must not
-        cancel the unrelated reincarnation."""
+        """A lingering handle to a fired event must not cancel a later,
+        unrelated event, nor count as a cancelled entry."""
         sim = Simulator()
         hits = []
         stale = sim.schedule(1.0, lambda s: hits.append("first"))
@@ -249,6 +257,7 @@ class TestHeapHygiene:
         assert hits == ["first"]
         sim.schedule(1.0, lambda s: hits.append("second"))
         stale.cancel()  # must be a no-op for the new event
+        assert sim._cancelled_pending == 0
         sim.run()
         assert hits == ["first", "second"]
 
@@ -303,10 +312,15 @@ class TestLatencyModels:
         assert all(model.sample_latency(rng) <= 1.0 for _ in range(200))
 
     def test_loss_probability(self):
-        model = LatencyModel(loss_probability=1.0)
-        assert model.sample_loss(random.Random(0))
-        lossless = LatencyModel(loss_probability=0.0)
-        assert not lossless.sample_loss(random.Random(0))
+        for loss, scheduled in ((1.0, 0), (0.0, 1)):
+            sim = Simulator(seed=0)
+            network = Network(
+                sim, latency=LatencyModel(loss_probability=loss)
+            )
+            for node_id in ("a", "b"):
+                network.attach(_Sink(node_id))
+            network.connect("a", "b")
+            assert network.send("a", ["b"], "x") == scheduled
 
 
 class TestMetrics:

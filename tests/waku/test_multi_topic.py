@@ -96,7 +96,7 @@ class TestTopicScoping:
         sim, _, nodes = build(3)
         for node in nodes:
             node.add_validator(
-                lambda m: ValidationResult.REJECT, topic=NEWS
+                lambda _topic, m: ValidationResult.REJECT, topic=NEWS
             )
         got = []
         nodes[2].on_message(lambda m, _id: got.append(m.payload))
@@ -109,7 +109,7 @@ class TestTopicScoping:
         sim, _, nodes = build(3)
         for node in nodes:
             node.add_validator(
-                lambda m: ValidationResult.REJECT
+                lambda _topic, m: ValidationResult.REJECT
                 if m.payload.startswith(b"bad")
                 else ValidationResult.ACCEPT
             )

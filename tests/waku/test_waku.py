@@ -134,7 +134,7 @@ class TestWakuRelay:
         sim, network, nodes = build_relay_network()
         for node in nodes:
             node.add_validator(
-                lambda msg: ValidationResult.REJECT
+                lambda _topic, msg: ValidationResult.REJECT
                 if msg.payload.startswith(b"bad")
                 else ValidationResult.ACCEPT
             )
@@ -181,7 +181,7 @@ class TestWakuRelay:
             assert node.router.scores.score(nodes[0].node_id, sim.now) < 0
         for node in nodes:
             assert (
-                node._validate(DEFAULT_PUBSUB_TOPIC, garbage)
+                node._validate(DEFAULT_PUBSUB_TOPIC, garbage, "prev-hop")
                 is ValidationResult.REJECT
             )
         assert parsed == [garbage]
@@ -203,16 +203,18 @@ class TestWakuRelay:
         node = WakuRelayNode("solo", Network(simulator=Simulator(seed=3)))
         seen = []
         node.add_validator(
-            lambda msg: seen.append(msg) or ValidationResult.ACCEPT
+            lambda _topic, msg: seen.append(msg) or ValidationResult.ACCEPT
         )
         node.on_topic_message(lambda topic, msg, mid: seen.append(msg))
         topic = DEFAULT_PUBSUB_TOPIC
         raw = WakuMessage(payload=b"solo").to_bytes()
-        assert node._validate(topic, raw) is ValidationResult.ACCEPT
+        accept = node._validate(topic, raw, "prev-hop")
+        assert accept is ValidationResult.ACCEPT
         node._on_delivery(topic, raw, "id", "prev-hop")
         assert seen == [WakuMessage(payload=b"solo")] * 2
         assert seen[0] is seen[1]
-        assert node._validate(topic, raw[:-1]) is ValidationResult.REJECT
+        reject = node._validate(topic, raw[:-1], "prev-hop")
+        assert reject is ValidationResult.REJECT
 
     def test_default_pubsub_topic(self):
         sim, network, nodes = build_relay_network(2)
