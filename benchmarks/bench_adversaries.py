@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import time
 
-from repro.scenarios import (
+from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.spec import (
     AdversaryGroup,
     AdversaryMix,
     ScenarioSpec,
     TrafficModel,
-    ScenarioRunner,
 )
 
 PEERS = 1000

@@ -57,16 +57,15 @@ from repro.crypto.slot_index import PackedFieldList
 from repro.eth.chain import Blockchain
 from repro.eth.contracts import MembershipRegistry
 from repro.rln.membership import MembershipStore
-from repro.scenarios import (
+from repro.scenarios.registry import scenario
+from repro.scenarios.runner import ScenarioRunner, run_scenario
+from repro.scenarios.spec import (
     AdversaryGroup,
     AdversaryMix,
     ScenarioSpec,
     TopicSpec,
     TrafficModel,
-    run_scenario,
-    scenario,
 )
-from repro.scenarios.runner import ScenarioRunner
 
 #: Matched-capacity flat reference size: big enough that per-leaf hash
 #: counts are stable, small enough that the O(depth)/leaf path finishes

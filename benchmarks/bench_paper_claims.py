@@ -19,20 +19,24 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
-from repro.analysis import (
+from repro.analysis.chain_experiments import (
     economics_experiment,
     gas_cost_experiment,
     gas_vs_depth_experiment,
+    propagation_experiment,
+)
+from repro.analysis.crypto_experiments import (
     key_material_experiment,
     merkle_storage_experiment,
-    nullifier_map_experiment,
     proof_generation_experiment,
     proof_verification_experiment,
-    propagation_experiment,
+)
+from repro.analysis.reporting import format_value
+from repro.analysis.spam_experiments import (
+    nullifier_map_experiment,
     routing_overhead_experiment,
     spam_protection_experiment,
 )
-from repro.analysis.reporting import format_value
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,7 +34,8 @@ import sys
 import time
 from pathlib import Path
 
-from repro.scenarios import run_scenario, scenario
+from repro.scenarios.registry import scenario
+from repro.scenarios.runner import run_scenario
 
 #: Matrix cells: the serial reference, a sharded-but-serial cell, the
 #: smallest truly forked cell, and the widest one.
@@ -189,7 +190,7 @@ print(peak_kib())
 #: fork time, before any execution.
 _FULL_BUILD_RSS = _PEAK_KIB + """\
 import sys
-from repro.scenarios import scenario
+from repro.scenarios.registry import scenario
 from repro.scenarios.runner import ScenarioRunner
 spec = scenario(sys.argv[1]).scaled(
     peers=int(sys.argv[2]), duration=float(sys.argv[3])
@@ -205,7 +206,8 @@ print(peak_kib())
 #: ever holds the whole network again.
 _FULL_RUN_RSS = _PEAK_KIB + """\
 import sys
-from repro.scenarios import run_scenario, scenario
+from repro.scenarios.registry import scenario
+from repro.scenarios.runner import run_scenario
 spec = scenario(sys.argv[1]).scaled(
     peers=int(sys.argv[2]), duration=float(sys.argv[3])
 )
@@ -219,7 +221,9 @@ print(peak_kib())
 #: ghost-only view, so they inherit a lean interpreter, not a build.
 _WORKER_RSS = """\
 import json, sys
-from repro.scenarios import parallel, run_scenario, scenario
+from repro.scenarios import parallel
+from repro.scenarios.registry import scenario
+from repro.scenarios.runner import run_scenario
 spec = scenario(sys.argv[1]).scaled(
     peers=int(sys.argv[2]), duration=float(sys.argv[3])
 )

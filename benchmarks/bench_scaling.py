@@ -5,7 +5,7 @@ paper's open-network setting depends on."""
 import pytest
 
 from repro.analysis.scaling import network_scaling_experiment
-from repro.core import WakuRlnRelayNetwork
+from repro.core.protocol import WakuRlnRelayNetwork
 
 
 def test_simulation_cost_scales(benchmark):

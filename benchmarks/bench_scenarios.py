@@ -23,9 +23,9 @@ import time
 import tracemalloc
 from dataclasses import replace
 
-from repro.core import WakuRlnRelayNetwork
 from repro.core.epoch import EpochTracker
 from repro.core.nullifier_map import NullifierMap
+from repro.core.protocol import WakuRlnRelayNetwork
 from repro.core.validator import RlnMessageValidator
 from repro.crypto.keys import MembershipKeyPair
 from repro.crypto.merkle import MerkleTree
@@ -34,7 +34,8 @@ from repro.net.network import Network
 from repro.net.topology import connect_random_regular
 from repro.rln.prover import RlnProver, rln_keys
 from repro.rln.verifier import RlnVerifier, VerificationCache
-from repro.scenarios import run_scenario, scenario
+from repro.scenarios.registry import scenario
+from repro.scenarios.runner import run_scenario
 from repro.sim.simulator import Simulator
 from repro.waku.message import WakuMessage, decode_envelope
 

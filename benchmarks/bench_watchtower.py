@@ -27,8 +27,9 @@ from repro.crypto.keys import IdentityCommitment
 from repro.eth.chain import Blockchain, Contract, Event
 from repro.eth.cursor import EventCursor
 from repro.rln.membership import LocalGroup
-from repro.scenarios import run_scenario, scenario
-from repro.watchtower import WatchtowerStore
+from repro.scenarios.registry import scenario
+from repro.scenarios.runner import run_scenario
+from repro.watchtower.store import WatchtowerStore
 
 DEPTH = 20
 

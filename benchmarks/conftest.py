@@ -90,7 +90,10 @@ def record_table(results_dir, bench_scale):
     ) -> str:
         import json
 
-        from repro.analysis import experiment_payload, format_experiment
+        from repro.analysis.reporting import (
+            experiment_payload,
+            format_experiment,
+        )
 
         text = format_experiment(title, headers, rows, note)
         payload = experiment_payload(

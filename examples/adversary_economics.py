@@ -9,12 +9,12 @@ central claim made runnable: spam is not impossible, it is *priced*.
 Run:  python examples/adversary_economics.py
 """
 
-from repro.scenarios import (
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import (
     AdversaryGroup,
     AdversaryMix,
     ScenarioSpec,
     TrafficModel,
-    run_scenario,
 )
 
 

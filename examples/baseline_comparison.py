@@ -9,8 +9,8 @@ attacker identity network-wide and makes it pay.
 Run:  python examples/baseline_comparison.py
 """
 
-from repro.analysis import (
-    format_experiment,
+from repro.analysis.reporting import format_experiment
+from repro.analysis.spam_experiments import (
     routing_overhead_experiment,
     spam_protection_experiment,
 )

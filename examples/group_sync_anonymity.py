@@ -14,9 +14,9 @@ Two properties of Section III are shown here:
 Run:  python examples/group_sync_anonymity.py
 """
 
-from repro.core import WakuRlnRelayNetwork
 from repro.core.peer import WakuRlnRelayPeer
-from repro.rln import RlnSignal
+from repro.core.protocol import WakuRlnRelayNetwork
+from repro.rln.signal import RlnSignal
 from repro.waku.message import WakuMessage
 
 

@@ -9,7 +9,7 @@ anonymously.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import WakuRlnRelayNetwork
+from repro.core.protocol import WakuRlnRelayNetwork
 
 
 def main() -> None:

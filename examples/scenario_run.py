@@ -28,16 +28,15 @@ per-topic breakdown for multi-topic runs, and the deterministic
 
 from dataclasses import replace
 
-from repro.scenarios import (
+from repro.scenarios.registry import register_scenario, scenario
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import (
     AdversaryGroup,
     AdversaryMix,
     ChurnModel,
     ScenarioSpec,
     TopicSpec,
     TrafficModel,
-    register_scenario,
-    run_scenario,
-    scenario,
 )
 
 

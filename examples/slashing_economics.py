@@ -11,12 +11,12 @@ the original on-chain-tree design.
 Run:  python examples/slashing_economics.py
 """
 
-from repro.analysis import (
+from repro.analysis.chain_experiments import (
     economics_experiment,
-    format_experiment,
     gas_cost_experiment,
     gas_vs_depth_experiment,
 )
+from repro.analysis.reporting import format_experiment
 
 
 def main() -> None:

@@ -19,10 +19,10 @@ quarter of the honest peers keep publishing once per epoch.
 Run:  python examples/spam_attack.py
 """
 
-from repro.scenarios import (
+from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.spec import (
     AdversaryGroup,
     AdversaryMix,
-    ScenarioRunner,
     ScenarioSpec,
     TrafficModel,
 )

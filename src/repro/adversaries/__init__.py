@@ -2,14 +2,19 @@
 
 The pluggable adversary engine that closes the paper's economic loop:
 budget-constrained agents register through the membership contract,
-spam under a chosen :class:`AdversaryStrategy`, watch the chain for
-their own slashing, and rotate to fresh identities while funds remain.
-:class:`AttackReport` turns the run into cost-per-delivered-spam and
-stake-burnt-over-time series.
+spam under a chosen :class:`~repro.adversaries.base.AdversaryStrategy`,
+watch the chain for their own slashing, and rotate to fresh identities
+while funds remain. :class:`~repro.adversaries.report.AttackReport`
+turns the run into cost-per-delivered-spam and stake-burnt-over-time
+series.
 
 Use through the scenario harness::
 
-    from repro.scenarios import AdversaryGroup, AdversaryMix, ScenarioSpec
+    from repro.scenarios.spec import (
+        AdversaryGroup,
+        AdversaryMix,
+        ScenarioSpec,
+    )
 
     spec = ScenarioSpec(
         name="my-attack",
@@ -19,36 +24,7 @@ Use through the scenario harness::
         )),
     )
 
-or drive an :class:`AdversaryEngine` directly against a
-``WakuRlnRelayNetwork`` (see ``tests/adversaries/``).
+or drive an :class:`~repro.adversaries.engine.AdversaryEngine`
+directly against a :class:`~repro.core.protocol.WakuRlnRelayNetwork`
+(see ``tests/adversaries/``).
 """
-
-from .base import AdversaryAgent, AdversaryStrategy, IdentityRecord
-from .engine import AdversaryEngine
-from .report import AgentReport, AttackReport, EconomicsSample
-from .strategies import (
-    AdaptiveBackoff,
-    BurstFlooder,
-    LowAndSlow,
-    RotatingSybil,
-    build_strategy,
-    register_strategy,
-    strategy_names,
-)
-
-__all__ = [
-    "AdaptiveBackoff",
-    "AdversaryAgent",
-    "AdversaryEngine",
-    "AdversaryStrategy",
-    "AgentReport",
-    "AttackReport",
-    "BurstFlooder",
-    "EconomicsSample",
-    "IdentityRecord",
-    "LowAndSlow",
-    "RotatingSybil",
-    "build_strategy",
-    "register_strategy",
-    "strategy_names",
-]

@@ -1,59 +1,1 @@
 """Experiment harness: one runner per table/figure of the paper."""
-
-from .chain_experiments import (
-    economics_experiment,
-    gas_cost_experiment,
-    gas_vs_depth_experiment,
-    propagation_experiment,
-)
-from .crypto_experiments import (
-    key_material_experiment,
-    merkle_storage_experiment,
-    paper_reference_row,
-    proof_generation_experiment,
-    proof_verification_experiment,
-)
-from .ablations import (
-    epoch_length_ablation,
-    flood_publish_ablation,
-    mesh_degree_ablation,
-    root_window_ablation,
-)
-from .reporting import (
-    experiment_payload,
-    format_experiment,
-    format_table,
-    human_bytes,
-    validate_experiment_payload,
-)
-from .scaling import network_scaling_experiment
-from .spam_experiments import (
-    nullifier_map_experiment,
-    routing_overhead_experiment,
-    spam_protection_experiment,
-)
-
-__all__ = [
-    "proof_generation_experiment",
-    "proof_verification_experiment",
-    "key_material_experiment",
-    "merkle_storage_experiment",
-    "paper_reference_row",
-    "gas_cost_experiment",
-    "gas_vs_depth_experiment",
-    "propagation_experiment",
-    "economics_experiment",
-    "spam_protection_experiment",
-    "routing_overhead_experiment",
-    "nullifier_map_experiment",
-    "format_table",
-    "format_experiment",
-    "experiment_payload",
-    "validate_experiment_payload",
-    "human_bytes",
-    "epoch_length_ablation",
-    "root_window_ablation",
-    "flood_publish_ablation",
-    "mesh_degree_ablation",
-    "network_scaling_experiment",
-]

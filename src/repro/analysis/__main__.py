@@ -17,23 +17,29 @@ from __future__ import annotations
 import json
 import sys
 
-from . import (
-    economics_experiment,
+from .ablations import (
     epoch_length_ablation,
     flood_publish_ablation,
     mesh_degree_ablation,
-    network_scaling_experiment,
     root_window_ablation,
-    format_experiment,
+)
+from .chain_experiments import (
+    economics_experiment,
     gas_cost_experiment,
     gas_vs_depth_experiment,
+    propagation_experiment,
+)
+from .crypto_experiments import (
     key_material_experiment,
     merkle_storage_experiment,
-    nullifier_map_experiment,
     paper_reference_row,
     proof_generation_experiment,
     proof_verification_experiment,
-    propagation_experiment,
+)
+from .reporting import format_experiment
+from .scaling import network_scaling_experiment
+from .spam_experiments import (
+    nullifier_map_experiment,
     routing_overhead_experiment,
     spam_protection_experiment,
 )
@@ -144,7 +150,8 @@ def _run_scenario_command(argv) -> int:
     shards allow). ``--explain-parallel`` prints the shard/worker plan
     and exits without running."""
     from ..errors import ScenarioError, ScenarioSpecError
-    from ..scenarios import run_scenario, scenario, scenario_names
+    from ..scenarios.registry import scenario, scenario_names
+    from ..scenarios.runner import run_scenario
 
     if not argv:
         print(f"usage: run-scenario <name>; choose from {scenario_names()}")
@@ -205,7 +212,7 @@ def _run_scenario_command(argv) -> int:
 
 
 def _list_scenarios() -> int:
-    from ..scenarios import all_scenarios
+    from ..scenarios.registry import all_scenarios
 
     for spec in all_scenarios():
         print(f"{spec.name}")

@@ -10,10 +10,10 @@ from ..core.economics import build_report
 from ..crypto.keys import MembershipKeyPair
 from ..eth.chain import Blockchain
 from ..eth.contracts import MembershipRegistry, OnChainTreeContract
-from ..scenarios import (
+from ..scenarios.runner import ScenarioRunner
+from ..scenarios.spec import (
     AdversaryGroup,
     AdversaryMix,
-    ScenarioRunner,
     ScenarioSpec,
     TrafficModel,
 )

@@ -18,7 +18,8 @@ from typing import List, Sequence, Tuple
 from ..constants import ETH_BLOCK_INTERVAL_SECONDS
 from ..errors import RateLimitError, RegistrationError
 from ..net.topology import diameter
-from ..scenarios import ScenarioRunner, ScenarioSpec, TrafficModel
+from ..scenarios.runner import ScenarioRunner
+from ..scenarios.spec import ScenarioSpec, TrafficModel
 from ..sim.metrics import Histogram
 
 Headers = Sequence[str]

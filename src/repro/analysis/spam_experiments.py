@@ -27,12 +27,12 @@ from ..crypto.keys import MembershipKeyPair
 from ..crypto.merkle import MerkleTree
 from ..crypto.zksnark.timing import DEFAULT_PERFORMANCE_MODEL
 from ..rln.prover import RlnProver, rln_keys
-from ..scenarios import (
+from ..scenarios.runner import run_scenario
+from ..scenarios.spec import (
     AdversaryGroup,
     AdversaryMix,
     ScenarioSpec,
     TrafficModel,
-    run_scenario,
 )
 
 Headers = Sequence[str]

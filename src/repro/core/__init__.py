@@ -1,32 +1,1 @@
 """Waku-RLN-Relay core: the paper's integrated protocol."""
-
-from .config import ProtocolConfig
-from .economics import EconomicsReport, PeerLedger, build_report
-from .epoch import EpochTracker, epoch_at, epoch_start
-from .nullifier_map import NullifierCheck, NullifierMap, NullifierRecord
-from .peer import WakuRlnRelayPeer
-from .protocol import CONTRACT_ADDRESS, WakuRlnRelayNetwork
-from .validator import (
-    RlnMessageValidator,
-    ValidationOutcome,
-    ValidationReport,
-)
-
-__all__ = [
-    "ProtocolConfig",
-    "EpochTracker",
-    "epoch_at",
-    "epoch_start",
-    "NullifierMap",
-    "NullifierCheck",
-    "NullifierRecord",
-    "RlnMessageValidator",
-    "ValidationOutcome",
-    "ValidationReport",
-    "WakuRlnRelayPeer",
-    "WakuRlnRelayNetwork",
-    "CONTRACT_ADDRESS",
-    "EconomicsReport",
-    "PeerLedger",
-    "build_report",
-]

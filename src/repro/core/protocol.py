@@ -34,7 +34,6 @@ from ..rln.prover import rln_keys
 from ..rln.verifier import BarrierMemoCache, VerificationCache
 from ..sim.latency import DEFAULT_LATENCY, LatencyModel
 from ..sim.metrics import MetricsRegistry
-from ..sim.parallel_stack import ShardPlan, WindowedStackSimulator
 from ..sim.simulator import Simulator
 from .config import ProtocolConfig
 from .peer import WakuRlnRelayPeer
@@ -99,6 +98,8 @@ class WakuRlnRelayNetwork:
         latency = latency or DEFAULT_LATENCY
         peer_ids = [f"peer-{i}" for i in range(peer_count)]
         if parallel:
+            from ..sim.parallel_stack import ShardPlan, WindowedStackSimulator
+
             # Window-isolated kernel: per-entity order keys and RNG
             # streams, barrier windows bounded by the minimum latency,
             # ports for cross-worker delivery. Results are invariant

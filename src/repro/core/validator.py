@@ -78,7 +78,7 @@ class RlnMessageValidator:
         parsed and proof-checked once network-wide.
         """
         if raw_signal is None:
-            self.metrics.increment("validator.missing_proof")
+            self.metrics.counters["validator.missing_proof"] += 1
             return ValidationReport(ValidationOutcome.REJECT_MALFORMED)
         cache = self.verifier.cache
         entry: Optional[SignalEntry] = None
@@ -92,13 +92,13 @@ class RlnMessageValidator:
             except SerializationError:
                 if cache is not None:
                     cache.put(key, SignalEntry(signal=None))
-                self.metrics.increment("validator.malformed")
+                self.metrics.counters["validator.malformed"] += 1
                 return ValidationReport(ValidationOutcome.REJECT_MALFORMED)
             entry = SignalEntry(signal)
             if cache is not None:
                 cache.put(key, entry)
         elif entry.signal is None:
-            self.metrics.increment("validator.malformed")
+            self.metrics.counters["validator.malformed"] += 1
             return ValidationReport(ValidationOutcome.REJECT_MALFORMED)
         return self.validate(entry.signal, entry)
 
@@ -118,13 +118,13 @@ class RlnMessageValidator:
             and prior_record is not None
             and prior_record.signal == signal
         ):
-            self.metrics.increment("validator.duplicates")
-            self.metrics.increment("validator.duplicate_fast_path")
+            self.metrics.counters["validator.duplicates"] += 1
+            self.metrics.counters["validator.duplicate_fast_path"] += 1
             return ValidationReport(ValidationOutcome.IGNORE_DUPLICATE, signal)
         # 1. cryptographic checks (proof, root, share binding).
         check = self.verifier.check(signal, entry)
         if check is not SignalCheck.VALID:
-            self.metrics.increment(f"validator.{check.value}")
+            self.metrics.counters[f"validator.{check.value}"] += 1
             return ValidationReport(
                 ValidationOutcome.REJECT_INVALID_PROOF, signal
             )
@@ -132,24 +132,24 @@ class RlnMessageValidator:
         if not self.epoch_tracker.is_within_threshold(
             signal.epoch, self.nullifier_map.thr
         ):
-            self.metrics.increment("validator.bad_epoch")
+            self.metrics.counters["validator.bad_epoch"] += 1
             return ValidationReport(ValidationOutcome.REJECT_BAD_EPOCH, signal)
         # 3. nullifier map.
         result, prior = self.nullifier_map.observe(signal)
         if result is NullifierCheck.DUPLICATE:
-            self.metrics.increment("validator.duplicates")
+            self.metrics.counters["validator.duplicates"] += 1
             return ValidationReport(ValidationOutcome.IGNORE_DUPLICATE, signal)
         if result is NullifierCheck.DOUBLE_SIGNAL:
             assert prior is not None
             evidence = detect_double_signal(prior.signal, signal)
-            self.metrics.increment("validator.double_signals")
+            self.metrics.counters["validator.double_signals"] += 1
             if evidence is not None:
                 for callback in self.spam_callbacks:
                     callback(evidence)
             return ValidationReport(
                 ValidationOutcome.DROP_SPAM, signal, evidence
             )
-        self.metrics.increment("validator.relayed")
+        self.metrics.counters["validator.relayed"] += 1
         return ValidationReport(ValidationOutcome.RELAY, signal)
 
     def housekeeping(self) -> int:

@@ -1,34 +1,1 @@
 """Simulated zkSNARK stack: R1CS, gadgets, Groth16 backend, timing model."""
-
-from .groth16 import (
-    Proof,
-    ProvingKey,
-    Statement,
-    VerifyingKey,
-    prove,
-    trusted_setup,
-    verify,
-)
-from .r1cs import Constraint, ConstraintSystem, LinearCombination, Variable
-from .timing import (
-    DEFAULT_PERFORMANCE_MODEL,
-    PerformanceModel,
-    rln_constraint_count,
-)
-
-__all__ = [
-    "Constraint",
-    "ConstraintSystem",
-    "LinearCombination",
-    "Variable",
-    "Proof",
-    "ProvingKey",
-    "VerifyingKey",
-    "Statement",
-    "trusted_setup",
-    "prove",
-    "verify",
-    "PerformanceModel",
-    "DEFAULT_PERFORMANCE_MODEL",
-    "rln_constraint_count",
-]

@@ -31,13 +31,22 @@ from __future__ import annotations
 import os
 from _operator import _compare_digest
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
 from ...constants import PROOF_SIZE_BYTES, PROVER_KEY_SIZE_BYTES
 from ...errors import ProofError, SerializationError
 from ..digests import blake2b, sha256, sha512
 from ..field import Fr
-from .r1cs import ConstraintSystem
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .r1cs import ConstraintSystem
 
 
 @runtime_checkable

@@ -1,37 +1,1 @@
 """Simulated Ethereum: gas-metered chain, membership contracts, events."""
-
-from .chain import (
-    Account,
-    Block,
-    Blockchain,
-    Contract,
-    Event,
-    Receipt,
-    Transaction,
-    TxContext,
-)
-from .cursor import EventCursor
-from .contracts import (
-    MembershipContractBase,
-    MembershipRegistry,
-    OnChainTreeContract,
-)
-from .gas import DEFAULT_GAS_SCHEDULE, GasMeter, GasSchedule
-
-__all__ = [
-    "Blockchain",
-    "Account",
-    "Block",
-    "Contract",
-    "Event",
-    "EventCursor",
-    "Receipt",
-    "Transaction",
-    "TxContext",
-    "MembershipContractBase",
-    "MembershipRegistry",
-    "OnChainTreeContract",
-    "GasSchedule",
-    "GasMeter",
-    "DEFAULT_GAS_SCHEDULE",
-]

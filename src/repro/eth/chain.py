@@ -138,10 +138,6 @@ class TxContext:
 
     # -- environment -----------------------------------------------------------
 
-    def keccak(self, data_bytes: int) -> None:
-        """Charge for one keccak over ``data_bytes`` bytes."""
-        self.meter.charge(self.meter.schedule.keccak_cost(data_bytes))
-
     def poseidon(self) -> None:
         """Charge for one zk-friendly (circuit) hash evaluated on-chain."""
         self.meter.charge(self.meter.schedule.poseidon_hash)

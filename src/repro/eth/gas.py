@@ -31,8 +31,6 @@ class GasSchedule:
     log_base: int = 375
     log_topic: int = 375
     log_data_byte: int = 8
-    keccak_base: int = 30
-    keccak_word: int = 6
     #: One zk-friendly hash (Poseidon/MiMC) evaluated *in the EVM*.
     #: keccak is 3 orders of magnitude cheaper, but the membership tree
     #: must use the circuit hash or membership proofs would not verify;
@@ -48,11 +46,6 @@ class GasSchedule:
         zeros = int(data_bytes * zero_fraction)
         nonzeros = data_bytes - zeros
         return zeros * self.calldata_zero_byte + nonzeros * self.calldata_nonzero_byte
-
-    def keccak_cost(self, data_bytes: int) -> int:
-        """Gas for one keccak256 over ``data_bytes`` bytes."""
-        words = (data_bytes + 31) // 32
-        return self.keccak_base + words * self.keccak_word
 
     def log_cost(self, topics: int, data_bytes: int) -> int:
         return (

@@ -1,29 +1,1 @@
 """GossipSub v1.1: mesh pub/sub with lazy gossip and peer scoring."""
-
-from .mcache import MessageCache, SeenCache
-from .params import GossipSubParams
-from .router import (
-    DeliveryCallback,
-    GossipSubRouter,
-    ValidationResult,
-    Validator,
-)
-from .rpc import GossipMessage, RpcPacket, compute_message_id, payload_to_bytes
-from .score import PeerScoreParams, PeerScoreTracker, TopicScoreParams
-
-__all__ = [
-    "GossipSubParams",
-    "GossipSubRouter",
-    "ValidationResult",
-    "Validator",
-    "DeliveryCallback",
-    "GossipMessage",
-    "RpcPacket",
-    "compute_message_id",
-    "payload_to_bytes",
-    "MessageCache",
-    "SeenCache",
-    "PeerScoreParams",
-    "PeerScoreTracker",
-    "TopicScoreParams",
-]

@@ -224,7 +224,7 @@ class GossipSubRouter:
         message = GossipMessage(msg_id=msg_id, topic=topic, payload=payload)
         self.seen.witness(msg_id, self.now)
         self.mcache.put(message)
-        self.metrics.increment("gossipsub.published")
+        self._counters["gossipsub.published"] += 1
 
         targets: Collection[NodeId]
         if self.params.flood_publish:
@@ -449,7 +449,7 @@ class GossipSubRouter:
                 continue
             if not self.network.are_connected(self.node_id, peer):
                 self.network.connect(self.node_id, peer)
-                self.metrics.increment("gossipsub.px_dials")
+                self._counters["gossipsub.px_dials"] += 1
             self.topic_peers.setdefault(topic, set()).add(peer)
             self.announce_to(peer)
 

@@ -1,23 +1,1 @@
 """Simulated p2p network: nodes, links, delivery, topologies."""
-
-from .network import Network, NetworkNode, NodeId
-from .topology import (
-    average_degree,
-    connect_erdos_renyi,
-    connect_full_mesh,
-    connect_random_regular,
-    connect_small_world,
-    diameter,
-)
-
-__all__ = [
-    "Network",
-    "NetworkNode",
-    "NodeId",
-    "connect_random_regular",
-    "connect_small_world",
-    "connect_erdos_renyi",
-    "connect_full_mesh",
-    "diameter",
-    "average_degree",
-]

@@ -81,7 +81,7 @@ class Network:
         # The receiver may have churned out while in flight.
         target = self._nodes.get(receiver)
         if target is None:
-            self.metrics.increment("net.packets_dead_lettered")
+            self._counters["net.packets_dead_lettered"] += 1
             return
         target.deliver(sender, packet)
 

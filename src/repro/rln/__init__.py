@@ -1,29 +1,1 @@
 """Rate-Limiting Nullifier framework: signals, proofs, detection."""
-
-from .circuit import RLN_CIRCUIT_ID, RLN_PUBLIC_INPUTS, RlnStatement
-from .membership import DEFAULT_ROOT_WINDOW, LocalGroup, MembershipStore
-from .nullifier import external_nullifier, internal_nullifier, line_coefficient
-from .prover import RlnProver, rln_keys
-from .signal import RlnSignal
-from .slashing import SlashingEvidence, detect_double_signal
-from .verifier import RlnVerifier, SignalCheck, VerificationCache
-
-__all__ = [
-    "RlnStatement",
-    "RLN_CIRCUIT_ID",
-    "RLN_PUBLIC_INPUTS",
-    "LocalGroup",
-    "MembershipStore",
-    "DEFAULT_ROOT_WINDOW",
-    "external_nullifier",
-    "internal_nullifier",
-    "line_coefficient",
-    "RlnProver",
-    "rln_keys",
-    "RlnSignal",
-    "RlnVerifier",
-    "SignalCheck",
-    "VerificationCache",
-    "SlashingEvidence",
-    "detect_double_signal",
-]

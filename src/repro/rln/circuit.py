@@ -24,15 +24,16 @@ simulated Groth16 backend:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from ..crypto.field import Fr
 from ..crypto.hashing import get_hash_backend, hash1, hash2
 from ..crypto.merkle import MerkleProof
 from ..crypto.shamir import Share
-from ..crypto.zksnark.gadgets import merkle_path_gadget, poseidon_hash_gadget
-from ..crypto.zksnark.r1cs import ConstraintSystem
 from ..errors import CircuitError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..crypto.zksnark.r1cs import ConstraintSystem
 
 #: Public-input count of the RLN circuit: (root, e, x, y, phi).
 RLN_PUBLIC_INPUTS = 5
@@ -109,6 +110,12 @@ class RlnStatement:
         backend; synthesising under another backend raises immediately
         rather than failing deep inside a constraint.
         """
+        from ..crypto.zksnark.gadgets import (
+            merkle_path_gadget,
+            poseidon_hash_gadget,
+        )
+        from ..crypto.zksnark.r1cs import ConstraintSystem
+
         if get_hash_backend() != "poseidon":
             raise CircuitError(
                 "R1CS synthesis requires the 'poseidon' hash backend "

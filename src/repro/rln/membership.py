@@ -21,7 +21,7 @@ at one version and applied the same events hold one shared window
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from ..constants import DEFAULT_MERKLE_DEPTH
 from ..crypto.field import Fr
@@ -267,15 +267,6 @@ class MembershipStore:
     @property
     def domains(self) -> List[str]:
         return sorted(self._canonicals)
-
-    def digest(self) -> Dict[str, Tuple[int, int, int]]:
-        """Per-domain canonical-state digests — what parallel workers
-        compare at the final barrier to assert their independently
-        event-sourced stores converged."""
-        return {
-            domain: tree.state_digest()
-            for domain, tree in sorted(self._canonicals.items())
-        }
 
     def materialized_indices(self) -> Dict[str, FrozenSet[int]]:
         """Per-domain indices of the materialized sub-tree interiors.

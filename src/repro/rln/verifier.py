@@ -305,7 +305,7 @@ class RlnVerifier:
             # Only count a hit when the memoised proof outcome actually
             # replaced a pairing check this router would have run (the
             # naive path never verifies signals it rejects earlier).
-            self.metrics.increment("rln.proof_cache_hits")
+            self.metrics.counters["rln.proof_cache_hits"] += 1
         return (
             SignalCheck.VALID
             if state is PureCheck.VALID
@@ -328,7 +328,7 @@ class RlnVerifier:
 
     def _verify_proof(self, signal: RlnSignal) -> bool:
         if self.metrics is not None:
-            self.metrics.increment("rln.proof_verifications")
+            self.metrics.counters["rln.proof_verifications"] += 1
         return groth16.verify(
             self.verifying_key, signal.proof, signal.public_inputs()
         )

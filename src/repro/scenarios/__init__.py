@@ -3,7 +3,8 @@
 Compose topology, traffic, adversaries and churn into named,
 seed-deterministic workloads::
 
-    from repro.scenarios import run_scenario, scenario
+    from repro.scenarios.registry import scenario
+    from repro.scenarios.runner import run_scenario
 
     result = run_scenario(scenario("burst-spammer"), peers=200)
     print(result.format())
@@ -12,40 +13,3 @@ or from the command line::
 
     python -m repro.analysis run-scenario burst-spammer --peers 200
 """
-
-from .registry import (
-    all_scenarios,
-    register_scenario,
-    scenario,
-    scenario_names,
-)
-from .result import ScenarioResult
-from .runner import ScenarioRunner, run_scenario
-from .spec import (
-    AdversaryGroup,
-    AdversaryMix,
-    ChurnModel,
-    FaultPlan,
-    ScenarioSpec,
-    TopicSpec,
-    TrafficModel,
-    WatchtowerSpec,
-)
-
-__all__ = [
-    "AdversaryGroup",
-    "AdversaryMix",
-    "ChurnModel",
-    "FaultPlan",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "ScenarioSpec",
-    "TopicSpec",
-    "TrafficModel",
-    "WatchtowerSpec",
-    "all_scenarios",
-    "register_scenario",
-    "run_scenario",
-    "scenario",
-    "scenario_names",
-]

@@ -7,8 +7,8 @@ drives the spec's traffic/adversary/churn processes on the simulated
 clock, and condenses everything into one
 :class:`~repro.scenarios.result.ScenarioResult`.
 
-Adversaries run inside an :class:`~repro.adversaries.AdversaryEngine`:
-slashing settles through the membership contract *during* the run, and
+Adversaries run inside an
+:class:`~repro.adversaries.engine.AdversaryEngine`: slashing settles through the membership contract *during* the run, and
 the engine's per-epoch economics samples surface as the result's
 ``series`` (the cost-of-attack curve).
 
@@ -44,13 +44,12 @@ from ..core.protocol import WakuRlnRelayNetwork
 from ..errors import RateLimitError, RegistrationError
 from ..sim.simulator import Simulator, quiescent_gc
 from ..waku.message import DEFAULT_PUBSUB_TOPIC, WakuMessage
-from .parallel import drive_forked, drive_in_process
 from .result import ScenarioResult
 from .spec import ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..adversaries.engine import AdversaryEngine
-    from ..watchtower import WatchtowerService
+    from ..watchtower.service import WatchtowerService
 
 #: Honest payload marker; spam carries the agents'
 #: :data:`~repro.adversaries.base.SPAM_MARKER` (one shared constant,
@@ -642,8 +641,10 @@ class ScenarioRunner:
         wspec = self.spec.watchtowers
         if wspec is None:
             return
-        from ..watchtower import WatchtowerService
-        from ..watchtower.service import watchtower_dial_plan
+        from ..watchtower.service import (
+            WatchtowerService,
+            watchtower_dial_plan,
+        )
 
         net = self.net
         if wspec.topics:
@@ -1089,6 +1090,8 @@ class ScenarioRunner:
 
     def _run_windowed(self):
         """Drive the run on the windowed kernel behind barrier sync."""
+        from .parallel import drive_forked, drive_in_process
+
         if self.workers <= 1:
             engine = self._prepare()
             report = drive_in_process(self, engine)

@@ -102,10 +102,10 @@ class AdversaryGroup:
     """``count`` agents running one named adversary strategy.
 
     ``strategy`` names an entry in the adversary-strategy registry
-    (``repro.adversaries.strategy_names()``). Each agent's wallet is
-    funded with ``budget_stakes`` membership stakes — its whole attack
-    budget, bootstrap registration included — so identity rotation
-    stops when the money does. ``params`` is passed to the strategy
+    (``repro.adversaries.strategies.strategy_names()``). Each agent's
+    wallet is funded with ``budget_stakes`` membership stakes — its
+    whole attack budget, bootstrap registration included — so identity
+    rotation stops when the money does. ``params`` is passed to the strategy
     factory verbatim (e.g. ``{"epochs": 5}`` for ``burst-flood`` or
     ``{"probe_every": 3}`` for ``low-and-slow``).
     """

@@ -111,8 +111,5 @@ class MetricsRegistry:
 
     counters: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
-    def increment(self, name: str, amount: int = 1) -> None:
-        self.counters[name] += amount
-
     def counter(self, name: str) -> int:
         return self.counters.get(name, 0)

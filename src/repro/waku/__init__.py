@@ -1,12 +1,1 @@
 """Waku-Relay: anonymous pub/sub envelopes over GossipSub."""
-
-from .message import DEFAULT_PUBSUB_TOPIC, WakuMessage
-from .relay import MessageHandler, WakuRelayNode, WakuValidator
-
-__all__ = [
-    "WakuMessage",
-    "DEFAULT_PUBSUB_TOPIC",
-    "WakuRelayNode",
-    "MessageHandler",
-    "WakuValidator",
-]

@@ -4,7 +4,7 @@ Waku-Relay achieves sender anonymity by *omission* (paper Section I):
 protocol messages carry no IP address, no signature, no sender key — a
 message is just a content topic, an opaque payload and a protocol
 version. The optional RLN fields of Waku-RLN-Relay travel in
-``rate_limit_proof`` (the serialized :class:`~repro.rln.RlnSignal`),
+``rate_limit_proof`` (the serialized :class:`~repro.rln.signal.RlnSignal`),
 which is itself zero-knowledge.
 """
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.adversaries import AdversaryEngine, build_strategy
+from repro.adversaries.engine import AdversaryEngine
+from repro.adversaries.strategies import build_strategy
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import WakuRlnRelayNetwork
 
@@ -138,12 +139,12 @@ def test_agent_wallets_never_grow():
 def test_params_level_burst_overrides_group_default():
     """Regression: an explicit ``params={"burst": ...}`` used to crash
     the runner with a duplicate-keyword TypeError."""
-    from repro.scenarios import (
+    from repro.scenarios.runner import ScenarioRunner
+    from repro.scenarios.spec import (
         AdversaryGroup,
         AdversaryMix,
         ScenarioSpec,
         TrafficModel,
-        ScenarioRunner,
     )
 
     spec = ScenarioSpec(
@@ -172,12 +173,12 @@ def test_params_level_burst_overrides_group_default():
 def test_baseline_comparison_mirrors_engine_groups():
     """The unprotected-relay comparison floods at each group's
     *resolved* burst over its real attack window."""
-    from repro.scenarios import (
+    from repro.scenarios.runner import ScenarioRunner
+    from repro.scenarios.spec import (
         AdversaryGroup,
         AdversaryMix,
         ScenarioSpec,
         TrafficModel,
-        ScenarioRunner,
     )
 
     spec = ScenarioSpec(

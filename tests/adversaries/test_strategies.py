@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversaries import (
+from repro.adversaries.base import AdversaryStrategy
+from repro.adversaries.strategies import (
     AdaptiveBackoff,
     BurstFlooder,
     LowAndSlow,
@@ -13,7 +14,6 @@ from repro.adversaries import (
     register_strategy,
     strategy_names,
 )
-from repro.adversaries.base import AdversaryStrategy
 from repro.errors import ScenarioError
 
 

@@ -8,23 +8,29 @@ reproduction pipeline.
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.ablations import epoch_length_ablation, root_window_ablation
+from repro.analysis.chain_experiments import (
     economics_experiment,
-    format_experiment,
-    format_table,
     gas_cost_experiment,
-    human_bytes,
+)
+from repro.analysis.crypto_experiments import (
     key_material_experiment,
     merkle_storage_experiment,
-    nullifier_map_experiment,
     paper_reference_row,
     proof_generation_experiment,
     proof_verification_experiment,
+)
+from repro.analysis.reporting import (
+    format_experiment,
+    format_table,
+    format_value,
+    human_bytes,
+)
+from repro.analysis.scaling import network_scaling_experiment
+from repro.analysis.spam_experiments import (
+    nullifier_map_experiment,
     spam_protection_experiment,
 )
-from repro.analysis.ablations import epoch_length_ablation, root_window_ablation
-from repro.analysis.scaling import network_scaling_experiment
-from repro.analysis.reporting import format_value
 
 
 class TestFormatting:
@@ -63,7 +69,7 @@ class TestExperimentPayload:
     def test_roundtrip_and_validation(self):
         import json
 
-        from repro.analysis import (
+        from repro.analysis.reporting import (
             experiment_payload,
             validate_experiment_payload,
         )
@@ -79,7 +85,7 @@ class TestExperimentPayload:
         validate_experiment_payload(json.loads(json.dumps(payload)))
 
     def test_rejects_malformed_payloads(self):
-        from repro.analysis import (
+        from repro.analysis.reporting import (
             experiment_payload,
             validate_experiment_payload,
         )
@@ -103,7 +109,7 @@ class TestExperimentPayload:
                 validate_experiment_payload(bad)
 
     def test_peak_memory_bytes_meta_accepted(self):
-        from repro.analysis import experiment_payload
+        from repro.analysis.reporting import experiment_payload
 
         payload = experiment_payload(
             "b", "t", ("h",), [(1,)], meta={"peak_memory_bytes": 0}
@@ -115,7 +121,7 @@ class TestExperimentPayload:
         )
 
     def test_rejects_non_scalar_cells_at_build(self):
-        from repro.analysis import experiment_payload
+        from repro.analysis.reporting import experiment_payload
 
         with pytest.raises(ValueError):
             experiment_payload("b", "t", ("h",), [({"nested": 1},)])

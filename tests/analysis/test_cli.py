@@ -5,8 +5,8 @@ import re
 import pytest
 
 from repro.analysis.__main__ import EXPERIMENTS, main
-from repro.scenarios import scenario, scenario_names
 from repro.scenarios.parallel import barrier_times
+from repro.scenarios.registry import scenario, scenario_names
 from repro.sim.latency import DEFAULT_LATENCY
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.pow import ATTACKER_RIG, PowEnvelope
-from repro.baselines import (
+from repro.baselines.relay_baselines import (
     BaselineNetwork,
     FloodSpammer,
     PowRelayNetwork,

@@ -63,7 +63,7 @@ def test_committed_benchmark_json_matches_schema():
     import sys
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.analysis import validate_experiment_payload
+    from repro.analysis.reporting import validate_experiment_payload
 
     results = sorted((REPO_ROOT / "benchmarks" / "results").glob("*.json"))
     assert results, "no committed benchmark JSON results found"

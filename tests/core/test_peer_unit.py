@@ -3,8 +3,9 @@ end-to-end suite: sync edge cases, clock skew, churned publishers."""
 
 import pytest
 
-from repro.core import ProtocolConfig, WakuRlnRelayNetwork
+from repro.core.config import ProtocolConfig
 from repro.core.peer import WakuRlnRelayPeer
+from repro.core.protocol import WakuRlnRelayNetwork
 from repro.errors import RateLimitError
 
 

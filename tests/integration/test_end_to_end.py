@@ -3,7 +3,9 @@ detect → slash, on a full simulated deployment."""
 
 import pytest
 
-from repro.core import ProtocolConfig, WakuRlnRelayNetwork, build_report
+from repro.core.config import ProtocolConfig
+from repro.core.economics import build_report
+from repro.core.protocol import WakuRlnRelayNetwork
 from repro.crypto.zksnark.timing import DEFAULT_PERFORMANCE_MODEL
 from repro.errors import RateLimitError, RegistrationError
 

@@ -6,7 +6,8 @@ eventually live under degraded conditions.
 
 import pytest
 
-from repro.core import ProtocolConfig, WakuRlnRelayNetwork
+from repro.core.config import ProtocolConfig
+from repro.core.protocol import WakuRlnRelayNetwork
 from repro.sim.latency import LatencyModel, UniformLatency
 
 

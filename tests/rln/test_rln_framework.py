@@ -10,18 +10,13 @@ from repro.crypto.keys import MembershipKeyPair
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.zksnark import groth16
 from repro.errors import ProofError, SyncError
-from repro.rln import (
-    LocalGroup,
-    RlnProver,
-    RlnSignal,
-    RlnStatement,
-    RlnVerifier,
-    SignalCheck,
-    detect_double_signal,
-    external_nullifier,
-    internal_nullifier,
-    rln_keys,
-)
+from repro.rln.circuit import RlnStatement
+from repro.rln.membership import LocalGroup
+from repro.rln.nullifier import external_nullifier, internal_nullifier
+from repro.rln.prover import RlnProver, rln_keys
+from repro.rln.signal import RlnSignal
+from repro.rln.slashing import detect_double_signal
+from repro.rln.verifier import RlnVerifier, SignalCheck
 
 
 @pytest.fixture

@@ -17,7 +17,8 @@ import pytest
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import WakuRlnRelayNetwork, genesis_commitments
 from repro.errors import RegistrationError
-from repro.scenarios import run_scenario, scenario
+from repro.scenarios.registry import scenario
+from repro.scenarios.runner import run_scenario
 
 CONFIG = ProtocolConfig(
     merkle_depth=8,

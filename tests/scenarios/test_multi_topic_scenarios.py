@@ -5,17 +5,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import WakuRlnRelayNetwork
 from repro.core.peer import topic_domain
+from repro.core.protocol import WakuRlnRelayNetwork
 from repro.errors import RateLimitError, ScenarioError
-from repro.scenarios import (
+from repro.scenarios.registry import scenario
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import (
     AdversaryGroup,
     AdversaryMix,
     ScenarioSpec,
     TopicSpec,
     TrafficModel,
-    run_scenario,
-    scenario,
 )
 from repro.waku.message import DEFAULT_PUBSUB_TOPIC
 
@@ -132,8 +132,8 @@ class TestPerTopicRln:
         the external nullifier is domain-bound per topic, and the
         shared verification cache must not leak the other topic's
         verdict."""
-        from repro.rln.verifier import SignalCheck
         from repro.rln.signal import RlnSignal
+        from repro.rln.verifier import SignalCheck
 
         publisher, router = net.peer(1), net.peer(2)
         net.run(net.config.epoch_length)  # fresh epoch

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.scenarios import run_scenario, scenario
+from repro.scenarios.registry import scenario
+from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
 PEERS = 24

@@ -7,7 +7,14 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.errors import ConfigError, ScenarioError, ScenarioSpecError
-from repro.scenarios import (
+from repro.scenarios.registry import (
+    _REGISTRY,
+    register_scenario,
+    scenario,
+    scenario_names,
+)
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import (
     AdversaryGroup,
     AdversaryMix,
     ChurnModel,
@@ -16,12 +23,7 @@ from repro.scenarios import (
     TopicSpec,
     TrafficModel,
     WatchtowerSpec,
-    register_scenario,
-    run_scenario,
-    scenario,
-    scenario_names,
 )
-from repro.scenarios.registry import _REGISTRY
 
 
 REQUIRED_BUILTINS = {

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.scenarios import all_scenarios, run_scenario, scenario, scenario_names
+from repro.scenarios.registry import all_scenarios, scenario, scenario_names
+from repro.scenarios.runner import run_scenario
 
 SMOKE_PEERS = 20
 SMOKE_DURATION = 40.0

@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.protocol import WakuRlnRelayNetwork
-from repro.scenarios import run_scenario, scenario
+from repro.scenarios.registry import scenario
+from repro.scenarios.runner import run_scenario
 from repro.sim.simulator import Simulator
 
 PEERS = 20

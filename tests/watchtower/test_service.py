@@ -4,10 +4,12 @@ competing-watchtower races on a full simulated deployment."""
 
 import pytest
 
-from repro.core import ProtocolConfig, WakuRlnRelayNetwork
+from repro.core.config import ProtocolConfig
+from repro.core.protocol import WakuRlnRelayNetwork
 from repro.core.validator import ValidationOutcome
 from repro.waku.message import DEFAULT_PUBSUB_TOPIC
-from repro.watchtower import WatchtowerService, WatchtowerStore
+from repro.watchtower.service import WatchtowerService
+from repro.watchtower.store import WatchtowerStore
 
 
 def build_net(seed=42, peers=12):
