@@ -1,8 +1,6 @@
 """Ablations of the design choices DESIGN.md §5 calls out: epoch
 length, root window, flood-publish, mesh degree."""
 
-import pytest
-
 from repro.analysis.ablations import (
     epoch_length_ablation,
     flood_publish_ablation,

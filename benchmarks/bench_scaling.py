@@ -2,8 +2,6 @@
 (O(log N)), coverage stays complete — the gossip scalability story the
 paper's open-network setting depends on."""
 
-import pytest
-
 from repro.analysis.scaling import network_scaling_experiment
 from repro.core.protocol import WakuRlnRelayNetwork
 

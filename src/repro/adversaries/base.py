@@ -13,14 +13,13 @@ re-register while funds remain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, TYPE_CHECKING
+
+from ..constants import SPAM_MARKER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.peer import WakuRlnRelayPeer
-
-#: Payload marker shared with the scenario runner's delivery classifier.
-SPAM_MARKER = b"SPAM"
 
 
 class AdversaryStrategy:

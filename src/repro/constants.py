@@ -62,3 +62,7 @@ PAPER_OPTIMIZED_TREE_STORAGE_BYTES = 128
 #: Ethereum mainnet average block interval (seconds), used by the
 #: propagation-speed comparison (messages "must be mined" on-chain).
 ETH_BLOCK_INTERVAL_SECONDS = 13.0
+
+#: Payload prefix of every adversary agent's spam; the scenario runner's
+#: delivery classifier tells spam from honest traffic by it.
+SPAM_MARKER = b"SPAM"

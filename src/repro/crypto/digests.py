@@ -6,6 +6,8 @@ resident) even though BLAKE2b always comes from CPython's builtin
 back to; the digests are byte-for-byte the same.
 """
 
+__all__ = ["blake2b", "sha256", "sha512"]
+
 try:
     from _blake2 import blake2b
     from _sha256 import sha256

@@ -1,13 +1,11 @@
 """Topology generators for network simulations.
 
 GossipSub deployments form approximately random-regular overlays (every
-peer keeps ~D mesh links), so that is the default; small-world and
-Erdős–Rényi generators are provided for sensitivity experiments.
-The random-regular generator is in this module (stdlib only: scenario
-overlays do not depend on the installed NetworkX version and the
-scenario path does not load it); the sensitivity generators and
-:func:`diameter` import NetworkX when called. The resulting edges are
-wired into a :class:`~repro.net.network.Network`.
+peer keeps ~D mesh links), so that is the overlay every scenario uses.
+The random-regular generator is stdlib only: scenario overlays do not
+depend on the installed NetworkX version and the scenario path does not
+load it. Only :func:`diameter` imports NetworkX, when called. The
+resulting edges are wired into a :class:`~repro.net.network.Network`.
 """
 
 from __future__ import annotations
@@ -107,41 +105,6 @@ def connect_random_regular(
     )
 
 
-def connect_small_world(
-    network: Network,
-    node_ids: Sequence[NodeId],
-    k: int = 6,
-    rewire_probability: float = 0.1,
-    seed: int = 0,
-) -> int:
-    """Watts–Strogatz small-world overlay."""
-    import networkx as nx
-
-    graph = nx.connected_watts_strogatz_graph(
-        len(node_ids), k, rewire_probability, seed=seed
-    )
-    return _apply_edges(network, node_ids, graph.edges())
-
-
-def connect_erdos_renyi(
-    network: Network,
-    node_ids: Sequence[NodeId],
-    edge_probability: float = 0.1,
-    seed: int = 0,
-) -> int:
-    """G(n, p) overlay; retries until connected so gossip can reach all."""
-    import networkx as nx
-
-    n = len(node_ids)
-    for attempt in range(100):
-        graph = nx.erdos_renyi_graph(n, edge_probability, seed=seed + attempt)
-        if nx.is_connected(graph):
-            return _apply_edges(network, node_ids, graph.edges())
-    raise NetworkError(
-        f"could not draw a connected G({n}, {edge_probability}) in 100 tries"
-    )
-
-
 def connect_full_mesh(network: Network, node_ids: Sequence[NodeId]) -> int:
     """Every pair connected (tiny test networks only)."""
     count = 0
@@ -167,9 +130,3 @@ def diameter(network: Network) -> int:
         raise NetworkError("overlay is not connected")
     return nx.diameter(graph)
 
-
-def average_degree(network: Network) -> float:
-    ids: List[NodeId] = network.node_ids()
-    if not ids:
-        return 0.0
-    return sum(len(network.neighbors(i)) for i in ids) / len(ids)

@@ -38,7 +38,7 @@ import time
 from bisect import insort
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..adversaries.base import SPAM_MARKER
+from ..constants import SPAM_MARKER
 from ..core.peer import WakuRlnRelayPeer
 from ..core.protocol import WakuRlnRelayNetwork
 from ..errors import RateLimitError, RegistrationError
@@ -52,8 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..watchtower.service import WatchtowerService
 
 #: Honest payload marker; spam carries the agents'
-#: :data:`~repro.adversaries.base.SPAM_MARKER` (one shared constant,
-#: so the delivery classifier cannot drift from the emitters).
+#: :data:`~repro.constants.SPAM_MARKER` (one shared constant, so the
+#: delivery classifier cannot drift from the emitters).
 HONEST_MARKER = b"MSG|"
 
 #: Cap on retained adversary-economics series samples under

@@ -11,8 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..errors import SimulationError
-
 
 @dataclass(frozen=True)
 class LatencyModel:
@@ -56,31 +54,3 @@ class UniformLatency(LatencyModel):
 
 #: The relay networks' default link latency (30-80 ms per hop).
 DEFAULT_LATENCY = UniformLatency(base_seconds=0.03)
-
-
-@dataclass(frozen=True)
-class LogNormalLatency(LatencyModel):
-    """Heavy-tailed latency, the usual fit for internet RTT distributions.
-
-    ``base_seconds`` is the median; ``sigma`` the log-space standard
-    deviation. Samples are clamped to ``max_seconds`` so the paper's
-    "maximum network delay D" stays meaningful.
-    """
-
-    sigma: float = 0.4
-    max_seconds: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.base_seconds <= 0:
-            raise SimulationError("median latency must be positive")
-
-    def sample_latency(self, rng: random.Random) -> float:
-        import math
-
-        sample = self.base_seconds * math.exp(rng.gauss(0.0, self.sigma))
-        return min(sample, self.max_seconds)
-
-    def min_latency(self) -> float:
-        # exp(gauss) has unbounded support below, so no useful bound
-        # exists; parallel runs reject this model.
-        return 0.0

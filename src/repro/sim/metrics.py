@@ -30,10 +30,6 @@ class Histogram:
         return total / len(self.samples) if self.samples else 0.0
 
     @property
-    def minimum(self) -> float:
-        return min(self.samples) if self.samples else 0.0
-
-    @property
     def maximum(self) -> float:
         return max(self.samples) if self.samples else 0.0
 
@@ -51,14 +47,6 @@ class Histogram:
             return ordered[low]
         weight = rank - low
         return ordered[low] * (1 - weight) + ordered[high] * weight
-
-    @property
-    def stddev(self) -> float:
-        n = len(self.samples)
-        if n < 2:
-            return 0.0
-        mean = self.mean
-        return math.sqrt(sum((s - mean) ** 2 for s in self.samples) / (n - 1))
 
 
 class BoundedSeries:

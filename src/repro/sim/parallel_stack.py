@@ -122,15 +122,13 @@ PortPacket = Tuple[int, Optional[str], float, str, int, str, object, str]
 
 class _WRecord:
     """One scheduled event of the windowed kernel: ``handler(payload)``,
-    where a closure event's payload is the simulator itself. A closure
-    event's record is also the handle :meth:`schedule` returns."""
+    where a closure event's payload is the simulator itself."""
 
-    __slots__ = ("handler", "payload", "label", "shard", "ckey", "time",
-                 "cancelled")
+    __slots__ = ("handler", "payload", "label", "shard", "ckey", "time")
 
     def __init__(
         self,
-        handler: Optional[Callable[[object], None]],
+        handler: Callable[[object], None],
         payload: object,
         label: str,
         shard: int,
@@ -146,10 +144,6 @@ class _WRecord:
         #: descendants scheduled from its handler inherit as origin.
         self.ckey = ckey
         self.time = time
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
 
 class WindowedStackSimulator(Simulator):
@@ -329,7 +323,7 @@ class WindowedStackSimulator(Simulator):
         return exports
 
     def queue_depth(self) -> int:
-        return sum(1 for entry in self._heap if not entry[3].cancelled)
+        return len(self._heap)
 
     # -- scheduling ------------------------------------------------------------------
 
@@ -353,7 +347,7 @@ class WindowedStackSimulator(Simulator):
         handler: Handler,
         label: str = "",
         shard: Optional[str] = None,
-    ):
+    ) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s in the past")
         time = self.now + delay
@@ -369,7 +363,6 @@ class WindowedStackSimulator(Simulator):
         ckey = shard if shard is not None else origin
         record = _WRecord(handler, self, label, dst, ckey, time)
         heappush(self._heap, (time, origin, seq, record))
-        return record
 
     # -- ownership ---------------------------------------------------------------------
 
@@ -404,8 +397,6 @@ class WindowedStackSimulator(Simulator):
                 if time > t_end or (time == t_end and not final):
                     break
                 time, _origin, _seq, record = heappop(heap)
-                if record.cancelled:
-                    continue
                 if self.trace is not None:
                     self.trace.append(
                         (time, _origin, _seq, record.label, record.shard)
@@ -417,9 +408,7 @@ class WindowedStackSimulator(Simulator):
                 self.now = time
                 self._exec_shard = record.shard
                 self._context = record.ckey
-                handler = record.handler
-                record.handler = None
-                handler(record.payload)
+                record.handler(record.payload)
                 self.events_processed += 1
                 events_by_shard[record.shard] += 1
         finally:

@@ -7,15 +7,14 @@ consumed in order while a virtual clock advances. Simulations are fully
 deterministic given a seed, and simulated seconds are free, so a 13 s
 block interval or a 0.5 s proving delay costs nothing in wall-clock.
 
-The queue stores ``(time, sequence, event)`` tuples so heap comparisons
-stay in C, an event record is slotted and is also its handle, and
-cancelled events are compacted out of the heap once they outnumber
-live ones — workloads that cancel/reschedule timers constantly (gossip
-backoffs, churn) keep a bounded queue instead of a monotonically
-growing one. A *port event* (:meth:`Simulator.schedule_port`; network
-delivery, the bulk of all events) is the heap tuple alone —
-``(time, sequence, None, handler, payload)`` — with no record, closure
-or handle behind it, so there is nothing to cancel it through.
+Every queued event is one heap tuple, ``(time, sequence, handler,
+argument)``, dispatched as ``handler(argument)``: a closure event
+(:meth:`Simulator.schedule`) passes the simulator, a *port event*
+(:meth:`Simulator.schedule_port`; network delivery, the bulk of all
+events) its payload. The unique sequence keeps heap comparisons on the
+``(time, sequence)`` prefix, in C. A queued event always fires; a
+periodic task stops by dropping its handler, so its next tick is a
+no-op.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import gc
 import itertools
 import random
 from contextlib import contextmanager
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
@@ -90,31 +89,6 @@ def _gc_restore() -> None:
     gc.unfreeze()
 
 
-class EventHandle:
-    """One queued closure event: the record its heap entry holds, and
-    the handle :meth:`Simulator.schedule` returns to cancel it.
-
-    Ordering lives in the ``(time, sequence)`` tuple prefix of the heap
-    entries, never on the record itself. A record drops its handler
-    when it fires, so cancelling it afterwards leaves the queue alone.
-    """
-
-    __slots__ = ("_sim", "time", "handler", "cancelled")
-
-    def __init__(self, sim: "Simulator", time: float, handler: Handler) -> None:
-        self._sim = sim
-        self.time = time
-        self.handler: Optional[Handler] = handler
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self.handler is not None:  # still queued
-            self._sim._note_cancelled()
-
-
 class _Periodic:
     """One :meth:`Simulator.schedule_periodic` task: its bound ``tick``
     is the queued handler, its bound ``cancel`` the caller's cancel."""
@@ -122,7 +96,7 @@ class _Periodic:
     __slots__ = ("interval", "handler", "label", "jitter", "draw", "shard")
 
     def tick(self, sim: "Simulator") -> None:
-        if self.handler is None:  # cancelled
+        if self.handler is None:  # stopped
             return
         self.handler(sim)
         if self.handler is not None:
@@ -139,19 +113,13 @@ class _Periodic:
 class Simulator:
     """A deterministic discrete-event simulator."""
 
-    #: Lazy-compaction trigger: rebuild the heap once at least this many
-    #: cancelled events sit in it *and* they are at least half of it.
-    COMPACT_MIN_CANCELLED = 64
-
     def __init__(self, seed: int = 0) -> None:
         self.now = 0.0
         self.rng = random.Random(seed)
-        #: Heap of ``(time, sequence, EventHandle)`` and, for port
-        #: events, ``(time, sequence, None, handler, payload)``.
+        #: Heap of ``(time, sequence, handler, argument)``.
         self._queue: list = []
         self._ports: Dict[str, Callable[[object], None]] = {}
         self._sequence = itertools.count()
-        self._cancelled_pending = 0
         self.events_processed = 0
 
     # -- rng streams -----------------------------------------------------------
@@ -198,27 +166,13 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------------
 
-    def _note_cancelled(self) -> None:
-        self._cancelled_pending += 1
-        queue = self._queue
-        if (
-            self._cancelled_pending >= self.COMPACT_MIN_CANCELLED
-            and self._cancelled_pending * 2 >= len(queue)
-        ):
-            live = [e for e in queue if e[2] is None or not e[2].cancelled]
-            # In place, so aliases held by a running step()/run() frame
-            # keep seeing the compacted heap.
-            queue[:] = live
-            heapify(queue)
-            self._cancelled_pending = 0
-
     def schedule(
         self,
         delay: float,
         handler: Handler,
         label: str = "",
         shard: Optional[str] = None,
-    ) -> EventHandle:
+    ) -> None:
         """Run ``handler`` after ``delay`` simulated seconds.
 
         ``shard`` is an optional affinity hint (typically the node id
@@ -227,9 +181,8 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s in the past")
-        event = EventHandle(self, self.now + delay, handler)
-        heappush(self._queue, (event.time, next(self._sequence), event))
-        return event
+        time = self.now + delay
+        heappush(self._queue, (time, next(self._sequence), handler, self))
 
     def register_port(
         self, name: str, handler: Callable[[object], None]
@@ -243,9 +196,8 @@ class Simulator:
     def schedule_port(self, port: str, items: Sequence[PortItem]) -> None:
         """For each ``(delay, payload, shard)`` of ``items``, in order,
         run ``port``'s handler on ``payload`` after ``delay`` seconds:
-        ordered like :meth:`schedule` calls made at the same point, but
-        not cancellable (the heap entry is the whole event). A fan-out
-        is one call."""
+        ordered like :meth:`schedule` calls made at the same point. A
+        fan-out is one call."""
         handler = self._ports.get(port)
         if handler is None:
             raise SimulationError(f"unknown port {port!r}")
@@ -253,7 +205,7 @@ class Simulator:
         for delay, payload, _shard in items:
             if delay < 0:
                 raise SimulationError(f"cannot schedule {delay}s in the past")
-            heappush(queue, (now + delay, next(sequence), None, handler, payload))
+            heappush(queue, (now + delay, next(sequence), handler, payload))
 
     def schedule_periodic(
         self,
@@ -265,11 +217,11 @@ class Simulator:
         rng: Optional[random.Random] = None,
         shard: Optional[str] = None,
     ) -> Callable[[], None]:
-        """Run ``handler`` every ``interval`` seconds until cancelled.
+        """Run ``handler`` every ``interval`` seconds until stopped.
 
-        Returns a zero-argument cancel function. ``jitter`` adds a
-        uniform random offset in ``[0, jitter)`` to **every** firing,
-        the first included, so all gaps lie in
+        Returns a zero-argument function that stops the task.
+        ``jitter`` adds a uniform random offset in ``[0, jitter)`` to
+        **every** firing, the first included, so all gaps lie in
         ``[interval, interval + jitter)``. ``stagger=True`` additionally
         draws the first firing's phase from ``[0, interval)`` — the
         explicit opt-in that keeps heartbeats of many nodes from
@@ -292,29 +244,20 @@ class Simulator:
     # -- execution ----------------------------------------------------------------
 
     def queue_depth(self) -> int:
-        """Live (non-cancelled) events currently queued."""
-        return len(self._queue) - self._cancelled_pending
+        """Events currently queued."""
+        return len(self._queue)
 
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty."""
-        queue = self._queue
-        while queue:
-            entry = heappop(queue)
-            event = entry[2]
-            if event is not None and event.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            if entry[0] < self.now:
-                raise SimulationError("event queue went backwards in time")
-            self.now = entry[0]
-            if event is None:
-                entry[3](entry[4])
-            else:
-                handler, event.handler = event.handler, None
-                handler(self)
-            self.events_processed += 1
-            return True
-        return False
+        if not self._queue:
+            return False
+        time, _seq, handler, argument = heappop(self._queue)
+        if time < self.now:
+            raise SimulationError("event queue went backwards in time")
+        self.now = time
+        handler(argument)
+        self.events_processed += 1
+        return True
 
     def run(
         self,
@@ -336,37 +279,21 @@ class Simulator:
             # step() inlined: the peek-then-step split would touch the
             # heap head twice per event.
             while queue and processed < max_events:
-                entry = queue[0]
-                event = entry[2]
-                if event is not None and event.cancelled:
-                    heappop(queue)
-                    self._cancelled_pending -= 1
-                    continue
-                time = entry[0]
+                time = queue[0][0]
                 if until is not None and time > until:
                     break
-                heappop(queue)
+                time, _seq, handler, argument = heappop(queue)
                 if time < self.now:
                     raise SimulationError(
                         "event queue went backwards in time"
                     )
                 self.now = time
-                if event is None:
-                    entry[3](entry[4])
-                else:
-                    handler, event.handler = event.handler, None
-                    handler(self)
+                handler(argument)
                 self.events_processed += 1
                 processed += 1
         finally:
             _gc_restore()
         if processed >= max_events:
-            # Drop cancelled entries so the truncation check sees the
-            # first *live* pending event (a cancelled timer at the head
-            # must not mask real unprocessed work).
-            while queue and queue[0][2] is not None and queue[0][2].cancelled:
-                self._cancelled_pending -= 1
-                heappop(queue)
             if queue and (until is None or queue[0][0] <= until):
                 raise SimulationError(
                     f"event budget exhausted ({max_events} events) with "

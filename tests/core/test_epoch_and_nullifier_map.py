@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.core.config import ProtocolConfig
 from repro.core.epoch import EpochTracker, epoch_at, epoch_start
 from repro.core.nullifier_map import NullifierCheck, NullifierMap
-from repro.crypto.field import Fr
 from repro.crypto.keys import MembershipKeyPair
 from repro.crypto.merkle import MerkleTree
 from repro.rln.prover import RlnProver, rln_keys

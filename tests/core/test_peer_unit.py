@@ -4,7 +4,6 @@ end-to-end suite: sync edge cases, clock skew, churned publishers."""
 import pytest
 
 from repro.core.config import ProtocolConfig
-from repro.core.peer import WakuRlnRelayPeer
 from repro.core.protocol import WakuRlnRelayNetwork
 from repro.errors import RateLimitError
 

@@ -1,7 +1,5 @@
 """Tests for the routing-peer validation pipeline."""
 
-import random
-
 import pytest
 
 from repro.core.epoch import EpochTracker

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.crypto.field import Fr
-from repro.crypto.hashing import hash1
 from repro.crypto.keys import MembershipKeyPair
 from repro.crypto.merkle import MerkleTree
 from repro.errors import ContractError

@@ -17,11 +17,10 @@ import pytest
 
 from repro.gossipsub.params import GossipSubParams
 from repro.gossipsub.router import GossipSubRouter
-from repro.gossipsub.rpc import GossipMessage, RpcPacket, compute_message_id
+from repro.gossipsub.rpc import RpcPacket
 from repro.gossipsub.score import (
     PeerScoreParams,
     PeerScoreTracker,
-    TopicScoreParams,
     strict_topic_params,
 )
 from repro.net.network import Network

@@ -1,7 +1,5 @@
 """Integration-style tests of the GossipSub router on small networks."""
 
-import pytest
-
 from repro.gossipsub.params import GossipSubParams
 from repro.gossipsub.router import GossipSubRouter, ValidationResult
 from repro.gossipsub.rpc import compute_message_id

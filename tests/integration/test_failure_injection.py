@@ -4,11 +4,9 @@ The protocol must stay safe (no false slashing, no spam admitted) and
 eventually live under degraded conditions.
 """
 
-import pytest
-
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import WakuRlnRelayNetwork
-from repro.sim.latency import LatencyModel, UniformLatency
+from repro.sim.latency import UniformLatency
 
 
 def build(peer_count=12, seed=1, loss=0.0, **net_kwargs):

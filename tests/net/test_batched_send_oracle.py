@@ -5,24 +5,24 @@ fan-out through one ``schedule_port(port, items)`` call on either
 kernel. The previous form — one ``send`` per receiver, drawing loss
 through ``LatencyModel.sample_loss``, latency through
 ``UniformLatency``'s ``rng.uniform(0, spread)``, and scheduling one
-port event per call — is kept below as the oracle, with each kernel's
-previous per-item ``schedule_port``. Two identical worlds, one driven
-per fan-out and one per target, must hold the same RNG states, the same
-heap entries, exports and counters after every step, and deliver the
-same packets.
+port event per call through a one-item ``schedule_port`` — is kept
+below as the oracle. Two identical worlds, one driven per fan-out and
+one per target, must hold the same RNG states, the same heap entries,
+exports and counters after every step, and deliver the same packets.
 """
 
 from __future__ import annotations
 
-from heapq import heappush
+import math
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.network import Network
-from repro.sim.latency import LatencyModel, LogNormalLatency, UniformLatency
-from repro.sim.parallel_stack import ShardPlan, WindowedStackSimulator, _WRecord
+from repro.sim.latency import LatencyModel, UniformLatency
+from repro.sim.parallel_stack import ShardPlan, WindowedStackSimulator
 from repro.sim.simulator import Simulator
 
 NODES = tuple(f"n{i}" for i in range(6))
@@ -42,29 +42,6 @@ def _old_sample_latency(model, rng):
     return model.sample_latency(rng)
 
 
-def _old_schedule_port(sim, delay, port, payload, label, shard):
-    """Each kernel's previous one-event ``schedule_port``."""
-    handler = sim._ports[port]
-    time = sim.now + delay
-    if not isinstance(sim, WindowedStackSimulator):
-        heappush(sim._queue, (time, next(sim._sequence), None, handler, payload))
-        return
-    origin = sim._context
-    seq = sim._origin_seq.get(origin, 0)
-    sim._origin_seq[origin] = seq + 1
-    dst = sim.plan.shard_of(shard)
-    if dst != sim._exec_shard:
-        sim._check_causality(dst, time, label)
-    if dst in sim.owned:
-        ckey = shard if shard is not None else origin
-        record = _WRecord(handler, payload, label, dst, ckey, time)
-        heappush(sim._heap, (time, origin, seq, record))
-    else:
-        sim._exports.append(
-            (dst, shard, time, origin, seq, port, payload, label)
-        )
-
-
 def old_send(network, sender, receiver, packet):
     """The previous ``Network.send``: one receiver per call."""
     if receiver not in network._adjacency.get(sender, ()):
@@ -76,13 +53,8 @@ def old_send(network, sender, receiver, packet):
         return False
     delay = _old_sample_latency(network.latency, rng)
     network._counters["net.packets_sent"] += 1
-    _old_schedule_port(
-        network.simulator,
-        delay,
-        "net.deliver",
-        (sender, receiver, packet),
-        f"deliver:{receiver}",
-        receiver,
+    network.simulator.schedule_port(
+        "net.deliver", [(delay, (sender, receiver, packet), receiver)]
     )
     return True
 
@@ -102,10 +74,25 @@ class Relay:
             world.fan_out(self.node_id, world.targets(self.node_id), (ident, 1))
 
 
+@dataclass(frozen=True)
+class GaussLatency(LatencyModel):
+    """Log-normal latency with no floor. ``rng.gauss`` draws two
+    ``random()`` values every second call and none on the other, so
+    the stream advances unevenly from one sample to the next."""
+
+    sigma: float = 0.5
+
+    def sample_latency(self, rng):
+        return self.base_seconds * math.exp(rng.gauss(0.0, self.sigma))
+
+    def min_latency(self):
+        return 0.0
+
+
 MODELS = {
     "lossy": LatencyModel(base_seconds=0.05, loss_probability=0.3),
     "uniform": UniformLatency(base_seconds=0.03, spread_seconds=0.05),
-    "lognormal": LogNormalLatency(base_seconds=0.05, sigma=0.5),
+    "gauss": GaussLatency(base_seconds=0.05),
 }
 
 
@@ -166,7 +153,7 @@ class World:
     def state(self):
         sim = self.sim
         if self.kind == "serial":
-            heap = sorted((e[0], e[1], e[4]) for e in sim._queue)
+            heap = sorted((e[0], e[1], e[3]) for e in sim._queue)
             exports = []
             rngs = [sim.rng.getstate()]
         else:

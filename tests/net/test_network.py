@@ -4,14 +4,7 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net.network import Network
-from repro.net.topology import (
-    average_degree,
-    connect_erdos_renyi,
-    connect_full_mesh,
-    connect_random_regular,
-    connect_small_world,
-    diameter,
-)
+from repro.net.topology import connect_full_mesh, connect_random_regular, diameter
 from repro.sim.latency import LatencyModel
 from repro.sim.parallel_stack import WindowedStackSimulator
 from repro.sim.simulator import Simulator
@@ -160,7 +153,6 @@ class TestTopologies:
         network, ids = self._network(20)
         connect_random_regular(network, ids, degree=4, seed=1)
         assert all(len(network.neighbors(i)) == 4 for i in ids)
-        assert average_degree(network) == 4
 
     def test_random_regular_parity_check(self):
         network, ids = self._network(5)
@@ -171,16 +163,6 @@ class TestTopologies:
         network, ids = self._network(3)
         with pytest.raises(NetworkError):
             connect_random_regular(network, ids, degree=4)
-
-    def test_small_world_connected(self):
-        network, ids = self._network(30)
-        connect_small_world(network, ids, k=4, rewire_probability=0.2, seed=3)
-        assert diameter(network) >= 1
-
-    def test_erdos_renyi_connected(self):
-        network, ids = self._network(25)
-        connect_erdos_renyi(network, ids, edge_probability=0.2, seed=4)
-        assert diameter(network) >= 1
 
     def test_full_mesh(self):
         network, ids = self._network(5)

@@ -1,14 +1,11 @@
 """End-to-end tests of the RLN framework (no network layer yet)."""
 
-import random
-
 import pytest
 
 from repro.crypto.field import Fr
 from repro.crypto.hashing import hash_bytes_to_field
 from repro.crypto.keys import MembershipKeyPair
 from repro.crypto.merkle import MerkleTree
-from repro.crypto.zksnark import groth16
 from repro.errors import ProofError, SyncError
 from repro.rln.circuit import RlnStatement
 from repro.rln.membership import LocalGroup

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.core.peer import WakuRlnRelayPeer  # noqa: F401 (import guard)
 from repro.crypto.keys import MembershipKeyPair
 from repro.crypto.merkle import MerkleTree
 from repro.rln.prover import RlnProver, rln_keys

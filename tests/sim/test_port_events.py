@@ -1,11 +1,11 @@
 """Port events on the serial kernel against the closure form they replace.
 
-``Simulator.schedule_port`` queues a bare ``(time, seq, None, handler,
-payload)`` heap tuple — no record, closure or handle. The oracle below
-schedules the same call as an ordinary closure event, which is what
-every kernel did before; the two must execute the same events in the
-same order and agree on the clock and the counters after every
-operation, whatever is interleaved with them.
+``Simulator.schedule_port`` queues a ``(time, seq, handler, payload)``
+heap tuple, with no closure behind it. The oracle below schedules the
+same call as an ordinary closure event, which is what every kernel did
+before; the two must execute the same events in the same order and
+agree on the clock and the counters after every operation, whatever is
+interleaved with them.
 """
 
 from __future__ import annotations
@@ -33,15 +33,9 @@ class ClosurePortSimulator(Simulator):
 class Driver:
     """One kernel plus the script both kernels are put through."""
 
-    #: Small enough that a handful of cancels triggers a compaction
-    #: while port entries sit in the heap.
-    COMPACT_AT = 6
-
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        sim.COMPACT_MIN_CANCELLED = self.COMPACT_AT
         self.log = []
-        self.handles = []
         self.next_id = 0
         sim.register_port("p", self.on_port)
 
@@ -66,9 +60,7 @@ class Driver:
 
     def closure(self, delay):
         ident = self._id()
-        self.handles.append(
-            self.sim.schedule(delay, lambda _sim: self.on_closure(ident))
-        )
+        self.sim.schedule(delay, lambda _sim: self.on_closure(ident))
 
     def apply(self, op):
         kind, arg = op
@@ -76,16 +68,6 @@ class Driver:
             self.port(arg)
         elif kind == "closure":
             self.closure(arg)
-        elif kind == "cancel":
-            if self.handles:
-                self.handles[arg % len(self.handles)].cancel()
-        elif kind == "cancel_burst":
-            doomed = [
-                self.sim.schedule(50.0, lambda _sim: self.log.append("dead"))
-                for _ in range(arg)
-            ]
-            for handle in doomed:
-                handle.cancel()
         elif kind == "run_until":
             self.sim.run(until=self.sim.now + arg)
         elif kind == "step":
@@ -108,8 +90,6 @@ OPS = st.one_of(
     st.tuples(st.just("port"), DELAYS),
     st.tuples(st.just("port"), DELAYS),
     st.tuples(st.just("closure"), DELAYS),
-    st.tuples(st.just("cancel"), st.integers(0, 40)),
-    st.tuples(st.just("cancel_burst"), st.integers(1, 2 * Driver.COMPACT_AT)),
     st.tuples(st.just("run_until"), DELAYS),
     st.tuples(st.just("step"), st.none()),
     st.tuples(st.just("run_max"), st.integers(0, 4)),
@@ -127,7 +107,6 @@ def test_port_events_match_the_closure_oracle(ops):
     fast.sim.run()
     oracle.sim.run()
     assert fast.state() == oracle.state()
-    assert "dead" not in fast.log
 
 
 def test_equal_time_port_and_closure_events_fire_in_scheduling_order():
@@ -147,7 +126,6 @@ def test_event_budget_with_a_port_event_at_the_head_raises_truncation():
     sim = Simulator()
     fired = []
     sim.register_port("p", fired.append)
-    sim.schedule(1.0, lambda _sim: None).cancel()  # cancelled head first
     for i in range(3):
         sim.schedule_port("p", [(1.0 + i, i, None)])
     with pytest.raises(SimulationError, match="event budget exhausted"):
@@ -166,24 +144,6 @@ def test_run_until_includes_a_port_event_exactly_at_until():
     sim.run(until=2.0)
     assert fired == ["at"] and sim.now == 2.0 and sim.queue_depth() == 1
     assert sim.step() and fired == ["at", "after"] and not sim.step()
-
-
-def test_compaction_at_the_real_threshold_keeps_port_entries():
-    sim = Simulator()
-    fired = []
-    sim.register_port("p", fired.append)
-    for i in (3, 1, 2):
-        sim.schedule_port("p", [(float(i), i, None)])
-    doomed = [
-        sim.schedule(0.5, lambda _sim: fired.append("dead"))
-        for _ in range(Simulator.COMPACT_MIN_CANCELLED)
-    ]
-    for handle in doomed:
-        handle.cancel()
-    assert len(sim._queue) == 3  # compacted: only the port entries left
-    assert sim.queue_depth() == 3
-    sim.run()
-    assert fired == [1, 2, 3]
 
 
 def _kernels():

@@ -29,6 +29,7 @@ SERIAL_UNUSED = (
     "repro.scenarios.parallel",
     "repro.sim.parallel_stack",
     "repro.scenarios.registry",
+    "repro.adversaries.base",
     "repro.adversaries.engine",
     "repro.adversaries.strategies",
     "repro.crypto.zksnark.r1cs",

@@ -14,7 +14,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: ``wc -l`` over ``src/**/*.py``, as last lowered.
-CEILING = 16548
+CEILING = 16384
 
 
 def source_lines() -> int:
