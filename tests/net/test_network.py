@@ -170,6 +170,20 @@ class TestTopologies:
         assert edges == 10
         assert diameter(network) == 1
 
+    def test_random_regular_overlay_is_connected(self):
+        network, ids = self._network(30)
+        assert connect_random_regular(network, ids, degree=4, seed=3) == 60
+        assert 2 <= diameter(network) < len(ids)
+
+    def test_diameter_counts_hops_along_a_path(self):
+        network, ids = self._network(4)
+        for a, b in zip(ids, ids[1:]):
+            network.connect(a, b)
+        assert diameter(network) == 3
+
+    def test_diameter_of_an_empty_overlay_is_zero(self):
+        assert diameter(Network(simulator=Simulator())) == 0
+
     def test_diameter_of_disconnected_raises(self):
         network, ids = self._network(4)
         network.connect(ids[0], ids[1])

@@ -187,3 +187,31 @@ class TestWindowedPartitionInvariance:
                 assert max(beats) < 3.0, node
             else:
                 assert max(beats) > DURATION - 1.0, node
+
+    def test_schedule_returns_nothing(self):
+        sim = WindowedStackSimulator(seed=0, plan=ShardPlan(2), window=WINDOW)
+        sim.register_port("p", lambda payload: None)
+        assert sim.schedule(1.0, lambda s: None, shard="peer-1") is None
+        assert sim.schedule_port("p", [(1.0, "x", "peer-2")]) is None
+        assert sim.queue_depth() == 2
+
+    def test_events_queued_for_other_shards_all_fire(self):
+        """Every event a handler queues for another shard counts in
+        the depth until it fires, and every one of them fires."""
+        sim = WindowedStackSimulator(seed=0, plan=ShardPlan(4), window=WINDOW)
+        fired = []
+
+        def fan_out(s):
+            for i in range(40):
+                s.schedule(
+                    50.0, lambda s2: fired.append(s2.now), shard=f"peer-{i}"
+                )
+
+        sim.schedule(1.0, fan_out, shard="peer-0")
+        for _t_prev, t_end, final in barrier_times(60.0, WINDOW):
+            sim.run_window(t_end, final=final)
+            if t_end == 10.0:
+                assert sim.queue_depth() == 40
+        assert sim.shard_stats()["cross_shard_scheduled"] > 0
+        assert fired == [51.0] * 40
+        assert sim.queue_depth() == 0

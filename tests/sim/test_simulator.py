@@ -71,6 +71,85 @@ class TestScheduling:
         sim.run()
         assert hits == [1.0, 2.0]
 
+    def test_schedule_returns_nothing(self):
+        """No event is cancellable: neither form hands back a handle."""
+        sim = Simulator()
+        sim.register_port("p", lambda payload: None)
+        assert sim.schedule(1.0, lambda s: None) is None
+        assert sim.schedule_port("p", [(1.0, "x", None)]) is None
+
+    def test_closure_events_receive_the_simulator(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, seen.append)
+        sim.run()
+        assert seen == [sim]
+
+
+class TestHeap:
+    def test_every_entry_has_one_shape(self):
+        """Closure, port and periodic events all queue as
+        ``(time, sequence, handler, argument)``."""
+        sim = Simulator()
+        on_port = []
+        sim.register_port("p", on_port.append)
+        sim.schedule(2.0, lambda s: None)
+        sim.schedule_port("p", [(1.0, "payload", None)])
+        sim.schedule_periodic(3.0, lambda s: None)
+        assert len(sim._queue) == 3
+        assert all(len(entry) == 4 for entry in sim._queue)
+        by_time = {entry[0]: entry for entry in sim._queue}
+        assert by_time[1.0][3] == "payload"
+        assert by_time[2.0][3] is sim and by_time[3.0][3] is sim
+        assert sorted(entry[1] for entry in sim._queue) == [0, 1, 2]
+
+    def test_queue_depth_counts_every_pending_event(self):
+        sim = Simulator()
+        sim.register_port("p", lambda payload: None)
+        for i in range(4):
+            sim.schedule(float(i), lambda s: None)
+        sim.schedule_port("p", [(0.5, i, None) for i in range(3)])
+        assert sim.queue_depth() == 7
+        assert sim.step()
+        assert sim.queue_depth() == 6
+        sim.run()
+        assert sim.queue_depth() == 0 and sim.events_processed == 7
+
+    def test_stopped_periodic_tick_drains_as_a_no_op(self):
+        """Stopping a task leaves its next tick queued; that tick fires
+        without calling the handler and queues nothing after it."""
+        sim = Simulator()
+        hits = []
+        stop = sim.schedule_periodic(1.0, lambda s: hits.append(s.now))
+        sim.run(until=1.5)
+        stop()
+        assert sim.queue_depth() == 1
+        sim.run()
+        assert hits == [1.0]
+        assert sim.queue_depth() == 0 and sim.events_processed == 2
+
+    def test_restarted_periodic_tasks_keep_the_heap_bounded(self):
+        """A workload that keeps stopping tasks and starting new ones
+        (timers re-armed under churn) holds at most the live tasks plus
+        one pending no-op tick per task stopped within an interval."""
+        sim = Simulator()
+        live = []
+        late_hits = []
+
+        def churn(s):
+            for stop in live:
+                stop()
+            live[:] = [
+                s.schedule_periodic(5.0, lambda s2: late_hits.append(s2.now))
+                for _ in range(50)
+            ]
+            assert s.queue_depth() <= 6 * 50 + 1
+
+        sim.schedule_periodic(1.0, churn)
+        sim.run(until=400.0)
+        assert late_hits == []  # every task was stopped before it fired
+        assert sim.queue_depth() <= 6 * 50 + 1
+
 
 class TestRunUntil:
     def test_run_until_stops_before_later_events(self):
@@ -98,6 +177,21 @@ class TestRunUntil:
             sim.schedule(1.0, lambda s: None)
         with pytest.raises(SimulationError):
             sim.run(until=5.0, max_events=2)
+
+    def test_truncation_names_the_pending_head(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda s: None)
+        sim.schedule(2.0, lambda s: None)  # real pending work
+        sim.schedule(0.5, lambda s: None)
+        with pytest.raises(SimulationError, match=r"pending at t=1\.000"):
+            sim.run(until=10.0, max_events=1)
+
+    def test_budget_equal_to_the_pending_work_is_not_truncation(self):
+        sim = Simulator()
+        for _ in range(3):
+            sim.schedule(1.0, lambda s: None)
+        sim.run(until=5.0, max_events=3)
+        assert sim.events_processed == 3 and sim.now == 5.0
 
     def test_budget_not_triggered_by_events_beyond_until(self):
         sim = Simulator()

@@ -61,3 +61,21 @@ def test_every_imported_name_is_used_or_exported():
             for line, name in unused_imports(source):
                 offenders.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert offenders == []
+
+
+def test_an_unused_import_is_reported_with_its_line():
+    source = "import os\nfrom json import dumps, loads\nprint(loads)\n"
+    assert unused_imports(source) == [(1, "os"), (2, "dumps")]
+
+
+def test_annotations_all_and_dotted_imports_count_as_uses():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Optional, List\n"
+        "from json import dumps\n"
+        "__all__ = ['dumps']\n"
+        "def f(x: 'Optional[int]') -> List:\n"
+        "    return os.path.join(x)\n"
+    )
+    assert unused_imports(source) == []
