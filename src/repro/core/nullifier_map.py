@@ -50,6 +50,9 @@ class NullifierMap:
     observation timing of earlier revisions.
     """
 
+    __slots__ = ("thr", "auto_prune", "_epochs", "_max_epoch",
+                 "auto_pruned_entries")
+
     def __init__(self, thr: int, auto_prune: bool = False) -> None:
         if thr < 1:
             raise ValueError("thr must be at least 1")

@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional
 
 from ..crypto.keys import IdentityCommitment, MembershipKeyPair
 from ..crypto.zksnark.groth16 import ProvingKey, VerifyingKey
-from ..crypto.zksnark.timing import DEFAULT_PERFORMANCE_MODEL
 from ..errors import RateLimitError, RegistrationError
 from ..eth.chain import Blockchain
 from ..eth.cursor import EventCursor
@@ -150,11 +149,10 @@ class WakuRlnRelayPeer:
         self.epoch_tracker = EpochTracker(
             network.simulator, config.epoch_length, clock_skew
         )
-        processing_delay = (
-            DEFAULT_PERFORMANCE_MODEL.verify_seconds
-            if config.model_crypto_latency
-            else 0.0
-        )
+        processing_delay = 0.0
+        if config.model_crypto_latency:  # the only runs that load it
+            from ..crypto.zksnark.timing import DEFAULT_PERFORMANCE_MODEL
+            processing_delay = DEFAULT_PERFORMANCE_MODEL.verify_seconds
         self.relay = WakuRelayNode(
             node_id,
             network,
@@ -409,6 +407,7 @@ class WakuRlnRelayPeer:
             rate_limit_proof=signal.to_bytes(),
         )
         if self.config.model_crypto_latency:
+            from ..crypto.zksnark.timing import DEFAULT_PERFORMANCE_MODEL
             # Proof generation occupies the device before the message
             # can leave (0.5 s at depth 32 on the reference phone).
             delay = DEFAULT_PERFORMANCE_MODEL.prove_seconds(

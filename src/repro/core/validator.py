@@ -56,7 +56,7 @@ class ValidationReport:
 SpamCallback = Callable[[SlashingEvidence], None]
 
 
-@dataclass
+@dataclass(slots=True)
 class RlnMessageValidator:
     """Stateful per-router validator combining all Section III checks."""
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .rpc import GossipMessage
 
@@ -16,21 +16,21 @@ class MessageCache:
 
     Windows are indexed **per topic**, so :meth:`gossip_ids` touches
     only the queried topic's IDs (in insertion order) and an idle topic
-    costs a few tuple reads — on a multiplexed mesh the heartbeat's
+    costs a few list reads — on a multiplexed mesh the heartbeat's
     gossip emission is O(own traffic), not O(all traffic x topics).
-    The windows are flat: one ``(shift count, topic, IDs)`` entry per
+    The windows are flat: one ``[shift count, topic, *IDs]`` list per
     topic a window received, oldest window first and, within a window,
-    in the order its topics first arrived — no dict per window, and
-    only windows that received a message exist, so an idle router
-    holds an empty list. :meth:`shift` is amortised O(1) per cached
-    message.
+    in the order its topics first arrived — no dict per window, one
+    object per entry, and only windows that received a message exist,
+    so an idle router holds an empty list. :meth:`shift` is amortised
+    O(1) per cached message.
     """
 
     def __init__(self, history_length: int = 5, gossip_length: int = 3) -> None:
         self.history_length = history_length
         self.gossip_length = gossip_length
         self._messages: Dict[str, GossipMessage] = {}
-        self._windows: List[Tuple[int, str, List[str]]] = []
+        self._windows: List[list] = []
         self._shifts = 0
 
     def put(self, message: GossipMessage) -> None:
@@ -39,13 +39,13 @@ class MessageCache:
             return
         self._messages[msg_id] = message
         # The current window's entries are the list's tail.
-        for shift_no, entry_topic, ids in reversed(self._windows):
-            if shift_no != shifts:
+        for entry in reversed(self._windows):
+            if entry[0] != shifts:
                 break
-            if entry_topic == topic:
-                ids.append(msg_id)
+            if entry[1] == topic:
+                entry.append(msg_id)
                 return
-        self._windows.append((shifts, topic, [msg_id]))
+        self._windows.append([shifts, topic, msg_id])
 
     def get(self, msg_id: str) -> Optional[GossipMessage]:
         return self._messages.get(msg_id)
@@ -54,11 +54,11 @@ class MessageCache:
         """``topic``'s IDs in the gossip window, newest window first."""
         out: List[str] = []
         oldest = self._shifts - self.gossip_length
-        for shift_no, entry_topic, ids in reversed(self._windows):
-            if shift_no <= oldest:
+        for entry in reversed(self._windows):
+            if entry[0] <= oldest:
                 break
-            if entry_topic == topic:
-                out.extend(ids)
+            if entry[1] == topic:
+                out += entry[2:]
         return out
 
     def shift(self) -> None:
@@ -67,7 +67,7 @@ class MessageCache:
         horizon = self._shifts - self.history_length
         windows = self._windows
         while windows and windows[0][0] <= horizon:
-            for msg_id in windows.pop(0)[2]:
+            for msg_id in windows.pop(0)[2:]:
                 del self._messages[msg_id]
 
     def __len__(self) -> int:

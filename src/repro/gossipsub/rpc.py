@@ -9,9 +9,9 @@ receiver, which is the property Waku-Relay's anonymity builds on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Mapping, Sequence, Tuple
 
 from ..crypto.digests import blake2b
 
@@ -60,22 +60,46 @@ class GossipMessage:
         return len(payload_to_bytes(self.payload))
 
 
-@dataclass
-class RpcPacket:
-    """The union envelope exchanged between gossipsub routers."""
+class _EmptyMapping(dict):
+    """The one empty mapping an unset ``ihave`` / ``px`` shares: read-only,
+    hashable by identity (so a dataclass takes it as a plain default, with
+    no factory call per packet) and pickled by name (so a packet crossing
+    a worker pipe gets this same object back)."""
 
-    publish: List[GossipMessage] = field(default_factory=list)
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("the shared empty mapping is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = _read_only
+    popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> str:
+        return "EMPTY_MAPPING"
+
+
+EMPTY_MAPPING: Mapping[str, Any] = _EmptyMapping()
+
+
+@dataclass(slots=True)
+class RpcPacket:
+    """The union envelope exchanged between gossipsub routers. An unset
+    field is a shared ``()`` or :data:`EMPTY_MAPPING`: the subscription
+    burst at set-up queues thousands of packets at once."""
+
+    publish: Sequence[GossipMessage] = ()
     #: topic -> advertised message IDs
-    ihave: Dict[str, List[str]] = field(default_factory=dict)
-    iwant: List[str] = field(default_factory=list)
-    graft: List[str] = field(default_factory=list)
+    ihave: Mapping[str, List[str]] = EMPTY_MAPPING
+    iwant: Sequence[str] = ()
+    graft: Sequence[str] = ()
     #: topic -> backoff seconds the receiver must respect
-    prune: List[Tuple[str, float]] = field(default_factory=list)
+    prune: Sequence[Tuple[str, float]] = ()
     #: Peer Exchange (v1.1): topic -> alternative peers offered with a
     #: PRUNE, so the pruned peer can heal its mesh elsewhere.
-    px: Dict[str, List[str]] = field(default_factory=dict)
-    subscribe: List[str] = field(default_factory=list)
-    unsubscribe: List[str] = field(default_factory=list)
+    px: Mapping[str, List[str]] = EMPTY_MAPPING
+    subscribe: Sequence[str] = ()
+    unsubscribe: Sequence[str] = ()
 
     @property
     def size_bytes(self) -> int:

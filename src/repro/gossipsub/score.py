@@ -34,7 +34,7 @@ sweep for meshes containing no suspects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, FrozenSet, Optional, Set
+from typing import AbstractSet, Dict, FrozenSet, Optional, Set, Tuple
 
 from ..net.network import NodeId
 
@@ -148,10 +148,9 @@ def _decay_steps(
 
     Repeated multiplication (not ``factor ** steps``) so the result is
     bit-identical to the eager per-tick sweep, including the
-    zero-floor cut at the exact tick the sweep would apply it.
+    zero-floor cut at the exact tick the sweep would apply it. Callers
+    pass a non-zero ``value`` and ``steps > 0``: zero decays to itself.
     """
-    if value == 0.0 or steps <= 0:
-        return value
     if factor == 1.0:
         return 0.0 if value < floor else value
     for _ in range(steps):
@@ -166,6 +165,7 @@ class _TopicStats:
     """Per-(peer, topic) counters. ``tick`` is the decay tick the
     decaying counters were last materialised at."""
 
+    topic: str
     in_mesh: bool = False
     graft_time: float = 0.0
     mesh_time: float = 0.0
@@ -178,11 +178,20 @@ class _TopicStats:
 
 @dataclass(slots=True)
 class _PeerStats:
-    topics: Dict[str, _TopicStats] = field(default_factory=dict)
+    #: In first-event order: a tuple is a quarter of a one-key dict.
+    topics: Tuple[_TopicStats, ...] = ()
     behaviour_penalty: float = 0.0
     behaviour_tick: int = 0
     app_score: float = 0.0
     ip: Optional[str] = None
+    #: (now, tick, score, now_dependent, decaying): the last score. A
+    #: score is a pure function of (peer state, IP group size, now,
+    #: decay tick), read in bursts between events (graylist gates, sort
+    #: keys). An event drops the memos whose inputs it changed: its own
+    #: peer's, plus an IP group's on a colocation change. A memo with no
+    #: in-mesh topic holds for any ``now``, and one with no non-zero
+    #: decaying counter for any tick.
+    memo: Optional[tuple] = None
 
 
 #: The suspect set of a tracker with no suspects: shared, read-only.
@@ -203,17 +212,6 @@ class PeerScoreTracker:
         #: Conservative superset of peers whose score may be negative;
         #: a set of its own only while it is not empty.
         self._suspects: AbstractSet[NodeId] = _NO_SUSPECTS
-        #: peer -> (now, tick, score, now_dependent, decaying). A score
-        #: is a pure function of (peer state, IP group size, now, decay
-        #: tick); between events the router reads it repeatedly
-        #: (graylist gates, sort keys in gossip emission and mesh
-        #: maintenance), so memoising the last value per peer collapses
-        #: those bursts to one computation. An event drops only the
-        #: entries whose inputs it changed: its own peer's, plus an IP
-        #: group's on a colocation change. An entry with no in-mesh
-        #: topic holds for any ``now``, and one with no non-zero
-        #: decaying counter for any tick.
-        self._score_cache: Dict[NodeId, tuple] = {}
 
     # -- peer lifecycle -------------------------------------------------------
 
@@ -225,17 +223,9 @@ class PeerScoreTracker:
             self._stats(peer)
 
     def remove_peer(self, peer: NodeId) -> None:
-        cache = self._score_cache
-        cache.pop(peer, None)
         stats = self._peers.pop(peer, None)
-        if stats is not None and stats.ip is not None:
-            group = self._ip_peers.get(stats.ip)
-            if group is not None:
-                group.discard(peer)
-                for member in group:
-                    cache.pop(member, None)
-                if not group:
-                    del self._ip_peers[stats.ip]
+        if stats is not None:
+            self._assign_ip(peer, stats, None)
         self._drop_suspect(peer)
 
     def _stats(self, peer: NodeId) -> _PeerStats:
@@ -247,13 +237,16 @@ class PeerScoreTracker:
         return stats
 
     def _topic_stats(self, peer: NodeId, topic: str) -> _TopicStats:
-        """Materialised per-topic stats (decay replayed up to now)."""
+        """Materialised per-topic stats (decay replayed up to now) for
+        an event that changes them: the peer's memo is dropped."""
         stats = self._stats(peer)
-        tstats = stats.topics.get(topic)
-        if tstats is None:
-            tstats = stats.topics[topic] = _TopicStats(tick=self._tick)
-            return tstats
-        self._materialize_topic(tstats, self.params.for_topic(topic))
+        stats.memo = None
+        for tstats in stats.topics:
+            if tstats.topic == topic:
+                self._materialize_topic(tstats, self.params.for_topic(topic))
+                return tstats
+        tstats = _TopicStats(topic, tick=self._tick)
+        stats.topics += (tstats,)
         return tstats
 
     # -- decay ------------------------------------------------------------------------
@@ -265,41 +258,34 @@ class PeerScoreTracker:
         if steps <= 0:
             return
         floor = self.params.decay_to_zero
-        tstats.first_message_deliveries = _decay_steps(
-            tstats.first_message_deliveries,
-            params.first_message_deliveries_decay,
-            steps,
-            floor,
-        )
-        tstats.mesh_message_deliveries = _decay_steps(
-            tstats.mesh_message_deliveries,
-            params.mesh_message_deliveries_decay,
-            steps,
-            floor,
-        )
-        tstats.mesh_failure_penalty = _decay_steps(
-            tstats.mesh_failure_penalty,
-            params.mesh_failure_penalty_decay,
-            steps,
-            floor,
-        )
-        tstats.invalid_message_deliveries = _decay_steps(
-            tstats.invalid_message_deliveries,
-            params.invalid_message_deliveries_decay,
-            steps,
-            floor,
-        )
+        # A zero counter decays to itself: no frame for it.
+        if value := tstats.first_message_deliveries:
+            tstats.first_message_deliveries = _decay_steps(
+                value, params.first_message_deliveries_decay, steps, floor
+            )
+        if value := tstats.mesh_message_deliveries:
+            tstats.mesh_message_deliveries = _decay_steps(
+                value, params.mesh_message_deliveries_decay, steps, floor
+            )
+        if value := tstats.mesh_failure_penalty:
+            tstats.mesh_failure_penalty = _decay_steps(
+                value, params.mesh_failure_penalty_decay, steps, floor
+            )
+        if value := tstats.invalid_message_deliveries:
+            tstats.invalid_message_deliveries = _decay_steps(
+                value, params.invalid_message_deliveries_decay, steps, floor
+            )
         tstats.tick = self._tick
 
     def _materialize_behaviour(self, stats: _PeerStats) -> None:
         steps = self._tick - stats.behaviour_tick
         if steps > 0:
-            stats.behaviour_penalty = _decay_steps(
-                stats.behaviour_penalty,
-                self.params.behaviour_penalty_decay,
-                steps,
-                self.params.decay_to_zero,
-            )
+            if stats.behaviour_penalty:
+                params = self.params
+                stats.behaviour_penalty = _decay_steps(
+                    stats.behaviour_penalty, params.behaviour_penalty_decay,
+                    steps, params.decay_to_zero,
+                )
             stats.behaviour_tick = self._tick
 
     def decay(self) -> None:
@@ -310,7 +296,6 @@ class PeerScoreTracker:
     # -- mesh events --------------------------------------------------------------
 
     def graft(self, peer: NodeId, topic: str, now: float) -> None:
-        self._score_cache.pop(peer, None)
         stats = self._topic_stats(peer, topic)
         stats.in_mesh = True
         stats.graft_time = now
@@ -322,7 +307,6 @@ class PeerScoreTracker:
 
     def prune(self, peer: NodeId, topic: str, now: float) -> None:
         """Peer leaves the mesh; a delivery deficit becomes P3b."""
-        self._score_cache.pop(peer, None)
         params = self.params.for_topic(topic)
         stats = self._topic_stats(peer, topic)
         if stats.in_mesh:
@@ -336,7 +320,6 @@ class PeerScoreTracker:
     # -- delivery events ------------------------------------------------------------
 
     def first_message(self, peer: NodeId, topic: str) -> None:
-        self._score_cache.pop(peer, None)
         params = self.params.for_topic(topic)
         stats = self._topic_stats(peer, topic)
         stats.first_message_deliveries = min(
@@ -351,14 +334,18 @@ class PeerScoreTracker:
 
     def duplicate_message(self, peer: NodeId, topic: str) -> None:
         stats = self._peers.get(peer)
-        tstats = stats.topics.get(topic) if stats is not None else None
+        for tstats in stats.topics if stats is not None else ():
+            if tstats.topic == topic:
+                break
+        else:
+            tstats = None
         if tstats is None or not tstats.in_mesh:
             # A duplicate from outside the mesh changes nothing: the
             # counters stay untouched, and lazily creating the topic
             # entry later replays decay over zeros (still zeros). Keep
-            # the memo entry too — the score did not move.
+            # the memo too — the score did not move.
             return
-        self._score_cache.pop(peer, None)
+        stats.memo = None
         # The hottest score event (every in-mesh duplicate): for_topic,
         # the same-tick materialize no-op and min() without their frames.
         params = self.params.topic_params.get(
@@ -371,47 +358,50 @@ class PeerScoreTracker:
         tstats.mesh_message_deliveries = count if count <= cap else cap
 
     def reject_message(self, peer: NodeId, topic: str) -> None:
-        self._score_cache.pop(peer, None)
         stats = self._topic_stats(peer, topic)
         stats.invalid_message_deliveries += 1
         self._suspect(peer)
 
     def behaviour_penalty(self, peer: NodeId, amount: float = 1.0) -> None:
-        self._score_cache.pop(peer, None)
         stats = self._stats(peer)
+        stats.memo = None
         self._materialize_behaviour(stats)
         stats.behaviour_penalty += amount
         self._suspect(peer)
 
     def set_app_score(self, peer: NodeId, score: float) -> None:
-        self._score_cache.pop(peer, None)
-        self._stats(peer).app_score = score
+        stats = self._stats(peer)
+        stats.memo = None
+        stats.app_score = score
         if score < 0:
             self._suspect(peer)
 
     def set_ip(self, peer: NodeId, ip: str) -> None:
         self._assign_ip(peer, self._stats(peer), ip)
 
-    def _assign_ip(self, peer: NodeId, stats: _PeerStats, ip: str) -> None:
+    def _assign_ip(
+        self, peer: NodeId, stats: _PeerStats, ip: Optional[str]
+    ) -> None:
         if stats.ip == ip:
             return
         # P6 reads the group size: every member of the group left and
-        # of the group joined changes score, not only this peer.
-        cache = self._score_cache
-        cache.pop(peer, None)
+        # of the group joined changes score, this peer's among them.
+        peers = self._peers
         if stats.ip is not None:
-            old = self._ip_peers.get(stats.ip)
-            if old is not None:
-                old.discard(peer)
-                for member in old:
-                    cache.pop(member, None)
-                if not old:
-                    del self._ip_peers[stats.ip]
+            # A peer with an IP is always in its group.
+            old = self._ip_peers[stats.ip]
+            old.discard(peer)
+            for member in old:
+                peers[member].memo = None
+            if not old:
+                del self._ip_peers[stats.ip]
         stats.ip = ip
+        if ip is None:  # removed: no group to join
+            return
         group = self._ip_peers.setdefault(ip, set())
         group.add(peer)
         for member in group:
-            cache.pop(member, None)
+            peers[member].memo = None
         if len(group) > self.params.ip_colocation_factor_threshold:
             self._suspect(*group)
 
@@ -450,28 +440,25 @@ class PeerScoreTracker:
     ) -> float:
         if tstats.mesh_time < params.mesh_message_deliveries_activation:
             return 0.0
-        if (
-            tstats.mesh_message_deliveries
-            >= params.mesh_message_deliveries_threshold
-        ):
-            return 0.0
-        return (
+        # Exact: a float difference is zero only between equal floats.
+        deficit = (
             params.mesh_message_deliveries_threshold
             - tstats.mesh_message_deliveries
         )
+        return deficit if deficit > 0 else 0.0
 
     def score(self, peer: NodeId, now: float = 0.0) -> float:
+        stats = self._peers.get(peer)
+        if stats is None:
+            return 0.0
         tick = self._tick
-        cached = self._score_cache.get(peer)
+        cached = stats.memo
         if (
             cached is not None
             and (cached[0] == now or not cached[3])
             and (cached[1] == tick or not cached[4])
         ):
             return cached[2]
-        stats = self._peers.get(peer)
-        if stats is None:
-            return 0.0
         topic_params = self.params.topic_params
         default_params = self.params.default_topic_params
         # A term whose counter or weight is zero is skipped: adding
@@ -484,8 +471,8 @@ class PeerScoreTracker:
         now_dependent = False
         #: Can a decay tick move it (any non-zero decaying counter)?
         decaying = False
-        for topic, tstats in stats.topics.items():
-            params = topic_params.get(topic, default_params)
+        for tstats in stats.topics:
+            params = topic_params.get(tstats.topic, default_params)
             if tstats.tick != tick:
                 self._materialize_topic(tstats, params)
             topic_score = 0.0
@@ -551,7 +538,5 @@ class PeerScoreTracker:
             suspect = True
         if not suspect and peer in self._suspects:
             self._drop_suspect(peer)
-        self._score_cache[peer] = (
-            now, tick, total, now_dependent, decaying
-        )
+        stats.memo = (now, tick, total, now_dependent, decaying)
         return total

@@ -244,7 +244,7 @@ def _pure_key(signal: RlnSignal) -> Tuple:
     return (signal.epoch, signal.message, *signal.public_inputs(), signal.proof)
 
 
-@dataclass
+@dataclass(slots=True)
 class RlnVerifier:
     """Verifies signals against a synced view of the membership group.
 

@@ -136,6 +136,30 @@ class ExpectedTracker:
         return value
 
 
+class _Recorder:
+    """Counts the honest and spam payloads one peer's application
+    receives (a slotted object: a fifth of a closure and its cells)."""
+
+    __slots__ = ("runner", "node_id", "counts")
+
+    def __init__(self, runner: "ScenarioRunner", node_id: str) -> None:
+        self.runner, self.node_id = runner, node_id
+        self.counts = runner._received.setdefault(node_id, [0, 0])
+
+    def __call__(self, topic: str, payload: bytes, _msg_id: str) -> None:
+        if payload.startswith(SPAM_MARKER):
+            kind = 1
+        elif payload.startswith(HONEST_MARKER):
+            kind = 0
+        else:
+            return
+        self.counts[kind] += 1
+        if self.node_id not in self.runner._adversary_ids:
+            by_topic = self.runner._topic_counts.get(topic)
+            if by_topic is not None:
+                by_topic[kind] += 1
+
+
 class ScenarioRunner:
     """One scenario execution; create fresh per run."""
 
@@ -378,23 +402,7 @@ class ScenarioRunner:
         self._detected_pks.add(int(evidence.commitment.element))
 
     def _attach_recorder(self, peer: WakuRlnRelayPeer) -> None:
-        counts = self._received.setdefault(peer.node_id, [0, 0])
-        node_id = peer.node_id
-
-        def record(topic: str, payload: bytes, _msg_id: str) -> None:
-            if payload.startswith(SPAM_MARKER):
-                kind = 1
-            elif payload.startswith(HONEST_MARKER):
-                kind = 0
-            else:
-                return
-            counts[kind] += 1
-            if node_id not in self._adversary_ids:
-                by_topic = self._topic_counts.get(topic)
-                if by_topic is not None:
-                    by_topic[kind] += 1
-
-        peer.on_topic_payload(record)
+        peer.on_topic_payload(_Recorder(self, peer.node_id))
 
     def _honest_peers(self) -> List[WakuRlnRelayPeer]:
         return [

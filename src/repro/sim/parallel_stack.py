@@ -322,9 +322,6 @@ class WindowedStackSimulator(Simulator):
         exports, self._exports = self._exports, []
         return exports
 
-    def queue_depth(self) -> int:
-        return len(self._heap)
-
     # -- scheduling ------------------------------------------------------------------
 
     def _check_causality(

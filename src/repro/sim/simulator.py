@@ -90,12 +90,13 @@ def _gc_restore() -> None:
 
 
 class _Periodic:
-    """One :meth:`Simulator.schedule_periodic` task: its bound ``tick``
-    is the queued handler, its bound ``cancel`` the caller's cancel."""
+    """One :meth:`Simulator.schedule_periodic` task: the task itself is
+    the queued handler (no bound method per pending tick), its bound
+    ``cancel`` the caller's cancel."""
 
     __slots__ = ("interval", "handler", "label", "jitter", "draw", "shard")
 
-    def tick(self, sim: "Simulator") -> None:
+    def __call__(self, sim: "Simulator") -> None:
         if self.handler is None:  # stopped
             return
         self.handler(sim)
@@ -104,7 +105,7 @@ class _Periodic:
             delay = self.interval + (
                 self.draw.uniform(0, jitter) if jitter else 0
             )
-            sim.schedule(delay, self.tick, self.label, shard=self.shard)
+            sim.schedule(delay, self, self.label, shard=self.shard)
 
     def cancel(self) -> None:
         self.handler = None
@@ -238,26 +239,10 @@ class Simulator:
         task = _Periodic()
         task.interval, task.handler, task.label = interval, handler, label
         task.jitter, task.draw, task.shard = jitter, draw, shard
-        self.schedule(first_delay, task.tick, label, shard=shard)
+        self.schedule(first_delay, task, label, shard=shard)
         return task.cancel
 
     # -- execution ----------------------------------------------------------------
-
-    def queue_depth(self) -> int:
-        """Events currently queued."""
-        return len(self._queue)
-
-    def step(self) -> bool:
-        """Process one event; returns False when the queue is empty."""
-        if not self._queue:
-            return False
-        time, _seq, handler, argument = heappop(self._queue)
-        if time < self.now:
-            raise SimulationError("event queue went backwards in time")
-        self.now = time
-        handler(argument)
-        self.events_processed += 1
-        return True
 
     def run(
         self,
@@ -276,8 +261,6 @@ class Simulator:
         processed = 0
         _gc_quiesce()
         try:
-            # step() inlined: the peek-then-step split would touch the
-            # heap head twice per event.
             while queue and processed < max_events:
                 time = queue[0][0]
                 if until is not None and time > until:

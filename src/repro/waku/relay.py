@@ -57,7 +57,8 @@ class WakuRelayNode:
             score_params,
             processing_delay=processing_delay,
         )
-        self._topics: Set[str] = set()
+        #: Joined topics in join order: a handful, so a tuple (no set).
+        self._topics: Tuple[str, ...] = ()
         #: (topic or None, handler) — None scopes to every joined topic.
         self._handlers: List[Tuple[Optional[str], MessageHandler]] = []
         self._topic_handlers: List[TopicMessageHandler] = []
@@ -72,7 +73,7 @@ class WakuRelayNode:
         """Join a pubsub topic (subscribes immediately if started)."""
         if topic in self._topics:
             return
-        self._topics.add(topic)
+        self._topics += (topic,)
         self.router.add_validator(topic, self._validate)
         if self._started:
             self.router.subscribe(topic)
@@ -82,7 +83,7 @@ class WakuRelayNode:
     def leave_topic(self, topic: str) -> None:
         if topic == self.pubsub_topic:
             raise GossipError("cannot leave the node's primary topic")
-        self._topics.discard(topic)
+        self._topics = tuple(t for t in self._topics if t != topic)
         self.router.unsubscribe(topic)
 
     def topics(self) -> Set[str]:

@@ -20,14 +20,16 @@ BENCH = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "bench_scenarios.py"
 )
 
-#: Measured 16.40 at 30 peers / 40 messages / seed 11, the same under
-#: ``PYTHONHASHSEED`` 0, 1 and 77; ~9 % headroom. With a cancellable
-#: ``EventHandle`` built per closure event it measured 16.54; with the
-#: validator and verifier counting through a ``MetricsRegistry.increment``
-#: frame it measured 16.89; with one ``Network.send`` (six frames) per target
-#: and ``deliver`` / ``_process`` / ``add_peer`` / validator lambdas as
-#: separate frames, 23.11; with a closure + record + handle per
-#: delivery and the duplicate dropped three frames deeper, 33.75.
+#: Measured 16.14 at 30 peers / 40 messages / seed 11, the same under
+#: ``PYTHONHASHSEED`` 0, 1 and 77; ~11 % headroom. With a
+#: ``_decay_steps`` frame for every zero score counter it measured
+#: 16.40; with a cancellable ``EventHandle`` built per closure event
+#: 16.54; with the validator and verifier counting through a
+#: ``MetricsRegistry.increment`` frame 16.89; with one ``Network.send``
+#: (six frames) per target and ``deliver`` / ``_process`` / ``add_peer``
+#: / validator lambdas as separate frames, 23.11; with a closure +
+#: record + handle per delivery and the duplicate dropped three frames
+#: deeper, 33.75.
 BUDGET_CALLS_PER_EVENT = 17.9
 
 

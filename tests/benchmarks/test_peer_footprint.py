@@ -21,16 +21,21 @@ BENCH = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "bench_million_id.py"
 )
 
-#: Measured 21 625 B per live peer between 40 and 120 peers over 2000
+#: Measured 17 918 B per live peer between 40 and 120 peers over 2000
 #: dormant identities (the smoke form of the registry-genesis shape),
 #: the same under PYTHONHASHSEED 0 and 3; ~14 % headroom. It measured
+#: 19 985 with a one-key dict per peer's topic scores, a score-memo
+#: dict per router, a closure per delivery recorder, a bound method per
+#: pending periodic tick, a tuple around every message-cache ID list, a
+#: set of joined topics per relay and unslotted validators, verifiers
+#: and nullifier maps; 21 625 when this budget was first lowered;
 #: 24 112 with a dict per message-cache window, a root-window dict per
 #: replica, two validator lambdas per topic, empty suspect and
 #: dirty-topic sets and unslotted accounts and receipts; 30 034 with a
 #: closure pair per periodic task, an ordered dict of recent roots,
 #: every registration's undo journal kept for the run and per-router
 #: score-param copies and dict-backed score stats.
-BUDGET_BYTES_PER_LIVE_PEER = 24_700
+BUDGET_BYTES_PER_LIVE_PEER = 20_400
 
 
 def _bench():

@@ -18,18 +18,26 @@ from repro.gossipsub.router import GossipSubRouter
 from repro.gossipsub.score import PeerScoreTracker
 
 
+def clear_memos(tracker):
+    """Drop every peer's score memo."""
+    for stats in tracker._peers.values():
+        stats.memo = None
+
+
 class EagerTracker(PeerScoreTracker):
     """Every tick sweeps every counter; no memo, no suspect shortcut."""
 
     def decay(self):
         super().decay()
         for stats in self._peers.values():
-            for topic, tstats in stats.topics.items():
-                self._materialize_topic(tstats, self.params.for_topic(topic))
+            for tstats in stats.topics:
+                self._materialize_topic(
+                    tstats, self.params.for_topic(tstats.topic)
+                )
             self._materialize_behaviour(stats)
 
     def score(self, peer, now=0.0):
-        self._score_cache.clear()
+        clear_memos(self)
         return super().score(peer, now)
 
     def maybe_negative(self, peer):
@@ -68,7 +76,7 @@ def fresh_scores(tracker, peers, now):
     copy (``score`` materialises counters, which must not leak into the
     tracker under test)."""
     clone = copy.deepcopy(tracker)
-    clone._score_cache.clear()
+    clear_memos(clone)
     return [clone.score(peer, now) for peer in peers]
 
 

@@ -45,10 +45,11 @@ class OracleTracker(PeerScoreTracker):
 
     def duplicate_message(self, peer, topic):
         stats = self._peers.get(peer)
-        tstats = stats.topics.get(topic) if stats is not None else None
+        topics = stats.topics if stats is not None else ()
+        tstats = next((t for t in topics if t.topic == topic), None)
         if tstats is None or not tstats.in_mesh:
             return
-        self._score_cache.pop(peer, None)
+        stats.memo = None
         params = self.params.for_topic(topic)
         self._materialize_topic(tstats, params)
         tstats.mesh_message_deliveries = min(
@@ -273,7 +274,7 @@ class World:
             "kernel": (
                 self.sim.now,
                 self.sim.events_processed,
-                self.sim.queue_depth(),
+                len(self.sim._queue),
             ),
         }
 
@@ -374,7 +375,9 @@ def test_mesh_duplicates_count_up_to_the_cap_and_not_beyond():
     steps += [("publish", "n0", STRICT, [1])] * 5
     fast = _script(World(GossipSubRouter), steps)
     oracle = _script(World(OracleRouter), steps)
-    tstats = fast.router.scores._peers["n0"].topics[STRICT]
+    (tstats,) = [
+        t for t in fast.router.scores._peers["n0"].topics if t.topic == STRICT
+    ]
     assert tstats.mesh_message_deliveries == 3.0  # the cap, not 5
     assert fast.network.metrics.counter("gossipsub.duplicates") == 5
     assert fast.state() == oracle.state()

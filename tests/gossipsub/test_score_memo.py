@@ -21,6 +21,7 @@ from repro.gossipsub.score import (
     PeerScoreTracker,
     TopicScoreParams,
 )
+from sweep_oracle import clear_memos
 
 PEERS = tuple(f"p{i}" for i in range(6))
 PLAIN, OTHER, STRICT = "plain", "other", "strict"
@@ -68,10 +69,12 @@ def _fresh(tracker, now):
     and the suspect set are put back afterwards, so the tracker goes on
     from its own state (recomputing only materialises counters, which
     changes no value)."""
-    memo, suspects = dict(tracker._score_cache), set(tracker._suspects)
-    tracker._score_cache.clear()
+    memo = {peer: stats.memo for peer, stats in tracker._peers.items()}
+    suspects = set(tracker._suspects)
+    clear_memos(tracker)
     fresh = [tracker.score(peer, now) for peer in PEERS]
-    tracker._score_cache = memo
+    for peer, stats in tracker._peers.items():
+        stats.memo = memo[peer]
     tracker._suspects = suspects or _NO_SUSPECTS
     return fresh
 
@@ -135,11 +138,11 @@ def test_an_idle_entry_outlives_decay_ticks_and_clock_reads():
     tracker.graft("p1", PLAIN, 0.0)  # in a mesh: depends on now
     tracker.first_message("p2", PLAIN)  # a decaying counter
     values = [tracker.score(p, 1.0) for p in ("p0", "p1", "p2")]
-    cached = dict(tracker._score_cache)
+    cached = {peer: stats.memo for peer, stats in tracker._peers.items()}
     tracker.decay()
     assert tracker.score("p0", 9.0) == values[0]
-    assert tracker._score_cache["p0"] is cached["p0"]  # a memo hit
+    assert tracker._peers["p0"].memo is cached["p0"]  # a memo hit
     assert tracker.score("p1", 1.0) == values[1]
-    assert tracker._score_cache["p1"] is cached["p1"]
+    assert tracker._peers["p1"].memo is cached["p1"]
     assert tracker.score("p1", 2.0) > values[1]  # P1 grew
     assert tracker.score("p2", 1.0) == values[2] * 0.5  # P2 decayed

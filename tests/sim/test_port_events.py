@@ -70,8 +70,6 @@ class Driver:
             self.closure(arg)
         elif kind == "run_until":
             self.sim.run(until=self.sim.now + arg)
-        elif kind == "step":
-            self.log.append(("step", self.sim.step()))
         elif kind == "run_max":
             try:
                 self.sim.run(max_events=arg)
@@ -80,7 +78,7 @@ class Driver:
 
     def state(self):
         sim = self.sim
-        return (self.log, sim.now, sim.events_processed, sim.queue_depth())
+        return (self.log, sim.now, sim.events_processed, len(sim._queue))
 
 
 #: On a half-second grid, so events land exactly on ``until`` and on
@@ -91,7 +89,6 @@ OPS = st.one_of(
     st.tuples(st.just("port"), DELAYS),
     st.tuples(st.just("closure"), DELAYS),
     st.tuples(st.just("run_until"), DELAYS),
-    st.tuples(st.just("step"), st.none()),
     st.tuples(st.just("run_max"), st.integers(0, 4)),
 )
 
@@ -130,7 +127,7 @@ def test_event_budget_with_a_port_event_at_the_head_raises_truncation():
         sim.schedule_port("p", [(1.0 + i, i, None)])
     with pytest.raises(SimulationError, match="event budget exhausted"):
         sim.run(max_events=2)
-    assert fired == [0, 1] and sim.queue_depth() == 1
+    assert fired == [0, 1] and len(sim._queue) == 1
     sim.run(until=2.5, max_events=0)  # pending work lies past ``until``
     assert sim.now == 2.5
 
@@ -142,8 +139,9 @@ def test_run_until_includes_a_port_event_exactly_at_until():
     sim.schedule_port("p", [(2.0, "at", None)])
     sim.schedule_port("p", [(2.5, "after", None)])
     sim.run(until=2.0)
-    assert fired == ["at"] and sim.now == 2.0 and sim.queue_depth() == 1
-    assert sim.step() and fired == ["at", "after"] and not sim.step()
+    assert fired == ["at"] and sim.now == 2.0 and len(sim._queue) == 1
+    sim.run()
+    assert fired == ["at", "after"] and sim.now == 2.5 and not sim._queue
 
 
 def _kernels():
@@ -164,7 +162,8 @@ def test_port_misuse_is_a_simulation_error_on_every_kernel(sim):
         sim.schedule_port("q", [(1.0, None, None)])
     with pytest.raises(SimulationError, match="in the past"):
         sim.schedule_port("p", [(-1.0, None, None)])
-    assert sim.queue_depth() == 0
+    windowed = isinstance(sim, WindowedStackSimulator)
+    assert len(sim._heap if windowed else sim._queue) == 0
 
 
 def _mixed_trace(sim):

@@ -193,7 +193,7 @@ class TestWindowedPartitionInvariance:
         sim.register_port("p", lambda payload: None)
         assert sim.schedule(1.0, lambda s: None, shard="peer-1") is None
         assert sim.schedule_port("p", [(1.0, "x", "peer-2")]) is None
-        assert sim.queue_depth() == 2
+        assert len(sim._heap) == 2
 
     def test_events_queued_for_other_shards_all_fire(self):
         """Every event a handler queues for another shard counts in
@@ -211,7 +211,7 @@ class TestWindowedPartitionInvariance:
         for _t_prev, t_end, final in barrier_times(60.0, WINDOW):
             sim.run_window(t_end, final=final)
             if t_end == 10.0:
-                assert sim.queue_depth() == 40
+                assert len(sim._heap) == 40
         assert sim.shard_stats()["cross_shard_scheduled"] > 0
         assert fired == [51.0] * 40
-        assert sim.queue_depth() == 0
+        assert len(sim._heap) == 0

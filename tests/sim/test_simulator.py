@@ -103,17 +103,17 @@ class TestHeap:
         assert by_time[2.0][3] is sim and by_time[3.0][3] is sim
         assert sorted(entry[1] for entry in sim._queue) == [0, 1, 2]
 
-    def test_queue_depth_counts_every_pending_event(self):
+    def test_every_pending_event_stays_queued_until_run_reaches_it(self):
         sim = Simulator()
         sim.register_port("p", lambda payload: None)
         for i in range(4):
             sim.schedule(float(i), lambda s: None)
         sim.schedule_port("p", [(0.5, i, None) for i in range(3)])
-        assert sim.queue_depth() == 7
-        assert sim.step()
-        assert sim.queue_depth() == 6
+        assert len(sim._queue) == 7
+        sim.run(until=0.0)
+        assert len(sim._queue) == 6 and sim.events_processed == 1
         sim.run()
-        assert sim.queue_depth() == 0 and sim.events_processed == 7
+        assert not sim._queue and sim.events_processed == 7
 
     def test_stopped_periodic_tick_drains_as_a_no_op(self):
         """Stopping a task leaves its next tick queued; that tick fires
@@ -123,10 +123,10 @@ class TestHeap:
         stop = sim.schedule_periodic(1.0, lambda s: hits.append(s.now))
         sim.run(until=1.5)
         stop()
-        assert sim.queue_depth() == 1
+        assert len(sim._queue) == 1
         sim.run()
         assert hits == [1.0]
-        assert sim.queue_depth() == 0 and sim.events_processed == 2
+        assert not sim._queue and sim.events_processed == 2
 
     def test_restarted_periodic_tasks_keep_the_heap_bounded(self):
         """A workload that keeps stopping tasks and starting new ones
@@ -143,12 +143,12 @@ class TestHeap:
                 s.schedule_periodic(5.0, lambda s2: late_hits.append(s2.now))
                 for _ in range(50)
             ]
-            assert s.queue_depth() <= 6 * 50 + 1
+            assert len(s._queue) <= 6 * 50 + 1
 
         sim.schedule_periodic(1.0, churn)
         sim.run(until=400.0)
         assert late_hits == []  # every task was stopped before it fired
-        assert sim.queue_depth() <= 6 * 50 + 1
+        assert len(sim._queue) <= 6 * 50 + 1
 
 
 class TestRunUntil:

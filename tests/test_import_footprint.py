@@ -34,6 +34,7 @@ SERIAL_UNUSED = (
     "repro.adversaries.strategies",
     "repro.crypto.zksnark.r1cs",
     "repro.crypto.zksnark.gadgets",
+    "repro.crypto.zksnark.timing",
     "repro.crypto.merkle_optimized",
     "repro.core.economics",
     "pickle",
