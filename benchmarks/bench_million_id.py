@@ -240,7 +240,14 @@ def live_peer_marginal_bytes(low, high, pre_registered, seed=3, quick=False):
     the same dormant identities, so fixed costs (the genesis index,
     module state) cancel. Returns ``(bytes per peer, {file: bytes per
     peer})``; ``tests/benchmarks/test_peer_footprint.py`` pins the
-    first at smoke size."""
+    first at smoke size.
+
+    An untraced warm-up run goes first. Without it the first run's
+    one-time allocations (the runner's lazy imports, dataclass
+    creation) land in the smaller traced run only and enter the slope
+    as a negative per-peer term, whose size depends on what the
+    process imported before."""
+    ScenarioRunner(registry_genesis_spec(low, pre_registered, seed, quick)).run()
     small = live_peer_bytes(low, pre_registered, seed, quick)
     large = live_peer_bytes(high, pre_registered, seed, quick)
     by_file = {

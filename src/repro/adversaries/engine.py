@@ -191,14 +191,6 @@ class AdversaryEngine:
         return self.net.contract.burn_fraction
 
     @property
-    def spam_sent(self) -> int:
-        return sum(a.spam_sent for a in self.agents)
-
-    @property
-    def rotations(self) -> int:
-        return sum(a.rotations for a in self.agents)
-
-    @property
     def spend_wei(self) -> int:
         return sum(a.spend_wei for a in self.agents)
 

@@ -97,10 +97,6 @@ class AttackReport:
         return self.registrations * self.stake_wei
 
     @property
-    def stake_lost_wei(self) -> int:
-        return self.slashes * self.stake_wei
-
-    @property
     def slash_latencies(self) -> List[float]:
         out: List[float] = []
         for agent in self.agents:

@@ -135,12 +135,3 @@ def validate_experiment_payload(payload: Dict[str, Any]) -> None:
         peak = meta["peak_memory_bytes"]
         if not isinstance(peak, int) or isinstance(peak, bool) or peak < 0:
             fail("meta.peak_memory_bytes must be a non-negative integer")
-
-
-def human_bytes(size: float) -> str:
-    """1234567 -> '1.23 MB' (decimal units, as the paper uses)."""
-    for unit in ("B", "KB", "MB", "GB"):
-        if abs(size) < 1000:
-            return f"{size:.3g} {unit}"
-        size /= 1000
-    return f"{size:.3g} TB"

@@ -17,11 +17,6 @@ def epoch_at(time: float, epoch_length: float) -> int:
     return int(time // epoch_length)
 
 
-def epoch_start(epoch: int, epoch_length: float) -> float:
-    """The instant at which ``epoch`` begins."""
-    return epoch * epoch_length
-
-
 @dataclass
 class EpochTracker:
     """A peer's local view of the current epoch.

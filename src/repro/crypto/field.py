@@ -12,7 +12,7 @@ The class is immutable and hashable so elements can be used as dict keys
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Union
 
 from ..constants import BN254_SCALAR_FIELD, KEY_SIZE_BYTES
 from ..errors import FieldError, SerializationError
@@ -112,12 +112,6 @@ class Fr:
             return NotImplemented
         return Fr(self._value - rhs)
 
-    def __rsub__(self, other: FrLike) -> "Fr":
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        return Fr(rhs - self._value)
-
     def __mul__(self, other: FrLike) -> "Fr":
         rhs = self._coerce(other)
         if rhs is NotImplemented:
@@ -125,9 +119,6 @@ class Fr:
         return Fr(self._value * rhs)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Fr":
-        return Fr(-self._value)
 
     def __pow__(self, exponent: int) -> "Fr":
         if not isinstance(exponent, int):
@@ -148,12 +139,6 @@ class Fr:
             return NotImplemented
         return self * Fr(rhs).inverse()
 
-    def __rtruediv__(self, other: FrLike) -> "Fr":
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        return Fr(rhs) * self.inverse()
-
     # -- comparison / hashing -------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -171,19 +156,3 @@ class Fr:
 
     def __repr__(self) -> str:
         return f"Fr({self._value})"
-
-
-def fr_sum(elements: Iterable[FrLike]) -> Fr:
-    """Sum an iterable of field elements (empty sum is zero)."""
-    total = 0
-    for element in elements:
-        total += int(Fr(element))
-    return Fr(total)
-
-
-def fr_product(elements: Iterable[FrLike]) -> Fr:
-    """Multiply an iterable of field elements (empty product is one)."""
-    total = 1
-    for element in elements:
-        total = (total * int(Fr(element))) % Fr.MODULUS
-    return Fr(total)

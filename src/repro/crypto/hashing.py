@@ -124,11 +124,6 @@ _active_hash1_int, _active_hash2_int, _active_level_int = _KERNELS["blake2b"]
 _hash_calls = 0
 
 
-def available_backends() -> tuple:
-    """Names of the registered field-hash backends."""
-    return tuple(sorted(_KERNELS))
-
-
 def set_hash_backend(name: str) -> None:
     """Select the process-wide field-hash backend.
 
@@ -142,7 +137,7 @@ def set_hash_backend(name: str) -> None:
     if name not in _KERNELS:
         raise FieldError(
             f"unknown hash backend {name!r}; available: "
-            f"{available_backends()}"
+            f"{tuple(sorted(_KERNELS))}"
         )
     _active_backend_name = name
     _active_hash1_int, _active_hash2_int, _active_level_int = _KERNELS[name]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import SystemRandom
 
-from ..constants import KEY_SIZE_BYTES
 from .field import Fr
 from .hashing import hash1
 
@@ -46,15 +45,6 @@ class IdentitySecret:
     def to_bytes(self) -> bytes:
         return self.element.to_bytes()
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "IdentitySecret":
-        return cls(Fr.from_bytes(data))
-
-    @property
-    def size_bytes(self) -> int:
-        """Serialized size; always :data:`KEY_SIZE_BYTES` (32)."""
-        return KEY_SIZE_BYTES
-
 
 @dataclass(frozen=True)
 class IdentityCommitment:
@@ -64,15 +54,6 @@ class IdentityCommitment:
 
     def to_bytes(self) -> bytes:
         return self.element.to_bytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "IdentityCommitment":
-        return cls(Fr.from_bytes(data))
-
-    @property
-    def size_bytes(self) -> int:
-        """Serialized size; always :data:`KEY_SIZE_BYTES` (32)."""
-        return KEY_SIZE_BYTES
 
 
 @dataclass(frozen=True)

@@ -51,14 +51,6 @@ def zero_hashes_int(depth: int) -> Tuple[int, ...]:
     return cached
 
 
-def zero_hashes(depth: int) -> List[Fr]:
-    """Zero-subtree digests ``z[0] = 0``, ``z[i+1] = H(z[i], z[i])``.
-
-    ``z[i]`` is the root of an empty subtree of height ``i``.
-    """
-    return [Fr(z) for z in zero_hashes_int(depth)]
-
-
 def pack_batch(leaves) -> PackedFieldList:
     """One batch membership event's leaves as a packed list. A zero
     leaf is refused: it moves no root, so the batch's root window

@@ -83,13 +83,3 @@ class EventCursor:
         if log_index < 0:
             raise ValueError("cursor cannot seek before the log")
         self.log_index = log_index
-
-    def clone(self) -> "EventCursor":
-        """An independent cursor at the same position."""
-        return EventCursor(self.chain, self.contract, self.log_index)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EventCursor(log_index={self.log_index}, "
-            f"contract={self.contract!r})"
-        )

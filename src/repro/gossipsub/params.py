@@ -29,8 +29,6 @@ class GossipSubParams:
     mcache_gossip: int = 3
     #: How long message IDs stay in the seen cache (seconds).
     seen_ttl: float = 120.0
-    #: How long fanout state for an unsubscribed topic is kept (seconds).
-    fanout_ttl: float = 60.0
     #: Backoff a peer must respect after being PRUNEd from a mesh (seconds).
     prune_backoff: float = 60.0
     #: Maximum IWANT requests sent per received IHAVE.

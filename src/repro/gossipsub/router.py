@@ -1,11 +1,16 @@
 """The GossipSub v1.1 router.
 
-Implements the full message path of the libp2p spec: mesh overlays per
-topic with GRAFT/PRUNE maintenance and backoff, fanout for unsubscribed
-publishers, lazy gossip (IHAVE/IWANT) over a sliding message cache,
-flood-publishing, per-topic validators, duplicate suppression and peer
-scoring with gossip/publish/graylist thresholds and opportunistic
-grafting.
+Implements the message path of the libp2p spec that Waku-RLN-Relay
+uses: mesh overlays per topic with GRAFT/PRUNE maintenance and backoff,
+lazy gossip (IHAVE/IWANT) over a sliding message cache, flood-publishing,
+per-topic validators, duplicate suppression and peer scoring with
+gossip/publish/graylist thresholds and opportunistic grafting.
+
+A topic has one lifecycle: a node subscribes when it is built and never
+leaves. It publishes only on a topic it subscribes to (the topic's RLN
+group), so the spec's paths for publishing to a topic one has not
+joined, and for leaving a topic, are not implemented: ``publish`` on any
+other topic raises :class:`GossipError`.
 
 One router instance is one network node; it talks to neighbours through
 :class:`repro.net.network.Network` and drives its heartbeat off the
@@ -15,8 +20,8 @@ Heartbeat ownership and cost
 ----------------------------
 
 The heartbeat owns all periodic state: mesh membership repair, score
-decay ticks, fanout expiry, IHAVE emission, the mcache window shift and
-backoff expiry. Everything else (mesh joins/leaves, score events) is
+decay ticks, IHAVE emission, the mcache window shift and backoff
+expiry. Everything else (mesh joins/leaves, score events) is
 edge-triggered by RPC handling.
 
 The heartbeat does O(changed) work: score decay is a global-clock tick
@@ -75,12 +80,10 @@ class GossipSubRouter:
     Public state an embedder may read (but should mutate only through
     the subscribe/publish API):
 
-    * ``subscriptions`` — topics this node is subscribed to;
+    * ``subscriptions`` — topics this node is subscribed to (it
+      publishes only on these and never leaves one);
     * ``mesh`` — topic -> full-message mesh members (subset of current
       neighbours; repaired by the heartbeat);
-    * ``fanout`` — topic -> publish targets for topics we publish to
-      without subscribing; expires ``fanout_ttl`` seconds after the
-      last publish;
     * ``topic_peers`` — topic -> peers known (from RPC) to subscribe.
     """
 
@@ -109,8 +112,6 @@ class GossipSubRouter:
 
         self.subscriptions: Set[str] = set()
         self.mesh: Dict[str, Set[NodeId]] = {}
-        self.fanout: Dict[str, Set[NodeId]] = {}
-        self._fanout_expiry: Dict[str, float] = {}
         #: topic -> peers we know are subscribed (learned from RPC).
         self.topic_peers: Dict[str, Set[NodeId]] = {}
         #: (peer, topic) -> expiry; a GRAFT before expiry is a protocol
@@ -173,30 +174,14 @@ class GossipSubRouter:
     # -- subscriptions ------------------------------------------------------------
 
     def subscribe(self, topic: str) -> None:
-        """Join ``topic``: announce to neighbours and start building a
-        mesh (fanout peers for the topic are adopted immediately)."""
+        """Join ``topic`` for good: announce to neighbours and start
+        building a mesh on the next heartbeat."""
         if topic in self.subscriptions:
             return
         self.subscriptions.add(topic)
         self.mesh.setdefault(topic, set())
         self._mark_dirty(topic)
-        # Adopt fanout peers if we were publishing to this topic already.
-        for peer in sorted(self.fanout.pop(topic, ())):
-            self._graft_peer(peer, topic)
-        self._fanout_expiry.pop(topic, None)
         self._broadcast_control(RpcPacket(subscribe=[topic]))
-
-    def unsubscribe(self, topic: str) -> None:
-        """Leave ``topic``: PRUNE every mesh member (with backoff and
-        Peer Exchange) and announce the unsubscription."""
-        if topic not in self.subscriptions:
-            return
-        self.subscriptions.discard(topic)
-        for peer in sorted(self.mesh.get(topic, ())):
-            self._prune_peer(peer, topic)
-        self.mesh.pop(topic, None)
-        self._mark_clean(topic)
-        self._broadcast_control(RpcPacket(unsubscribe=[topic]))
 
     def announce_to(self, peer: NodeId) -> None:
         """Tell a (new) neighbour which topics we are subscribed to."""
@@ -214,12 +199,12 @@ class GossipSubRouter:
     # -- publishing -------------------------------------------------------------------
 
     def publish(self, topic: str, payload: Any) -> str:
-        """Publish a payload; returns the message ID.
-
-        Targets are the mesh (when subscribed), the fanout (when not),
-        or — with ``flood_publish`` — every known topic peer above the
-        publish threshold.
+        """Publish a payload on a subscribed topic; returns the message
+        ID. Targets are the mesh or, with ``flood_publish``, every known
+        topic peer above the publish threshold.
         """
+        if topic not in self.subscriptions:
+            raise GossipError(f"{self.node_id} does not subscribe to {topic!r}")
         msg_id = compute_message_id(topic, payload)
         message = GossipMessage(msg_id=msg_id, topic=topic, payload=payload)
         self.seen.witness(msg_id, self.now)
@@ -234,28 +219,14 @@ class GossipSubRouter:
                 for peer in self.topic_peers.get(topic, _NO_PEERS)
                 if self.scores.score(peer, self.now) >= threshold
             ]
-        elif topic in self.subscriptions:
-            targets = self.mesh.get(topic, _NO_PEERS)
         else:
-            targets = self._fanout_targets(topic)
+            targets = self.mesh.get(topic, _NO_PEERS)
         # Sorted: set order leaks the interpreter's hash seed into the
         # send sequence (and so into delivery order network-wide).
         self._send(sorted(targets), RpcPacket(publish=[message]))
         # A publisher counts as having delivered its own message.
         self._deliver_locally(message, from_peer=self.node_id)
         return msg_id
-
-    def _fanout_targets(self, topic: str) -> Set[NodeId]:
-        """Fanout peers for an unsubscribed topic, building the set on
-        first use; every publish pushes the expiry ``fanout_ttl`` out,
-        so a steady publisher reuses one fanout set indefinitely."""
-        peers = self.fanout.get(topic)
-        if not peers:
-            candidates = self._gossip_eligible_peers(topic)
-            peers = set(candidates[: self.params.d])
-            self.fanout[topic] = peers
-        self._fanout_expiry[topic] = self.now + self.params.fanout_ttl
-        return peers
 
     # -- packet handling -----------------------------------------------------------------
 
@@ -287,19 +258,8 @@ class GossipSubRouter:
         ):
             counters["gossipsub.graylisted_rpc"] += 1
             return
-        # A publish-only RPC (every forward) skips the control walks in
-        # two truth tests.
-        if packet.subscribe or packet.unsubscribe:
-            for topic in packet.subscribe:
-                self.topic_peers.setdefault(topic, set()).add(from_peer)
-            for topic in packet.unsubscribe:
-                peers = self.topic_peers.get(topic)
-                if peers is not None:
-                    peers.discard(from_peer)
-                mesh = self.mesh.get(topic)
-                if mesh is not None and from_peer in mesh:
-                    mesh.discard(from_peer)
-                    self._mark_dirty(topic)
+        for topic in packet.subscribe:
+            self.topic_peers.setdefault(topic, set()).add(from_peer)
         # Three of four deliveries are duplicates: they end here, on
         # the seen-cache probe, without another router frame.
         for message in packet.publish:
@@ -309,6 +269,8 @@ class GossipSubRouter:
                 counters["gossipsub.duplicates"] += 1
             else:
                 self._handle_first(message, from_peer)
+        # A publish-only RPC (every forward) skips the control walks in
+        # one test.
         if packet.ihave or packet.iwant or packet.graft or packet.prune:
             if packet.ihave:
                 self._handle_ihave(packet.ihave, from_peer)
@@ -568,7 +530,6 @@ class GossipSubRouter:
         if sweep:
             for topic in sorted(self.subscriptions):
                 self._opportunistic_graft(topic, self.mesh.get(topic, _NO_PEERS))
-        self._expire_fanout()
         self._emit_gossip()
         self.mcache.shift()
         self._expire_backoffs()
@@ -670,20 +631,13 @@ class GossipSubRouter:
         for peer in candidates[: self.params.opportunistic_graft_peers]:
             self._graft_peer(peer, topic)
 
-    def _expire_fanout(self) -> None:
-        for topic in [
-            t for t, expiry in self._fanout_expiry.items() if expiry <= self.now
-        ]:
-            self.fanout.pop(topic, None)
-            self._fanout_expiry.pop(topic, None)
-
     def _emit_gossip(self) -> None:
         """Advertise recent message IDs (IHAVE) to ``d_lazy`` non-mesh
         peers per topic with gossip-window traffic: one packet per
         topic, counted once per fan-out like ``_forward``."""
         rng = self.network.simulator.entity_rng(self.node_id)
         counters = self._counters
-        for topic in sorted(set(self.subscriptions) | set(self.fanout)):
+        for topic in sorted(self.subscriptions):
             msg_ids = self.mcache.gossip_ids(topic)
             if not msg_ids:
                 continue

@@ -2,7 +2,7 @@
 
 A single :class:`RpcPacket` envelope carries any combination of message
 publications, control messages (IHAVE/IWANT/GRAFT/PRUNE) and
-subscription changes, as in the libp2p protobuf schema. Packets contain
+subscription announcements, as in the libp2p protobuf schema. Packets contain
 **no origin information** — only the previous hop is visible to a
 receiver, which is the property Waku-Relay's anonymity builds on.
 """
@@ -99,7 +99,6 @@ class RpcPacket:
     #: PRUNE, so the pruned peer can heal its mesh elsewhere.
     px: Mapping[str, List[str]] = EMPTY_MAPPING
     subscribe: Sequence[str] = ()
-    unsubscribe: Sequence[str] = ()
 
     @property
     def size_bytes(self) -> int:
@@ -127,7 +126,5 @@ class RpcPacket:
                 for peer in peers:
                     size += len(peer)
         for topic in self.subscribe:
-            size += len(topic)
-        for topic in self.unsubscribe:
             size += len(topic)
         return size

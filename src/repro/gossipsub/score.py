@@ -222,12 +222,6 @@ class PeerScoreTracker:
         elif peer not in self._peers:
             self._stats(peer)
 
-    def remove_peer(self, peer: NodeId) -> None:
-        stats = self._peers.pop(peer, None)
-        if stats is not None:
-            self._assign_ip(peer, stats, None)
-        self._drop_suspect(peer)
-
     def _stats(self, peer: NodeId) -> _PeerStats:
         stats = self._peers.get(peer)
         if stats is None:
@@ -380,7 +374,7 @@ class PeerScoreTracker:
         self._assign_ip(peer, self._stats(peer), ip)
 
     def _assign_ip(
-        self, peer: NodeId, stats: _PeerStats, ip: Optional[str]
+        self, peer: NodeId, stats: _PeerStats, ip: str
     ) -> None:
         if stats.ip == ip:
             return
@@ -396,8 +390,6 @@ class PeerScoreTracker:
             if not old:
                 del self._ip_peers[stats.ip]
         stats.ip = ip
-        if ip is None:  # removed: no group to join
-            return
         group = self._ip_peers.setdefault(ip, set())
         group.add(peer)
         for member in group:

@@ -177,11 +177,6 @@ class Network:
             self._adjacency[neighbor].discard(node_id)
             self._notify_link_down(neighbor, node_id)
 
-    def node(self, node_id: NodeId) -> NetworkNode:
-        if node_id not in self._nodes:
-            raise NetworkError(f"unknown node {node_id!r}")
-        return self._nodes[node_id]
-
     def node_ids(self) -> List[NodeId]:
         return list(self._nodes)
 

@@ -15,9 +15,8 @@ validators and message handlers can be scoped per topic.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from ..errors import GossipError
 from ..gossipsub.params import GossipSubParams
 from ..gossipsub.router import GossipSubRouter, ValidationResult
 from ..gossipsub.score import PeerScoreParams
@@ -70,7 +69,8 @@ class WakuRelayNode:
     # -- topic membership --------------------------------------------------------
 
     def join_topic(self, topic: str) -> None:
-        """Join a pubsub topic (subscribes immediately if started)."""
+        """Join a pubsub topic for good (subscribes immediately if
+        started); a node never leaves a topic it joined."""
         if topic in self._topics:
             return
         self._topics += (topic,)
@@ -79,15 +79,6 @@ class WakuRelayNode:
             self.router.subscribe(topic)
             for peer in self.router.peers():
                 self.router.announce_to(peer)
-
-    def leave_topic(self, topic: str) -> None:
-        if topic == self.pubsub_topic:
-            raise GossipError("cannot leave the node's primary topic")
-        self._topics = tuple(t for t in self._topics if t != topic)
-        self.router.unsubscribe(topic)
-
-    def topics(self) -> Set[str]:
-        return set(self._topics)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -130,11 +121,12 @@ class WakuRelayNode:
     def publish(
         self, message: WakuMessage, topic: Optional[str] = None
     ) -> str:
-        """Publish an envelope; returns the message ID."""
-        target = topic or self.pubsub_topic
-        if target not in self._topics:
-            raise GossipError(f"not a member of topic {target!r}")
-        return self.router.publish(target, message.to_bytes())
+        """Publish an envelope on a joined topic; returns the message ID.
+        The router raises :class:`GossipError` on a topic it does not
+        subscribe to."""
+        return self.router.publish(
+            topic or self.pubsub_topic, message.to_bytes()
+        )
 
     # -- plumbing ------------------------------------------------------------------
 

@@ -24,7 +24,6 @@ from repro.analysis.reporting import (
     format_experiment,
     format_table,
     format_value,
-    human_bytes,
 )
 from repro.analysis.scaling import network_scaling_experiment
 from repro.analysis.spam_experiments import (
@@ -58,11 +57,6 @@ class TestFormatting:
 
     def test_format_value_large_ints_grouped(self):
         assert format_value(1_000_000) == "1,000,000"
-
-    def test_human_bytes(self):
-        assert human_bytes(500) == "500 B"
-        assert human_bytes(67_000_000) == "67 MB"
-        assert human_bytes(1_500) == "1.5 KB"
 
 
 class TestExperimentPayload:

@@ -21,10 +21,17 @@ BENCH = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "bench_million_id.py"
 )
 
-#: Measured 17 918 B per live peer between 40 and 120 peers over 2000
+#: Measured 19 986 B per live peer between 40 and 120 peers over 2000
 #: dormant identities (the smoke form of the registry-genesis shape),
-#: the same under PYTHONHASHSEED 0 and 3; ~14 % headroom. It measured
-#: 19 985 with a one-key dict per peer's topic scores, a score-memo
+#: after an untraced warm-up run, the same under PYTHONHASHSEED 0 and 3;
+#: ~2 % headroom. Two fresh processes, one per peer count, read 19 637.
+#: Without the warm-up the runner's lazy imports landed in the smaller
+#: traced run only and came off the slope by an amount that depended on
+#: what the process had imported before: 17 795 in isolation, 19 362
+#: with the adversary modules imported first. With the router's state
+#: for publishing without subscribing it read 20 141 with the warm-up
+#: and 17 917 without. Earlier figures, all without the warm-up: 19 985
+#: with a one-key dict per peer's topic scores, a score-memo
 #: dict per router, a closure per delivery recorder, a bound method per
 #: pending periodic tick, a tuple around every message-cache ID list, a
 #: set of joined topics per relay and unslotted validators, verifiers

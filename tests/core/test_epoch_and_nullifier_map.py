@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ProtocolConfig
-from repro.core.epoch import EpochTracker, epoch_at, epoch_start
+from repro.core.epoch import EpochTracker, epoch_at
 from repro.core.nullifier_map import NullifierCheck, NullifierMap
 from repro.crypto.keys import MembershipKeyPair
 from repro.crypto.merkle import MerkleTree
@@ -21,10 +21,6 @@ class TestEpochMath:
         assert epoch_at(9.999, 10.0) == 0
         assert epoch_at(10.0, 10.0) == 1
         assert epoch_at(105.0, 10.0) == 10
-
-    def test_epoch_start_inverse(self):
-        assert epoch_start(7, 10.0) == 70.0
-        assert epoch_at(epoch_start(7, 10.0), 10.0) == 7
 
     @given(st.floats(min_value=0, max_value=1e9), st.floats(min_value=0.1, max_value=3600))
     def test_epoch_monotone(self, t, length):

@@ -5,7 +5,6 @@ from test_hash_vectors import blake2b_field_hash
 
 from repro.crypto.field import Fr
 from repro.crypto.hashing import (
-    available_backends,
     get_hash_backend,
     hash1,
     hash2,
@@ -17,9 +16,6 @@ from repro.errors import FieldError
 
 
 class TestBackendRegistry:
-    def test_both_backends_registered(self):
-        assert set(available_backends()) == {"blake2b", "poseidon"}
-
     def test_default_backend(self):
         assert get_hash_backend() == "blake2b"
 

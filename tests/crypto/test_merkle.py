@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.field import Fr
-from repro.crypto.hashing import hash2
-from repro.crypto.merkle import MerkleTree, zero_hashes
+from repro.crypto.hashing import hash2_int
+from repro.crypto.merkle import MerkleTree, zero_hashes_int
 from repro.crypto.merkle_optimized import FrontierMerkleTree
 from repro.errors import MerkleError
 
@@ -19,17 +19,16 @@ leaves_strategy = st.lists(
 
 class TestZeroHashes:
     def test_length(self):
-        assert len(zero_hashes(5)) == 6
+        assert len(zero_hashes_int(5)) == 6
 
     def test_recurrence(self):
-        zeros = zero_hashes(3)
-        assert zeros[0] == Fr.zero()
-        assert zeros[1] == hash2(Fr.zero(), Fr.zero())
-        assert zeros[2] == hash2(zeros[1], zeros[1])
+        zeros = zero_hashes_int(3)
+        assert zeros[0] == 0
+        assert zeros[1] == hash2_int(0, 0)
+        assert zeros[2] == hash2_int(zeros[1], zeros[1])
 
     def test_cached_per_backend(self):
         from repro.crypto.hashing import set_hash_backend
-        from repro.crypto.merkle import zero_hashes_int
 
         blake = zero_hashes_int(4)
         assert zero_hashes_int(4) is blake  # same immutable table
@@ -44,7 +43,7 @@ class TestZeroHashes:
 class TestMerkleTree:
     def test_empty_root_is_zero_subtree(self):
         tree = MerkleTree(4)
-        assert tree.root == zero_hashes(4)[4]
+        assert tree.root == Fr(zero_hashes_int(4)[4])
 
     def test_insert_changes_root(self):
         tree = MerkleTree(4)

@@ -68,19 +68,6 @@ class TestPoll:
 
 
 class TestPeekAndSeek:
-    def test_peek_through_a_clone_does_not_advance(self, chain):
-        cursor = EventCursor(chain, contract="a")
-        assert not cursor.clone().poll()
-        chain.call_now("alice", "a", "ping", 1)
-        assert len(cursor.clone().poll()) == 1
-        assert cursor.log_index == 0
-        assert len(cursor.poll()) == 1
-
-    def test_peek_respects_filter(self, chain):
-        cursor = EventCursor(chain, contract="a")
-        chain.call_now("alice", "b", "ping", 1)
-        assert not cursor.clone().poll()
-
     def test_seek_to_log_boundary(self, chain):
         """A cursor committed exactly at the head of the log is caught
         up, and sees exactly the events appended afterwards."""
@@ -97,14 +84,6 @@ class TestPeekAndSeek:
         cursor = EventCursor(chain)
         with pytest.raises(ValueError):
             cursor.seek(-5)
-
-    def test_clone_is_independent(self, chain):
-        chain.call_now("alice", "a", "ping", 1)
-        cursor = EventCursor(chain, contract="a")
-        twin = cursor.clone()
-        assert len(cursor.poll()) == 1
-        assert twin.log_index == 0
-        assert len(twin.poll()) == 1
 
 
 class TestEventsSinceView:

@@ -4,9 +4,9 @@ The O(changed) heartbeat must be *indistinguishable* from the
 reference per-heartbeat sweeps (``sweep_oracle.py``): lazy score decay
 replays the exact floating-point trajectory of the eager sweep, and
 dirty-topic mesh maintenance only skips work it can prove is a no-op.
-These tests pin the edges that touches: unsubscribe-while-meshed,
-backoff expiry ordering, fanout expiry/reuse, and eager-vs-lazy decay
-under random event interleavings.
+These tests pin the edges that touches: a mesh healing after a PRUNE's
+backoff, backoff expiry ordering, and eager-vs-lazy decay under random
+event interleavings.
 """
 
 from __future__ import annotations
@@ -40,48 +40,18 @@ def build_pair(seed=7, **params):
     return sim, network, a, b
 
 
-class TestUnsubscribeWhileMeshed:
-    def test_unsubscribe_prunes_and_backoffs_mesh_members(self):
-        sim, network, a, b, _ = (*build_pair(), None)
-        a.subscribe(TOPIC)
-        a.deliver("b", RpcPacket(graft=[TOPIC]))
-        assert "b" in a.mesh[TOPIC]
-        a.unsubscribe(TOPIC)
-        assert TOPIC not in a.mesh
-        assert TOPIC not in a._dirty_topics
-        # The pruned member is under backoff: its immediate re-GRAFT is
-        # a violation.
-        assert a._in_backoff("b", TOPIC)
-
-    def test_unsubscribed_topic_not_maintained(self):
-        sim, network, a, b, _ = (*build_pair(), None)
-        a.subscribe(TOPIC)
-        a.deliver("b", RpcPacket(subscribe=[TOPIC]))
-        a.unsubscribe(TOPIC)
-        a.heartbeat()
-        # No mesh was rebuilt for the abandoned topic.
-        assert TOPIC not in a.mesh
-
-    def test_remote_unsubscribe_of_meshed_peer_dirties_topic(self):
-        sim, network, a, b, _ = (*build_pair(), None)
-        a.subscribe(TOPIC)
-        a.deliver("b", RpcPacket(graft=[TOPIC]))
-        a.heartbeat()  # settle; mesh in bounds would go clean
-        a.deliver("b", RpcPacket(unsubscribe=[TOPIC]))
-        assert "b" not in a.mesh[TOPIC]
-        assert TOPIC in a._dirty_topics
-
-    def test_resubscribe_after_unsubscribe_rebuilds_mesh(self):
+class TestPrunedMeshHeals:
+    def test_mesh_heals_after_a_received_prune_backoff(self):
         sim, network, a, b, _ = (*build_pair(), None)
         for router in (a, b):
             router.subscribe(TOPIC)
         a.deliver("b", RpcPacket(subscribe=[TOPIC]))
         a.deliver("b", RpcPacket(graft=[TOPIC]))
         assert "b" in a.mesh[TOPIC]
-        a.unsubscribe(TOPIC)
-        a.subscribe(TOPIC)
-        # b is backoffed (we pruned it on unsubscribe), so the first
-        # heartbeat cannot re-graft it...
+        a.deliver("b", RpcPacket(prune=[(TOPIC, a.params.prune_backoff)]))
+        # b pruned us, so it is backoffed and the first heartbeat cannot
+        # re-graft it...
+        assert "b" not in a.mesh[TOPIC] and a._in_backoff("b", TOPIC)
         a.heartbeat()
         assert a.mesh[TOPIC] == set()
         # ...but the topic stays dirty (underfilled) and heals once the
@@ -133,63 +103,6 @@ class TestBackoffExpiryOrdering:
         a._set_backoff("p", TOPIC, 10.0)
         sim.run_for(10.0)
         assert not a._in_backoff("p", TOPIC)
-
-
-class TestFanoutExpiryReuse:
-    def build(self):
-        sim = Simulator(seed=11)
-        network = Network(simulator=sim)
-        params = GossipSubParams(flood_publish=False, fanout_ttl=30.0)
-        a = GossipSubRouter("a", network, params)
-        subs = []
-        for i in range(3):
-            r = GossipSubRouter(f"s{i}", network, params)
-            r.subscribe(TOPIC)
-            network.connect("a", f"s{i}")
-            a.deliver(f"s{i}", RpcPacket(subscribe=[TOPIC]))
-            subs.append(r)
-        return sim, a, subs
-
-    def test_fanout_set_reused_across_publishes(self):
-        sim, a, subs = self.build()
-        a.publish(TOPIC, b"m1")
-        first = set(a.fanout[TOPIC])
-        sim.run_for(10.0)
-        a.publish(TOPIC, b"m2")
-        assert a.fanout[TOPIC] == first
-
-    def test_publish_extends_fanout_expiry(self):
-        sim, a, subs = self.build()
-        a.publish(TOPIC, b"m1")
-        sim.run_for(20.0)
-        a.publish(TOPIC, b"m2")  # pushes expiry to now + 30
-        sim.run_for(20.0)
-        a._expire_fanout()
-        assert TOPIC in a.fanout  # 40 < 20 + 30
-
-    def test_fanout_expires_without_publishes(self):
-        sim, a, subs = self.build()
-        a.publish(TOPIC, b"m1")
-        sim.run_for(31.0)
-        a._expire_fanout()
-        assert TOPIC not in a.fanout
-        assert TOPIC not in a._fanout_expiry
-
-    def test_fanout_rebuilt_after_expiry(self):
-        sim, a, subs = self.build()
-        a.publish(TOPIC, b"m1")
-        sim.run_for(31.0)
-        a._expire_fanout()
-        a.publish(TOPIC, b"m2")
-        assert a.fanout[TOPIC]  # fresh set built on demand
-
-    def test_subscribe_adopts_fanout_peers(self):
-        sim, a, subs = self.build()
-        a.publish(TOPIC, b"m1")
-        fanout = set(a.fanout[TOPIC])
-        a.subscribe(TOPIC)
-        assert TOPIC not in a.fanout
-        assert fanout <= a.mesh[TOPIC]
 
 
 def _random_events(rng, peers, topics, steps):

@@ -92,12 +92,6 @@ class OracleRouter(GossipSubRouter):
             return
         for topic in packet.subscribe:
             self.topic_peers.setdefault(topic, set()).add(from_peer)
-        for topic in packet.unsubscribe:
-            self.topic_peers.get(topic, set()).discard(from_peer)
-            mesh = self.mesh.get(topic)
-            if mesh is not None and from_peer in mesh:
-                mesh.discard(from_peer)
-                self._mark_dirty(topic)
         for message in packet.publish:
             self._handle_publish(message, from_peer)
         if packet.ihave:

@@ -47,7 +47,7 @@ class OracleRouter(GossipSubRouter):
 
     def _emit_gossip(self):
         rng = self.network.simulator.entity_rng(self.node_id)
-        for topic in sorted(set(self.subscriptions) | set(self.fanout)):
+        for topic in sorted(self.subscriptions):
             msg_ids = self.mcache.gossip_ids(topic)
             if not msg_ids:
                 continue
@@ -62,8 +62,8 @@ class OracleRouter(GossipSubRouter):
                 self._send((peer,), RpcPacket(ihave={topic: list(msg_ids)}))
 
 
-MESHED, STRICT, FANOUT = "meshed", "strict", "fanout"
-TOPICS = (MESHED, STRICT, FANOUT)
+MESHED, STRICT = "meshed", "strict"
+TOPICS = (MESHED, STRICT)
 #: Below, at and above the gossip threshold (-10), and ties at 0 / 1.
 #: One first delivery (P2 = 1) halves on each decay tick, so -10.5 and
 #: -10.25 land exactly on the threshold after one or two heartbeats.
@@ -134,7 +134,6 @@ class World:
             "received": [list(stub.received) for stub in self.stubs],
             "counters": dict(self.network.metrics.counters),
             "mesh": {t: sorted(m) for t, m in router.mesh.items()},
-            "fanout": {t: sorted(m) for t, m in router.fanout.items()},
             "rng": self.sim.entity_rng("subject").getstate(),
         }
 

@@ -75,14 +75,6 @@ class TestSubscription:
         assert total > 0
         assert mutual / total > 0.8
 
-    def test_unsubscribe_clears_mesh(self):
-        sim, network, routers = build_network(4)
-        routers[0].unsubscribe(TOPIC)
-        sim.run(until=10.0)
-        assert TOPIC not in routers[0].mesh
-        for other in routers[1:]:
-            assert routers[0].node_id not in other.mesh.get(TOPIC, set())
-
 
 class TestPropagation:
     def test_full_mesh_delivery(self):

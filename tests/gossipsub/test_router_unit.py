@@ -52,8 +52,6 @@ class TestDeliverValidation:
         sim, network, a, b, rec = rig
         a.deliver("b", RpcPacket(subscribe=[TOPIC]))
         assert "b" in a.topic_peers[TOPIC]
-        a.deliver("b", RpcPacket(unsubscribe=[TOPIC]))
-        assert "b" not in a.topic_peers[TOPIC]
 
 
 class TestGraftHandling:
@@ -155,15 +153,20 @@ class TestIhaveIwant:
 
 
 class TestPublishPaths:
-    def test_fanout_used_when_not_subscribed(self, rig):
+    @pytest.mark.parametrize("flood_publish", [True, False])
+    def test_publish_on_an_unsubscribed_topic_raises(self, rig, flood_publish):
+        """A node publishes only where it relays: no targets are picked,
+        nothing is cached, counted or scheduled."""
         sim, network, a, b, rec = rig
-        params_no_flood = GossipSubParams(flood_publish=False)
-        a.params = params_no_flood
+        a.params = GossipSubParams(flood_publish=flood_publish)
         # a knows b subscribes to TOPIC but is not subscribed itself.
         a.deliver("b", RpcPacket(subscribe=[TOPIC]))
-        a.publish(TOPIC, b"fanout msg")
-        assert "b" in a.fanout[TOPIC]
-        sim.run()
+        queued, counters = len(sim._queue), dict(network.metrics.counters)
+        with pytest.raises(GossipError):
+            a.publish(TOPIC, b"not a member")
+        assert len(sim._queue) == queued == 0
+        assert dict(network.metrics.counters) == counters
+        assert not a.seen and not a.mcache.gossip_ids(TOPIC)
 
     def test_seen_cache_blocks_reprocessing(self, rig):
         sim, network, a, b, rec = rig

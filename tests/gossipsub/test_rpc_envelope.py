@@ -38,7 +38,6 @@ SAMPLES = {
     "prune": [("t", 60.0)],
     "px": {"t": ["peer-1", "peer-2"]},
     "subscribe": ["t", "u"],
-    "unsubscribe": ["u"],
 }
 MAPPINGS = ("ihave", "px")
 
@@ -88,16 +87,23 @@ def test_unset_fields_are_the_shared_read_only_empties():
 
 
 def test_pickle_round_trips_every_field_combination():
-    for count in range(len(SAMPLES) + 1):
-        for names in itertools.combinations(SAMPLES, count):
-            packet = RpcPacket(**{name: SAMPLES[name] for name in names})
-            for protocol in (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
-                copy = pickle.loads(pickle.dumps(packet, protocol=protocol))
-                assert copy == packet, names
-                assert copy.size_bytes == packet.size_bytes, names
-                for name in MAPPINGS:
-                    if name not in names:
-                        assert getattr(copy, name) is EMPTY_MAPPING
+    combinations = [
+        names
+        for count in range(len(SAMPLES) + 1)
+        for names in itertools.combinations(SAMPLES, count)
+    ]
+    # Every field of the envelope, each set or unset: 2 ** 7.
+    assert set(SAMPLES) == set(RpcPacket.__slots__)
+    assert len(combinations) == 128
+    for names in combinations:
+        packet = RpcPacket(**{name: SAMPLES[name] for name in names})
+        for protocol in (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
+            copy = pickle.loads(pickle.dumps(packet, protocol=protocol))
+            assert copy == packet, names
+            assert copy.size_bytes == packet.size_bytes, names
+            for name in MAPPINGS:
+                if name not in names:
+                    assert getattr(copy, name) is EMPTY_MAPPING
 
 
 def test_a_prune_with_peer_exchange_is_written_in_place():

@@ -170,12 +170,6 @@ class TestLifecycle:
         tracker = PeerScoreTracker(PeerScoreParams())
         assert tracker.score("ghost") == 0.0
 
-    def test_remove_peer_forgets(self):
-        tracker = make_tracker()
-        tracker.reject_message("p", TOPIC)
-        tracker.remove_peer("p")
-        assert tracker.score("p") == 0.0
-
     def test_per_topic_params_override(self):
         params = PeerScoreParams(
             topic_params={"special": TopicScoreParams(topic_weight=10.0)},

@@ -57,7 +57,6 @@ STEPS = st.one_of(
     ),
     st.tuples(st.just("set_ip"), PEER, st.sampled_from(IPS)),
     st.tuples(st.just("set_ip"), PEER, st.sampled_from(IPS)),
-    st.tuples(st.just("remove_peer"), PEER, st.none()),
     st.tuples(st.just("decay"), st.none(), st.none()),
     st.tuples(st.just("decay"), st.none(), st.none()),
     st.tuples(st.just("advance"), st.none(), st.sampled_from((0.0, 0.5, 4.0))),
@@ -87,8 +86,6 @@ def _apply(tracker, step, now):
         now += arg
     elif name in ("graft", "prune"):
         getattr(tracker, name)(peer, arg, now)
-    elif name == "remove_peer":
-        tracker.remove_peer(peer)
     else:
         getattr(tracker, name)(peer, arg)
     return now
@@ -119,8 +116,8 @@ def test_joining_an_ip_group_moves_every_member_s_score():
     assert tracker.score("p0") == before * 4 == _fresh(tracker, 0.0)[0]
     tracker.set_ip("p2", IPS[1])  # and back, by re-assignment
     assert tracker.score("p0") == before
-    tracker.remove_peer("p1")  # the group shrinks to one
-    assert tracker.score("p0") == 0.0
+    tracker.set_ip("p1", IPS[1])  # the group shrinks to one
+    assert tracker.score("p0") == 0.0 == _fresh(tracker, 0.0)[0]
 
 
 def test_an_in_mesh_duplicate_narrows_a_strict_deficit():

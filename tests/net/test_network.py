@@ -36,11 +36,6 @@ class TestAttachment:
         with pytest.raises(NetworkError):
             network.attach(nodes[0])
 
-    def test_unknown_node_lookup(self):
-        sim, network, _ = make_network(1)
-        with pytest.raises(NetworkError):
-            network.node("ghost")
-
     def test_contains(self):
         _, network, _ = make_network(2)
         assert "n0" in network

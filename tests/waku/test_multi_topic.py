@@ -31,28 +31,12 @@ def build(n=4, seed=2):
 class TestTopicMembership:
     def test_joined_topics_listed(self):
         _, _, nodes = build(2)
-        assert nodes[0].topics() == {CHAT, NEWS}
+        assert nodes[0].router.subscriptions == {CHAT, NEWS}
 
     def test_join_is_idempotent(self):
         _, _, nodes = build(2)
         nodes[0].join_topic(NEWS)
-        assert nodes[0].topics() == {CHAT, NEWS}
-
-    def test_cannot_leave_primary_topic(self):
-        _, _, nodes = build(2)
-        with pytest.raises(GossipError):
-            nodes[0].leave_topic(CHAT)
-
-    def test_leave_secondary_topic(self):
-        sim, _, nodes = build(3)
-        nodes[0].leave_topic(NEWS)
-        assert nodes[0].topics() == {CHAT}
-        sim.run_for(3.0)
-        got = []
-        nodes[0].on_message(lambda m, _id: got.append(m.payload), topic=NEWS)
-        nodes[1].publish(WakuMessage(payload=b"news"), topic=NEWS)
-        sim.run_for(5.0)
-        assert got == []
+        assert nodes[0].router.subscriptions == {CHAT, NEWS}
 
     def test_publish_to_unjoined_topic_rejected(self):
         _, _, nodes = build(2)
