@@ -5,7 +5,8 @@ process (not in forked workers or subprocesses); each ``def`` under ``src/``
 whose code never ran is listed, its nested ``def``s with it. Run set: the
 built-in scenarios at <= ``--peers`` peers / <= 20 s (seed 3), two again at
 1 and 2 workers, the reference specs at quick size, each ``repro.analysis``
-command, the examples, last ``pytest benchmarks --bench-quick`` (``*``: only it)::
+command, the examples, last ``pytest benchmarks --bench-quick`` (a ``def`` only
+it reaches is "bench only"). Writes the table ``unreached.{txt,json}``::
 
     PYTHONPATH=src python benchmarks/reach.py [--only GLOB ...] [--peers N] [--out DIR]
 """
@@ -84,7 +85,7 @@ def main(argv=None) -> None:
     sys.setprofile(None)
     others = set().union(*(s for n, s in by_run.items() if n != BENCH))
     bench = by_run.get(BENCH, set()) - others
-    listed, total, files, outer, inner = [], 0, {}, {}, {}
+    rows, total, outer, inner = [], 0, {}, {}
     for path in sorted((ROOT / "src").rglob("*.py")):
         rel = str(path.relative_to(ROOT / "src"))
         for name, first, lines in defs(ast.parse(path.read_text())):
@@ -94,27 +95,24 @@ def main(argv=None) -> None:
             if key in others or first <= inner.get(rel, 0):
                 continue
             inner[rel] = first + lines - 1
-            listed.append({"file": rel, "def": name, "line": first,
-                           "lines": lines, "bench_only": key in bench})
-            files[rel] = files.get(rel, 0) + lines * (key not in bench)
-    cold = sum(files.values())
+            rows.append((rel, name, first, lines, "yes" if key in bench else ""))
+    from repro.analysis.reporting import experiment_payload, format_experiment
+
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                             capture_output=True, text=True).stdout.strip()
-    payload = {"commit": commit, "peers": args.peers, "run_set": list(by_run),
-               "lines_in_defs": total, "unreached_lines": cold, "bench_only_lines": sum(
-                   d["lines"] for d in listed) - cold, "files": {f: n for f, n in sorted(
-                       files.items(), key=lambda kv: -kv[1]) if n}, "defs": listed}
-    text = [f"commit {commit}; {len(by_run)} runs: {' '.join(by_run)}", f"{cold} of "
-            f"{total} lines inside defs no run reaches; {payload['bench_only_lines']} "
-            "more only the bench reaches (*)", "", "lines  file (unreached)",
-            *(f"{n:5d}  {f}" for f, n in payload["files"].items()), "", "lines  def",
-            *(f"{d['lines']:5d}  {d['file']}:{d['line']} {d['def']}"
-              + " *" * d["bench_only"] for d in listed)]
+    cold = sum(row[3] for row in rows if not row[4])
+    meta = {"commit": commit, "peers": args.peers, "runs": len(by_run),
+            "lines_in_defs": total, "unreached_lines": cold,
+            "bench_only_lines": sum(row[3] for row in rows) - cold}
+    title = (f"Defs under src/ no run reaches at {commit}: {cold} of {total} lines, "
+             f"and {meta['bench_only_lines']} more only the bench reaches")
+    table = ("unreached", title, ("file", "def", "line", "lines", "bench only"), rows,
+             "Run set: " + ", ".join(by_run) + ".")
     args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "unreached.json").write_text(json.dumps(payload, indent=1) + "\n")
-    (args.out / "unreached.txt").write_text("\n".join(text) + "\n")
-    print("\n".join(text[:2]))
-
+    (args.out / "unreached.txt").write_text(format_experiment(*table[1:]))
+    (args.out / "unreached.json").write_text(
+        json.dumps(experiment_payload(*table, meta), indent=2) + "\n")
+    print(title)
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.analysis.reporting import validate_experiment_payload
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
@@ -24,16 +26,19 @@ def test_reach_lists_what_one_scenario_never_calls(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
     payload = json.loads((tmp_path / "unreached.json").read_text())
-    assert payload["commit"] and payload["run_set"] == ["scenario:honest-steady"]
-    listed = {(d["file"], d["def"]) for d in payload["defs"]}
+    validate_experiment_payload(payload)
+    meta = payload["meta"]
+    assert meta["commit"] and meta["runs"] == 1
+    assert payload["note"] == "Run set: scenario:honest-steady."
+    listed = {(row[0], row[1]) for row in payload["rows"]}
     # A serial relay run heartbeats and never enters the forked child loop.
     assert ("repro/gossipsub/router.py", "GossipSubRouter.heartbeat") not in listed
     assert ("repro/scenarios/parallel.py", "_child_loop") in listed
     # Without the bench in the run set nothing is bench-only, and the
-    # per-file table adds up to the total.
-    assert not any(d["bench_only"] for d in payload["defs"])
-    assert payload["bench_only_lines"] == 0
-    assert sum(payload["files"].values()) == payload["unreached_lines"]
-    assert 0 < payload["unreached_lines"] < payload["lines_in_defs"]
+    # rows add up to the total.
+    assert not any(row[4] for row in payload["rows"])
+    assert meta["bench_only_lines"] == 0
+    assert sum(row[3] for row in payload["rows"]) == meta["unreached_lines"]
+    assert 0 < meta["unreached_lines"] < meta["lines_in_defs"]
     text = (tmp_path / "unreached.txt").read_text()
-    assert text.startswith(f"commit {payload['commit']}; 1 runs:")
+    assert text.startswith(f"== {payload['title']} ==")
