@@ -58,6 +58,12 @@ class TestFormatting:
     def test_format_value_large_ints_grouped(self):
         assert format_value(1_000_000) == "1,000,000"
 
+    def test_format_value_small_ints_and_text_verbatim(self):
+        assert format_value(9_999) == "9999"
+        assert format_value(-500) == "-500"
+        assert format_value("67 MB") == "67 MB"
+        assert format_value(True) == "True"
+
 
 class TestExperimentPayload:
     def test_roundtrip_and_validation(self):

@@ -22,6 +22,10 @@ class TestEpochMath:
         assert epoch_at(10.0, 10.0) == 1
         assert epoch_at(105.0, 10.0) == 10
 
+    def test_epoch_boundary_opens_the_next_epoch(self):
+        assert epoch_at(70.0, 10.0) == 7
+        assert epoch_at(69.999, 10.0) == 6
+
     @given(st.floats(min_value=0, max_value=1e9), st.floats(min_value=0.1, max_value=3600))
     def test_epoch_monotone(self, t, length):
         assert epoch_at(t + length, length) >= epoch_at(t, length) >= 0

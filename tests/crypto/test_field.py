@@ -1,5 +1,7 @@
 """Unit and property tests for BN254 scalar-field arithmetic."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,6 +43,10 @@ class TestArithmetic:
         assert 3 + Fr(5) == Fr(8)
         assert Fr(10) - 4 == Fr(6)
         assert Fr(4) * 3 == Fr(12)
+
+    def test_negation(self):
+        assert Fr.zero() - Fr(7) == Fr(Fr.MODULUS - 7)
+        assert Fr.zero() - Fr(7) + Fr(7) == Fr.zero()
 
     def test_pow(self):
         assert Fr(3) ** 4 == Fr(81)
@@ -95,6 +101,21 @@ class TestComparison:
 
     def test_int_conversion(self):
         assert int(Fr(9)) == 9
+
+
+class TestAggregates:
+    """Built-in sums and products over mixed ``Fr``/``int`` terms stay
+    in the field and reduce modulo its order."""
+
+    def test_fr_sum(self):
+        assert sum([Fr(1), 2, Fr(3)], Fr.zero()) == Fr(6)
+        assert sum([Fr(Fr.MODULUS - 1), 2], Fr.zero()) == Fr(1)
+        assert sum([], Fr.zero()) == Fr.zero()
+
+    def test_fr_product(self):
+        assert math.prod([Fr(2), 3, Fr(4)], start=Fr.one()) == Fr(24)
+        assert math.prod([Fr(Fr.MODULUS - 1)] * 2, start=Fr.one()) == Fr.one()
+        assert math.prod([], start=Fr.one()) == Fr.one()
 
 
 class TestFieldAxioms:

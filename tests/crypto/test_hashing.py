@@ -29,6 +29,11 @@ class TestBackendRegistry:
         with pytest.raises(FieldError):
             set_hash_backend("md5")
 
+    def test_unknown_backend_error_names_both_backends(self):
+        with pytest.raises(FieldError, match=r"\('blake2b', 'poseidon'\)"):
+            set_hash_backend("md5")
+        assert get_hash_backend() == "blake2b"
+
     def test_poseidon_backend_dispatches_to_poseidon(self, poseidon_backend):
         assert hash1(Fr(7)) == poseidon_hash1(Fr(7))
         assert hash2(Fr(7), Fr(8)) == poseidon_hash2(Fr(7), Fr(8))

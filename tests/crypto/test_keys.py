@@ -3,8 +3,9 @@
 import random
 
 from repro.constants import KEY_SIZE_BYTES
+from repro.crypto.field import Fr
 from repro.crypto.hashing import hash1
-from repro.crypto.keys import IdentitySecret, MembershipKeyPair
+from repro.crypto.keys import IdentityCommitment, IdentitySecret, MembershipKeyPair
 
 
 class TestIdentitySecret:
@@ -20,12 +21,21 @@ class TestIdentitySecret:
         secret = IdentitySecret.generate(random.Random(1))
         assert secret.commitment().element == hash1(secret.element)
 
+    def test_serialization_roundtrip(self):
+        secret = IdentitySecret.generate(random.Random(2))
+        assert IdentitySecret(Fr.from_bytes(secret.to_bytes())) == secret
+
     def test_paper_key_size(self):
         secret = IdentitySecret.generate(random.Random(3))
         assert len(secret.to_bytes()) == KEY_SIZE_BYTES == 32
 
 
 class TestIdentityCommitment:
+    def test_serialization_roundtrip(self):
+        commitment = IdentitySecret.generate(random.Random(4)).commitment()
+        decoded = IdentityCommitment(Fr.from_bytes(commitment.to_bytes()))
+        assert decoded == commitment
+
     def test_paper_key_size(self):
         commitment = IdentitySecret.generate(random.Random(5)).commitment()
         assert len(commitment.to_bytes()) == KEY_SIZE_BYTES == 32

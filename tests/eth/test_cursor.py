@@ -68,6 +68,29 @@ class TestPoll:
 
 
 class TestPeekAndSeek:
+    def test_peek_by_seeking_back_does_not_advance(self, chain):
+        cursor = EventCursor(chain, contract="a")
+        chain.call_now("alice", "a", "ping", 1)
+        mark = cursor.log_index
+        assert len(cursor.poll()) == 1
+        cursor.seek(mark)
+        assert cursor.log_index == 0
+        assert len(cursor.poll()) == 1
+
+    def test_peek_respects_filter(self, chain):
+        cursor = EventCursor(chain, contract="a")
+        chain.call_now("alice", "b", "ping", 1)
+        assert not cursor.poll()
+        cursor.seek(0)
+        assert not cursor.poll()
+
+    def test_cursors_over_one_chain_are_independent(self, chain):
+        chain.call_now("alice", "a", "ping", 1)
+        cursor = EventCursor(chain, contract="a")
+        twin = EventCursor(chain, contract="a")
+        assert len(cursor.poll()) == 1
+        assert twin.log_index == 0
+        assert len(twin.poll()) == 1
     def test_seek_to_log_boundary(self, chain):
         """A cursor committed exactly at the head of the log is caught
         up, and sees exactly the events appended afterwards."""

@@ -5,8 +5,9 @@ reference per-heartbeat sweeps (``sweep_oracle.py``): lazy score decay
 replays the exact floating-point trajectory of the eager sweep, and
 dirty-topic mesh maintenance only skips work it can prove is a no-op.
 These tests pin the edges that touches: a mesh healing after a PRUNE's
-backoff, backoff expiry ordering, and eager-vs-lazy decay under random
-event interleavings.
+backoff, which events dirty a subscribed topic (and that a topic only
+a neighbour subscribes to is never maintained), backoff expiry
+ordering, and eager-vs-lazy decay under random event interleavings.
 """
 
 from __future__ import annotations
@@ -60,6 +61,55 @@ class TestPrunedMeshHeals:
         sim.run_for(a.params.prune_backoff + 1.0)
         a.heartbeat()
         assert "b" in a.mesh[TOPIC]
+
+
+class TestSubscribeLifecycle:
+    def test_subscribe_dirties_topic_with_an_empty_mesh(self):
+        sim, network, a, b, _ = (*build_pair(), None)
+        a.subscribe(TOPIC)
+        assert a.mesh[TOPIC] == set()
+        assert TOPIC in a._dirty_topics
+
+    def test_subscribe_is_idempotent(self):
+        sim, network, a, b, _ = (*build_pair(), None)
+        a.subscribe(TOPIC)
+        a.deliver("b", RpcPacket(graft=[TOPIC]))
+        a.heartbeat()
+        queued = len(sim._queue)
+        a.subscribe(TOPIC)
+        # No second announcement, and the mesh is kept.
+        assert len(sim._queue) == queued
+        assert a.mesh[TOPIC] == {"b"}
+
+    def test_foreign_topic_not_maintained(self):
+        """A topic only a neighbour subscribes to gets no mesh."""
+        sim, network, a, b, _ = (*build_pair(), None)
+        b.subscribe(TOPIC)
+        a.deliver("b", RpcPacket(subscribe=[TOPIC]))
+        a.heartbeat()
+        assert TOPIC not in a.mesh
+        assert a._dirty_topics == ()
+
+    def test_received_prune_of_meshed_peer_dirties_topic(self):
+        sim, network, a, b, _ = (*build_pair(), None)
+        a.subscribe(TOPIC)
+        a.deliver("b", RpcPacket(graft=[TOPIC]))
+        a.heartbeat()  # settle; mesh in bounds would go clean
+        a._mark_clean(TOPIC)
+        a.deliver("b", RpcPacket(prune=[(TOPIC, a.params.prune_backoff)]))
+        assert "b" not in a.mesh[TOPIC]
+        assert TOPIC in a._dirty_topics
+
+    def test_link_down_of_meshed_peer_dirties_topic(self):
+        sim, network, a, b, _ = (*build_pair(), None)
+        a.subscribe(TOPIC)
+        a.deliver("b", RpcPacket(graft=[TOPIC]))
+        a.heartbeat()
+        a._mark_clean(TOPIC)
+        network.disconnect("a", "b")
+        assert TOPIC in a._dirty_topics
+        a.heartbeat()
+        assert "b" not in a.mesh[TOPIC]
 
 
 class TestBackoffExpiryOrdering:

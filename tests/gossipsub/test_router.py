@@ -75,6 +75,19 @@ class TestSubscription:
         assert total > 0
         assert mutual / total > 0.8
 
+    def test_subscriptions_last_the_run(self):
+        """A router joins at build time and never leaves: after many
+        heartbeats every router still subscribes, keeps a mesh, and is
+        still a known topic peer of each neighbour."""
+        sim, network, routers = build_network(4)
+        sim.run(until=30.0)
+        for router in routers:
+            assert router.subscriptions == {TOPIC}
+            assert router.mesh[TOPIC]
+            for other in routers:
+                if other is not router:
+                    assert router.node_id in other.topic_peers[TOPIC]
+
 
 class TestPropagation:
     def test_full_mesh_delivery(self):

@@ -168,6 +168,65 @@ class TestPublishPaths:
         assert dict(network.metrics.counters) == counters
         assert not a.seen and not a.mcache.gossip_ids(TOPIC)
 
+    def test_mesh_publish_reaches_mesh_members_only(self, rig):
+        sim, network, a, b, rec = rig
+        a.params = GossipSubParams(flood_publish=False)
+        a.subscribe(TOPIC)
+        for peer in ("b", "rec"):
+            a.deliver(peer, RpcPacket(subscribe=[TOPIC]))
+        a.deliver("rec", RpcPacket(graft=[TOPIC]))
+        msg_id = a.publish(TOPIC, b"to the mesh")
+        sim.run()
+        published = [pkt.publish for _f, pkt in rec.packets if pkt.publish]
+        assert [[m.msg_id for m in batch] for batch in published] == [[msg_id]]
+        # b is a known topic peer, but not a mesh member.
+        assert msg_id not in b.seen
+
+    def test_flood_publish_reaches_every_topic_peer(self, rig):
+        sim, network, a, b, rec = rig
+        a.subscribe(TOPIC)
+        assert a.params.flood_publish
+        for peer in ("b", "rec"):
+            a.deliver(peer, RpcPacket(subscribe=[TOPIC]))
+        msg_id = a.publish(TOPIC, b"to everyone")
+        sim.run()
+        assert any(pkt.publish for _f, pkt in rec.packets)
+        assert msg_id in b.seen
+
+    def test_flood_publish_skips_peers_below_publish_threshold(self, rig):
+        sim, network, a, b, rec = rig
+        a.subscribe(TOPIC)
+        for peer in ("b", "rec"):
+            a.deliver(peer, RpcPacket(subscribe=[TOPIC]))
+        for _ in range(3):
+            a.scores.reject_message("rec", TOPIC)  # score -90 < -50
+        assert a.scores.score("rec", sim.now) < a.scores.params.publish_threshold
+        msg_id = a.publish(TOPIC, b"not to rec")
+        sim.run()
+        assert not any(pkt.publish for _f, pkt in rec.packets)
+        assert msg_id in b.seen
+
+    def test_publish_with_an_empty_mesh_delivers_locally(self, rig):
+        sim, network, a, b, rec = rig
+        a.params = GossipSubParams(flood_publish=False)
+        a.subscribe(TOPIC)
+        got = []
+        a.on_delivery(lambda t, p, m, f: got.append((t, p, f)))
+        queued = len(sim._queue)
+        a.publish(TOPIC, b"alone")
+        # Nothing is sent, but the publisher delivers its own message.
+        assert len(sim._queue) == queued
+        assert got == [(TOPIC, b"alone", "a")]
+
+    def test_publish_caches_and_counts(self, rig):
+        sim, network, a, b, rec = rig
+        a.subscribe(TOPIC)
+        msg_id = a.publish(TOPIC, b"cached")
+        assert msg_id == compute_message_id(TOPIC, b"cached")
+        assert msg_id in a.seen
+        assert a.mcache.gossip_ids(TOPIC) == [msg_id]
+        assert network.metrics.counters["gossipsub.published"] == 1
+
     def test_seen_cache_blocks_reprocessing(self, rig):
         sim, network, a, b, rec = rig
         a.subscribe(TOPIC)

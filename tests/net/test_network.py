@@ -36,6 +36,14 @@ class TestAttachment:
         with pytest.raises(NetworkError):
             network.attach(nodes[0])
 
+    def test_unknown_node_rejected(self):
+        sim, network, _ = make_network(1)
+        with pytest.raises(NetworkError):
+            network.detach("ghost")
+        with pytest.raises(NetworkError):
+            network.connect("n0", "ghost")
+        assert network.degree("n0") == 0
+
     def test_contains(self):
         _, network, _ = make_network(2)
         assert "n0" in network

@@ -43,6 +43,27 @@ class TestTopicMembership:
         with pytest.raises(GossipError):
             nodes[0].publish(WakuMessage(payload=b"x"), topic="/nope/1/x/raw")
 
+    def test_topics_joined_before_start_subscribe_on_start(self):
+        sim = Simulator(seed=2)
+        network = Network(simulator=sim)
+        node = WakuRelayNode("w0", network, pubsub_topic=CHAT)
+        node.join_topic(NEWS)
+        assert node.router.subscriptions == set()
+        with pytest.raises(GossipError):
+            node.publish(WakuMessage(payload=b"early"))
+        node.start()
+        assert node.router.subscriptions == {CHAT, NEWS}
+
+    def test_publish_defaults_to_primary_topic(self):
+        sim, _, nodes = build(3)
+        chat_got, news_got = [], []
+        nodes[1].on_message(lambda m, _id: chat_got.append(m.payload), topic=CHAT)
+        nodes[1].on_message(lambda m, _id: news_got.append(m.payload), topic=NEWS)
+        nodes[0].publish(WakuMessage(payload=b"primary"))
+        sim.run_for(5.0)
+        assert chat_got == [b"primary"]
+        assert news_got == []
+
     def test_late_join_while_running(self):
         sim, _, nodes = build(3)
         nodes[0].join_topic("/waku/2/late/proto")
