@@ -30,6 +30,15 @@ MATRIX = [(s, w) for s in (1, 2, 4) for w in (1, 2, 4)]
 
 _reference_cache = {}
 
+#: Known answers for the reference cells: the (1, 1) cell's fingerprint
+#: at PEERS / DURATION, the same under any PYTHONHASHSEED. The matrix
+#: compares cells with each other, so a change that moved every cell
+#: alike would pass it; these literals would not.
+REFERENCE_FINGERPRINTS = {
+    "rotating-sybil-economics": "07ec2e7bf3775aad",
+    "delegated-enforcement": "5de077e043b6f283",
+}
+
 
 def _cell(name, shards, workers):
     return run_scenario(
@@ -53,6 +62,11 @@ def test_matrix_cell_matches_serial_reference(name, shards, workers):
     reference = _reference(name)
     result = _cell(name, shards, workers)
     assert result.fingerprint() == reference.fingerprint()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_FINGERPRINTS))
+def test_reference_cell_is_pinned(name):
+    assert _reference(name).fingerprint() == REFERENCE_FINGERPRINTS[name]
 
 
 def test_matrix_economics_invariance():

@@ -18,12 +18,37 @@ SMOKE_DURATION = 40.0
 #: scenario registered later escapes the smoke parametrization.
 SMOKE_NAMES = [spec.name for spec in all_scenarios()]
 
+#: Known answers: each built-in's fingerprint at SMOKE_PEERS /
+#: SMOKE_DURATION and its own seed, the same under any PYTHONHASHSEED.
+#: A refactor that must not change behaviour keeps every one; a change
+#: that moves them all alike (which the cross-cell comparisons of the
+#: parallel matrix cannot see) fails here.
+SMOKE_FINGERPRINTS = {
+    "adaptive-flood": "66ef666ddd2ba35f",
+    "burst-spammer": "c3a7f793b45fc2cf",
+    "city-scale-50k": "51d72f0f34b536d5",
+    "coordinated-multi-spammer": "a2a914d1a840cdee",
+    "delegated-enforcement": "d2102c40b81cc219",
+    "delegated-enforcement-crash": "dd886e0bb0d5c687",
+    "delegated-enforcement-races": "fb17678c1af95cd1",
+    "high-churn": "3903228234cb7631",
+    "honest-steady": "91fd0eb9f68e7555",
+    "low-and-slow-probe": "7351d52b8ba9099e",
+    "million-id-city": "781ef7690c6d250a",
+    "mixed-baseline-comparison": "82344eeffbaaa9ed",
+    "multi-topic-5k": "04e5ecbd81d2900a",
+    "multi-topic-churn": "d670060995ec2b74",
+    "rotating-sybil-economics": "3c29b7651c4d60d0",
+    "stale-root-sync-lag": "eaea7162661b5fa6",
+}
+
 
 @pytest.mark.parametrize("name", SMOKE_NAMES)
 def test_every_registered_scenario_smokes(name):
     spec = scenario(name)
     result = run_scenario(spec, peers=SMOKE_PEERS, duration=SMOKE_DURATION)
     assert result.scenario == name
+    assert result.fingerprint() == SMOKE_FINGERPRINTS[name]
     assert result.peers_started == SMOKE_PEERS
     assert result.sim_time == pytest.approx(SMOKE_DURATION)
     assert result.peers_final == (
