@@ -52,6 +52,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.protocol import WakuRlnRelayNetwork, genesis_commitments
 from repro.crypto.field import Fr
 from repro.crypto.hashing import hash1, hash_call_count
+from repro.crypto.shamir import line_intercept
 from repro.crypto.keys import IdentityCommitment
 from repro.crypto.slot_index import PackedFieldList
 from repro.eth.chain import Blockchain
@@ -220,6 +221,10 @@ def live_peer_bytes(peers, pre_registered, seed=3, quick=False):
     run (the runner, its network and the result still alive), by the
     source file that allocated them."""
     spec = registry_genesis_spec(peers, pre_registered, seed, quick)
+    # The double-signal recovery memo is process-wide: start it empty,
+    # as a fresh process does, or entries an earlier run left behind
+    # make this run allocate less than it would alone.
+    line_intercept.cache_clear()
     gc.collect()
     tracemalloc.start()
     runner = ScenarioRunner(spec)

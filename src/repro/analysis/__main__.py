@@ -97,14 +97,17 @@ def _explain_parallel(spec, workers) -> int:
     without building or running anything. Everything shown is derived
     from the spec alone — the same pins, block plan, contiguous worker
     groups and barrier windows the runner uses."""
-    from ..scenarios.parallel import barrier_times, contiguous_groups
-    from ..scenarios.runner import ScenarioRunner
+    from ..scenarios.parallel import (
+        barrier_times,
+        contiguous_groups,
+        shard_pins,
+    )
     from ..sim.latency import DEFAULT_LATENCY
     from ..sim.parallel_stack import ShardPlan
 
     workers = min(workers, spec.shards)
     roster = [f"peer-{i}" for i in range(spec.peers)]
-    pins = ScenarioRunner.shard_pins(spec)
+    pins = shard_pins(spec)
     plan = ShardPlan(spec.shards, keys=roster, pins=pins)
     window = DEFAULT_LATENCY.min_latency()
     barriers = sum(1 for _ in barrier_times(spec.duration, window))

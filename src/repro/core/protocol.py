@@ -263,14 +263,10 @@ class WakuRlnRelayNetwork:
         self.network.attach_remote(node_id)
 
     def _build_peer(self, node_id: NodeId) -> WakuRlnRelayPeer:
-        # Parallel peers draw identity material from their own entity
-        # stream: a worker that never builds this peer can still
-        # reproduce its commitment (declare_ghost) bit-for-bit.
-        rng = (
-            self.simulator.entity_rng(node_id)
-            if self.parallel
-            else self.simulator.rng
-        )
+        # Identity material comes from the peer's entity stream (the
+        # shared one on the serial kernel): a worker that never builds
+        # this peer can still reproduce its commitment (declare_ghost)
+        # bit-for-bit.
         return WakuRlnRelayPeer(
             node_id=node_id,
             network=self.network,
@@ -279,7 +275,7 @@ class WakuRlnRelayNetwork:
             config=self.config,
             proving_key=self.proving_key,
             verifying_key=self.verifying_key,
-            rng=rng,
+            rng=self.simulator.entity_rng(node_id),
             verification_cache=self.verification_cache,
             membership_store=self.membership_store,
         )

@@ -33,6 +33,25 @@ After the final barrier the coordinator verifies every worker's chain
 fingerprint against its own replica (divergence is a hard error, not a
 statistic) and merges the workers' measurement state back into the
 runner, so result aggregation downstream is mode-blind.
+
+:class:`WindowedScenarioRunner` is the runner such a spec gets (the
+base :class:`~repro.scenarios.runner.ScenarioRunner` picks it). Its
+construction is split in three so forked workers can *build per
+worker* instead of forking a fully built stack:
+
+* ``__init__`` computes pure, picklable scenario state (roster ids,
+  topic maps, counters) and — with one worker — immediately
+  materializes the network.
+* :meth:`WindowedScenarioRunner._materialize` builds the network for
+  one ownership set: the full deployment (``owned=None``), a worker's
+  shard group, or the coordinator's empty set (all ghosts, chain
+  replica only).
+* :meth:`WindowedScenarioRunner._prepare` arms every scheduled process
+  (registration, watchtowers, traffic, adversaries, churn, faults) and
+  flips the chain into replica mode. Every decision that spans
+  workers — publisher choice, churn victims, dial lists, delegator
+  sets — draws from dedicated named entity streams, so each worker
+  derives the identical plan without coordination.
 """
 
 from __future__ import annotations
@@ -42,17 +61,31 @@ import pickle
 import resource
 import shutil
 import traceback
+from bisect import insort
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from ..crypto.digests import blake2b
 from ..errors import SimulationError
 from ..eth.chain import Blockchain, ReplicaOp
 from ..sim.parallel_stack import PortPacket
+from ..sim.simulator import quiescent_gc
+from ..waku.message import DEFAULT_PUBSUB_TOPIC
+from .runner import ScenarioRunner
+from .spec import ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..adversaries.engine import AdversaryEngine
     from ..adversaries.report import AttackReport
-    from .runner import ScenarioRunner
+    from ..core.peer import WakuRlnRelayPeer
 
 #: Peak RSS (``ru_maxrss`` units — KiB on Linux) of every worker of the
 #: most recent parallel drive in this process: one entry per forked
@@ -118,7 +151,7 @@ def _record_rss(values: List[int]) -> None:
 
 
 def drive_in_process(
-    runner: "ScenarioRunner", engine
+    runner: "WindowedScenarioRunner", engine
 ) -> Optional["AttackReport"]:
     """Drive all shards on this process through the barrier protocol."""
     net = runner.net
@@ -178,15 +211,14 @@ def _send_to(child, message: object) -> None:
         )
 
 
-def _spam_partial(runner: "ScenarioRunner") -> int:
+def _spam_partial(runner: "WindowedScenarioRunner") -> int:
     """This worker's spam deliveries: only owned peers' recorders ever
     fire here, so the full-population sum *is* the partial."""
     return runner._spam_delivered_total()
 
 
-def _child_bundle(runner: "ScenarioRunner", engine, group: range):
+def _child_bundle(runner: "WindowedScenarioRunner", engine):
     net = runner.net
-    config = net.config
     bundle: Dict[str, object] = {
         "received": runner._received,
         "topic_counts": runner._topic_counts,
@@ -197,58 +229,26 @@ def _child_bundle(runner: "ScenarioRunner", engine, group: range):
         "detected_pks": runner._detected_pks,
         "joined": runner._joined,
         "left": runner._left,
-        # Live peers this worker owns; workers partition the live
-        # population, so the global count is the plain sum.
-        "peers_final": len(net.peers),
-        # Departed peers submitted slashes too before churning out.
-        "slashes": sum(
-            p.slashes_submitted for p in net.peers + net.departed
-        ),
         "counters": dict(net.metrics.counters),
         "events_processed": net.simulator.events_processed,
         "chain_fp": chain_fingerprint(net.chain),
-        "memo": (
-            (net.verification_cache.hits, net.verification_cache.misses)
-            if net.verification_cache is not None
-            else None
-        ),
-        "subtrees": (
-            net.membership_store.materialized_indices()
-            if config.membership_sub_depth is not None
-            else None
-        ),
-        "nullifier": None,
         "ru_maxrss": resource.getrusage(
             resource.RUSAGE_SELF
         ).ru_maxrss,
-        "report": None,
-        "watchtowers": None,
-    }
-    if config.eager_nullifier_gc:
-        pruned = 0
-        live = 0
-        for peer in net.peers:
-            for validator in peer.rln_topics.values():
-                pruned += validator.nullifier_map.auto_pruned_entries
-                live += validator.nullifier_map.entry_count
-        bundle["nullifier"] = (pruned, live)
-    if 0 in group:
         # Shard 0 hosts every pinned global: the adversary engine's
-        # agents and the watchtower services, so this worker alone
-        # holds their live measurement state.
-        if engine is not None:
-            bundle["report"] = engine.report()
-        rows = []
-        evidence = set()
-        for service in runner._watchtowers:
-            rows.append((service.service_id, service.summary()))
-            evidence.update(service.store.evidence_pks())
-            service.close()
-        bundle["watchtowers"] = (rows, evidence)
+        # agents and the watchtower services, so its worker alone has
+        # an engine and services to report.
+        "report": engine.report() if engine is not None else None,
+        "facts": runner._facts(),
+    }
+    for service in runner._watchtowers:
+        service.close()
     return bundle
 
 
-def _child_loop(runner: "ScenarioRunner", group: range, down, up) -> None:
+def _child_loop(
+    runner: "WindowedScenarioRunner", group: range, down, up
+) -> None:
     # Build-per-worker: nothing exists yet in this process beyond the
     # runner's pure spec state — materialize only the owned shards,
     # then arm every process on them.
@@ -296,7 +296,7 @@ def _child_loop(runner: "ScenarioRunner", group: range, down, up) -> None:
         elif kind == "finish":
             _, t_final, ops = message
             chain.replica_apply(ops, t_final)
-            _send(up, ("done", _child_bundle(runner, engine, group)))
+            _send(up, ("done", _child_bundle(runner, engine)))
             if runner._watchtower_dir is not None:
                 # The sqlite stores live in this child's temp dir; the
                 # coordinator never sees the path.
@@ -307,7 +307,7 @@ def _child_loop(runner: "ScenarioRunner", group: range, down, up) -> None:
 
 
 def drive_forked(
-    runner: "ScenarioRunner", workers: int
+    runner: "WindowedScenarioRunner", workers: int
 ) -> Optional["AttackReport"]:
     """Fork ``workers`` children — each building and owning a
     contiguous shard group — and coordinate them barrier by barrier.
@@ -457,7 +457,7 @@ def drive_forked(
 
 
 def _merge(
-    runner: "ScenarioRunner",
+    runner: "WindowedScenarioRunner",
     bundles: List[Dict[str, object]],
     duration: float,
 ) -> Optional["AttackReport"]:
@@ -495,13 +495,6 @@ def _merge(
         runner._joined += bundle["joined"]
         runner._left += bundle["left"]
 
-    runner._peers_final_override = sum(
-        bundle["peers_final"] for bundle in bundles
-    )
-    runner._peer_slashes_override = sum(
-        bundle["slashes"] for bundle in bundles
-    )
-
     # Build-per-worker: every counter increment — build-time wiring
     # included — happened on exactly one worker, so the totals are the
     # plain sums; the coordinator's ghost-only build counted nothing.
@@ -512,26 +505,33 @@ def _merge(
     net.metrics.counters.clear()
     net.metrics.counters.update(merged)
 
-    if bundles[0]["memo"] is not None:
-        runner._memo_override = (
-            sum(bundle["memo"][0] for bundle in bundles),
-            sum(bundle["memo"][1] for bundle in bundles),
-        )
-    if bundles[0]["subtrees"] is not None:
-        by_domain: Dict[str, frozenset] = {}
-        for bundle in bundles:
-            for domain, indices in bundle["subtrees"].items():
-                by_domain[domain] = (
-                    by_domain.get(domain, frozenset()) | indices
-                )
-        runner._subtree_override = sum(
-            len(indices) for indices in by_domain.values()
-        )
-    if bundles[0]["nullifier"] is not None:
-        runner._nullifier_override = (
-            sum(bundle["nullifier"][0] for bundle in bundles),
-            sum(bundle["nullifier"][1] for bundle in bundles),
-        )
+    # Workers partition the live population, so live peers, their
+    # slashes, memo lookups and nullifier entries are plain sums; built
+    # sub-trees are the union of every worker's index sets.
+    facts = [bundle["facts"] for bundle in bundles]
+
+    def pair_sum(key: str) -> Optional[Tuple[int, int]]:
+        if facts[0][key] is None:
+            return None
+        return tuple(map(sum, zip(*(fact[key] for fact in facts))))
+
+    subtrees: Optional[Dict[str, FrozenSet[int]]] = None
+    if facts[0]["subtrees"] is not None:
+        subtrees = {}
+        for fact in facts:
+            for domain, indices in fact["subtrees"].items():
+                subtrees[domain] = subtrees.get(domain, frozenset()) | indices
+    runner._merged_facts = {
+        "watchtowers": next(
+            (f["watchtowers"] for f in facts if f["watchtowers"] is not None),
+            None,
+        ),
+        "peers_final": sum(fact["peers_final"] for fact in facts),
+        "slashes": sum(fact["slashes"] for fact in facts),
+        "memo": pair_sum("memo"),
+        "subtrees": subtrees,
+        "nullifier": pair_sum("nullifier"),
+    }
 
     sim.events_processed = sum(
         bundle["events_processed"] for bundle in bundles
@@ -539,10 +539,424 @@ def _merge(
     sim.now = duration
     _record_rss([bundle["ru_maxrss"] for bundle in bundles])
 
-    report = None
-    for bundle in bundles:
-        if bundle["report"] is not None:
-            report = bundle["report"]
-        if bundle["watchtowers"] is not None:
-            runner._wt_override = bundle["watchtowers"]
-    return report
+    return next(
+        (b["report"] for b in bundles if b["report"] is not None), None
+    )
+
+
+# -- the windowed runner ------------------------------------------------------
+
+
+def shard_pins(spec: ScenarioSpec) -> Dict[str, int]:
+    """Entities a parallel run pins to shard 0.
+
+    Globals that execute as shard-0 events (the adversary engine,
+    watchtower delegation) mutate their subjects directly, so those
+    subjects must be co-resident with shard 0: the adversary tail and
+    the watchtower services."""
+    tail = spec.adversaries.total_count
+    pins = {
+        f"peer-{index}": 0 for index in range(spec.peers - tail, spec.peers)
+    }
+    if spec.watchtowers is not None:
+        for service_id in spec.watchtowers.service_ids():
+            pins[service_id] = 0
+    return pins
+
+
+class ChurnPlan:
+    """Every churn decision of a parallel run, fixed before it starts.
+
+    Serial churn decides as it goes: each leave draws its victim from
+    the shared stream against the *live* peer list. Under window
+    isolation that list is partition-dependent state, so parallel runs
+    precompute the whole schedule from one dedicated entity stream
+    (``entity_rng("churn")``) over the roster — every worker derives
+    the identical plan, arms only the events whose subject it owns,
+    and declares the rest as ghosts.
+    """
+
+    __slots__ = ("joins", "leaves", "leave_time_of")
+
+    def __init__(self) -> None:
+        #: ``(time, k, joiner_id, neighbors, topic_names)``.
+        self.joins: List[Tuple[float, int, str, List[str], Tuple[str, ...]]] = []
+        #: ``(time, j, victim_id)`` — successful leaves only.
+        self.leaves: List[Tuple[float, int, str]] = []
+        #: victim id -> leave time (watchtower dial filtering).
+        self.leave_time_of: Dict[str, float] = {}
+
+
+class ExpectedTracker:
+    """Plan-derived live honest-subscriber counts per topic.
+
+    Serial runs maintain ``_honest_subscribers`` by mutating it inside
+    join/leave handlers — partition-dependent state under isolation (a
+    worker only executes its own churn events). The tracker rebuilds
+    the same time series from the churn plan: a sorted per-topic delta
+    list applied up to the querying event's timestamp. Same-time ties
+    are safe because churn origins (``churn-join:k``/``churn-leave:j``)
+    sort before publisher origins (``peer-N``) in the kernel's
+    ``(time, origin, seq)`` order, matching the ``<=`` cut here.
+    """
+
+    def __init__(self, base: Dict[str, int]) -> None:
+        self._value = dict(base)
+        self._deltas: Dict[str, List[Tuple[float, int]]] = {}
+        self._cursor: Dict[str, int] = {}
+
+    def add(self, topic: str, time: float, delta: int) -> None:
+        insort(self._deltas.setdefault(topic, []), (time, delta))
+        self._cursor.setdefault(topic, 0)
+
+    def value(self, topic: str, now: float) -> int:
+        deltas = self._deltas.get(topic)
+        if not deltas:
+            return self._value.get(topic, 0)
+        cursor = self._cursor[topic]
+        value = self._value[topic]
+        while cursor < len(deltas) and deltas[cursor][0] <= now:
+            value += deltas[cursor][1]
+            cursor += 1
+        self._cursor[topic] = cursor
+        self._value[topic] = value
+        return value
+
+
+class WindowedScenarioRunner(ScenarioRunner):
+    """A scenario on the window-isolated kernel, in this process
+    (one worker) or forked across workers (see the module docstring).
+
+    It overrides only what differs from the serial build: the network
+    options, planned churn, the replays a worker makes for entities it
+    does not hold, the barrier-fed spam probe, the barrier drive and
+    the measurements a forked run merges from its workers. It defines
+    neither ``__init__`` nor ``run``, so wrapping those on the base
+    class wraps every run."""
+
+    def _build(self) -> None:
+        spec = self.spec
+        self._pins = shard_pins(spec)
+        #: Effective worker count.
+        self.workers = min(spec.parallel_workers, spec.shards)
+        #: Barrier-fed cumulative spam-delivery count: the engine's
+        #: probe reads this instead of the live recorder sum, so
+        #: adaptive adversaries see the same value at the same tick on
+        #: every shard/worker cell.
+        self._spam_feed = 0
+        #: Forked mode: the run-end facts merged from the worker
+        #: bundles (None = read the live objects, in-process).
+        self._merged_facts: Optional[Dict[str, object]] = None
+        #: Churn machinery (None until :meth:`_schedule_churn`).
+        self._churn_plan: Optional[ChurnPlan] = None
+        self._expected: Optional[ExpectedTracker] = None
+        #: joiner id -> planned extra-topic names (``_on_join``
+        #: applies these instead of drawing coins).
+        self._join_topics: Dict[str, Tuple[str, ...]] = {}
+        if self.workers <= 1:
+            # One worker builds here; forked runs defer — each worker
+            # (and the coordinator) materializes its own ownership
+            # slice after the fork.
+            self._materialize(None)
+
+    def _materialize(self, owned: Optional[FrozenSet[int]] = None) -> None:
+        """Build the network for one ownership set: ``None`` builds
+        everything; a frozenset narrows construction to those shards
+        before any entity exists (build-per-worker), including the
+        coordinator's empty set."""
+        super()._materialize(
+            shards=self.spec.shards,
+            parallel=True,
+            shard_pins=self._pins,
+            owned_shards=owned,
+        )
+
+    def _on_join(self, peer: WakuRlnRelayPeer) -> None:
+        """A churn joiner applies its *planned* topic set: the coins
+        were already flipped inside the churn plan, identically on
+        every worker (the expected-delivery counts follow the plan)."""
+        self._topic_subscribers[DEFAULT_PUBSUB_TOPIC].add(peer.node_id)
+        for name in self._join_topics.get(peer.node_id, ()):
+            if name in self._open_topics:
+                peer.join_open_topic(name)
+            else:
+                peer.join_rln_topic(name)
+            self._topic_subscribers[name].add(peer.node_id)
+        self._instrument(peer)
+
+    def _spam_probe(self) -> int:
+        # A worker sees only its own peers' deliveries live; the
+        # barrier feeds the run-wide sum.
+        return self._spam_feed
+
+    def _count_expected(self, topic: str) -> int:
+        """With churn, replay the plan's delta schedule: live mutation
+        is partition-dependent."""
+        if self._expected is not None:
+            return self._expected.value(topic, self.net.simulator.now)
+        return super()._count_expected(topic)
+
+    def _schedule_adversaries(self) -> Optional[AdversaryEngine]:
+        """The tail peers are pinned to shard 0, so only shard 0's
+        owner holds them and builds the engine. Every other worker
+        replays the *funding* side effect — the agents' wallet
+        balances are direct chain-account state every replica must
+        agree on — and skips the engine (strategies consume no RNG, so
+        there is no stream to keep aligned)."""
+        net = self.net
+        if 0 in net.simulator.owned:
+            return super()._schedule_adversaries()
+        mix = self.spec.adversaries
+        stake = net.config.stake_wei
+        tail_ids = iter(net.roster[len(net.roster) - mix.total_count :])
+        for group in mix.groups:
+            budget_wei = group.budget_stakes * stake
+            for _ in range(group.count):
+                account = net.chain.get_account(f"eoa:{next(tail_ids)}")
+                account.balance = max(0, budget_wei - stake)
+        return None
+
+    def _watchtower_dial_filter(self, neighbor: str, now: float) -> bool:
+        """Is ``neighbor`` still dialable at ``now``? Parallel dial
+        plans draw from the static roster, so a restarting service must
+        skip peers the churn plan removed — by the plan's clock, which
+        every worker shares, not by partition-local network state."""
+        plan = self._churn_plan
+        if plan is None:
+            return True
+        left_at = plan.leave_time_of.get(neighbor)
+        return left_at is None or left_at > now
+
+    def _build_watchtowers(self) -> None:
+        """Services are pinned to shard 0. The owner builds them for
+        real; every other worker replays the shared facts — the
+        service's chain account, its overlay endpoint and dial links,
+        and each delegator's fee transfer — then flips slash reporting
+        off on the delegators it owns."""
+        wspec = self.spec.watchtowers
+        if wspec is None:
+            return
+        net = self.net
+        if 0 in net.simulator.owned:
+            super()._build_watchtowers()
+            for service in self._watchtowers:
+                service.dial_filter = self._watchtower_dial_filter
+            return
+        from ..watchtower.service import watchtower_dial_plan
+
+        service_ids = wspec.service_ids()
+        for service_id in service_ids:
+            net.chain.create_account(f"eoa:{service_id}", 0)
+            net.network.attach_remote(service_id)
+            # Mirror the owner's build-time dials (the plan is a shared
+            # entity stream) so owned peers hold their half of each
+            # link.
+            dials = watchtower_dial_plan(net, service_id, wspec.degree)
+            for neighbor in dials:
+                net.network.connect(service_id, neighbor)
+        for index, node_id in enumerate(self._delegators()):
+            net.chain.transfer_value(
+                f"eoa:{node_id}",
+                f"eoa:{service_ids[index % len(service_ids)]}",
+                wspec.delegation_fee_wei,
+            )
+            peer = net.peer_named(node_id)
+            if peer is not None:
+                peer.disable_slash_reporting()
+
+    # -- churn -----------------------------------------------------------------
+
+    def _schedule_churn(self) -> None:
+        self._churn_plan = self._plan_churn()
+        self._arm_churn()
+        self._build_expected_tracker()
+
+    def _plan_churn(self) -> Optional[ChurnPlan]:
+        """Precompute every churn decision (see ChurnPlan).
+
+        The plan walks both grids chronologically (joins before leaves
+        at ties, matching the serial scheduling order), maintaining
+        the alive list the way the live run would: roster order,
+        joiners appended, victims removed. Leave attempts that find at
+        most one candidate draw nothing and remove no one — the grid
+        keeps ticking until the success quota or the horizon, exactly
+        like the serial rescheduling loop."""
+        spec = self.spec
+        churn = spec.churn
+        if not churn.active:
+            return None
+        net = self.net
+        jr = net.simulator.entity_rng("churn")
+        duration = spec.duration
+        plan = ChurnPlan()
+        alive: List[str] = list(net.roster)
+        grid: List[Tuple[float, int, int]] = []
+        if churn.join_interval and churn.max_joins:
+            t = churn.start + churn.join_interval
+            k = 0
+            while k < churn.max_joins and t <= duration:
+                grid.append((t, 0, k))
+                k += 1
+                t += churn.join_interval
+        if churn.leave_interval and churn.max_leaves:
+            t = churn.start + churn.leave_interval
+            j = 0
+            while t <= duration:
+                grid.append((t, 1, j))
+                j += 1
+                t += churn.leave_interval
+        grid.sort()
+        successes = 0
+        for t, tag, index in grid:
+            if tag == 0:
+                joiner = f"peer-{spec.peers + index}"
+                fanout = (
+                    net._degree if net._degree is not None else len(alive)
+                )
+                neighbors = jr.sample(alive, min(fanout, len(alive)))
+                names = []
+                for topic in spec.topics:
+                    fraction = topic.subscribe_fraction
+                    if fraction <= 0:
+                        continue
+                    if fraction < 1.0 and jr.random() >= fraction:
+                        continue
+                    names.append(topic.name)
+                plan.joins.append(
+                    (t, index, joiner, neighbors, tuple(names))
+                )
+                alive.append(joiner)
+            else:
+                if successes >= churn.max_leaves:
+                    continue
+                candidates = [
+                    nid
+                    for nid in alive
+                    if nid not in self._adversary_ids
+                    and nid not in self._publisher_ids
+                ]
+                if len(candidates) > 1:
+                    victim = jr.choice(candidates)
+                    alive.remove(victim)
+                    plan.leaves.append((t, successes, victim))
+                    plan.leave_time_of[victim] = t
+                    successes += 1
+        return plan
+
+    def _arm_churn(self) -> None:
+        """Arm the plan's events on the shards this worker owns;
+        declare every foreign joiner as a ghost so its registration
+        transaction and overlay endpoint exist on this replica."""
+        plan = self._churn_plan
+        if plan is None:
+            return
+        net = self.net
+        sim = net.simulator
+        shard_plan = sim.plan
+        owned = sim.owned
+        for t, k, joiner, neighbors, names in plan.joins:
+            self._join_topics[joiner] = names
+            if shard_plan.shard_of(joiner) in owned:
+                with sim.build_context(f"churn-join:{k}"):
+                    sim.schedule(
+                        t,
+                        lambda _sim, nid=joiner, dial=neighbors: (
+                            self._parallel_join(nid, dial)
+                        ),
+                        label=f"churn-join:{joiner}",
+                        shard=joiner,
+                    )
+            else:
+                net.declare_ghost(joiner)
+                net.network.set_remote_presence(
+                    joiner,
+                    t,
+                    plan.leave_time_of.get(joiner, float("inf")),
+                )
+        for t, j, victim in plan.leaves:
+            if shard_plan.shard_of(victim) in owned:
+                with sim.build_context(f"churn-leave:{j}"):
+                    sim.schedule(
+                        t,
+                        lambda _sim, nid=victim: self._parallel_leave(nid),
+                        label=f"churn-leave:{victim}",
+                        shard=victim,
+                    )
+            elif victim not in self._join_topics:
+                # Initial-roster ghost churning out elsewhere: its
+                # remote endpoint stops being dialable at the plan's
+                # leave time (joiner victims set their window above).
+                net.network.set_remote_presence(victim, 0.0, t)
+
+    def _parallel_join(self, node_id: str, neighbors: List[str]) -> None:
+        self.net.add_peer(node_id=node_id, neighbors=list(neighbors))
+        self._joined += 1
+
+    def _parallel_leave(self, node_id: str) -> None:
+        self.net.remove_peer(node_id)
+        self._left += 1
+
+    def _build_expected_tracker(self) -> None:
+        """Turn the churn plan into the per-topic delivery-expectation
+        schedule (without churn the static wiring counts are already
+        layout-invariant)."""
+        plan = self._churn_plan
+        if plan is None:
+            return
+        tracker = ExpectedTracker(self._honest_subscribers)
+        for t, _k, _joiner, _neighbors, names in plan.joins:
+            tracker.add(DEFAULT_PUBSUB_TOPIC, t, 1)
+            for name in names:
+                tracker.add(name, t, 1)
+        for t, _j, victim in plan.leaves:
+            tracker.add(DEFAULT_PUBSUB_TOPIC, t, -1)
+            for name, subscribers in self._topic_subscribers.items():
+                if name == DEFAULT_PUBSUB_TOPIC:
+                    continue
+                if victim in subscribers:
+                    tracker.add(name, t, -1)
+            planned = self._join_topics.get(victim)
+            if planned:
+                for name in planned:
+                    tracker.add(name, t, -1)
+        self._expected = tracker
+
+    # -- execution ---------------------------------------------------------------
+
+    def _prepare(self) -> Optional[AdversaryEngine]:
+        """Arm every process on an already materialized network and
+        flip the chain into replica mode.
+
+        Build steps (registration mining, watchtower delegation, agent
+        funding) mutate the chain directly and identically on every
+        cell; the chain then switches to replica mode so every runtime
+        mutation joins the globally ordered barrier op stream. Blocks
+        are produced by :meth:`~repro.eth.chain.Blockchain.replica_apply`
+        on the block grid, so the periodic miner stays off."""
+        net = self.net
+        with quiescent_gc():
+            engine = self._arm(mine_blocks=False)
+            net.chain.enter_replica_mode(net.simulator.consume_order_key)
+        return engine
+
+    def _drive(self) -> Optional[AttackReport]:
+        """Drive the run on the windowed kernel behind barrier sync."""
+        if self.workers > 1:
+            return drive_forked(self, self.workers)
+        engine = self._prepare()
+        report = drive_in_process(self, engine)
+        self.net.stop()
+        return report
+
+    # -- result ------------------------------------------------------------------
+
+    def _facts(self) -> Dict[str, object]:
+        if self._merged_facts is not None:
+            return self._merged_facts
+        return super()._facts()
+
+    def _membership_extras(self) -> Dict[str, float]:
+        # Each worker holds a private store, so how many events each
+        # deduped is a per-partition artifact, not a run fact; only the
+        # built sub-trees (a union of index sets) are reported.
+        return {}

@@ -138,6 +138,12 @@ class Simulator:
         """
         return self.rng
 
+    def ephemeral_rng(self, key: object) -> random.Random:
+        """A one-shot stream for ``key``: the shared :attr:`rng` here,
+        as :meth:`entity_rng`; the windowed kernel seeds it like
+        ``entity_rng`` but does not keep it."""
+        return self.rng
+
     @property
     def entity_isolated(self) -> bool:
         """True when this kernel gives each entity a private RNG

@@ -21,11 +21,14 @@ BENCH = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "bench_million_id.py"
 )
 
-#: Measured 19 986 B per live peer between 40 and 120 peers over 2000
+#: Measured 19 740 B per live peer between 40 and 120 peers over 2000
 #: dormant identities (the smoke form of the registry-genesis shape),
-#: after an untraced warm-up run, the same under PYTHONHASHSEED 0 and 3;
-#: ~2 % headroom. Two fresh processes, one per peer count, read 19 637.
-#: Without the warm-up the runner's lazy imports landed in the smaller
+#: after an untraced warm-up run and with the process-wide recovery
+#: memo (``shamir.line_intercept``) cleared before each traced run, the
+#: same under PYTHONHASHSEED 0 and 3; ~3 % headroom. Two fresh
+#: processes, one per peer count, read 19 637. Without the clear it read
+#: 19 986: the warm-up run's memo entries made the smaller run allocate
+#: less. Without the warm-up the runner's lazy imports landed in the smaller
 #: traced run only and came off the slope by an amount that depended on
 #: what the process had imported before: 17 795 in isolation, 19 362
 #: with the adversary modules imported first. With the router's state

@@ -13,7 +13,7 @@ from repro.scenarios.registry import (
     scenario,
     scenario_names,
 )
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.runner import ScenarioRunner, run_scenario
 from repro.scenarios.spec import (
     AdversaryGroup,
     AdversaryMix,
@@ -280,6 +280,29 @@ def test_churn_bookkeeping():
     assert result.joined == 3
     assert result.left == 2
     assert result.peers_final == 12 + 3 - 2
+
+
+def test_runner_class_follows_the_worker_count():
+    from repro.scenarios.parallel import WindowedScenarioRunner
+
+    serial = ScenarioSpec(name="x", description="d", peers=6)
+    assert type(ScenarioRunner(serial)) is ScenarioRunner
+    windowed = serial.scaled(parallel_workers=1)
+    assert type(ScenarioRunner(windowed)) is WindowedScenarioRunner
+    # Forked: the class is chosen before anything is built.
+    forked = ScenarioRunner(serial.scaled(shards=2, parallel_workers=2))
+    assert type(forked) is WindowedScenarioRunner
+    assert forked.net is None
+
+
+def test_windowed_runner_keeps_the_base_entry_points():
+    """The benchmark's span recorder (``ref_trace``) wraps
+    ``ScenarioRunner.__init__`` and ``.run``; a subclass that defined
+    its own would run outside those spans."""
+    from repro.scenarios.parallel import WindowedScenarioRunner
+
+    assert "__init__" not in vars(WindowedScenarioRunner)
+    assert "run" not in vars(WindowedScenarioRunner)
 
 
 def test_result_dict_and_fingerprint_exclude_wall_clock():
