@@ -252,11 +252,6 @@ class ScenarioRunner:
         offender pk feeds the ``missed_slashes`` accounting."""
         self._detected_pks.add(int(evidence.commitment.element))
 
-    def _honest_peers(self) -> List[WakuRlnRelayPeer]:
-        return [
-            p for p in self.net.peers if p.node_id not in self._adversary_ids
-        ]
-
     def _honest_ids(self) -> List[str]:
         """The roster's honest ids, in roster order."""
         return [
@@ -540,8 +535,9 @@ class ScenarioRunner:
                     return
                 candidates = [
                     p.node_id
-                    for p in self._honest_peers()
-                    if p.node_id not in self._publisher_ids
+                    for p in self.net.peers
+                    if p.node_id not in self._adversary_ids
+                    and p.node_id not in self._publisher_ids
                 ]
                 if len(candidates) > 1:
                     victim = sim.rng.choice(candidates)
