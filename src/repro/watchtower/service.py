@@ -415,19 +415,13 @@ class WatchtowerService:
 
     # -- delegation ------------------------------------------------------------------------
 
-    def delegate(self, peer) -> None:
-        """Enroll ``peer`` as a delegating light client: it pays the
-        one-off fee, stops claiming slashes itself, and earns a share
-        of every reward this service wins."""
-        self.delegate_id(peer.node_id, peer.account)
-        peer.disable_slash_reporting()
-
     def delegate_id(self, node_id: str, account: str) -> None:
-        """The chain/store half of a delegation — everything except
-        flipping the delegator's own reporting switch. Build-per-worker
-        runners call this for delegators that live on other workers
-        (the fee transfer and ledger must land on every replica; the
-        switch flip is the owner's job)."""
+        """Enroll ``node_id`` as a delegating light client: ``account``
+        pays the one-off fee and earns a share of every reward this
+        service wins. The delegator stops claiming slashes itself by
+        its own peer's ``disable_slash_reporting()``, which the caller
+        flips where that peer is built (a windowed worker replays only
+        the fee transfer for a delegator it does not hold)."""
         now = self.net.simulator.now
         self.chain.transfer_value(
             account, self.account, self.delegation_fee_wei

@@ -29,7 +29,7 @@ PARALLEL_ONLY = (
 )
 
 #: ``wc -l`` over ``src/**/*.py``, as last lowered.
-CEILING = 16134
+CEILING = 16128
 
 
 def source_lines() -> int:

@@ -29,9 +29,15 @@ def make_service(net, tmp_path, service_id="wt-0", **kwargs):
     )
 
 
+def delegate(service, peer):
+    """Enroll ``peer`` with ``service`` as the scenario runner does."""
+    service.delegate_id(peer.node_id, peer.account)
+    peer.disable_slash_reporting()
+
+
 def delegate_all(service, net):
     for peer in net.peers:
-        service.delegate(peer)
+        delegate(service, peer)
 
 
 def schedule_spam(net, at, peer_index=0):
@@ -122,7 +128,7 @@ class TestDelegatedEnforcement:
         service.start()
         peer = net.peer(3)
         before = peer.balance
-        service.delegate(peer)
+        delegate(service, peer)
         assert peer.balance == before - 10**15
         assert service.balance == 10**15
         assert service.store.delegation_count() == 1
@@ -331,7 +337,7 @@ class TestCompetingWatchtowers:
         first.start()
         second.start()
         for index, peer in enumerate(net.peers):
-            (first if index % 2 == 0 else second).delegate(peer)
+            delegate(first if index % 2 == 0 else second, peer)
         net.start()
         schedule_spam(net, at=5.0)
         net.run(40.0)
